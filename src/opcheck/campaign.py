@@ -9,7 +9,7 @@ single trial can be regenerated in isolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -82,6 +82,8 @@ FUNPAIR_KINDS = ("power", "range", "scaled")
 
 _SPLIT_EXPONENTS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
+_CAMPAIGN_TOLERANCES = Tolerance(abs=1e-8, rel=1e-8, rank_cutoff=6e-12)
+
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -94,7 +96,7 @@ class CampaignSpec:
     seed: int = 0
     map_families: Sequence[str] = MAP_FAMILIES
     funpair_kinds: Sequence[str] = FUNPAIR_KINDS
-    tolerances: Tolerance = field(default_factory=lambda: Tolerance(abs=1e-8, rel=1e-8, rank_cutoff=6e-12))
+    tolerances: Tolerance = _CAMPAIGN_TOLERANCES
     output_path: Optional[str] = None
     split_exponent: Optional[float] = None
 
@@ -130,6 +132,7 @@ class CampaignSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CampaignSpec":
+        tolerances = obj.get("tolerances")
         spec = cls(
             check_id=obj["check_id"],
             n_dims=tuple(obj.get("n", (2, 3, 4, 5, 6))),
@@ -138,7 +141,9 @@ class CampaignSpec:
             seed=int(obj.get("seed", 0)),
             map_families=tuple(obj.get("map_families", MAP_FAMILIES)),
             funpair_kinds=tuple(obj.get("funpair_kinds", FUNPAIR_KINDS)),
-            tolerances=tolerance_from_json(obj.get("tolerances"), dim=6),
+            tolerances=(
+                _CAMPAIGN_TOLERANCES if tolerances is None else tolerance_from_json(tolerances, dim=6)
+            ),
             output_path=obj.get("output_path"),
             split_exponent=obj.get("split_exponent"),
         )

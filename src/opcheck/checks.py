@@ -99,20 +99,6 @@ class FunPair:
     def scaled(cls, rho: float) -> "FunPair":
         return cls(kind="scaled", rho=float(rho))
 
-    def f_of(self, h, tol: Optional[Tolerance] = None) -> np.ndarray:
-        if self.kind == "power":
-            return generalized_inverse(h, 1.0 + self.p, tol)
-        if self.kind == "range":
-            return generalized_inverse(h, 2.0, tol)
-        return math.sqrt(self.rho) * require_hermitian(h, tol)
-
-    def g_of(self, h, tol: Optional[Tolerance] = None) -> np.ndarray:
-        if self.kind == "power":
-            return generalized_inverse(h, 1.0 - self.p, tol)
-        if self.kind == "range":
-            return generalized_inverse(h, 0.0, tol)
-        return require_hermitian(h, tol) / math.sqrt(self.rho)
-
     def f_scalar(self, t: float) -> float:
         if self.kind == "power":
             return t ** (1.0 + self.p)

@@ -36,7 +36,7 @@ def _default_seed() -> int:
         return 2026
 
 
-def _load_tolerance(args) -> Optional[Tolerance]:
+def _load_tolerance(args, dim: int) -> Optional[Tolerance]:
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -46,7 +46,7 @@ def _load_tolerance(args) -> Optional[Tolerance]:
         cfg.setdefault("rel", args.tol)
     if not cfg:
         return None
-    return tolerance_from_json(cfg, dim=8)
+    return tolerance_from_json(cfg, dim=dim)
 
 
 def _cmd_check(args) -> int:
@@ -54,7 +54,8 @@ def _cmd_check(args) -> int:
         payload = json.load(fh)
     payload["check_id"] = args.check_id
     inst = Instance.from_json(payload)
-    tol = _load_tolerance(args) or Tolerance.for_dim(inst.phi.out_dim, abs=1e-8, rel=1e-8)
+    dim = inst.phi.out_dim
+    tol = _load_tolerance(args, dim) or Tolerance.for_dim(dim, abs=1e-8, rel=1e-8)
     result = run_instance(inst, tol)
     from .campaign import _outcome_json, _result_passed_and_slack
 
@@ -205,7 +206,7 @@ def _cmd_mean(args) -> int:
         a = matrix_from_json(json.load(fh))
     with open(args.b) as fh:
         b = matrix_from_json(json.load(fh))
-    mean, used_limit = geometric_mean_ex(a, b, _load_tolerance(args))
+    mean, used_limit = geometric_mean_ex(a, b, _load_tolerance(args, a.shape[0]))
     if args.out:
         dump_json({"mean": matrix_to_json(mean), "used_singular_mean_limit": used_limit}, args.out)
     print(f"geometric mean computed ({'singular limit' if used_limit else 'definite formula'})")
@@ -215,7 +216,7 @@ def _cmd_mean(args) -> int:
 def _cmd_polar(args) -> int:
     with open(args.infile) as fh:
         z = matrix_from_json(json.load(fh))
-    parts = polar(z, _load_tolerance(args))
+    parts = polar(z, _load_tolerance(args, z.shape[0]))
     if args.out:
         dump_json(
             {"unitary": matrix_to_json(parts.unitary), "modulus": matrix_to_json(parts.modulus)},

@@ -19,7 +19,6 @@ from .errors import (
     DomainError,
     NoConvergence,
     NonHermitian,
-    NotPositiveSemidefinite,
 )
 
 __all__ = [
@@ -146,45 +145,69 @@ def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> E
     stop = 1e-14 * scale
     tiny = 1e-300
 
+    # The rotations run on Python complex scalars held in row lists: at these
+    # sizes a numpy call on a length-n slice costs far more than its
+    # arithmetic. A stays exactly Hermitian (hermitian_part made it so, and
+    # IEEE multiplication commutes with conjugation), so only columns p and q
+    # are updated off the (p, q) block and rows p and q receive their
+    # conjugates.
+    rows = a.tolist()
+    vrows = v.tolist()
+    pivots = [
+        (p, q, [i for i in range(n) if i != p and i != q]) for p in range(n - 1) for q in range(p + 1, n)
+    ]
+
     for _ in range(max_sweeps):
-        off = math.sqrt(2.0) * float(np.linalg.norm(np.triu(a, 1)))
+        off = math.sqrt(2.0) * math.hypot(*[abs(x) for p, row in enumerate(rows) for x in row[p + 1 :]])
         if off <= stop:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= tiny:
-                    continue
-                phase = apq / r
-                theta = 0.5 * math.atan2(2.0 * r, (a[q, q] - a[p, p]).real)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                sp = s * phase
-                spc = s * phase.conjugate()
-                # A <- R* A R with R embedding [[c, s*phase], [-s*conj(phase), c]]
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - spc * cq
-                a[:, q] = sp * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - sp * rq
-                a[q, :] = spc * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - spc * vq
-                v[:, q] = sp * vp + c * vq
+        for p, q, others in pivots:
+            row_p = rows[p]
+            row_q = rows[q]
+            apq = row_p[q]
+            r = abs(apq)
+            if r <= tiny:
+                continue
+            phase = apq / r
+            app = row_p[p]
+            aqq = row_q[q]
+            theta = 0.5 * math.atan2(2.0 * r, (aqq - app).real)
+            c = math.cos(theta)
+            s = math.sin(theta)
+            sp = s * phase
+            spc = s * phase.conjugate()
+            # A <- R* A R with R embedding [[c, s*phase], [-s*conj(phase), c]]:
+            # columns first, then rows, as on the full matrix
+            aqp = row_q[p]
+            cpp = c * app - spc * apq
+            cqp = c * aqp - spc * aqq
+            cpq = sp * app + c * apq
+            cqq = sp * aqp + c * aqq
+            row_p[p] = (c * cpp - sp * cqp).real
+            row_q[q] = (spc * cpq + c * cqq).real
+            row_p[q] = 0j
+            row_q[p] = 0j
+            for i in others:
+                row_i = rows[i]
+                aip = row_i[p]
+                aiq = row_i[q]
+                new_p = c * aip - spc * aiq
+                new_q = sp * aip + c * aiq
+                row_i[p] = new_p
+                row_i[q] = new_q
+                row_p[i] = new_p.conjugate()
+                row_q[i] = new_q.conjugate()
+            for vrow in vrows:
+                vp = vrow[p]
+                vq = vrow[q]
+                vrow[p] = c * vp - spc * vq
+                vrow[q] = sp * vp + c * vq
     else:
         raise NoConvergence(f"Jacobi sweep budget ({max_sweeps}) exhausted")
 
-    values = a.real.diagonal().copy()
+    values = np.array([rows[i][i].real for i in range(n)])
     order = np.argsort(-values, kind="stable")
-    return EigenSystem(values=values[order], vectors=v[:, order])
+    return EigenSystem(values=values[order], vectors=np.array(vrows, dtype=complex)[:, order])
 
 
 def matrix_function(
@@ -305,14 +328,3 @@ def spectral_radius(m, max_squarings: int = 40) -> float:
     log_acc += weight * math.log(norm)
     return math.exp(log_acc)
 
-
-def require_psd(h, tol: Optional[Tolerance] = None) -> np.ndarray:
-    """Validate PSD-ness within tolerance; returns the Hermitian part."""
-    a = require_hermitian(h, tol)
-    t = _tol(tol, a.shape[0])
-    es = eigh(a, tol)
-    lmin = float(es.values[-1]) if es.values.size else 0.0
-    scale = float(np.abs(es.values).max()) if es.values.size else 0.0
-    if lmin < -t.abs * (1.0 + scale):
-        raise NotPositiveSemidefinite(f"lambda_min = {lmin:.3e}")
-    return a

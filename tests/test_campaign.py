@@ -44,6 +44,11 @@ class TestSpecValidation:
         back = CampaignSpec.from_json(spec.to_json())
         assert back.to_json() == spec.to_json()
 
+    def test_json_default_tolerances_match_constructor(self):
+        for check_id in CHECK_IDS:
+            spec = CampaignSpec.from_json({"check_id": check_id})
+            assert spec.tolerances == CampaignSpec(check_id=check_id).tolerances
+
 
 class TestInstances:
     def test_generated_instances_satisfy_hypotheses(self):

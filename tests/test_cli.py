@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from opcheck.cli import main
 from opcheck.io import matrix_from_json, matrix_to_json
@@ -108,6 +109,18 @@ class TestCheckCommand:
         out = tmp_path / "cert.json"
         assert main(["check", "check_two_positive_split", "--in", path, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["pass"] is True
+
+    def test_tolerance_override_keeps_dimension_rank_cutoff(self, tmp_path):
+        inst = {
+            "phi": {"family": "identity", "params": {"dim": 3}},
+            "A": matrix_to_json(0.5 * np.eye(3)),
+        }
+        path = write(tmp_path / "inst.json", inst)
+        out = tmp_path / "cert.json"
+        assert main(["check", "check_russo_dye", "--in", path, "--tol", "1e-8", "--out", str(out)]) == 0
+        tolerances = json.loads(out.read_text())["tolerances"]
+        assert tolerances["abs"] == 1e-8
+        assert tolerances["rank_cutoff"] == pytest.approx(3e-12)
 
     def test_hypothesis_violation_is_an_error(self, tmp_path, capsys):
         inst = {

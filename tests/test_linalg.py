@@ -121,6 +121,79 @@ class TestEigh:
         with pytest.raises(NoConvergence):
             eigh(h, max_sweeps=0)
 
+    def test_matches_mpmath_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        ctx = mpmath.MPContext()
+        ctx.dps = 50
+        rng = np.random.default_rng(16)
+        for n in range(1, 9):
+            g = rng.standard_normal((n, max(1, n // 2))) + 1j * rng.standard_normal((n, max(1, n // 2)))
+            rank_deficient = hermitian_part(g @ g.conj().T)
+            for h in (random_hermitian(rng, n), random_psd(rng, n), rank_deficient):
+                ref = np.sort([float(x) for x in ctx.eighe(ctx.matrix(h.tolist()), eigvals_only=True)])[::-1]
+                assert np.abs(eigh(h).values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_tiny_pivots_are_skipped_exactly(self):
+        # every off-diagonal entry is at or below the 1e-300 pivot threshold
+        h = np.diag([1.0, 3.0, -2.0, 2.0]).astype(complex)
+        h[0, 1] = h[1, 0] = 1e-300
+        h[1, 3], h[3, 1] = 5e-324j, -5e-324j
+        h[0, 2] = h[2, 0] = -1e-300
+        es = eigh(h)
+        assert np.array_equal(es.values, [3.0, 2.0, 1.0, -2.0])
+        assert np.array_equal(es.vectors, np.eye(4)[:, [1, 3, 0, 2]])
+        # zero pivots are skipped mid-sweep: the decoupled index stays exact
+        es = eigh([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 3.0]])
+        assert es.values[0] == 3.0
+        assert np.array_equal(es.vectors[:, 0], [0, 0, 1])
+        assert np.array_equal(es.vectors[2, 1:], [0, 0])
+
+    def test_memory_layout_does_not_change_bits(self):
+        rng = np.random.default_rng(17)
+        for n in range(2, 9):
+            h = random_hermitian(rng, n)
+            c = eigh(np.ascontiguousarray(h))
+            f = eigh(np.asfortranarray(h))
+            assert np.array_equal(c.values, f.values)
+            assert np.array_equal(c.vectors, f.vectors)
+
+    def test_one_triangle_matches_full_update_bitwise(self):
+        # reference: the same rotations applied to every row and column of A
+        def full_update_eigh(h):
+            a = hermitian_part(h)
+            n = a.shape[0]
+            rows, v = a.tolist(), np.eye(n, dtype=complex).tolist()
+            stop = 1e-14 * float(np.linalg.norm(a))
+            while math.sqrt(2.0) * math.hypot(*[abs(x) for p, row in enumerate(rows) for x in row[p + 1 :]]) > stop:
+                for p in range(n - 1):
+                    for q in range(p + 1, n):
+                        r = abs(rows[p][q])
+                        if r <= 1e-300:
+                            continue
+                        phase = rows[p][q] / r
+                        theta = 0.5 * math.atan2(2.0 * r, (rows[q][q] - rows[p][p]).real)
+                        c, s = math.cos(theta), math.sin(theta)
+                        sp, spc = s * phase, s * phase.conjugate()
+                        for row in rows + v:
+                            x, y = row[p], row[q]
+                            row[p], row[q] = c * x - spc * y, sp * x + c * y
+                        rp, rq = rows[p], rows[q]
+                        rows[p] = [c * x - sp * y for x, y in zip(rp, rq)]
+                        rows[q] = [spc * x + c * y for x, y in zip(rp, rq)]
+                        rows[p][q] = rows[q][p] = 0j
+                        rows[p][p], rows[q][q] = rows[p][p].real, rows[q][q].real
+            values = np.array([rows[i][i].real for i in range(n)])
+            order = np.argsort(-values, kind="stable")
+            return values[order], np.array(v)[:, order]
+
+        rng = np.random.default_rng(18)
+        for n in range(2, 9):
+            for h in (random_hermitian(rng, n), random_psd(rng, n)):
+                values, vectors = full_update_eigh(h)
+                es = eigh(h)
+                assert np.array_equal(es.values, values)
+                assert np.array_equal(es.vectors, vectors)
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=8))
