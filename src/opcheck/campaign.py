@@ -15,13 +15,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import checks as C
-from .checks import Certificate, FunPair
+from .checks import FunPair
 from .decompose import svd_square
 from .ensembles import GeneratorConfig, generate_with_rng
 from .errors import InstanceGenerationFailure, InvalidSpec
 from .io import dump_json, matrix_to_json, matrix_from_json, tolerance_from_json, tolerance_to_json
 from .linalg import Tolerance, eigh, hermitian_part
-from .means import MajorizationReport, kato_supremum, q_mean
+from .means import kato_supremum, q_mean
 from .posmap import (
     Congruence,
     IdentityMap,
@@ -48,16 +48,21 @@ __all__ = [
     "write_report",
 ]
 
-CHECK_IDS = (
-    "check_russo_dye",
-    "check_arithmetic_domination",
-    "check_geometric_domination",
-    "check_two_positive_split",
-    "check_log_majorization",
-    "check_eigenvalue_gaps",
-    "check_reverse_product",
-    "check_cartesian_suite",
-)
+# check id -> the Instance fields its function in opcheck.checks takes after
+# phi. The function is looked up by its id on each call, never stored, so a
+# wrapper installed on the checks module sees every call.
+_CHECK_ARGS = {
+    "check_russo_dye": ("contraction",),
+    "check_arithmetic_domination": ("z", "j", "funpair"),
+    "check_geometric_domination": ("z", "j", "funpair"),
+    "check_two_positive_split": ("z", "split_exponent"),
+    "check_log_majorization": ("z", "j", "funpair"),
+    "check_eigenvalue_gaps": ("z", "j", "funpair"),
+    "check_reverse_product": ("z", "j", "funpair"),
+    "check_cartesian_suite": ("z",),
+}
+
+CHECK_IDS = tuple(_CHECK_ARGS)
 
 MAP_FAMILIES = (
     "kraus_sum",
@@ -69,18 +74,13 @@ MAP_FAMILIES = (
     "compose",
 )
 
-_CP_FAMILIES = (
-    "kraus_sum",
-    "schur_multiplier",
-    "congruence",
-    "identity",
-    "partial_trace_2x2",
-    "compose",
-)
+_CP_FAMILIES = tuple(f for f in MAP_FAMILIES if f != "transpose_plus_identity")
 
 FUNPAIR_KINDS = ("power", "range", "scaled")
 
 _SPLIT_EXPONENTS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+_Z_ENSEMBLES = ("random_normal_matrix", "random_semi_hyponormal", "random_contraction", "ginibre")
 
 _CAMPAIGN_TOLERANCES = Tolerance(abs=1e-8, rel=1e-8, rank_cutoff=6e-12)
 
@@ -132,7 +132,6 @@ class CampaignSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CampaignSpec":
-        tolerances = obj.get("tolerances")
         spec = cls(
             check_id=obj["check_id"],
             n_dims=tuple(obj.get("n", (2, 3, 4, 5, 6))),
@@ -141,8 +140,8 @@ class CampaignSpec:
             seed=int(obj.get("seed", 0)),
             map_families=tuple(obj.get("map_families", MAP_FAMILIES)),
             funpair_kinds=tuple(obj.get("funpair_kinds", FUNPAIR_KINDS)),
-            tolerances=(
-                _CAMPAIGN_TOLERANCES if tolerances is None else tolerance_from_json(tolerances, dim=6)
+            tolerances=tolerance_from_json(
+                {**tolerance_to_json(_CAMPAIGN_TOLERANCES), **(obj.get("tolerances") or {})}
             ),
             output_path=obj.get("output_path"),
             split_exponent=obj.get("split_exponent"),
@@ -237,15 +236,7 @@ def _random_map(
 
 
 def _random_z(rng: np.random.Generator, n: int) -> np.ndarray:
-    kind = int(rng.integers(4))
-    if kind == 0:
-        cfg = GeneratorConfig(ensemble="random_normal_matrix")
-    elif kind == 1:
-        cfg = GeneratorConfig(ensemble="random_semi_hyponormal")
-    elif kind == 2:
-        cfg = GeneratorConfig(ensemble="random_contraction")
-    else:
-        cfg = GeneratorConfig(ensemble="ginibre")
+    cfg = GeneratorConfig(ensemble=str(_choice(rng, _Z_ENSEMBLES)))
     return generate_with_rng(cfg, n, rng)
 
 
@@ -272,10 +263,7 @@ def _funpair_and_j(
         comod = hermitian_part((parts.left * sig) @ parts.left.conj().T)
         rho = float(eigh(hermitian_part(inv_half @ comod @ inv_half), tol).values[0])
         fp = FunPair.scaled(max(rho, 1e-8))
-    f_vals = fp.f_sigma(sig, cutoff)
-    g_vals = fp.g_sigma(sig, cutoff)
-    f_mod = hermitian_part((parts.right * f_vals) @ parts.right.conj().T)
-    g_comod = hermitian_part((parts.left * g_vals) @ parts.left.conj().T)
+    f_mod, g_comod = C.moduli_from_svd(parts, fp, tol)
     if fp.kind == "scaled":
         j = f_mod.copy()
         if rng.uniform() < 0.3:
@@ -292,7 +280,7 @@ def _funpair_and_j(
             f_mod + g_comod + generate_with_rng(GeneratorConfig(ensemble="wishart_psd"), n, rng)
         )
     elif mode == "scaled_identity":
-        lam = max(float(f_vals.max()), float(g_vals.max()))
+        lam = max(float(fp.f_sigma(sig, cutoff).max()), float(fp.g_sigma(sig, cutoff).max()))
         j = (lam * (1.0 + rng.uniform(0.0, 1.0)) + 1e-6) * np.eye(n)
     elif mode == "qmean":
         j = q_mean(z, float(_choice(rng, (1.0, 2.0, 4.0))), tol)
@@ -340,76 +328,13 @@ def make_instance(spec: CampaignSpec, trial: int) -> Instance:
     )
 
 
-def _outcome_json(result) -> dict:
-    if isinstance(result, Certificate):
-        return result.to_json_dict()
-    if isinstance(result, MajorizationReport):
-        return {
-            "pass": bool(result.passed),
-            "k_products_lhs": [float(x) for x in result.k_products_lhs],
-            "k_products_rhs": [float(x) for x in result.k_products_rhs],
-            "worst_ratio": float(result.worst_ratio),
-        }
-    if isinstance(result, C.GapReport):
-        return {
-            "pass": bool(result.passed),
-            "checked": result.checked,
-            "worst_margin": float(result.worst_margin),
-            "notes": result.notes,
-        }
-    if isinstance(result, C.ReverseProductReport):
-        return {
-            "pass": bool(result.passed),
-            "products_lhs_squared": [float(x) for x in result.products_lhs_squared],
-            "products_mixed": [float(x) for x in result.products_mixed],
-            "worst_ratio": float(result.worst_ratio),
-        }
-    if isinstance(result, C.CartesianReport):
-        return {
-            "pass": bool(result.passed),
-            "mean_certificate": result.mean_certificate.to_json_dict(),
-            "majorization": _outcome_json(result.majorization),
-            "norm_value": float(result.norm_value),
-            "rho_value": float(result.rho_value),
-            "singular_cartesian_sum": bool(result.singular_cartesian_sum),
-        }
-    raise TypeError(f"cannot serialize outcome {type(result)!r}")
-
-
-def _result_passed_and_slack(result) -> tuple:
-    if isinstance(result, Certificate):
-        return result.passed, result.slack
-    if isinstance(result, MajorizationReport):
-        return result.passed, 1.0 - result.worst_ratio
-    if isinstance(result, C.GapReport):
-        return result.passed, result.worst_margin
-    if isinstance(result, C.ReverseProductReport):
-        return result.passed, 1.0 - result.worst_ratio
-    if isinstance(result, C.CartesianReport):
-        return result.passed, result.mean_certificate.slack
-    raise TypeError(f"unknown outcome {type(result)!r}")
-
-
 def run_instance(inst: Instance, tol: Tolerance):
-    """Dispatch one generated instance to its check."""
-    cid = inst.check_id
-    if cid == "check_russo_dye":
-        return C.check_russo_dye(inst.phi, inst.contraction, tol)
-    if cid == "check_arithmetic_domination":
-        return C.check_arithmetic_domination(inst.phi, inst.z, inst.j, inst.funpair, tol)
-    if cid == "check_geometric_domination":
-        return C.check_geometric_domination(inst.phi, inst.z, inst.j, inst.funpair, tol)
-    if cid == "check_two_positive_split":
-        return C.check_two_positive_split(inst.phi, inst.z, inst.split_exponent, tol)
-    if cid == "check_log_majorization":
-        return C.check_log_majorization(inst.phi, inst.z, inst.j, inst.funpair, tol)
-    if cid == "check_eigenvalue_gaps":
-        return C.check_eigenvalue_gaps(inst.phi, inst.z, inst.j, inst.funpair, tol)
-    if cid == "check_reverse_product":
-        return C.check_reverse_product(inst.phi, inst.z, inst.j, inst.funpair, tol)
-    if cid == "check_cartesian_suite":
-        return C.check_cartesian_suite(inst.phi, inst.z, tol)
-    raise InvalidSpec(f"unknown check_id {cid!r}")
+    """Run one generated instance through its check. The outcome reports
+    ``passed``, a signed ``slack`` and its JSON form ``to_json()``."""
+    if inst.check_id not in _CHECK_ARGS:
+        raise InvalidSpec(f"unknown check_id {inst.check_id!r}")
+    args = (getattr(inst, name) for name in _CHECK_ARGS[inst.check_id])
+    return getattr(C, inst.check_id)(inst.phi, *args, tol)
 
 
 @dataclass
@@ -450,14 +375,13 @@ def run_campaign(spec: CampaignSpec, keep_outcomes: bool = True) -> CampaignRepo
     for trial in range(spec.trials):
         inst = make_instance(spec, trial)
         result = run_instance(inst, spec.tolerances)
-        passed, slack = _result_passed_and_slack(result)
         trials_run += 1
-        min_slack = min(min_slack, slack)
+        min_slack = min(min_slack, result.slack)
         if keep_outcomes:
-            outcomes.append(_outcome_json(result))
-        if passed and slack < 0:
+            outcomes.append(result.to_json())
+        if result.passed and result.slack < 0:
             near += 1
-        if not passed:
+        if not result.passed:
             failures += 1
             aborted = inst.to_json()
             break

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .decompose import cartesian, comodulus, modulus, svd_square
+from .decompose import SvdParts, cartesian, comodulus, modulus, svd_square
 from .errors import ClassViolation, HypothesisViolated, NotContraction, SearchExhausted
 from .linalg import (
     Tolerance,
@@ -53,6 +53,7 @@ __all__ = [
     "CexSearchReport",
     "domination_holds",
     "moduli_images",
+    "moduli_from_svd",
     "witness_unitary",
     "check_russo_dye",
     "check_arithmetic_domination",
@@ -169,7 +170,7 @@ class Certificate:
     notes: str
     inputs: dict
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> dict:
         return {
             "check_id": self.check_id,
             "pass": bool(self.passed),
@@ -224,9 +225,15 @@ def _polar_witness_and_modulus(w, tol: Optional[Tolerance]) -> Tuple[np.ndarray,
 
 
 def moduli_images(z, fp: FunPair, tol: Optional[Tolerance] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """(f(|Z|), g(|Z*|)) from a single SVD: both moduli share singular values,
+    """(f(|Z|), g(|Z*|)) from a single SVD of Z."""
+    return moduli_from_svd(svd_square(z, tol), fp, tol)
+
+
+def moduli_from_svd(
+    parts: SvdParts, fp: FunPair, tol: Optional[Tolerance] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(f(|Z|), g(|Z*|)) from the SVD of Z: both moduli share singular values,
     so f and g act entrywise on them in the right and left bases."""
-    parts = svd_square(z, tol)
     t = _tol(tol, parts.values.size)
     smax = float(parts.values.max()) if parts.values.size else 0.0
     cutoff = t.rank_cutoff * smax
@@ -380,6 +387,18 @@ class GapReport:
     worst_margin: float
     notes: str = ""
 
+    @property
+    def slack(self) -> float:
+        return self.worst_margin
+
+    def to_json(self) -> dict:
+        return {
+            "pass": bool(self.passed),
+            "checked": self.checked,
+            "worst_margin": float(self.worst_margin),
+            "notes": self.notes,
+        }
+
 
 def _scalar_weight(j) -> Optional[float]:
     """lam when J = lam I within rounding, else None."""
@@ -450,6 +469,18 @@ class ReverseProductReport:
     products_mixed: np.ndarray
     worst_ratio: float
 
+    @property
+    def slack(self) -> float:
+        return 1.0 - self.worst_ratio
+
+    def to_json(self) -> dict:
+        return {
+            "pass": bool(self.passed),
+            "products_lhs_squared": [float(x) for x in self.products_lhs_squared],
+            "products_mixed": [float(x) for x in self.products_mixed],
+            "worst_ratio": float(self.worst_ratio),
+        }
+
 
 def check_reverse_product(
     phi: PosMap, z, j, fp: FunPair, tol: Optional[Tolerance] = None
@@ -503,6 +534,20 @@ class CartesianReport:
     norm_value: float
     rho_value: float
     singular_cartesian_sum: bool
+
+    @property
+    def slack(self) -> float:
+        return self.mean_certificate.slack
+
+    def to_json(self) -> dict:
+        return {
+            "pass": bool(self.passed),
+            "mean_certificate": self.mean_certificate.to_json(),
+            "majorization": self.majorization.to_json(),
+            "norm_value": float(self.norm_value),
+            "rho_value": float(self.rho_value),
+            "singular_cartesian_sum": bool(self.singular_cartesian_sum),
+        }
 
 
 def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> CartesianReport:
@@ -711,6 +756,9 @@ class CexWitness:
     matrix: np.ndarray
     margin: float
 
+    def to_json(self) -> dict:
+        return {"trial": self.trial_index, "margin": self.margin, "Z": matrix_to_json(self.matrix)}
+
 
 @dataclass(frozen=True)
 class CexSearchReport:
@@ -728,12 +776,17 @@ class CexSearchReport:
     worst_congruence_norm: float
 
     @property
+    def witnesses(self) -> dict:
+        """Target name -> its witness, None where the search found none."""
+        return {
+            "loewner": self.loewner_witness,
+            "half_power": self.half_power_witness,
+            "plain_norm": self.plain_norm_witness,
+        }
+
+    @property
     def all_found(self) -> bool:
-        return (
-            self.loewner_witness is not None
-            and self.half_power_witness is not None
-            and self.plain_norm_witness is not None
-        )
+        return all(w is not None for w in self.witnesses.values())
 
 
 def find_counterexamples_remarks(
@@ -795,14 +848,6 @@ def find_counterexamples_remarks(
         worst_congruence_norm=worst_norm,
     )
     if not report.all_found:
-        missing = [
-            name
-            for name, w in (
-                ("loewner", found_a),
-                ("half_power", found_b),
-                ("plain_norm", found_c),
-            )
-            if w is None
-        ]
+        missing = [name for name, w in report.witnesses.items() if w is None]
         raise SearchExhausted(f"targets not found within {trials} trials: {', '.join(missing)}")
     return report

@@ -57,13 +57,10 @@ def _cmd_check(args) -> int:
     dim = inst.phi.out_dim
     tol = _load_tolerance(args, dim) or Tolerance.for_dim(dim, abs=1e-8, rel=1e-8)
     result = run_instance(inst, tol)
-    from .campaign import _outcome_json, _result_passed_and_slack
-
-    passed, slack = _result_passed_and_slack(result)
     if args.out:
-        dump_json(_outcome_json(result), args.out)
-    print(f"{args.check_id}: {'PASS' if passed else 'FAIL'} (slack {slack:+.3e})")
-    return 0 if passed else 1
+        dump_json(result.to_json(), args.out)
+    print(f"{args.check_id}: {'PASS' if result.passed else 'FAIL'} (slack {result.slack:+.3e})")
+    return 0 if result.passed else 1
 
 
 def _cmd_campaign(args) -> int:
@@ -123,7 +120,7 @@ def _cmd_repro(args) -> int:
             "rho": rep.rho,
             "bracket_lhs": rep.bracket_lhs,
             "required_constant": rep.required_constant,
-            "certificate": rep.scaled_certificate.to_json_dict(),
+            "certificate": rep.scaled_certificate.to_json(),
         }
         ok = rep.passed
     else:  # cartesian-cex
@@ -150,11 +147,7 @@ def _cmd_repro(args) -> int:
             "name": "cartesian-cex",
             "pass": rep.consistency_ok and rep.all_found,
             "trials": rep.trials,
-            "witness_trials": {
-                "loewner": rep.loewner_witness.trial_index,
-                "half_power": rep.half_power_witness.trial_index,
-                "plain_norm": rep.plain_norm_witness.trial_index,
-            },
+            "witness_trials": {name: w.trial_index for name, w in rep.witnesses.items()},
             "worst_rho": rep.worst_rho,
             "worst_congruence_norm": rep.worst_congruence_norm,
         }
@@ -168,7 +161,7 @@ def _cmd_find_cex(args) -> int:
     rep = find_counterexamples_remarks(trials=args.trials, seed=args.seed, dim=args.n)
     print(
         f"found all three witnesses by trial "
-        f"{max(rep.loewner_witness.trial_index, rep.half_power_witness.trial_index, rep.plain_norm_witness.trial_index)}; "
+        f"{max(w.trial_index for w in rep.witnesses.values())}; "
         f"consistency {'PASS' if rep.consistency_ok else 'FAIL'}"
     )
     if args.out:
@@ -177,23 +170,7 @@ def _cmd_find_cex(args) -> int:
             "seed": rep.seed,
             "dim": rep.dim,
             "pass": rep.consistency_ok,
-            "witnesses": {
-                "loewner": {
-                    "trial": rep.loewner_witness.trial_index,
-                    "margin": rep.loewner_witness.margin,
-                    "Z": matrix_to_json(rep.loewner_witness.matrix),
-                },
-                "half_power": {
-                    "trial": rep.half_power_witness.trial_index,
-                    "margin": rep.half_power_witness.margin,
-                    "Z": matrix_to_json(rep.half_power_witness.matrix),
-                },
-                "plain_norm": {
-                    "trial": rep.plain_norm_witness.trial_index,
-                    "margin": rep.plain_norm_witness.margin,
-                    "Z": matrix_to_json(rep.plain_norm_witness.matrix),
-                },
-            },
+            "witnesses": {name: w.to_json() for name, w in rep.witnesses.items()},
             "worst_rho": rep.worst_rho,
             "worst_congruence_norm": rep.worst_congruence_norm,
         }

@@ -141,7 +141,11 @@ def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> E
 
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
-        return EigenSystem(values=np.zeros(n), vectors=v)
+        # the squares of entries below about 1e-162 underflow; rescale first
+        amax = float(np.abs(a).max())
+        if amax == 0.0:
+            return EigenSystem(values=np.zeros(n), vectors=v)
+        scale = amax * float(np.linalg.norm(a / amax))
     stop = 1e-14 * scale
     tiny = 1e-300
 

@@ -51,6 +51,18 @@ class MajorizationReport:
     passed: bool
     worst_ratio: float
 
+    @property
+    def slack(self) -> float:
+        return 1.0 - self.worst_ratio
+
+    def to_json(self) -> dict:
+        return {
+            "pass": bool(self.passed),
+            "k_products_lhs": [float(x) for x in self.k_products_lhs],
+            "k_products_rhs": [float(x) for x in self.k_products_rhs],
+            "worst_ratio": float(self.worst_ratio),
+        }
+
 
 def _definite_mean(a: np.ndarray, b: np.ndarray, tol: Optional[Tolerance]) -> np.ndarray:
     es_a = eigh(a, tol)

@@ -9,12 +9,13 @@ falsifier exists to refute a misdeclared class, not to certify one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveSemidefinite
+from .io import matrix_from_json, matrix_to_json
 from .linalg import Tolerance, as_matrix, eigh, hermitian_part, require_hermitian, sqrtm_psd
 
 __all__ = [
@@ -52,11 +53,23 @@ def weakest_class(classes: Sequence[str]) -> str:
 
 
 class PosMap:
-    """Base for positive linear map descriptions. Immutable after construction."""
+    """Base for positive linear map descriptions. Immutable after construction.
 
-    in_dim: int
-    out_dim: int
-    declared_class: str
+    Each family is a frozen dataclass whose fields are its constructor
+    parameters and its JSON ``params``; ``family`` names it in that JSON.
+    """
+
+    family: ClassVar[str]
+    declared_class: ClassVar[str] = COMPLETELY_POSITIVE
+    dims: Tuple[int, int]  # (in_dim, out_dim), derived from the fields
+
+    @property
+    def in_dim(self) -> int:
+        return self.dims[0]
+
+    @property
+    def out_dim(self) -> int:
+        return self.dims[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -80,9 +93,7 @@ class KrausSum(PosMap):
     """X -> sum_i K_i X K_i*; completely positive by construction."""
 
     kraus: Tuple[np.ndarray, ...]
-    in_dim: int = field(init=False)
-    out_dim: int = field(init=False)
-    declared_class: str = field(init=False, default=COMPLETELY_POSITIVE)
+    family: ClassVar[str] = "kraus_sum"
 
     def __post_init__(self):
         ops = tuple(as_matrix(k) for k in self.kraus)
@@ -93,9 +104,10 @@ class KrausSum(PosMap):
             if k.shape != (rows, cols):
                 raise DimensionMismatch("Kraus operators must share one shape")
         object.__setattr__(self, "kraus", ops)
-        object.__setattr__(self, "in_dim", cols)
-        object.__setattr__(self, "out_dim", rows)
-        object.__setattr__(self, "declared_class", COMPLETELY_POSITIVE)
+
+    @property
+    def dims(self) -> Tuple[int, int]:
+        return self.kraus[0].shape[1], self.kraus[0].shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
@@ -109,9 +121,7 @@ class SchurMultiplier(PosMap):
     """T -> S o T entrywise with S PSD; completely positive."""
 
     factor: np.ndarray
-    in_dim: int = field(init=False)
-    out_dim: int = field(init=False)
-    declared_class: str = field(init=False, default=COMPLETELY_POSITIVE)
+    family: ClassVar[str] = "schur_multiplier"
 
     def __post_init__(self):
         s = require_hermitian(self.factor)
@@ -119,9 +129,10 @@ class SchurMultiplier(PosMap):
         if es.values.size and float(es.values[-1]) < -1e-9 * (1.0 + float(es.values[0])):
             raise NotPositiveSemidefinite("Schur factor must be PSD")
         object.__setattr__(self, "factor", s)
-        object.__setattr__(self, "in_dim", s.shape[0])
-        object.__setattr__(self, "out_dim", s.shape[0])
-        object.__setattr__(self, "declared_class", COMPLETELY_POSITIVE)
+
+    @property
+    def dims(self) -> Tuple[int, int]:
+        return self.factor.shape[0], self.factor.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.factor * x
@@ -132,14 +143,12 @@ class TransposeMap(PosMap):
     """X -> X^T; positive but not 2-positive."""
 
     dim: int
-    in_dim: int = field(init=False)
-    out_dim: int = field(init=False)
-    declared_class: str = field(init=False, default=POSITIVE)
+    family: ClassVar[str] = "transpose"
+    declared_class: ClassVar[str] = POSITIVE
 
-    def __post_init__(self):
-        object.__setattr__(self, "in_dim", self.dim)
-        object.__setattr__(self, "out_dim", self.dim)
-        object.__setattr__(self, "declared_class", POSITIVE)
+    @property
+    def dims(self) -> Tuple[int, int]:
+        return self.dim, self.dim
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return x.T.copy()
@@ -150,14 +159,11 @@ class PartialTrace2x2(PosMap):
     """[[A, B], [C, D]] -> A + D on M_2(M_k); completely positive."""
 
     block_dim: int
-    in_dim: int = field(init=False)
-    out_dim: int = field(init=False)
-    declared_class: str = field(init=False, default=COMPLETELY_POSITIVE)
+    family: ClassVar[str] = "partial_trace_2x2"
 
-    def __post_init__(self):
-        object.__setattr__(self, "in_dim", 2 * self.block_dim)
-        object.__setattr__(self, "out_dim", self.block_dim)
-        object.__setattr__(self, "declared_class", COMPLETELY_POSITIVE)
+    @property
+    def dims(self) -> Tuple[int, int]:
+        return 2 * self.block_dim, self.block_dim
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         k = self.block_dim
@@ -169,16 +175,14 @@ class Congruence(PosMap):
     """X -> K X K*; completely positive (a one-term Kraus sum)."""
 
     operator: np.ndarray
-    in_dim: int = field(init=False)
-    out_dim: int = field(init=False)
-    declared_class: str = field(init=False, default=COMPLETELY_POSITIVE)
+    family: ClassVar[str] = "congruence"
 
     def __post_init__(self):
-        k = as_matrix(self.operator)
-        object.__setattr__(self, "operator", k)
-        object.__setattr__(self, "in_dim", k.shape[1])
-        object.__setattr__(self, "out_dim", k.shape[0])
-        object.__setattr__(self, "declared_class", COMPLETELY_POSITIVE)
+        object.__setattr__(self, "operator", as_matrix(self.operator))
+
+    @property
+    def dims(self) -> Tuple[int, int]:
+        return self.operator.shape[1], self.operator.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.operator @ x @ self.operator.conj().T
@@ -189,22 +193,23 @@ class MapSum(PosMap):
     """Pointwise sum; takes the weakest class among the terms."""
 
     terms: Tuple[PosMap, ...]
-    in_dim: int = field(init=False)
-    out_dim: int = field(init=False)
-    declared_class: str = field(init=False)
+    family: ClassVar[str] = "sum"
 
     def __post_init__(self):
         terms = tuple(self.terms)
         if not terms:
             raise ValueError("MapSum needs at least one term")
-        n, m = terms[0].in_dim, terms[0].out_dim
-        for t in terms:
-            if (t.in_dim, t.out_dim) != (n, m):
-                raise DimensionMismatch("sum terms must share dimensions")
+        if any(t.dims != terms[0].dims for t in terms):
+            raise DimensionMismatch("sum terms must share dimensions")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "in_dim", n)
-        object.__setattr__(self, "out_dim", m)
-        object.__setattr__(self, "declared_class", weakest_class([t.declared_class for t in terms]))
+
+    @property
+    def dims(self) -> Tuple[int, int]:
+        return self.terms[0].dims
+
+    @property
+    def declared_class(self) -> str:
+        return weakest_class([t.declared_class for t in self.terms])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
@@ -219,22 +224,21 @@ class MapCompose(PosMap):
 
     outer: PosMap
     inner: PosMap
-    in_dim: int = field(init=False)
-    out_dim: int = field(init=False)
-    declared_class: str = field(init=False)
+    family: ClassVar[str] = "compose"
 
     def __post_init__(self):
         if self.inner.out_dim != self.outer.in_dim:
             raise DimensionMismatch(
                 f"cannot compose: inner out_dim {self.inner.out_dim} != outer in_dim {self.outer.in_dim}"
             )
-        object.__setattr__(self, "in_dim", self.inner.in_dim)
-        object.__setattr__(self, "out_dim", self.outer.out_dim)
-        object.__setattr__(
-            self,
-            "declared_class",
-            weakest_class([self.outer.declared_class, self.inner.declared_class]),
-        )
+
+    @property
+    def dims(self) -> Tuple[int, int]:
+        return self.inner.in_dim, self.outer.out_dim
+
+    @property
+    def declared_class(self) -> str:
+        return weakest_class([self.outer.declared_class, self.inner.declared_class])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.outer.apply(self.inner.apply(x))
@@ -243,14 +247,11 @@ class MapCompose(PosMap):
 @dataclass(frozen=True)
 class IdentityMap(PosMap):
     dim: int
-    in_dim: int = field(init=False)
-    out_dim: int = field(init=False)
-    declared_class: str = field(init=False, default=COMPLETELY_POSITIVE)
+    family: ClassVar[str] = "identity"
 
-    def __post_init__(self):
-        object.__setattr__(self, "in_dim", self.dim)
-        object.__setattr__(self, "out_dim", self.dim)
-        object.__setattr__(self, "declared_class", COMPLETELY_POSITIVE)
+    @property
+    def dims(self) -> Tuple[int, int]:
+        return self.dim, self.dim
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return x.copy()
@@ -344,57 +345,52 @@ def sample_positivity_falsifier(
     return None
 
 
-def _matrix_payload(m: np.ndarray) -> dict:
-    from .io import matrix_to_json
+# every family is a direct subclass of PosMap defined in this module
+_FAMILIES = {cls.family: cls for cls in PosMap.__subclasses__()}
 
-    return matrix_to_json(m)
+
+def _param_to_json(value):
+    """Matrices and maps in their own JSON forms, tuples as lists, integers as they are."""
+    if isinstance(value, tuple):
+        return [_param_to_json(v) for v in value]
+    if isinstance(value, PosMap):
+        return map_to_json(value)
+    if isinstance(value, np.ndarray):
+        return matrix_to_json(value)
+    return value
+
+
+def _param_from_json(value):
+    """Lists are tuples, objects with a family are maps, other objects
+    matrices; anything else must be an integer."""
+    if isinstance(value, list):
+        return tuple(_param_from_json(v) for v in value)
+    if isinstance(value, dict):
+        return map_from_json(value) if "family" in value else matrix_from_json(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"map parameter {value!r} is not an integer")
+    return value
 
 
 def map_to_json(phi: PosMap) -> dict:
-    """Tagged-union JSON form mirroring the family tree."""
-    base = {"in_dim": phi.in_dim, "out_dim": phi.out_dim, "class": phi.declared_class}
-    if isinstance(phi, KrausSum):
-        return {"family": "kraus_sum", "params": {"kraus": [_matrix_payload(k) for k in phi.kraus]}, **base}
-    if isinstance(phi, SchurMultiplier):
-        return {"family": "schur_multiplier", "params": {"factor": _matrix_payload(phi.factor)}, **base}
-    if isinstance(phi, TransposeMap):
-        return {"family": "transpose", "params": {"dim": phi.dim}, **base}
-    if isinstance(phi, PartialTrace2x2):
-        return {"family": "partial_trace_2x2", "params": {"block_dim": phi.block_dim}, **base}
-    if isinstance(phi, Congruence):
-        return {"family": "congruence", "params": {"operator": _matrix_payload(phi.operator)}, **base}
-    if isinstance(phi, MapSum):
-        return {"family": "sum", "params": {"terms": [map_to_json(t) for t in phi.terms]}, **base}
-    if isinstance(phi, MapCompose):
-        return {
-            "family": "compose",
-            "params": {"outer": map_to_json(phi.outer), "inner": map_to_json(phi.inner)},
-            **base,
-        }
-    if isinstance(phi, IdentityMap):
-        return {"family": "identity", "params": {"dim": phi.dim}, **base}
-    raise TypeError(f"unknown map type {type(phi)!r}")
+    """Tagged-union JSON form: the family and its constructor fields as params."""
+    return {
+        "family": phi.family,
+        "params": {f.name: _param_to_json(getattr(phi, f.name)) for f in fields(phi)},
+        "in_dim": phi.in_dim,
+        "out_dim": phi.out_dim,
+        "class": phi.declared_class,
+    }
 
 
 def map_from_json(data: dict) -> PosMap:
-    from .io import matrix_from_json
-
-    family = data["family"]
+    """Inverse of :func:`map_to_json`; ``in_dim``, ``out_dim`` and ``class``
+    are derived, so they are not read. Raises ValueError on malformed input."""
+    cls = _FAMILIES.get(data["family"])
+    if cls is None:
+        raise ValueError(f"unknown map family {data['family']!r}")
     params = data.get("params", {})
-    if family == "kraus_sum":
-        return KrausSum(kraus=tuple(matrix_from_json(k) for k in params["kraus"]))
-    if family == "schur_multiplier":
-        return SchurMultiplier(factor=matrix_from_json(params["factor"]))
-    if family == "transpose":
-        return TransposeMap(dim=int(params["dim"]))
-    if family == "partial_trace_2x2":
-        return PartialTrace2x2(block_dim=int(params["block_dim"]))
-    if family == "congruence":
-        return Congruence(operator=matrix_from_json(params["operator"]))
-    if family == "sum":
-        return MapSum(terms=tuple(map_from_json(t) for t in params["terms"]))
-    if family == "compose":
-        return MapCompose(outer=map_from_json(params["outer"]), inner=map_from_json(params["inner"]))
-    if family == "identity":
-        return IdentityMap(dim=int(params["dim"]))
-    raise ValueError(f"unknown map family {family!r}")
+    names = {f.name for f in fields(cls)}
+    if set(params) != names:
+        raise ValueError(f"{cls.family} params must be {sorted(names)}, got {sorted(params)}")
+    return cls(**{name: _param_from_json(value) for name, value in params.items()})

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import opcheck.checks
 from opcheck.campaign import (
     CHECK_IDS,
     CampaignSpec,
@@ -48,6 +49,11 @@ class TestSpecValidation:
         for check_id in CHECK_IDS:
             spec = CampaignSpec.from_json({"check_id": check_id})
             assert spec.tolerances == CampaignSpec(check_id=check_id).tolerances
+
+    def test_partial_json_tolerances_fill_from_spec_default(self):
+        payload = {"check_id": "check_russo_dye", "tolerances": {"rank_cutoff": 1e-12}}
+        spec = CampaignSpec.from_json(payload)
+        assert spec.tolerances == Tolerance(abs=1e-8, rel=1e-8, rank_cutoff=1e-12)
 
 
 class TestInstances:
@@ -110,3 +116,39 @@ class TestRunCampaign:
             "seed": 0,
         }
         assert len(payload["certificates"]) == 5
+
+
+class TestOutcomeProtocol:
+    @pytest.mark.parametrize("check_id", CHECK_IDS)
+    def test_every_outcome_reports_pass_slack_and_json(self, check_id):
+        spec = CampaignSpec(check_id=check_id, trials=1, seed=4)
+        result = run_instance(make_instance(spec, 0), spec.tolerances)
+        assert isinstance(result.passed, bool)
+        assert isinstance(result.slack, float)
+        payload = result.to_json()
+        assert payload["pass"] == result.passed
+        assert json.loads(json.dumps(payload)) == payload
+
+    def test_min_slack_is_smallest_trial_slack(self):
+        spec = CampaignSpec(check_id="check_reverse_product", trials=8, seed=5)
+        slacks = [run_instance(make_instance(spec, t), spec.tolerances).slack for t in range(8)]
+        assert run_campaign(spec).min_slack == min(slacks)
+
+    def test_check_is_looked_up_at_call_time(self, monkeypatch):
+        calls = []
+        original = opcheck.checks.check_russo_dye
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(opcheck.checks, "check_russo_dye", spy)
+        spec = CampaignSpec(check_id="check_russo_dye", trials=3, seed=0)
+        assert run_campaign(spec).failures == 0
+        assert len(calls) == 3
+
+    def test_unknown_check_in_instance_rejected(self):
+        spec = CampaignSpec(check_id="check_russo_dye", trials=1, seed=0)
+        payload = {**make_instance(spec, 0).to_json(), "check_id": "check_mystery"}
+        with pytest.raises(InvalidSpec):
+            run_instance(Instance.from_json(payload), spec.tolerances)

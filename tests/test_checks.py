@@ -199,7 +199,7 @@ class TestDominationCertificates:
     def test_certificate_json_shape(self):
         a = contraction(2)
         cert = check_geometric_domination(IdentityMap(2), a, np.eye(2), FunPair.power(0.0))
-        payload = cert.to_json_dict()
+        payload = cert.to_json()
         assert set(payload) >= {
             "check_id", "pass", "slack", "witness_V", "used_singular_mean_limit", "inputs", "notes",
         }

@@ -97,6 +97,13 @@ class TestEigh:
         assert np.array_equal(es.values, np.zeros(3))
         assert np.array_equal(es.vectors, np.eye(3))
 
+    def test_entries_whose_squares_underflow(self):
+        h = random_hermitian(np.random.default_rng(3), 3)
+        ref = eigh(h).values
+        for scale in (1e-170, 1e-200, 1e-250):
+            vals = eigh(scale * h).values
+            assert np.abs(vals - scale * ref).max() <= 1e-13 * scale * np.abs(ref).max()
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
             eigh([[0, 1], [0, 0]])

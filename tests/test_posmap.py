@@ -247,3 +247,32 @@ class TestJson:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             map_from_json({"family": "mystery", "params": {}})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"family": "identity", "params": {"dim": 2, "size": 3}},
+            {"family": "identity", "params": {}},
+            {"family": "identity", "params": {"dim": 2.5}},
+            {"family": "transpose", "params": {"dim": "3"}},
+            {"family": "partial_trace_2x2", "params": {"block_dim": True}},
+            {
+                "family": "compose",
+                "params": {
+                    "outer": {"family": "identity", "params": {"dim": 2}},
+                    "inner": {"family": "identity", "params": {"dim": 2.0}},
+                },
+            },
+        ],
+    )
+    def test_malformed_params_rejected(self, payload):
+        with pytest.raises(ValueError):
+            map_from_json(payload)
+
+    def test_params_are_constructor_fields(self):
+        phi = MapCompose(outer=IdentityMap(2), inner=PartialTrace2x2(block_dim=2))
+        payload = map_to_json(phi)
+        assert payload["family"] == "compose"
+        assert payload["params"]["inner"]["params"] == {"block_dim": 2}
+        assert payload["in_dim"] == 4 and payload["out_dim"] == 2
+        assert payload["class"] == COMPLETELY_POSITIVE
