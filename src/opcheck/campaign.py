@@ -248,22 +248,20 @@ def _funpair_and_j(
     n = z.shape[0]
     parts = svd_square(z, tol)
     sig = parts.values
-    smax = float(sig.max()) if sig.size else 0.0
-    if smax == 0.0:
+    if parts.rank == 0:
         return None
-    cutoff = tol.rank_cutoff * smax
     if kind == "power":
         fp = FunPair.power(float(rng.uniform(-0.75, 0.75)))
     elif kind == "range":
         fp = FunPair.range_pair()
     else:
-        if float(sig.min()) <= cutoff:
+        if parts.rank < n:
             return None  # scaled pair needs an invertible modulus
         inv_half = (parts.right * sig**-0.5) @ parts.right.conj().T
-        comod = hermitian_part((parts.left * sig) @ parts.left.conj().T)
+        comod = parts.comodulus()
         rho = float(eigh(hermitian_part(inv_half @ comod @ inv_half), tol).values[0])
         fp = FunPair.scaled(max(rho, 1e-8))
-    f_mod, g_comod = C.moduli_from_svd(parts, fp, tol)
+    f_mod, g_comod = C.moduli_from_svd(parts, fp)
     if fp.kind == "scaled":
         j = f_mod.copy()
         if rng.uniform() < 0.3:
@@ -280,7 +278,7 @@ def _funpair_and_j(
             f_mod + g_comod + generate_with_rng(GeneratorConfig(ensemble="wishart_psd"), n, rng)
         )
     elif mode == "scaled_identity":
-        lam = max(float(fp.f_sigma(sig, cutoff).max()), float(fp.g_sigma(sig, cutoff).max()))
+        lam = max(float(fp.f_sigma(sig).max()), float(fp.g_sigma(sig).max()))
         j = (lam * (1.0 + rng.uniform(0.0, 1.0)) + 1e-6) * np.eye(n)
     elif mode == "qmean":
         j = q_mean(z, float(_choice(rng, (1.0, 2.0, 4.0))), tol)
@@ -333,7 +331,11 @@ def run_instance(inst: Instance, tol: Tolerance):
     ``passed``, a signed ``slack`` and its JSON form ``to_json()``."""
     if inst.check_id not in _CHECK_ARGS:
         raise InvalidSpec(f"unknown check_id {inst.check_id!r}")
-    args = (getattr(inst, name) for name in _CHECK_ARGS[inst.check_id])
+    names = _CHECK_ARGS[inst.check_id]
+    args = [getattr(inst, name) for name in names]
+    missing = [name for name, arg in zip(names, args) if arg is None]
+    if missing:
+        raise InvalidSpec(f"{inst.check_id} instance lacks {', '.join(missing)}")
     return getattr(C, inst.check_id)(inst.phi, *args, tol)
 
 

@@ -21,6 +21,7 @@ from .decompose import SvdParts, cartesian, comodulus, modulus, svd_square
 from .errors import ClassViolation, HypothesisViolated, NotContraction, SearchExhausted
 from .linalg import (
     Tolerance,
+    _generalized_power,
     _tol,
     eigh,
     generalized_inverse,
@@ -31,7 +32,13 @@ from .linalg import (
     spectral_radius,
     spectral_radius_psd_product,
 )
-from .means import MajorizationReport, geometric_mean_ex, weak_log_majorizes
+from .means import (
+    MajorizationReport,
+    _clamped_spectrum,
+    _prefix_ratios,
+    geometric_mean_ex,
+    weak_log_majorizes,
+)
 from .posmap import (
     COMPLETELY_POSITIVE,
     TWO_POSITIVE,
@@ -74,8 +81,10 @@ __all__ = [
 class FunPair:
     """Parametric pair (f, g) with f(t) g(t) = t^2 pointwise.
 
-    Kinds: ``power`` is f = t^(1+p), g = t^(1-p); ``range`` is f = t^2 with g
-    the support indicator; ``scaled`` is f = sqrt(rho) t, g = t / sqrt(rho).
+    Every kind is f = c t^a, g = t^b / c with a + b = 2 (:attr:`exponents`):
+    ``power`` is (1+p, 1-p, 1); ``range`` is (2, 0, 1), so g is the support
+    indicator; ``scaled`` is (1, 1, sqrt(rho)). Powers are generalized: t^0
+    is the support indicator and a negative power vanishes off the support.
     """
 
     kind: str
@@ -100,42 +109,25 @@ class FunPair:
     def scaled(cls, rho: float) -> "FunPair":
         return cls(kind="scaled", rho=float(rho))
 
-    def f_scalar(self, t: float) -> float:
+    @property
+    def exponents(self) -> Tuple[float, float, float]:
+        """(a, b, c) with f(t) = c t^a and g(t) = t^b / c."""
         if self.kind == "power":
-            return t ** (1.0 + self.p)
+            return 1.0 + self.p, 1.0 - self.p, 1.0
         if self.kind == "range":
-            return t * t
-        return math.sqrt(self.rho) * t
+            return 2.0, 0.0, 1.0
+        return 1.0, 1.0, math.sqrt(self.rho)
 
-    def g_scalar(self, t: float) -> float:
-        if self.kind == "power":
-            return t ** (1.0 - self.p)
-        if self.kind == "range":
-            return 0.0 if t == 0.0 else 1.0
-        return t / math.sqrt(self.rho)
+    def f_sigma(self, sig: np.ndarray) -> np.ndarray:
+        """f entrywise on the singular values of an SVD record, whose support
+        is sigma > 0 (see :class:`SvdParts`)."""
+        a, _, c = self.exponents
+        return c * _generalized_power(sig, a, sig > 0)
 
-    def _power_sigma(self, sig: np.ndarray, exponent: float, cutoff: float) -> np.ndarray:
-        out = np.zeros_like(sig)
-        if exponent > 0:
-            return sig**exponent
-        keep = sig > cutoff
-        out[keep] = 1.0 if exponent == 0 else sig[keep] ** exponent
-        return out
-
-    def f_sigma(self, sig: np.ndarray, cutoff: float) -> np.ndarray:
-        """f applied entrywise to singular values, generalized-power semantics."""
-        if self.kind == "power":
-            return self._power_sigma(sig, 1.0 + self.p, cutoff)
-        if self.kind == "range":
-            return sig * sig
-        return math.sqrt(self.rho) * sig
-
-    def g_sigma(self, sig: np.ndarray, cutoff: float) -> np.ndarray:
-        if self.kind == "power":
-            return self._power_sigma(sig, 1.0 - self.p, cutoff)
-        if self.kind == "range":
-            return (sig > cutoff).astype(float)
-        return sig / math.sqrt(self.rho)
+    def g_sigma(self, sig: np.ndarray) -> np.ndarray:
+        """g entrywise on singular values, as :meth:`f_sigma`."""
+        _, b, c = self.exponents
+        return _generalized_power(sig, b, sig > 0) / c
 
     def describe(self) -> str:
         if self.kind == "power":
@@ -219,29 +211,18 @@ def _certificate(
 def _polar_witness_and_modulus(w, tol: Optional[Tolerance]) -> Tuple[np.ndarray, np.ndarray]:
     """(V, |W|) with V the adjoint polar unitary, so V W = |W|."""
     parts = svd_square(w, tol)
-    unitary = parts.left @ parts.right.conj().T
-    mod = hermitian_part((parts.right * parts.values) @ parts.right.conj().T)
-    return unitary.conj().T, mod
+    return parts.unitary.conj().T, parts.modulus()
 
 
 def moduli_images(z, fp: FunPair, tol: Optional[Tolerance] = None) -> Tuple[np.ndarray, np.ndarray]:
     """(f(|Z|), g(|Z*|)) from a single SVD of Z."""
-    return moduli_from_svd(svd_square(z, tol), fp, tol)
+    return moduli_from_svd(svd_square(z, tol), fp)
 
 
-def moduli_from_svd(
-    parts: SvdParts, fp: FunPair, tol: Optional[Tolerance] = None
-) -> Tuple[np.ndarray, np.ndarray]:
+def moduli_from_svd(parts: SvdParts, fp: FunPair) -> Tuple[np.ndarray, np.ndarray]:
     """(f(|Z|), g(|Z*|)) from the SVD of Z: both moduli share singular values,
     so f and g act entrywise on them in the right and left bases."""
-    t = _tol(tol, parts.values.size)
-    smax = float(parts.values.max()) if parts.values.size else 0.0
-    cutoff = t.rank_cutoff * smax
-    f_vals = fp.f_sigma(parts.values, cutoff)
-    g_vals = fp.g_sigma(parts.values, cutoff)
-    f_mod = hermitian_part((parts.right * f_vals) @ parts.right.conj().T)
-    g_comod = hermitian_part((parts.left * g_vals) @ parts.left.conj().T)
-    return f_mod, g_comod
+    return parts.modulus(fp.f_sigma(parts.values)), parts.comodulus(fp.g_sigma(parts.values))
 
 
 def domination_holds(z, j, fp: FunPair, tol: Optional[Tolerance] = None) -> bool:
@@ -490,37 +471,16 @@ def check_reverse_product(
     if not domination_holds(z, j, fp, tol):
         raise HypothesisViolated("f(|Z|) <= J and g(|Z*|) <= J required")
     t = _tol(tol, phi.out_dim)
-    lhs_vals = _descending_clamped(modulus(apply(phi, z), tol), tol)
-    rhs_vals = _descending_clamped(hermitian_part(apply(phi, j)), tol)
-
-    def clamp_dust(v: np.ndarray) -> np.ndarray:
-        vmax = float(v.max()) if v.size else 0.0
-        out = v.copy()
-        out[out <= t.rank_cutoff * vmax] = 0.0
-        return out
-
-    lhs_vals = clamp_dust(lhs_vals)
-    rhs_vals = clamp_dust(rhs_vals)
-    asc_lhs = lhs_vals[::-1]
-    asc_rhs = rhs_vals[::-1]
-    desc_rhs = rhs_vals
-    lhs_sq = np.cumprod(asc_lhs) ** 2
-    mixed = np.cumprod(asc_rhs * desc_rhs)
-    passed = True
-    worst = 0.0
-    for lk, rk in zip(lhs_sq, mixed):
-        if rk == 0.0:
-            ratio = 1.0 if lk == 0.0 else np.inf
-        else:
-            ratio = lk / rk
-        worst = max(worst, ratio)
-        if not lk <= rk * (1.0 + t.rel * lhs_sq.size):
-            passed = False
+    lhs_vals = _clamped_spectrum(modulus(apply(phi, z), tol), tol)
+    rhs_vals = _clamped_spectrum(hermitian_part(apply(phi, j)), tol)
+    lhs_sq = np.cumprod(lhs_vals[::-1]) ** 2
+    mixed = np.cumprod(rhs_vals[::-1] * rhs_vals)
+    passed, worst = _prefix_ratios(lhs_sq, mixed, t.rel * lhs_sq.size)
     return ReverseProductReport(
         passed=passed,
         products_lhs_squared=lhs_sq,
         products_mixed=mixed,
-        worst_ratio=float(worst),
+        worst_ratio=worst,
     )
 
 
@@ -564,7 +524,7 @@ def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> Ca
     k_sum = hermitian_part(modulus(parts.re_part, tol) + modulus(parts.im_part, tol))
     es = eigh(k_sum, tol)
     lmax = float(es.values[0]) if es.values.size else 0.0
-    singular = bool(es.values.size and float(es.values[-1]) <= t.rank_cutoff * lmax)
+    singular = not t.support(np.clip(es.values, 0.0, None)).all()
 
     v, lhs = _polar_witness_and_modulus(apply(phi, zm), tol)
     phk = hermitian_part(apply(phi, k_sum))
@@ -612,22 +572,15 @@ def check_schur_remarks(s, tol: Optional[Tolerance] = None) -> SchurRemarkReport
     prod = hermitian_part(expansive * inv)
     vals = _descending_clamped(prod, tol)
     diag_sorted = np.sort(np.real(np.diagonal(expansive)))[::-1]
-    worst_e = math.inf
-    for jj in range(n):
-        if 2 * jj + 1 > n:
-            break
-        worst_e = min(worst_e, diag_sorted[jj] - vals[2 * jj])
+    half = range((n + 1) // 2)  # the indices j with 2j + 1 <= n
+    worst_e = min((diag_sorted[jj] - vals[2 * jj] for jj in half), default=math.inf)
 
     top = operator_norm(sm, tol)
     contractive = sm / (top * (1.0 + 1e-12)) if top > 0 else sm
     prod_c = hermitian_part(contractive * contractive)
     vals_c = _descending_clamped(prod_c, tol)
     diag_c = np.sort(np.real(np.diagonal(contractive)))[::-1]
-    worst_c = math.inf
-    for jj in range(n):
-        if 2 * jj + 1 > n:
-            break
-        worst_c = min(worst_c, diag_c[jj] - vals_c[2 * jj])
+    worst_c = min((diag_c[jj] - vals_c[2 * jj] for jj in half), default=math.inf)
     slack = t.abs * (1.0 + float(diag_sorted[0]))
     return SchurRemarkReport(
         passed=bool(worst_e >= -slack and worst_c >= -slack),

@@ -2,7 +2,8 @@
 
 Human-readable summaries go to stdout; machine reports go only to the file
 given by --out (or the campaign spec's output_path), so scripts can rely on
-both streams. Exit status is 0 exactly when every executed check passed.
+both streams. Exit status is 0 exactly when every executed check passed, 1
+when one failed, and 2 for malformed input or a check that could not run.
 """
 
 from __future__ import annotations
@@ -260,8 +261,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OpcheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OpcheckError, ValueError, KeyError, OSError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: {detail}", file=sys.stderr)
         return 2
 
 

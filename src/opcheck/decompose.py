@@ -18,6 +18,7 @@ from .linalg import (
     Tolerance,
     _tol,
     eigh,
+    generalized_inverse,
     hermitian_part,
     operator_norm,
     require_square,
@@ -59,14 +60,31 @@ class SvdParts:
     """Z = left @ diag(values) @ right.conj().T with square unitary factors.
 
     Singular values are sorted descending; directions whose squared singular
-    value falls below the rank cutoff carry deterministically completed basis
-    columns instead of quotients Z q / sigma.
+    value falls off the support carry deterministically completed basis
+    columns instead of quotients Z q / sigma, and a zero singular value. So
+    the rank decision is made once, here: ``values > 0`` is the support, and
+    it holds exactly for the first ``rank`` values.
     """
 
     left: np.ndarray
     values: np.ndarray
     right: np.ndarray
     rank: int
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The polar unitary U = left @ right*, with Z = U |Z|."""
+        return self.left @ self.right.conj().T
+
+    def modulus(self, values: Optional[np.ndarray] = None) -> np.ndarray:
+        """f(|Z|) for f(sigma) = ``values`` (default sigma): ``values`` in the right basis."""
+        vals = self.values if values is None else values
+        return hermitian_part((self.right * vals) @ self.right.conj().T)
+
+    def comodulus(self, values: Optional[np.ndarray] = None) -> np.ndarray:
+        """g(|Z*|) for g(sigma) = ``values`` (default sigma): ``values`` in the left basis."""
+        vals = self.values if values is None else values
+        return hermitian_part((self.left * vals) @ self.left.conj().T)
 
 
 def _complete_columns(cols: list, basis: np.ndarray, n: int) -> list:
@@ -102,12 +120,12 @@ def svd_square(z, tol: Optional[Tolerance] = None) -> SvdParts:
     right_es = eigh(hermitian_part(zm.conj().T @ zm), tol)
     lam = np.clip(right_es.values, 0.0, None)
     sigma = np.sqrt(lam)
-    lam_max = float(lam[0]) if n else 0.0
-    cutoff = t.rank_cutoff * lam_max
+    # the rank rule acts on sigma^2 = eigenvalues of Z*Z
+    keep = t.support(lam)
     left_cols: list = []
     rank = 0
     for i in range(n):
-        if lam[i] <= cutoff or sigma[i] == 0.0:
+        if not keep[i] or sigma[i] == 0.0:
             break
         cand = zm @ right_es.vectors[:, i] / sigma[i]
         for c in left_cols:
@@ -125,27 +143,20 @@ def svd_square(z, tol: Optional[Tolerance] = None) -> SvdParts:
     return SvdParts(left=left, values=sigma, right=right_es.vectors.copy(), rank=rank)
 
 
-def _psd_from_basis(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return hermitian_part((vectors * values) @ vectors.conj().T)
-
-
 def modulus(z, tol: Optional[Tolerance] = None) -> np.ndarray:
     """|Z| = (Z* Z)^(1/2)."""
-    parts = svd_square(z, tol)
-    return _psd_from_basis(parts.right, parts.values)
+    return svd_square(z, tol).modulus()
 
 
 def comodulus(z, tol: Optional[Tolerance] = None) -> np.ndarray:
     """|Z*| = (Z Z*)^(1/2)."""
-    parts = svd_square(z, tol)
-    return _psd_from_basis(parts.left, parts.values)
+    return svd_square(z, tol).comodulus()
 
 
 def polar(z, tol: Optional[Tolerance] = None) -> PolarParts:
     """Z = U |Z| with U unitary; deterministic completion when Z is singular."""
     parts = svd_square(z, tol)
-    unitary = parts.left @ parts.right.conj().T
-    return PolarParts(unitary=unitary, modulus=_psd_from_basis(parts.right, parts.values))
+    return PolarParts(unitary=parts.unitary, modulus=parts.modulus())
 
 
 def unitary_mean_decomposition(a, tol: Optional[Tolerance] = None) -> Tuple[np.ndarray, np.ndarray]:
@@ -164,7 +175,7 @@ def unitary_mean_decomposition(a, tol: Optional[Tolerance] = None) -> Tuple[np.n
     if norm > 1.0:
         am = am / norm
     parts = svd_square(am, tol)
-    u = parts.left @ parts.right.conj().T
+    u = parts.unitary
     sig = np.clip(parts.values, 0.0, 1.0)
     # sqrt(1 - sigma^2) amplifies boundary dust, so snap sigma ~ 1 to exactly 1
     sig = np.where(sig >= 1.0 - 1e-12, 1.0, sig)
@@ -187,12 +198,7 @@ def cartesian(z) -> CartesianParts:
 def range_projection(z, tol: Optional[Tolerance] = None) -> np.ndarray:
     """Orthogonal projection onto the column space of Z."""
     zm = require_square(z)
-    es = eigh(hermitian_part(zm @ zm.conj().T), tol)
-    t = _tol(tol, zm.shape[0])
-    lam = np.clip(es.values, 0.0, None)
-    lmax = float(lam.max()) if lam.size else 0.0
-    keep = (lam > t.rank_cutoff * lmax).astype(float)
-    return _psd_from_basis(es.vectors, keep)
+    return generalized_inverse(hermitian_part(zm @ zm.conj().T), 0, tol)
 
 
 def support_projection(z, tol: Optional[Tolerance] = None) -> np.ndarray:

@@ -63,6 +63,15 @@ class Tolerance:
     def for_dim(cls, n: int, abs: float = 1e-9, rel: float = 1e-9) -> "Tolerance":
         return cls(abs=abs, rel=rel, rank_cutoff=1e-12 * max(n, 1))
 
+    def support(self, values: np.ndarray) -> np.ndarray:
+        """The rank rule: which of the nonnegative ``values`` count as nonzero.
+
+        True where a value exceeds ``rank_cutoff`` times the largest one; the
+        largest of an empty array is taken as 0.
+        """
+        top = float(values.max()) if values.size else 0.0
+        return values > self.rank_cutoff * top
+
 
 def _tol(tol: Optional[Tolerance], n: int) -> Tolerance:
     return tol if tol is not None else Tolerance.for_dim(n)
@@ -139,13 +148,19 @@ def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> E
     if n == 1:
         return EigenSystem(values=a.real.diagonal().copy(), vectors=v)
 
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        # the squares of entries below about 1e-162 underflow; rescale first
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(a))
+    shift = 0
+    if not 2.0**-256 < scale < 2.0**256:
+        # ||A||_F over- or underflows, or the absolute pivot skip below would
+        # swallow the entries: run the sweeps on 2^shift A, with max|a_ij| in
+        # [0.5, 1), and scale the eigenvalues back
         amax = float(np.abs(a).max())
         if amax == 0.0:
             return EigenSystem(values=np.zeros(n), vectors=v)
-        scale = amax * float(np.linalg.norm(a / amax))
+        shift = -math.frexp(amax)[1]
+        a = np.ldexp(a.real, shift) + 1j * np.ldexp(a.imag, shift)
+        scale = float(np.linalg.norm(a))
     stop = 1e-14 * scale
     tiny = 1e-300
 
@@ -209,7 +224,7 @@ def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> E
     else:
         raise NoConvergence(f"Jacobi sweep budget ({max_sweeps}) exhausted")
 
-    values = np.array([rows[i][i].real for i in range(n)])
+    values = np.ldexp([rows[i][i].real for i in range(n)], -shift)
     order = np.argsort(-values, kind="stable")
     return EigenSystem(values=values[order], vectors=np.array(vrows, dtype=complex)[:, order])
 
@@ -244,28 +259,27 @@ def sqrtm_psd(h, tol: Optional[Tolerance] = None) -> np.ndarray:
     return matrix_function(h, np.sqrt, tol, domain_min=0.0)
 
 
+def _generalized_power(values: np.ndarray, p: float, support: np.ndarray) -> np.ndarray:
+    """values^p entrywise for p > 0; for p <= 0 the power of the values on
+    ``support`` and zero off it, so p = 0 gives the support indicator."""
+    if p > 0:
+        return values**p
+    out = np.zeros_like(values)
+    out[support] = 1.0 if p == 0 else values[support] ** p
+    return out
+
+
 def generalized_inverse(h, p: float, tol: Optional[Tolerance] = None) -> np.ndarray:
     """Generalized power H^p of a PSD matrix.
 
-    Eigenvalues at or below ``rank_cutoff * lambda_max`` are mapped to zero
-    for p <= 0 (so p = 0 yields the support projection) and kept for p > 0.
-    Negative dust is clamped at zero throughout; the zero matrix maps to zero
-    for p > 0 and to the zero projection for p <= 0.
+    Eigenvalues off the support (:meth:`Tolerance.support`) are mapped to
+    zero for p <= 0 (so p = 0 yields the support projection) and kept for
+    p > 0. Negative dust is clamped at zero throughout; the zero matrix maps
+    to zero for p > 0 and to the zero projection for p <= 0.
     """
     es = eigh(h, tol)
-    t = _tol(tol, es.values.size)
     lam = np.clip(es.values, 0.0, None)
-    lmax = float(lam.max()) if lam.size else 0.0
-    cutoff = t.rank_cutoff * lmax
-    out = np.zeros_like(lam)
-    if p > 0:
-        out = lam**p
-    else:
-        keep = lam > cutoff
-        if p == 0:
-            out[keep] = 1.0
-        else:
-            out[keep] = lam[keep] ** p
+    out = _generalized_power(lam, p, _tol(tol, lam.size).support(lam))
     return hermitian_part(es.apply(lambda _: out))
 
 

@@ -122,9 +122,24 @@ def agm_check(a, b, tol: Optional[Tolerance] = None) -> LoewnerDecision:
     return loewner_leq(mean, (hermitian_part(a) + hermitian_part(b)) / 2.0, tol)
 
 
-def _scaled_power(es_values: np.ndarray, vectors: np.ndarray, p: float, scale: float) -> np.ndarray:
-    lam = np.clip(es_values, 0.0, None) / scale
-    return (vectors * lam**p) @ vectors.conj().T
+def _moduli_mean(z, p: float, average: bool, tol: Optional[Tolerance]) -> np.ndarray:
+    """((|Z|^p + |Z*|^p)/2)^(1/p) when ``average``, else (|Z|^p + |Z*|^p)^(1/p),
+    computed on the scale sigma_max = 1.
+
+    The sum is left unscaled rather than multiplied by 1.0: a complex product
+    with 1.0 can flip the sign of a zero part.
+    """
+    parts = svd_square(z, tol)
+    sig = parts.values
+    scale = float(sig.max()) if sig.size else 0.0
+    if scale == 0.0:
+        return np.zeros((parts.right.shape[0],) * 2, dtype=complex)
+    lam = (sig / scale) ** p
+    total = (parts.right * lam) @ parts.right.conj().T + (parts.left * lam) @ parts.left.conj().T
+    es = eigh(hermitian_part(0.5 * total if average else total), tol)
+    return hermitian_part(
+        (es.vectors * (scale * np.clip(es.values, 0.0, None) ** (1.0 / p))) @ es.vectors.conj().T
+    )
 
 
 def power_mean(z, p: float, tol: Optional[Tolerance] = None) -> np.ndarray:
@@ -133,18 +148,7 @@ def power_mean(z, p: float, tol: Optional[Tolerance] = None) -> np.ndarray:
     Only reliable while (sigma_min/sigma_max)^p stays above rounding dust;
     used as a moderate-p cross-check of :func:`kato_supremum`.
     """
-    parts = svd_square(z, tol)
-    sig = parts.values
-    scale = float(sig.max()) if sig.size else 0.0
-    if scale == 0.0:
-        return np.zeros((parts.right.shape[0],) * 2, dtype=complex)
-    avg = hermitian_part(
-        0.5 * (_scaled_power(sig, parts.right, p, scale) + _scaled_power(sig, parts.left, p, scale))
-    )
-    es = eigh(avg, tol)
-    return hermitian_part(
-        (es.vectors * (scale * np.clip(es.values, 0.0, None) ** (1.0 / p))) @ es.vectors.conj().T
-    )
+    return _moduli_mean(z, p, True, tol)
 
 
 def kato_supremum(z, tol: Optional[Tolerance] = None) -> np.ndarray:
@@ -190,40 +194,19 @@ def q_mean(z, q: float, tol: Optional[Tolerance] = None) -> np.ndarray:
     """(|Z|^q + |Z*|^q)^(1/q) for q >= 1; q = 1 is literally |Z| + |Z*|."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    parts = svd_square(z, tol)
-    sig = parts.values
-    scale = float(sig.max()) if sig.size else 0.0
-    if scale == 0.0:
-        return np.zeros((parts.right.shape[0],) * 2, dtype=complex)
-    total = hermitian_part(
-        _scaled_power(sig, parts.right, q, scale) + _scaled_power(sig, parts.left, q, scale)
-    )
-    es = eigh(total, tol)
-    return hermitian_part(
-        (es.vectors * (scale * np.clip(es.values, 0.0, None) ** (1.0 / q))) @ es.vectors.conj().T
-    )
+    return _moduli_mean(z, q, False, tol)
 
 
-def weak_log_majorizes(a, b, tol: Optional[Tolerance] = None) -> MajorizationReport:
-    """Test A majorized by B in the weak log sense over descending spectra.
+def _clamped_spectrum(h: np.ndarray, tol: Optional[Tolerance]) -> np.ndarray:
+    """Descending eigenvalues of a PSD matrix, zero off the support."""
+    lam = np.clip(eigh(h, tol).values, 0.0, None)
+    lam[~_tol(tol, lam.size).support(lam)] = 0.0
+    return lam
 
-    Eigenvalue dust below the rank cutoff is clamped to exact zero before the
-    prefix products are formed, and zero-against-zero prefixes compare equal.
-    """
-    am = require_hermitian(a, tol)
-    bm = require_hermitian(b, tol)
-    if am.shape != bm.shape:
-        raise DimensionMismatch(f"shapes {am.shape} and {bm.shape} differ")
-    t = _tol(tol, am.shape[0])
 
-    def clamped_spectrum(h: np.ndarray) -> np.ndarray:
-        lam = np.clip(eigh(h, tol).values, 0.0, None)
-        lmax = float(lam.max()) if lam.size else 0.0
-        lam[lam <= t.rank_cutoff * lmax] = 0.0
-        return lam
-
-    lhs = np.cumprod(clamped_spectrum(am))
-    rhs = np.cumprod(clamped_spectrum(bm))
+def _prefix_ratios(lhs: np.ndarray, rhs: np.ndarray, rel: float) -> Tuple[bool, float]:
+    """(every lhs_k <= rhs_k (1 + rel), the largest lhs_k / rhs_k), where
+    zero over zero counts as 1 and anything else over zero as inf."""
     passed = True
     worst = 0.0
     for lk, rk in zip(lhs, rhs):
@@ -232,10 +215,27 @@ def weak_log_majorizes(a, b, tol: Optional[Tolerance] = None) -> MajorizationRep
         else:
             ratio = lk / rk
         worst = max(worst, ratio)
-        if not lk <= rk * (1.0 + t.rel):
+        if not lk <= rk * (1.0 + rel):
             passed = False
+    return passed, float(worst)
+
+
+def weak_log_majorizes(a, b, tol: Optional[Tolerance] = None) -> MajorizationReport:
+    """Test A majorized by B in the weak log sense over descending spectra.
+
+    Eigenvalues off the support are clamped to exact zero before the prefix
+    products are formed, and zero-against-zero prefixes compare equal.
+    """
+    am = require_hermitian(a, tol)
+    bm = require_hermitian(b, tol)
+    if am.shape != bm.shape:
+        raise DimensionMismatch(f"shapes {am.shape} and {bm.shape} differ")
+    t = _tol(tol, am.shape[0])
+    lhs = np.cumprod(_clamped_spectrum(am, tol))
+    rhs = np.cumprod(_clamped_spectrum(bm, tol))
+    passed, worst = _prefix_ratios(lhs, rhs, t.rel)
     return MajorizationReport(
-        k_products_lhs=lhs, k_products_rhs=rhs, passed=passed, worst_ratio=float(worst)
+        k_products_lhs=lhs, k_products_rhs=rhs, passed=passed, worst_ratio=worst
     )
 
 

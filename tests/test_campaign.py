@@ -152,3 +152,15 @@ class TestOutcomeProtocol:
         payload = {**make_instance(spec, 0).to_json(), "check_id": "check_mystery"}
         with pytest.raises(InvalidSpec):
             run_instance(Instance.from_json(payload), spec.tolerances)
+
+    @pytest.mark.parametrize("check_id, key, field", [
+        ("check_russo_dye", "A", "contraction"),
+        ("check_two_positive_split", "p", "split_exponent"),
+        ("check_log_majorization", "funpair", "funpair"),
+    ])
+    def test_instance_missing_an_argument_is_named(self, check_id, key, field):
+        spec = CampaignSpec(check_id=check_id, trials=1, seed=0)
+        payload = make_instance(spec, 0).to_json()
+        del payload[key]
+        with pytest.raises(InvalidSpec, match=field):
+            run_instance(Instance.from_json(payload), spec.tolerances)

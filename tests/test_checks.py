@@ -23,7 +23,7 @@ from opcheck.checks import (
     reproduce_sharpness_cor2_5,
     witness_unitary,
 )
-from opcheck.decompose import comodulus, modulus, range_projection
+from opcheck.decompose import comodulus, modulus, range_projection, support_projection, svd_square
 from opcheck.errors import ClassViolation, HypothesisViolated, NotContraction, SearchExhausted
 from opcheck.linalg import generalized_inverse, hermitian_part, loewner_leq, operator_norm
 from opcheck.posmap import (
@@ -48,6 +48,16 @@ def wishart(n, rng=RNG):
     return hermitian_part(g @ g.conj().T)
 
 
+def haar(n, rng=RNG):
+    q, r = np.linalg.qr(ginibre(n, rng))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def graded(n, sigma, rng=RNG):
+    """U diag(sigma) V* with Haar-random U and V."""
+    return haar(n, rng) @ np.diag(sigma) @ haar(n, rng).conj().T
+
+
 def contraction(n, rng=RNG):
     g = ginibre(n, rng)
     return g / (operator_norm(g) * (1 + rng.uniform(0, 1)))
@@ -58,11 +68,9 @@ class TestFunPair:
         grid = np.linspace(0.0, 5.0, 41)
         for fp in (FunPair.power(0.0), FunPair.power(0.7), FunPair.power(-1.0),
                    FunPair.range_pair(), FunPair.scaled(3.0)):
-            for t in grid:
-                if t == 0.0:
-                    assert fp.f_scalar(t) * fp.g_scalar(t) == 0.0
-                else:
-                    assert fp.f_scalar(t) * fp.g_scalar(t) == pytest.approx(t * t, rel=1e-12)
+            product = fp.f_sigma(grid) * fp.g_sigma(grid)
+            assert product[0] == 0.0
+            assert product[1:] == pytest.approx(grid[1:] ** 2, rel=1e-12)
 
     def test_power_pair_matrix_images(self):
         rng = np.random.default_rng(1)
@@ -77,6 +85,44 @@ class TestFunPair:
         f_img, g_img = moduli_images(z, FunPair.range_pair())
         assert np.allclose(f_img, np.diag([4.0, 0.0]))
         assert np.allclose(g_img, range_projection(z))
+
+    def test_range_pair_is_power_one_bitwise(self):
+        rng = np.random.default_rng(5)
+        for z in (ginibre(3, rng), graded(4, [1.0, 0.5, 0.0, 0.0], rng), SHIFT):
+            for a, b in zip(moduli_images(z, FunPair.range_pair()), moduli_images(z, FunPair.power(1.0))):
+                assert a.tobytes() == b.tobytes()
+
+    def test_scaled_pair_rescales_the_moduli(self):
+        rng = np.random.default_rng(6)
+        z = ginibre(4, rng)
+        for rho in (0.25, 3.0):
+            f_img, g_img = moduli_images(z, FunPair.scaled(rho))
+            assert np.abs(f_img - math.sqrt(rho) * modulus(z)).max() <= 1e-12 * math.sqrt(rho)
+            assert np.abs(g_img - comodulus(z) / math.sqrt(rho)).max() <= 1e-12 / math.sqrt(rho)
+
+    @pytest.mark.parametrize(
+        "sigma, rank",
+        [
+            ([1.0, 0.5, 0.2, 0.0], 3),
+            ([1.0, 0.5, 0.0, 0.0], 2),
+            ([1.0, 0.3, 0.1, 1e-5], 4),
+            ([1.0, 0.3, 0.1, 1e-7], 3),
+        ],
+    )
+    def test_zeroth_powers_share_the_svd_rank(self, sigma, rank):
+        """Every p = 0 projection has trace svd_square(z).rank: the rank rule
+        acts once, on sigma^2, so sigma_min/sigma_max = 1e-7 is off the support."""
+        z = graded(4, sigma, np.random.default_rng(7))
+        assert svd_square(z).rank == rank
+        projections = (
+            moduli_images(z, FunPair.power(-1.0))[0],
+            moduli_images(z, FunPair.power(1.0))[1],
+            moduli_images(z, FunPair.range_pair())[1],
+            range_projection(z),
+            support_projection(z),
+        )
+        for proj in projections:
+            assert np.trace(proj).real == pytest.approx(rank, abs=1e-9)
 
     def test_json_round_trip(self):
         for fp in (FunPair.power(-0.25), FunPair.range_pair(), FunPair.scaled(2.0)):

@@ -134,6 +134,36 @@ class TestCheckCommand:
         assert "error" in capsys.readouterr().err
 
 
+IDENTITY_2 = {"family": "identity", "params": {"dim": 2}}
+HALF_I = {"rows": 2, "cols": 2, "data": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        (["check", "check_russo_dye", "--in", "{x}"],
+         {"x": {"phi": {"family": "identity", "params": {"dim": 2.5}}, "A": HALF_I}}),
+        (["check", "check_russo_dye", "--in", "{x}"], {"x": '{"phi": '}),
+        (["check", "check_russo_dye", "--in", "{x}"],
+         {"x": {"phi": IDENTITY_2, "A": {"rows": 2, "cols": 2, "data": [[0.5, 0]]}}}),
+        (["check", "check_russo_dye", "--in", "{x}"], {"x": {"phi": IDENTITY_2}}),
+        (["check", "check_russo_dye", "--in", "{x}"], {"x": {"A": HALF_I}}),
+        (["check", "check_russo_dye", "--in", "{x}"], {}),
+        (["campaign", "--spec", "{x}"], {"x": {"check_id": "check_russo_dye", "trials": "x"}}),
+        (["mean", "--a", "{x}", "--b", "{y}"], {"x": HALF_I, "y": {"rows": 2, "cols": 2, "data": []}}),
+        (["polar", "--in", "{x}"], {"x": "[1, 2"}),
+    ],
+    ids=["non-integer-dim", "bad-json", "short-data", "missing-A", "missing-phi", "missing-file",
+         "trials-not-int", "short-mean-operand", "bad-polar-json"],
+)
+def test_malformed_input_exits_with_status_2(tmp_path, capsys, command, files):
+    paths = {"x": str(tmp_path / "x.json"), "y": str(tmp_path / "y.json")}
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(content if isinstance(content, str) else json.dumps(content))
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestCampaignCommand:
     def test_campaign_runs_and_reports(self, tmp_path, capsys):
         spec = {

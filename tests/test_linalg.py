@@ -45,6 +45,14 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(abs=0.0)
 
+    def test_support_edges(self):
+        t = Tolerance(rank_cutoff=0.25)
+        assert t.support(np.array([])).shape == (0,)
+        assert not t.support(np.zeros(3)).any()
+        # 1.0 is exactly 0.25 * 4.0, so it is off the support; the next double is on it
+        keep = t.support(np.array([4.0, 1.0, np.nextafter(1.0, 2.0), 0.0]))
+        assert keep.tolist() == [True, False, True, False]
+
 
 class TestEigh:
     def test_diagonal_matrix_is_exact(self):
@@ -103,6 +111,28 @@ class TestEigh:
         for scale in (1e-170, 1e-200, 1e-250):
             vals = eigh(scale * h).values
             assert np.abs(vals - scale * ref).max() <= 1e-13 * scale * np.abs(ref).max()
+
+    @pytest.mark.parametrize("exponent", [-300, -295, -290, -200, 154, 200, 300])
+    def test_extreme_scales_match_unscaled(self, exponent):
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 5):
+            h = random_hermitian(rng, n)
+            ref = eigh(h).values
+            scale = 10.0**exponent
+            vals = eigh(scale * h).values
+            assert np.abs(vals / scale - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert operator_norm(scale * h) / scale == pytest.approx(np.abs(ref).max(), rel=1e-14)
+
+    def test_power_of_two_rescaling_is_exact(self):
+        # max|h_ij| in [0.5, 1): outside the norm range eigh runs the very same
+        # sweeps on h and scales the eigenvalues back exactly
+        h = random_hermitian(np.random.default_rng(5), 4)
+        h = h * 2.0 ** -math.frexp(np.abs(h).max())[1]
+        ref = eigh(h)
+        for shift in (-600, -300, 300, 600):
+            es = eigh(h * 2.0**shift)
+            assert np.array_equal(es.values, np.ldexp(ref.values, shift))
+            assert np.array_equal(es.vectors, ref.vectors)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
