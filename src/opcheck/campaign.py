@@ -19,7 +19,15 @@ from .checks import FunPair
 from .decompose import svd_square
 from .ensembles import GeneratorConfig, generate_with_rng
 from .errors import InstanceGenerationFailure, InvalidSpec
-from .io import dump_json, matrix_to_json, matrix_from_json, tolerance_from_json, tolerance_to_json
+from .io import (
+    _json_list,
+    _json_value,
+    dump_json,
+    matrix_from_json,
+    matrix_to_json,
+    tolerance_from_json,
+    tolerance_to_json,
+)
 from .linalg import Tolerance, eigh, hermitian_part
 from .means import kato_supremum, q_mean
 from .posmap import (
@@ -132,20 +140,31 @@ class CampaignSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CampaignSpec":
-        spec = cls(
-            check_id=obj["check_id"],
-            n_dims=tuple(obj.get("n", (2, 3, 4, 5, 6))),
-            m_dims=tuple(obj.get("m", (2, 3, 4, 5, 6))),
-            trials=int(obj.get("trials", 1000)),
-            seed=int(obj.get("seed", 0)),
-            map_families=tuple(obj.get("map_families", MAP_FAMILIES)),
-            funpair_kinds=tuple(obj.get("funpair_kinds", FUNPAIR_KINDS)),
-            tolerances=tolerance_from_json(
-                {**tolerance_to_json(_CAMPAIGN_TOLERANCES), **(obj.get("tolerances") or {})}
-            ),
-            output_path=obj.get("output_path"),
-            split_exponent=obj.get("split_exponent"),
-        )
+        """The spec of a JSON object; InvalidSpec for a field of the wrong JSON type."""
+
+        def field(key: str, kind: type, default=None, nullable: bool = False):
+            return _json_value(obj.get(key, default), kind, key, nullable)
+
+        def items(key: str, kind: type, default: Sequence) -> tuple:
+            return tuple(_json_list(obj.get(key, list(default)), kind, key))
+
+        try:
+            _json_value(obj, dict, "spec")
+            tolerances = field("tolerances", dict, nullable=True) or {}
+            spec = cls(
+                check_id=_json_value(obj["check_id"], str, "check_id"),
+                n_dims=items("n", int, cls.n_dims),
+                m_dims=items("m", int, cls.m_dims),
+                trials=field("trials", int, cls.trials),
+                seed=field("seed", int, cls.seed),
+                map_families=items("map_families", str, cls.map_families),
+                funpair_kinds=items("funpair_kinds", str, cls.funpair_kinds),
+                tolerances=tolerance_from_json({**tolerance_to_json(cls.tolerances), **tolerances}),
+                output_path=field("output_path", str, nullable=True),
+                split_exponent=field("split_exponent", float, nullable=True),
+            )
+        except ValueError as exc:
+            raise InvalidSpec(str(exc)) from None
         spec.validate()
         return spec
 
@@ -178,14 +197,15 @@ class Instance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Instance":
+        _json_value(obj, dict, "instance")
         return cls(
-            check_id=obj["check_id"],
+            check_id=_json_value(obj["check_id"], str, "check_id"),
             phi=map_from_json(obj["phi"]),
             z=matrix_from_json(obj["Z"]) if "Z" in obj else None,
             j=matrix_from_json(obj["J"]) if "J" in obj else None,
             funpair=FunPair.from_json(obj["funpair"]) if "funpair" in obj else None,
             contraction=matrix_from_json(obj["A"]) if "A" in obj else None,
-            split_exponent=obj.get("p"),
+            split_exponent=_json_value(obj.get("p"), float, "p", nullable=True),
         )
 
 
@@ -243,7 +263,7 @@ def _random_z(rng: np.random.Generator, n: int) -> np.ndarray:
 def _funpair_and_j(
     kind: str, z: np.ndarray, tol: Tolerance, rng: np.random.Generator
 ) -> Optional[tuple]:
-    """Build (funpair, J) satisfying the domination hypothesis by construction,
+    """Build (funpair, J, f(|Z|), g(|Z*|)) with the images meant to lie below J,
     sharing one SVD of Z across the modulus data. None means resample Z."""
     n = z.shape[0]
     parts = svd_square(z, tol)
@@ -266,7 +286,7 @@ def _funpair_and_j(
         j = f_mod.copy()
         if rng.uniform() < 0.3:
             j = hermitian_part(j + generate_with_rng(GeneratorConfig(ensemble="wishart_psd"), n, rng))
-        return fp, j
+        return fp, j, f_mod, g_comod
     modes = ["sum", "sum_plus_psd", "scaled_identity"]
     if fp.kind == "power" and fp.p == 0.0:
         modes += ["qmean", "kato"]
@@ -284,7 +304,7 @@ def _funpair_and_j(
         j = q_mean(z, float(_choice(rng, (1.0, 2.0, 4.0))), tol)
     else:
         j = kato_supremum(z, tol)
-    return fp, j
+    return fp, j, f_mod, g_comod
 
 
 def make_instance(spec: CampaignSpec, trial: int) -> Instance:
@@ -318,8 +338,8 @@ def make_instance(spec: CampaignSpec, trial: int) -> Instance:
         built = _funpair_and_j(str(_choice(rng, spec.funpair_kinds)), z, spec.tolerances, rng)
         if built is None:
             continue
-        fp, j = built
-        if C.domination_holds(z, j, fp, spec.tolerances):
+        fp, j, f_mod, g_comod = built
+        if C._images_dominated(j, f_mod, g_comod, spec.tolerances):
             return Instance(check_id=spec.check_id, phi=phi, z=z, j=j, funpair=fp)
     raise InstanceGenerationFailure(
         f"could not satisfy hypotheses for {spec.check_id} at trial {trial}"

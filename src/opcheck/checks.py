@@ -47,7 +47,7 @@ from .posmap import (
     apply,
     map_to_json,
 )
-from .io import matrix_to_json, tolerance_to_json
+from .io import _json_value, matrix_to_json, tolerance_to_json
 
 __all__ = [
     "FunPair",
@@ -141,8 +141,11 @@ class FunPair:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FunPair":
+        _json_value(obj, dict, "funpair")
         return cls(
-            kind=obj["kind"], p=float(obj.get("p", 0.0)), rho=float(obj.get("rho", 1.0))
+            kind=_json_value(obj["kind"], str, "funpair kind"),
+            p=float(_json_value(obj.get("p", 0.0), float, "funpair p")),
+            rho=float(_json_value(obj.get("rho", 1.0), float, "funpair rho")),
         )
 
 
@@ -227,8 +230,11 @@ def moduli_from_svd(parts: SvdParts, fp: FunPair) -> Tuple[np.ndarray, np.ndarra
 
 def domination_holds(z, j, fp: FunPair, tol: Optional[Tolerance] = None) -> bool:
     """f(|Z|) <= J and g(|Z*|) <= J, both in the Loewner order."""
-    jm = require_hermitian(j, tol)
-    f_mod, g_comod = moduli_images(z, fp, tol)
+    return _images_dominated(require_hermitian(j, tol), *moduli_images(z, fp, tol), tol)
+
+
+def _images_dominated(jm, f_mod, g_comod, tol: Optional[Tolerance]) -> bool:
+    """f_mod <= J and g_comod <= J for a Hermitian J, both in the Loewner order."""
     t = _tol(tol, jm.shape[0])
     scale = float(np.abs(eigh(jm, tol).values).max()) if jm.size else 0.0
     threshold = -t.abs * (1.0 + scale)
@@ -429,11 +435,8 @@ def check_eigenvalue_gaps(
     for grid in grids:
         for jj in range(m):
             for kk in range(m - jj):
-                idx = jj + kk + 1
-                if idx > m:
-                    continue
                 bound = math.sqrt(max(grid[jj] * grid[kk], 0.0))
-                margin = bound - lhs_vals[idx - 1]
+                margin = bound - lhs_vals[jj + kk]
                 worst = min(worst, margin)
                 checked += 1
                 if margin < -slackstep:
@@ -522,7 +525,7 @@ def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> Ca
     t = _tol(tol, zm.shape[0])
     parts = cartesian(zm)
     k_sum = hermitian_part(modulus(parts.re_part, tol) + modulus(parts.im_part, tol))
-    es = eigh(k_sum, tol)
+    es = eigh(k_sum, tol)  # K's one spectrum: the singular flag and both generalized powers
     lmax = float(es.values[0]) if es.values.size else 0.0
     singular = not t.support(np.clip(es.values, 0.0, None)).all()
 
@@ -537,9 +540,9 @@ def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> Ca
     )
     major = weak_log_majorizes(lhs, phk, tol)
 
-    k_inv_half = generalized_inverse(k_sum, -0.5, tol)
+    k_inv_half = es.power(-0.5, tol)
     norm_value = operator_norm(k_inv_half @ zm @ k_inv_half, tol)
-    rho_value = spectral_radius(zm @ generalized_inverse(k_sum, -1.0, tol))
+    rho_value = spectral_radius(zm @ es.power(-1.0, tol))
     bound = 1.0 + t.abs * (1.0 + lmax) + 1e-6
     passed = bool(cert.passed and major.passed and norm_value <= bound and rho_value <= bound)
     return CartesianReport(
@@ -770,7 +773,9 @@ def find_counterexamples_remarks(
             dec = loewner_leq(mod, k_sum, tol)
             if dec.slack < -margin:
                 found_a = CexWitness(trial_index=trial, matrix=zm, margin=-dec.slack)
-        k_inv_half = generalized_inverse(k_sum, -0.5, tol)
+        es_k = eigh(k_sum, tol)
+        k_inv_half = es_k.power(-0.5, tol)
+        k_inv = es_k.power(-1.0, tol)
         if found_b is None:
             half_norm = operator_norm(
                 generalized_inverse(mod, 0.5, tol) @ k_inv_half, tol
@@ -778,11 +783,11 @@ def find_counterexamples_remarks(
             if half_norm > 1.0 + margin:
                 found_b = CexWitness(trial_index=trial, matrix=zm, margin=half_norm - 1.0)
         if found_c is None:
-            plain_norm = operator_norm(zm @ generalized_inverse(k_sum, -1.0, tol), tol)
+            plain_norm = operator_norm(zm @ k_inv, tol)
             if plain_norm > 1.0 + margin:
                 found_c = CexWitness(trial_index=trial, matrix=zm, margin=plain_norm - 1.0)
         cong_norm = operator_norm(k_inv_half @ zm @ k_inv_half, tol)
-        rho = spectral_radius(zm @ generalized_inverse(k_sum, -1.0, tol))
+        rho = spectral_radius(zm @ k_inv)
         worst_rho = max(worst_rho, rho)
         worst_norm = max(worst_norm, cong_norm)
         if cong_norm > 1.0 + margin or rho > 1.0 + margin:

@@ -23,7 +23,7 @@ from .checks import (
 )
 from .decompose import polar
 from .errors import OpcheckError
-from .io import dump_json, matrix_from_json, matrix_to_json, tolerance_from_json
+from .io import _json_value, dump_json, matrix_from_json, matrix_to_json, tolerance_from_json
 from .linalg import Tolerance
 from .means import geometric_mean_ex
 
@@ -41,7 +41,7 @@ def _load_tolerance(args, dim: int) -> Optional[Tolerance]:
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            cfg = _json_value(json.load(fh), dict, "tolerance config")
     if getattr(args, "tol", None) is not None:
         cfg["abs"] = args.tol
         cfg.setdefault("rel", args.tol)
@@ -52,7 +52,7 @@ def _load_tolerance(args, dim: int) -> Optional[Tolerance]:
 
 def _cmd_check(args) -> int:
     with open(args.infile) as fh:
-        payload = json.load(fh)
+        payload = _json_value(json.load(fh), dict, "instance")
     payload["check_id"] = args.check_id
     inst = Instance.from_json(payload)
     dim = inst.phi.out_dim

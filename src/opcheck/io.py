@@ -2,13 +2,16 @@
 
 Matrix format, shared by every command and report:
 ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with ``data`` row-major.
-Parsers reject non-finite entries.
+Parsers reject non-finite entries, and every reader checks the JSON type of
+each field it parses, raising ValueError: integers are ints and numbers are
+ints or floats, never bools.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from typing import Optional
 
 import numpy as np
@@ -24,6 +27,31 @@ __all__ = [
 ]
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _is_kind(value, kind: type) -> bool:
+    """JSON type test: a bool is neither an integer nor a number; an integer is a number."""
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+
+
+def _json_value(value, kind: type, what: str, nullable: bool = False):
+    """``value`` unchanged if it is a JSON ``kind`` (int, float, str, list or
+    dict), or null when ``nullable``; otherwise ValueError naming ``what``."""
+    if not (_is_kind(value, kind) or (nullable and value is None)):
+        null = " or null" if nullable else ""
+        raise ValueError(f"{what} must be {_KIND_NAMES[kind]}{null}, got {reprlib.repr(value)}")
+    return value
+
+
+def _json_list(value, kind: type, what: str) -> list:
+    """``value`` unchanged if it is a JSON list of ``kind`` items; otherwise ValueError."""
+    if not (isinstance(value, list) and all(_is_kind(v, kind) for v in value)):
+        items = f"a list, each item {_KIND_NAMES[kind]}"
+        raise ValueError(f"{what} must be {items}, got {reprlib.repr(value)}")
+    return value
+
+
 def matrix_to_json(m) -> dict:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
@@ -33,12 +61,17 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
+    _json_value(obj, dict, "matrix")
+    rows, cols = _json_value(obj["rows"], int, "rows"), _json_value(obj["cols"], int, "cols")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"rows and cols must be nonnegative, got {rows} and {cols}")
+    data = _json_value(obj["data"], list, "data")
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols = {rows * cols}")
     flat = np.empty(rows * cols, dtype=complex)
     for i, pair in enumerate(data):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(_is_kind(x, float) for x in pair)):
+            raise ValueError(f"entry {i} is not an [re, im] pair of numbers: {reprlib.repr(pair)}")
         re, im = float(pair[0]), float(pair[1])
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"non-finite entry at index {i}")
@@ -53,12 +86,11 @@ def tolerance_to_json(tol: Tolerance) -> dict:
 def tolerance_from_json(obj: Optional[dict], dim: int = 1) -> Tolerance:
     if obj is None:
         return Tolerance.for_dim(dim)
-    base = Tolerance.for_dim(dim)
-    return Tolerance(
-        abs=float(obj.get("abs", base.abs)),
-        rel=float(obj.get("rel", base.rel)),
-        rank_cutoff=float(obj.get("rank_cutoff", base.rank_cutoff)),
-    )
+    _json_value(obj, dict, "tolerances")
+    fields = tolerance_to_json(Tolerance.for_dim(dim))
+    for key, default in fields.items():
+        fields[key] = float(_json_value(obj.get(key, default), float, f"tolerance {key}"))
+    return Tolerance(**fields)
 
 
 def dump_json(obj, path: str) -> None:

@@ -87,7 +87,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -100,13 +100,13 @@ def require_square(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(m) -> np.ndarray:
-    a = require_square(m)
+    a = np.asarray(m, dtype=complex)
     return 0.5 * (a + a.conj().T)
 
 
 def hermitian_defect(m) -> float:
-    """max-norm of M - M*."""
-    a = require_square(m)
+    """max-norm of M - M* for a square array; like hermitian_part, validates nothing."""
+    a = np.asarray(m, dtype=complex)
     return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
 
 
@@ -114,8 +114,9 @@ def require_hermitian(m, tol: Optional[Tolerance] = None) -> np.ndarray:
     a = require_square(m)
     t = _tol(tol, a.shape[0])
     scale = float(np.abs(a).max()) if a.size else 0.0
-    if hermitian_defect(a) > t.abs * (1.0 + scale):
-        raise NonHermitian(f"Hermitian defect {hermitian_defect(a):.3e} exceeds tolerance")
+    defect = hermitian_defect(a)
+    if defect > t.abs * (1.0 + scale):
+        raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds tolerance")
     return hermitian_part(a)
 
 
@@ -132,6 +133,18 @@ class EigenSystem:
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Q f(lambda) Q* with f applied entrywise to the eigenvalues."""
         return (self.vectors * f(self.values)) @ self.vectors.conj().T
+
+    def power(self, p: float, tol: Optional[Tolerance] = None) -> np.ndarray:
+        """Generalized power H^p of the PSD matrix H this spectrum belongs to.
+
+        Eigenvalues off the support (:meth:`Tolerance.support`) are mapped to
+        zero for p <= 0 (so p = 0 yields the support projection) and kept for
+        p > 0. Negative dust is clamped at zero throughout; the zero matrix maps
+        to zero for p > 0 and to the zero projection for p <= 0.
+        """
+        lam = np.clip(self.values, 0.0, None)
+        out = _generalized_power(lam, p, _tol(tol, lam.size).support(lam))
+        return hermitian_part(self.apply(lambda _: out))
 
 
 def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> EigenSystem:
@@ -270,17 +283,8 @@ def _generalized_power(values: np.ndarray, p: float, support: np.ndarray) -> np.
 
 
 def generalized_inverse(h, p: float, tol: Optional[Tolerance] = None) -> np.ndarray:
-    """Generalized power H^p of a PSD matrix.
-
-    Eigenvalues off the support (:meth:`Tolerance.support`) are mapped to
-    zero for p <= 0 (so p = 0 yields the support projection) and kept for
-    p > 0. Negative dust is clamped at zero throughout; the zero matrix maps
-    to zero for p > 0 and to the zero projection for p <= 0.
-    """
-    es = eigh(h, tol)
-    lam = np.clip(es.values, 0.0, None)
-    out = _generalized_power(lam, p, _tol(tol, lam.size).support(lam))
-    return hermitian_part(es.apply(lambda _: out))
+    """Generalized power H^p of a PSD matrix (:meth:`EigenSystem.power`)."""
+    return eigh(h, tol).power(p, tol)
 
 
 def loewner_leq(a, b, tol: Optional[Tolerance] = None) -> LoewnerDecision:

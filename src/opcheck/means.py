@@ -14,9 +14,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotIsometry, NotPositiveSemidefinite
 from .linalg import (
+    EigenSystem,
     LoewnerDecision,
     Tolerance,
     _tol,
+    as_matrix,
     eigh,
     hermitian_part,
     loewner_leq,
@@ -64,8 +66,7 @@ class MajorizationReport:
         }
 
 
-def _definite_mean(a: np.ndarray, b: np.ndarray, tol: Optional[Tolerance]) -> np.ndarray:
-    es_a = eigh(a, tol)
+def _definite_mean(es_a: EigenSystem, b: np.ndarray, tol: Optional[Tolerance]) -> np.ndarray:
     lam = np.clip(es_a.values, 0.0, None)
     q = es_a.vectors
     a_half = (q * np.sqrt(lam)) @ q.conj().T
@@ -76,9 +77,8 @@ def _definite_mean(a: np.ndarray, b: np.ndarray, tol: Optional[Tolerance]) -> np
     return hermitian_part(a_half @ root @ a_half)
 
 
-def _is_definite(h: np.ndarray, tol: Optional[Tolerance]) -> bool:
-    """True for numerically definite input; rejects genuinely indefinite input."""
-    es = eigh(h, tol)
+def _is_definite(es: EigenSystem, tol: Optional[Tolerance]) -> bool:
+    """True for a numerically definite spectrum; rejects a genuinely indefinite one."""
     if not es.values.size:
         return False
     t = _tol(tol, es.values.size)
@@ -100,10 +100,11 @@ def geometric_mean_ex(a, b, tol: Optional[Tolerance] = None) -> Tuple[np.ndarray
     bm = require_hermitian(b, tol)
     if am.shape != bm.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bm.shape} differ")
-    if _is_definite(am, tol) and _is_definite(bm, tol):
-        return _definite_mean(am, bm, tol), False
+    es_a = eigh(am, tol)
+    if _is_definite(es_a, tol) and _is_definite(eigh(bm, tol), tol):
+        return _definite_mean(es_a, bm, tol), False
     eye = np.eye(am.shape[0])
-    iterates = [_definite_mean(am + e * eye, bm + e * eye, tol) for e in _EPS_LADDER]
+    iterates = [_definite_mean(eigh(am + e * eye, tol), bm + e * eye, tol) for e in _EPS_LADDER]
     gap = operator_norm(iterates[-1] - iterates[-2], tol)
     if gap > _LIMIT_AGREE * (1.0 + operator_norm(iterates[-1], tol)):
         raise NoConvergence(f"singular-mean limit not Cauchy: gap {gap:.3e}")
@@ -249,7 +250,8 @@ def compress(a, s, tol: Optional[Tolerance] = None) -> np.ndarray:
     gram_defect = float(np.abs(sm.conj().T @ sm - np.eye(sm.shape[1])).max())
     if gram_defect > t.abs * 10:
         raise NotIsometry(f"columns not orthonormal: defect {gram_defect:.3e}")
-    return hermitian_part(sm.conj().T @ am @ sm)
+    # checked after the defect test (NaN passes it) and on the product, which can overflow
+    return hermitian_part(as_matrix(sm.conj().T @ am @ sm))
 
 
 def ando_compression_check(a, b, s, tol: Optional[Tolerance] = None) -> LoewnerDecision:

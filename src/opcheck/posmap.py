@@ -10,12 +10,12 @@ falsifier exists to refute a misdeclared class, not to certify one.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import ClassVar, Optional, Sequence, Tuple
+from typing import ClassVar, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveSemidefinite
-from .io import matrix_from_json, matrix_to_json
+from .io import _json_value, matrix_from_json, matrix_to_json
 from .linalg import Tolerance, as_matrix, eigh, hermitian_part, require_hermitian, sqrtm_psd
 
 __all__ = [
@@ -360,16 +360,17 @@ def _param_to_json(value):
     return value
 
 
-def _param_from_json(value):
-    """Lists are tuples, objects with a family are maps, other objects
-    matrices; anything else must be an integer."""
-    if isinstance(value, list):
-        return tuple(_param_from_json(v) for v in value)
-    if isinstance(value, dict):
-        return map_from_json(value) if "family" in value else matrix_from_json(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"map parameter {value!r} is not an integer")
-    return value
+def _param_from_json(value, kind, what: str):
+    """Decode a param as its field's declared type: a tuple of items from a
+    list, a map, a matrix, or else an integer."""
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(_param_from_json(v, item, what) for v in _json_value(value, list, what))
+    if kind is PosMap:
+        return map_from_json(value)
+    if kind is np.ndarray:
+        return matrix_from_json(value)
+    return _json_value(value, int, what)
 
 
 def map_to_json(phi: PosMap) -> dict:
@@ -386,11 +387,14 @@ def map_to_json(phi: PosMap) -> dict:
 def map_from_json(data: dict) -> PosMap:
     """Inverse of :func:`map_to_json`; ``in_dim``, ``out_dim`` and ``class``
     are derived, so they are not read. Raises ValueError on malformed input."""
-    cls = _FAMILIES.get(data["family"])
+    _json_value(data, dict, "map")
+    cls = _FAMILIES.get(_json_value(data["family"], str, "map family"))
     if cls is None:
         raise ValueError(f"unknown map family {data['family']!r}")
-    params = data.get("params", {})
+    params = _json_value(data.get("params", {}), dict, "map params")
     names = {f.name for f in fields(cls)}
     if set(params) != names:
         raise ValueError(f"{cls.family} params must be {sorted(names)}, got {sorted(params)}")
-    return cls(**{name: _param_from_json(value) for name, value in params.items()})
+    kinds = get_type_hints(cls)
+    return cls(**{name: _param_from_json(value, kinds[name], f"{cls.family} {name}")
+                  for name, value in params.items()})

@@ -164,3 +164,40 @@ class TestOutcomeProtocol:
         del payload[key]
         with pytest.raises(InvalidSpec, match=field):
             run_instance(Instance.from_json(payload), spec.tolerances)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("trials", 2.7, "trials must be an integer"),
+        ("trials", None, "trials must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("n", 5, "n must be a list"),
+        ("n", [2, 2.5], "n must be a list, each item an integer"),
+        ("m", [True], "m must be a list, each item an integer"),
+        ("map_families", "identity", "map_families must be a list"),
+        ("funpair_kinds", [["power"]], "funpair_kinds must be a list, each item a string"),
+        ("tolerances", [], "tolerances must be an object or null"),
+        ("tolerances", {"rel": "1e-8"}, "tolerance rel must be a number"),
+        ("output_path", 3, "output_path must be a string or null"),
+        ("split_exponent", "0.5", "split_exponent must be a number or null"),
+        ("check_id", 5, "check_id must be a string"),
+    ],
+)
+def test_spec_field_of_wrong_json_type_is_invalid(field, value, message):
+    with pytest.raises(InvalidSpec, match=message):
+        CampaignSpec.from_json({"check_id": "check_russo_dye", field: value})
+
+
+def test_spec_must_be_an_object():
+    with pytest.raises(InvalidSpec):
+        CampaignSpec.from_json([{"check_id": "check_russo_dye"}])
+
+
+def test_instance_fields_are_type_checked():
+    payload = make_instance(CampaignSpec(check_id="check_two_positive_split", seed=3), 0).to_json()
+    for field, value in (("p", "0.5"), ("check_id", ["check_two_positive_split"])):
+        with pytest.raises(ValueError, match=field):
+            Instance.from_json({**payload, field: value})
+    with pytest.raises(ValueError, match="instance"):
+        Instance.from_json([payload])

@@ -152,9 +152,26 @@ HALF_I = {"rows": 2, "cols": 2, "data": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}
         (["campaign", "--spec", "{x}"], {"x": {"check_id": "check_russo_dye", "trials": "x"}}),
         (["mean", "--a", "{x}", "--b", "{y}"], {"x": HALF_I, "y": {"rows": 2, "cols": 2, "data": []}}),
         (["polar", "--in", "{x}"], {"x": "[1, 2"}),
+        (["campaign", "--spec", "{x}"], {"x": {"check_id": "check_russo_dye", "trials": None}}),
+        (["campaign", "--spec", "{x}"], {"x": {"check_id": "check_russo_dye", "n": 5}}),
+        (["campaign", "--spec", "{x}"], {"x": {"check_id": "check_russo_dye", "tolerances": {"abs": None}}}),
+        (["campaign", "--spec", "{x}"], {"x": {"check_id": "check_russo_dye", "trials": 2.7}}),
+        (["campaign", "--spec", "{x}"], {"x": {"check_id": "check_russo_dye", "seed": True}}),
+        (["campaign", "--spec", "{x}"], {"x": {"check_id": "check_russo_dye", "map_families": "identity"}}),
+        (["polar", "--in", "{x}"], {"x": {"rows": None, "cols": 2, "data": []}}),
+        (["polar", "--in", "{x}"], {"x": {"rows": 1, "cols": 2, "data": [1.0, 2.0]}}),
+        (["polar", "--in", "{x}"], {"x": [HALF_I]}),
+        (["check", "check_geometric_domination", "--in", "{x}"],
+         {"x": {"phi": IDENTITY_2, "Z": HALF_I, "J": HALF_I, "funpair": {"kind": "power", "p": None}}}),
+        (["check", "check_russo_dye", "--in", "{x}"],
+         {"x": {"phi": IDENTITY_2, "A": {"rows": 1, "cols": 1, "data": [[1.0]]}}}),
+        (["check", "check_russo_dye", "--in", "{x}"], {"x": [IDENTITY_2, HALF_I]}),
     ],
     ids=["non-integer-dim", "bad-json", "short-data", "missing-A", "missing-phi", "missing-file",
-         "trials-not-int", "short-mean-operand", "bad-polar-json"],
+         "trials-not-int", "short-mean-operand", "bad-polar-json",
+         "trials-null", "n-not-list", "tolerance-null", "trials-float", "seed-bool", "families-string",
+         "rows-null", "bare-number-data", "polar-top-level-list",
+         "funpair-p-null", "one-number-pair", "check-top-level-list"],
 )
 def test_malformed_input_exits_with_status_2(tmp_path, capsys, command, files):
     paths = {"x": str(tmp_path / "x.json"), "y": str(tmp_path / "y.json")}

@@ -63,3 +63,35 @@ class TestDumpJson:
         dump_json(json.loads(p1.read_text()), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().endswith("\n")
+
+
+class TestJsonTypes:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [[1.0, 0.0]],
+            {"rows": 1.0, "cols": 1, "data": [[1.0, 0.0]]},
+            {"rows": True, "cols": 1, "data": [[1.0, 0.0]]},
+            {"rows": 1, "cols": 1, "data": "x"},
+            {"rows": 1, "cols": 1, "data": [1.0]},
+            {"rows": 1, "cols": 1, "data": [[1.0]]},
+            {"rows": 1, "cols": 1, "data": [[1.0, 0.0, 0.0]]},
+            {"rows": 1, "cols": 1, "data": [[True, 0.0]]},
+            {"rows": 1, "cols": 1, "data": [["1", 0.0]]},
+            {"rows": -1, "cols": -1, "data": [[1.0, 0.0]]},
+        ],
+        ids=["list", "float-rows", "bool-rows", "string-data", "bare-number", "short-pair", "long-pair",
+             "bool-entry", "string-entry", "negative-shape"],
+    )
+    def test_malformed_matrix_rejected(self, payload):
+        with pytest.raises(ValueError):
+            matrix_from_json(payload)
+
+    def test_integer_entries_are_numbers(self):
+        m = matrix_from_json({"rows": 1, "cols": 2, "data": [[1, 0], [2, -3]]})
+        assert np.array_equal(m, [[1 + 0j, 2 - 3j]])
+
+    @pytest.mark.parametrize("payload", [[1e-8], {"abs": None}, {"rel": True}, {"rank_cutoff": "1e-12"}])
+    def test_malformed_tolerance_rejected(self, payload):
+        with pytest.raises(ValueError):
+            tolerance_from_json(payload, dim=2)

@@ -15,6 +15,7 @@ from opcheck.linalg import (
     Tolerance,
     eigh,
     generalized_inverse,
+    hermitian_defect,
     hermitian_part,
     loewner_leq,
     matrix_function,
@@ -391,3 +392,60 @@ class TestSpectralRadius:
 
     def test_nilpotent(self):
         assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
+
+
+NON_FINITE = [
+    complex(math.nan, 0.0),
+    complex(math.inf, 0.0),
+    complex(-math.inf, 0.0),
+    complex(0.0, math.nan),
+    complex(0.0, math.inf),
+    complex(0.0, -math.inf),
+]
+NON_FINITE_IDS = ["nan", "inf", "-inf", "nan-imag", "inf-imag", "-inf-imag"]
+
+
+def with_entry(value, n=3):
+    """A symmetric n x n matrix with ``value`` at (0, 1) and (1, 0) and 1 on the diagonal."""
+    m = np.eye(n, dtype=complex)
+    m[0, 1] = m[1, 0] = value
+    return m
+
+
+class TestNonFiniteRejected:
+    """Each public matrix argument is validated once, in every route into the kernel."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_eigh(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            eigh(with_entry(value))
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_operator_norm(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            operator_norm(with_entry(value))
+        with pytest.raises(ValueError, match="non-finite"):
+            operator_norm(with_entry(value)[:, :2])
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_loewner_leq_either_side(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            loewner_leq(with_entry(value), np.eye(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            loewner_leq(np.eye(3), with_entry(value))
+
+
+class TestArithmeticHelpers:
+    def test_hermitian_part_and_defect_validate_nothing(self):
+        m = with_entry(complex(math.nan, 0.0))
+        assert np.isnan(hermitian_part(m)[0, 1])
+        assert math.isnan(hermitian_defect(np.array([[0.0, math.nan], [0.0, 0.0]])))
+
+    def test_power_of_a_spectrum_is_generalized_inverse_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for n in range(1, 6):
+            h = random_psd(rng, n)
+            h[:, 0] = h[0, :] = 0.0  # a kernel, so p <= 0 meets the support rule
+            es = eigh(h)
+            for p in (-1.0, -0.5, 0.0, 0.5, 2.0):
+                assert np.array_equal(es.power(p), generalized_inverse(h, p))

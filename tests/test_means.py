@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opcheck.means
 from opcheck.decompose import comodulus, modulus
 from opcheck.errors import NoConvergence, NotIsometry
 from opcheck.linalg import eigh, hermitian_part, loewner_leq, operator_norm, sqrtm_psd
@@ -314,3 +315,35 @@ class TestAndoCompression:
             a, b = random_pd(rng, n), random_pd(rng, n)
             s = random_isometry(rng, n, k)
             assert ando_compression_check(a, b, s).holds
+
+
+class TestValidatedOnce:
+    @pytest.mark.parametrize(
+        "value",
+        [complex(np.nan, 0), complex(np.inf, 0), complex(-np.inf, 0), complex(0, np.nan), complex(0, np.inf)],
+        ids=["nan", "inf", "-inf", "nan-imag", "inf-imag"],
+    )
+    def test_compress_rejects_non_finite_isometry(self, value):
+        s = np.array([[1.0], [value]])
+        with pytest.raises(ValueError):
+            compress(np.eye(2), s)
+
+    def test_compress_rejects_an_overflowing_product(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                compress(np.full((2, 2), 1.5e308), np.full((2, 1), 2**-0.5))
+
+    def test_definite_mean_eigendecomposes_a_once(self, monkeypatch):
+        calls = []
+        original = opcheck.means.eigh
+
+        def counting(h, *args, **kwargs):
+            calls.append(1)
+            return original(h, *args, **kwargs)
+
+        monkeypatch.setattr(opcheck.means, "eigh", counting)
+        rng = np.random.default_rng(22)
+        mean, used_limit = geometric_mean_ex(random_pd(rng, 3), random_pd(rng, 3))
+        assert not used_limit
+        # A, B for the definiteness tests (A's spectrum reused by the formula), inner root
+        assert len(calls) == 3

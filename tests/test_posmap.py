@@ -276,3 +276,42 @@ class TestJson:
         assert payload["params"]["inner"]["params"] == {"block_dim": 2}
         assert payload["in_dim"] == 4 and payload["out_dim"] == 2
         assert payload["class"] == COMPLETELY_POSITIVE
+
+
+@pytest.mark.parametrize(
+    "value",
+    [complex(np.nan, 0), complex(np.inf, 0), complex(-np.inf, 0),
+     complex(0, np.nan), complex(0, np.inf), complex(0, -np.inf)],
+    ids=["nan", "inf", "-inf", "nan-imag", "inf-imag", "-inf-imag"],
+)
+def test_apply_rejects_non_finite_input(value):
+    x = np.eye(2, dtype=complex)
+    x[0, 1] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        apply(IdentityMap(2), x)
+
+
+IDENTITY_2 = {"family": "identity", "params": {"dim": 2}}
+EYE_2 = {"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [IDENTITY_2],
+        {"family": ["identity"], "params": {"dim": 2}},
+        {"family": "identity", "params": ["dim"]},
+        {"family": "identity", "params": {"dim": EYE_2}},
+        {"family": "identity", "params": {"dim": [2]}},
+        {"family": "congruence", "params": {"operator": 2}},
+        {"family": "kraus_sum", "params": {"kraus": EYE_2}},
+        {"family": "schur_multiplier", "params": {"factor": [[1, 0], [0, 1]]}},
+        {"family": "sum", "params": {"terms": [1, 2]}},
+        {"family": "compose", "params": {"outer": 1, "inner": IDENTITY_2}},
+    ],
+    ids=["top-level-list", "family-list", "params-list", "dim-matrix", "dim-list", "operator-int",
+         "kraus-not-list", "factor-nested-list", "terms-ints", "outer-int"],
+)
+def test_params_decoded_by_declared_field_type(payload):
+    with pytest.raises(ValueError):
+        map_from_json(payload)
