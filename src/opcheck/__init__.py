@@ -16,6 +16,7 @@ from .linalg import (
     LoewnerDecision,
     Tolerance,
     eigh,
+    eigvalsh,
     generalized_inverse,
     loewner_leq,
     matrix_function,

@@ -21,6 +21,7 @@ from .ensembles import GeneratorConfig, generate_with_rng
 from .errors import InstanceGenerationFailure, InvalidSpec
 from .io import (
     _json_list,
+    _json_object,
     _json_value,
     dump_json,
     matrix_from_json,
@@ -28,7 +29,7 @@ from .io import (
     tolerance_from_json,
     tolerance_to_json,
 )
-from .linalg import Tolerance, eigh, hermitian_part
+from .linalg import Tolerance, eigvalsh, hermitian_part
 from .means import kato_supremum, q_mean
 from .posmap import (
     Congruence,
@@ -140,7 +141,8 @@ class CampaignSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CampaignSpec":
-        """The spec of a JSON object; InvalidSpec for a field of the wrong JSON type."""
+        """The spec of a JSON object; InvalidSpec for a field of the wrong JSON
+        type or a key that is not a field."""
 
         def field(key: str, kind: type, default=None, nullable: bool = False):
             return _json_value(obj.get(key, default), kind, key, nullable)
@@ -149,7 +151,8 @@ class CampaignSpec:
             return tuple(_json_list(obj.get(key, list(default)), kind, key))
 
         try:
-            _json_value(obj, dict, "spec")
+            _json_object(obj, "spec", ("check_id", "n", "m", "trials", "seed", "map_families",
+                                       "funpair_kinds", "tolerances", "output_path", "split_exponent"))
             tolerances = field("tolerances", dict, nullable=True) or {}
             spec = cls(
                 check_id=_json_value(obj["check_id"], str, "check_id"),
@@ -197,7 +200,7 @@ class Instance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Instance":
-        _json_value(obj, dict, "instance")
+        _json_object(obj, "instance", ("check_id", "phi", "Z", "J", "funpair", "A", "p"))
         return cls(
             check_id=_json_value(obj["check_id"], str, "check_id"),
             phi=map_from_json(obj["phi"]),
@@ -279,7 +282,7 @@ def _funpair_and_j(
             return None  # scaled pair needs an invertible modulus
         inv_half = (parts.right * sig**-0.5) @ parts.right.conj().T
         comod = parts.comodulus()
-        rho = float(eigh(hermitian_part(inv_half @ comod @ inv_half), tol).values[0])
+        rho = float(eigvalsh(hermitian_part(inv_half @ comod @ inv_half), tol)[0])
         fp = FunPair.scaled(max(rho, 1e-8))
     f_mod, g_comod = C.moduli_from_svd(parts, fp)
     if fp.kind == "scaled":

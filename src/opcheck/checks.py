@@ -24,6 +24,7 @@ from .linalg import (
     _generalized_power,
     _tol,
     eigh,
+    eigvalsh,
     generalized_inverse,
     hermitian_part,
     loewner_leq,
@@ -47,7 +48,7 @@ from .posmap import (
     apply,
     map_to_json,
 )
-from .io import _json_value, matrix_to_json, tolerance_to_json
+from .io import _json_object, _json_value, matrix_to_json, tolerance_to_json
 
 __all__ = [
     "FunPair",
@@ -141,7 +142,7 @@ class FunPair:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FunPair":
-        _json_value(obj, dict, "funpair")
+        _json_object(obj, "funpair", ("kind", "p", "rho"))
         return cls(
             kind=_json_value(obj["kind"], str, "funpair kind"),
             p=float(_json_value(obj.get("p", 0.0), float, "funpair p")),
@@ -236,12 +237,12 @@ def domination_holds(z, j, fp: FunPair, tol: Optional[Tolerance] = None) -> bool
 def _images_dominated(jm, f_mod, g_comod, tol: Optional[Tolerance]) -> bool:
     """f_mod <= J and g_comod <= J for a Hermitian J, both in the Loewner order."""
     t = _tol(tol, jm.shape[0])
-    scale = float(np.abs(eigh(jm, tol).values).max()) if jm.size else 0.0
+    scale = float(np.abs(eigvalsh(jm, tol)).max()) if jm.size else 0.0
     threshold = -t.abs * (1.0 + scale)
-    slack_f = float(eigh(jm - f_mod, tol).values[-1])
+    slack_f = float(eigvalsh(jm - f_mod, tol)[-1])
     if slack_f < threshold:
         return False
-    slack_g = float(eigh(jm - g_comod, tol).values[-1])
+    slack_g = float(eigvalsh(jm - g_comod, tol)[-1])
     return slack_g >= threshold
 
 
@@ -362,7 +363,7 @@ def check_log_majorization(
 
 
 def _descending_clamped(h, tol: Optional[Tolerance]) -> np.ndarray:
-    return np.clip(eigh(h, tol).values, 0.0, None)
+    return np.clip(eigvalsh(h, tol), 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -629,7 +630,7 @@ def reproduce_counterexample_2_8(
             hermitian_part(v @ phi_comod @ v.conj().T),
             tol,
         )
-        det_rhs = float(np.prod(eigh(mean, tol).values))
+        det_rhs = float(np.prod(eigvalsh(mean, tol)))
         det_rhss.append(det_rhs)
         if abs(det_rhs - 16.0) > 1e-9 * 16.0:
             ok = False

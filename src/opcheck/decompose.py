@@ -17,6 +17,7 @@ from .errors import NotContraction
 from .linalg import (
     Tolerance,
     _tol,
+    as_matrix,
     eigh,
     generalized_inverse,
     hermitian_part,
@@ -187,11 +188,14 @@ def unitary_mean_decomposition(a, tol: Optional[Tolerance] = None) -> Tuple[np.n
 
 
 def cartesian(z) -> CartesianParts:
-    """Z = X + iY with X = (Z + Z*)/2 and Y = (Z - Z*)/(2i)."""
+    """Z = X + iY with X = (Z + Z*)/2 and Y = (Z - Z*)/(2i).
+
+    Raises ValueError when a part overflows, which needs an entry above half
+    the largest double."""
     zm = require_square(z)
     return CartesianParts(
-        re_part=hermitian_part(zm),
-        im_part=hermitian_part((zm - zm.conj().T) / 2j),
+        re_part=as_matrix(hermitian_part(zm)),
+        im_part=as_matrix(hermitian_part((zm - zm.conj().T) / 2j)),
     )
 
 

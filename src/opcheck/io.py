@@ -4,7 +4,8 @@ Matrix format, shared by every command and report:
 ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with ``data`` row-major.
 Parsers reject non-finite entries, and every reader checks the JSON type of
 each field it parses, raising ValueError: integers are ints and numbers are
-ints or floats, never bools.
+ints or floats, never bools. Readers also reject keys that are not theirs, so
+a misspelt field is an error rather than a silent default.
 """
 
 from __future__ import annotations
@@ -44,6 +45,16 @@ def _json_value(value, kind: type, what: str, nullable: bool = False):
     return value
 
 
+def _json_object(value, what: str, keys) -> dict:
+    """``value`` unchanged if it is a JSON object whose keys are all in
+    ``keys``; otherwise ValueError naming ``what`` and the unknown keys."""
+    _json_value(value, dict, what)
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {what} keys {sorted(unknown)}; expected some of {sorted(keys)}")
+    return value
+
+
 def _json_list(value, kind: type, what: str) -> list:
     """``value`` unchanged if it is a JSON list of ``kind`` items; otherwise ValueError."""
     if not (isinstance(value, list) and all(_is_kind(v, kind) for v in value)):
@@ -61,7 +72,7 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    _json_value(obj, dict, "matrix")
+    _json_object(obj, "matrix", ("rows", "cols", "data"))
     rows, cols = _json_value(obj["rows"], int, "rows"), _json_value(obj["cols"], int, "cols")
     if rows < 0 or cols < 0:
         raise ValueError(f"rows and cols must be nonnegative, got {rows} and {cols}")
@@ -86,8 +97,8 @@ def tolerance_to_json(tol: Tolerance) -> dict:
 def tolerance_from_json(obj: Optional[dict], dim: int = 1) -> Tolerance:
     if obj is None:
         return Tolerance.for_dim(dim)
-    _json_value(obj, dict, "tolerances")
     fields = tolerance_to_json(Tolerance.for_dim(dim))
+    _json_object(obj, "tolerances", fields)
     for key, default in fields.items():
         fields[key] = float(_json_value(obj.get(key, default), float, f"tolerance {key}"))
     return Tolerance(**fields)

@@ -8,9 +8,10 @@ reproducible bit-for-bit across runs on the same platform.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "LoewnerDecision",
     "as_matrix",
     "eigh",
+    "eigvalsh",
     "matrix_function",
     "sqrtm_psd",
     "generalized_inverse",
@@ -147,19 +149,29 @@ class EigenSystem:
         return hermitian_part(self.apply(lambda _: out))
 
 
-def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> EigenSystem:
-    """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
+@functools.lru_cache(maxsize=16)
+def _pivots(n: int) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
+    """Row-major pivots (p, q) over the strict upper triangle, each with the
+    other indices, which the rotation updates entry by entry."""
+    return tuple(
+        (p, q, tuple(i for i in range(n) if i != p and i != q)) for p in range(n - 1) for q in range(p + 1, n)
+    )
 
-    The pivot order is fixed (row-major over the strict upper triangle), so
-    the returned eigenbasis is deterministic, including within degenerate
-    eigenspaces. Raises NonHermitian for asymmetric input and NoConvergence
-    if the off-diagonal mass does not vanish within the sweep budget.
+
+def _jacobi(
+    h, tol: Optional[Tolerance], max_sweeps: int, vectors: bool
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The sweep loop behind :func:`eigh` and :func:`eigvalsh`: descending
+    eigenvalues, and the eigenvector columns when ``vectors`` is set.
+
+    The rotations read only A, so skipping the eigenvector updates leaves the
+    eigenvalues bit for bit the same.
     """
     a = require_hermitian(h, tol)
     n = a.shape[0]
-    v = np.eye(n, dtype=complex)
+    v = np.eye(n, dtype=complex) if vectors else None
     if n == 1:
-        return EigenSystem(values=a.real.diagonal().copy(), vectors=v)
+        return a.real.diagonal().copy(), v
 
     with np.errstate(over="ignore"):
         scale = float(np.linalg.norm(a))
@@ -170,7 +182,7 @@ def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> E
         # [0.5, 1), and scale the eigenvalues back
         amax = float(np.abs(a).max())
         if amax == 0.0:
-            return EigenSystem(values=np.zeros(n), vectors=v)
+            return np.zeros(n), v
         shift = -math.frexp(amax)[1]
         a = np.ldexp(a.real, shift) + 1j * np.ldexp(a.imag, shift)
         scale = float(np.linalg.norm(a))
@@ -182,18 +194,15 @@ def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> E
     # arithmetic. A stays exactly Hermitian (hermitian_part made it so, and
     # IEEE multiplication commutes with conjugation), so only columns p and q
     # are updated off the (p, q) block and rows p and q receive their
-    # conjugates.
+    # conjugates. Without ``vectors`` there are no rows of V to rotate.
     rows = a.tolist()
-    vrows = v.tolist()
-    pivots = [
-        (p, q, [i for i in range(n) if i != p and i != q]) for p in range(n - 1) for q in range(p + 1, n)
-    ]
+    vrows = v.tolist() if vectors else []
 
     for _ in range(max_sweeps):
         off = math.sqrt(2.0) * math.hypot(*[abs(x) for p, row in enumerate(rows) for x in row[p + 1 :]])
         if off <= stop:
             break
-        for p, q, others in pivots:
+        for p, q, others in _pivots(n):
             row_p = rows[p]
             row_q = rows[q]
             apq = row_p[q]
@@ -239,7 +248,25 @@ def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> E
 
     values = np.ldexp([rows[i][i].real for i in range(n)], -shift)
     order = np.argsort(-values, kind="stable")
-    return EigenSystem(values=values[order], vectors=np.array(vrows, dtype=complex)[:, order])
+    return values[order], np.array(vrows, dtype=complex)[:, order] if vectors else None
+
+
+def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> EigenSystem:
+    """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
+
+    The pivot order is fixed (row-major over the strict upper triangle), so
+    the returned eigenbasis is deterministic, including within degenerate
+    eigenspaces. Raises NonHermitian for asymmetric input and NoConvergence
+    if the off-diagonal mass does not vanish within the sweep budget.
+    """
+    values, vectors = _jacobi(h, tol, max_sweeps, vectors=True)
+    return EigenSystem(values=values, vectors=vectors)
+
+
+def eigvalsh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
+    """The descending eigenvalues of :func:`eigh`, bit for bit, without the
+    eigenvectors; same validation, sweeps and errors."""
+    return _jacobi(h, tol, max_sweeps, vectors=False)[0]
 
 
 def matrix_function(
@@ -294,8 +321,8 @@ def loewner_leq(a, b, tol: Optional[Tolerance] = None) -> LoewnerDecision:
     if am.shape != bm.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bm.shape} differ")
     t = _tol(tol, am.shape[0])
-    diff = eigh(bm - am, tol)
-    slack = float(diff.values[-1]) if diff.values.size else 0.0
+    diff = eigvalsh(bm - am, tol)
+    slack = float(diff[-1]) if diff.size else 0.0
     scale = operator_norm(bm)
     return LoewnerDecision(holds=slack >= -t.abs * (1.0 + scale), slack=slack)
 
@@ -306,11 +333,9 @@ def operator_norm(m, tol: Optional[Tolerance] = None) -> float:
     if a.size == 0:
         return 0.0
     if a.shape[0] == a.shape[1] and hermitian_defect(a) <= 1e-12 * (1.0 + float(np.abs(a).max())):
-        es = eigh(hermitian_part(a), tol)
-        return float(np.abs(es.values).max())
+        return float(np.abs(eigvalsh(hermitian_part(a), tol)).max())
     gram = hermitian_part(a.conj().T @ a)
-    es = eigh(gram, tol)
-    return math.sqrt(max(float(es.values[0]), 0.0))
+    return math.sqrt(max(float(eigvalsh(gram, tol)[0]), 0.0))
 
 
 def spectral_radius_psd_product(a, b, tol: Optional[Tolerance] = None) -> float:
@@ -319,8 +344,8 @@ def spectral_radius_psd_product(a, b, tol: Optional[Tolerance] = None) -> float:
     bh = sqrtm_psd(b, tol)
     if am.shape != bh.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bh.shape} differ")
-    es = eigh(hermitian_part(bh @ am @ bh), tol)
-    return max(float(es.values[0]), 0.0) if es.values.size else 0.0
+    lam = eigvalsh(hermitian_part(bh @ am @ bh), tol)
+    return max(float(lam[0]), 0.0) if lam.size else 0.0
 
 
 def spectral_radius(m, max_squarings: int = 40) -> float:

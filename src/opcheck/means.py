@@ -20,6 +20,7 @@ from .linalg import (
     _tol,
     as_matrix,
     eigh,
+    eigvalsh,
     hermitian_part,
     loewner_leq,
     operator_norm,
@@ -77,13 +78,13 @@ def _definite_mean(es_a: EigenSystem, b: np.ndarray, tol: Optional[Tolerance]) -
     return hermitian_part(a_half @ root @ a_half)
 
 
-def _is_definite(es: EigenSystem, tol: Optional[Tolerance]) -> bool:
-    """True for a numerically definite spectrum; rejects a genuinely indefinite one."""
-    if not es.values.size:
+def _is_definite(values: np.ndarray, tol: Optional[Tolerance]) -> bool:
+    """True for a numerically definite descending spectrum; rejects a genuinely indefinite one."""
+    if not values.size:
         return False
-    t = _tol(tol, es.values.size)
-    lmax = float(es.values[0])
-    lmin = float(es.values[-1])
+    t = _tol(tol, values.size)
+    lmax = float(values[0])
+    lmin = float(values[-1])
     if lmin < -t.abs * (1.0 + abs(lmax)):
         raise NotPositiveSemidefinite(f"mean argument has eigenvalue {lmin:.3e}")
     return lmin > 1e-10 * max(1.0, lmax)
@@ -101,7 +102,7 @@ def geometric_mean_ex(a, b, tol: Optional[Tolerance] = None) -> Tuple[np.ndarray
     if am.shape != bm.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bm.shape} differ")
     es_a = eigh(am, tol)
-    if _is_definite(es_a, tol) and _is_definite(eigh(bm, tol), tol):
+    if _is_definite(es_a.values, tol) and _is_definite(eigvalsh(bm, tol), tol):
         return _definite_mean(es_a, bm, tol), False
     eye = np.eye(am.shape[0])
     iterates = [_definite_mean(eigh(am + e * eye, tol), bm + e * eye, tol) for e in _EPS_LADDER]
@@ -200,7 +201,7 @@ def q_mean(z, q: float, tol: Optional[Tolerance] = None) -> np.ndarray:
 
 def _clamped_spectrum(h: np.ndarray, tol: Optional[Tolerance]) -> np.ndarray:
     """Descending eigenvalues of a PSD matrix, zero off the support."""
-    lam = np.clip(eigh(h, tol).values, 0.0, None)
+    lam = np.clip(eigvalsh(h, tol), 0.0, None)
     lam[~_tol(tol, lam.size).support(lam)] = 0.0
     return lam
 

@@ -15,8 +15,8 @@ from typing import ClassVar, Optional, Sequence, Tuple, get_args, get_origin, ge
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveSemidefinite
-from .io import _json_value, matrix_from_json, matrix_to_json
-from .linalg import Tolerance, as_matrix, eigh, hermitian_part, require_hermitian, sqrtm_psd
+from .io import _json_object, _json_value, matrix_from_json, matrix_to_json
+from .linalg import Tolerance, as_matrix, eigvalsh, hermitian_part, require_hermitian, sqrtm_psd
 
 __all__ = [
     "POSITIVE",
@@ -78,6 +78,11 @@ class PosMap:
         return apply(self, x)
 
 
+def _require_positive(size: int, what: str) -> None:
+    if size < 1:
+        raise ValueError(f"{what} must be >= 1, got {size}")
+
+
 def apply(phi: PosMap, x) -> np.ndarray:
     """Evaluate the map on a matrix of its input dimension."""
     xm = as_matrix(x)
@@ -125,8 +130,8 @@ class SchurMultiplier(PosMap):
 
     def __post_init__(self):
         s = require_hermitian(self.factor)
-        es = eigh(s)
-        if es.values.size and float(es.values[-1]) < -1e-9 * (1.0 + float(es.values[0])):
+        lam = eigvalsh(s)
+        if lam.size and float(lam[-1]) < -1e-9 * (1.0 + float(lam[0])):
             raise NotPositiveSemidefinite("Schur factor must be PSD")
         object.__setattr__(self, "factor", s)
 
@@ -146,6 +151,9 @@ class TransposeMap(PosMap):
     family: ClassVar[str] = "transpose"
     declared_class: ClassVar[str] = POSITIVE
 
+    def __post_init__(self):
+        _require_positive(self.dim, "transpose dim")
+
     @property
     def dims(self) -> Tuple[int, int]:
         return self.dim, self.dim
@@ -160,6 +168,9 @@ class PartialTrace2x2(PosMap):
 
     block_dim: int
     family: ClassVar[str] = "partial_trace_2x2"
+
+    def __post_init__(self):
+        _require_positive(self.block_dim, "partial_trace_2x2 block_dim")
 
     @property
     def dims(self) -> Tuple[int, int]:
@@ -249,6 +260,9 @@ class IdentityMap(PosMap):
     dim: int
     family: ClassVar[str] = "identity"
 
+    def __post_init__(self):
+        _require_positive(self.dim, "identity dim")
+
     @property
     def dims(self) -> Tuple[int, int]:
         return self.dim, self.dim
@@ -332,9 +346,9 @@ def sample_positivity_falsifier(
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             w = g @ g.conj().T
         out = _amplified_apply(phi, w, level)
-        es = eigh(hermitian_part(out))
-        lam_min = float(es.values[-1])
-        scale = float(np.abs(es.values).max()) if es.values.size else 0.0
+        lam = eigvalsh(hermitian_part(out))
+        lam_min = float(lam[-1])
+        scale = float(np.abs(lam).max()) if lam.size else 0.0
         if lam_min < -1e-7 * (1.0 + scale):
             return FalsifierWitness(
                 level=level,
@@ -387,7 +401,7 @@ def map_to_json(phi: PosMap) -> dict:
 def map_from_json(data: dict) -> PosMap:
     """Inverse of :func:`map_to_json`; ``in_dim``, ``out_dim`` and ``class``
     are derived, so they are not read. Raises ValueError on malformed input."""
-    _json_value(data, dict, "map")
+    _json_object(data, "map", ("family", "params", "in_dim", "out_dim", "class"))
     cls = _FAMILIES.get(_json_value(data["family"], str, "map family"))
     if cls is None:
         raise ValueError(f"unknown map family {data['family']!r}")

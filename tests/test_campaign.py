@@ -201,3 +201,31 @@ def test_instance_fields_are_type_checked():
             Instance.from_json({**payload, field: value})
     with pytest.raises(ValueError, match="instance"):
         Instance.from_json([payload])
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"trails": 10}, {"sead": 4}, {"tolerances": {"rank_cuttoff": 1.0}}],
+    ids=["trails", "sead", "tolerance-rank-cuttoff"],
+)
+def test_spec_rejects_unknown_keys(extra):
+    with pytest.raises(InvalidSpec, match="unknown"):
+        CampaignSpec.from_json({"check_id": "check_russo_dye", **extra})
+
+
+def test_instance_rejects_unknown_keys():
+    payload = make_instance(CampaignSpec(check_id="check_geometric_domination", seed=3), 0).to_json()
+    for extra in ({"contraction": payload["Z"]}, {"funpair": {**payload["funpair"], "q": 2.0}}):
+        with pytest.raises(ValueError, match="unknown"):
+            Instance.from_json({**payload, **extra})
+
+
+def test_every_written_object_loads_back(tmp_path):
+    for check_id in CHECK_IDS:
+        spec = CampaignSpec(check_id=check_id, trials=2, seed=5, split_exponent=0.5, output_path="r.json")
+        write_report(run_campaign(spec), str(tmp_path / "report.json"))
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert CampaignSpec.from_json(report["spec"]) == spec
+        for trial in range(2):
+            inst = make_instance(spec, trial)
+            assert Instance.from_json(json.loads(json.dumps(inst.to_json()))).to_json() == inst.to_json()

@@ -201,3 +201,28 @@ class TestCampaignCommand:
         path = write(tmp_path / "spec.json", {"check_id": "check_russo_dye", "trials": 0})
         assert main(["campaign", "--spec", path]) == 2
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        (["campaign", "--spec", "{x}"], {"x": {"check_id": "check_russo_dye", "trails": 10}}),
+        (["campaign", "--spec", "{x}"],
+         {"x": {"check_id": "check_russo_dye", "tolerances": {"rank_cuttoff": 1.0}}}),
+        (["check", "check_russo_dye", "--in", "{x}"], {"x": {"phi": IDENTITY_2, "A": HALF_I, "a": HALF_I}}),
+        (["check", "check_russo_dye", "--in", "{x}"],
+         {"x": {"phi": {"family": "transpose", "params": {"dim": -2}}, "A": HALF_I}}),
+        (["check", "check_russo_dye", "--in", "{x}"],
+         {"x": {"phi": {"family": "partial_trace_2x2", "params": {"block_dim": 0}}, "A": HALF_I}}),
+        (["mean", "--a", "{x}", "--b", "{x}", "--config", "{y}"], {"x": HALF_I, "y": {"abs": 1e-8, "rel_": 1e-8}}),
+    ],
+    ids=["spec-trails", "spec-rank-cuttoff", "instance-unknown-key", "transpose-negative-dim",
+         "partial-trace-zero-block", "config-unknown-key"],
+)
+def test_unknown_keys_and_out_of_range_params_exit_with_status_2(tmp_path, capsys, command, files):
+    paths = {"x": str(tmp_path / "x.json"), "y": str(tmp_path / "y.json")}
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    assert main([arg.format(**paths) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("unknown" in err or "must be >= 1" in err)

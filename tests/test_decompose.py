@@ -192,3 +192,15 @@ class TestProjections:
         eigs = np.array([1.5, -0.5 + 1j, 0.0, 2j])
         n = (q * eigs) @ q.conj().T
         assert np.abs(range_projection(n) - support_projection(n)).max() < 1e-9
+
+
+def test_cartesian_rejects_an_overflowing_part():
+    big = 1.5e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in ([[0, big], [-big, 0]], [[0, big], [big, 0]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                cartesian(z)
+    # entries up to half the largest double cannot overflow either part
+    half = np.finfo(float).max / 2
+    parts = cartesian([[half, half], [-half, half * 1j]])
+    assert np.isfinite(parts.re_part).all() and np.isfinite(parts.im_part).all()

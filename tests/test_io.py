@@ -95,3 +95,11 @@ class TestJsonTypes:
     def test_malformed_tolerance_rejected(self, payload):
         with pytest.raises(ValueError):
             tolerance_from_json(payload, dim=2)
+
+
+def test_readers_reject_unknown_keys():
+    with pytest.raises(ValueError, match=r"unknown tolerances keys \['rank_cuttoff'\]"):
+        tolerance_from_json({"abs": 1e-7, "rank_cuttoff": 1.0}, 2)
+    with pytest.raises(ValueError, match=r"unknown matrix keys \['row'\]"):
+        matrix_from_json({"rows": 1, "cols": 1, "row": 1, "data": [[1.0, 0.0]]})
+    assert tolerance_from_json(tolerance_to_json(Tolerance(abs=1e-7)), 2) == Tolerance(abs=1e-7)

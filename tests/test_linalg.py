@@ -5,15 +5,19 @@ oracle; the production path never calls it.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opcheck.errors import DimensionMismatch, DomainError, NonHermitian
+import opcheck.linalg
+from opcheck.checks import _images_dominated
+from opcheck.errors import DimensionMismatch, DomainError, NoConvergence, NonHermitian
 from opcheck.linalg import (
     Tolerance,
     eigh,
+    eigvalsh,
     generalized_inverse,
     hermitian_defect,
     hermitian_part,
@@ -24,6 +28,8 @@ from opcheck.linalg import (
     spectral_radius_psd_product,
     sqrtm_psd,
 )
+from opcheck.means import weak_log_majorizes
+from opcheck.posmap import KrausSum, sample_positivity_falsifier
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -449,3 +455,74 @@ class TestArithmeticHelpers:
             es = eigh(h)
             for p in (-1.0, -0.5, 0.0, 0.5, 2.0):
                 assert np.array_equal(es.power(p), generalized_inverse(h, p))
+
+
+def eigvalsh_cases():
+    """Seeded Hermitian matrices for the values-only contract: random, graded,
+    scaled by 2^-300 and 2^300, 1 x 1, zero, diagonal and degenerate."""
+    rng = np.random.default_rng(23)
+    cases = [np.zeros((1, 1)), np.array([[-2.5]]), np.zeros((4, 4)), np.eye(3)]
+    for n in range(1, 8):
+        h = random_hermitian(rng, n)
+        d = np.logspace(0, -12, n)
+        q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        degenerate = hermitian_part((q * np.repeat([2.0, -1.0], [n - n // 2, n // 2])) @ q.conj().T)
+        cases += [
+            h,
+            random_psd(rng, n),
+            hermitian_part(d[:, None] * random_psd(rng, n) * d[None, :]),
+            h * 2.0**-300,
+            h * 2.0**300,
+            np.diag(rng.standard_normal(n)),
+            degenerate,
+        ]
+    return cases
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts calls of eigh through every opcheck module that binds it."""
+    calls = []
+    original = opcheck.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("opcheck") and getattr(module, "eigh", None) is original:
+            monkeypatch.setattr(module, "eigh", counting)
+    return calls
+
+
+class TestEigvalsh:
+    def test_values_equal_eigh_bit_for_bit(self):
+        for h in eigvalsh_cases():
+            values = eigvalsh(h)
+            assert values.dtype == np.float64
+            assert values.tobytes() == eigh(h).values.tobytes()
+
+    def test_same_errors_as_eigh(self):
+        h = random_hermitian(np.random.default_rng(100), 4)
+        for fn in (eigh, eigvalsh):
+            with pytest.raises(NonHermitian):
+                fn([[0, 1], [0, 0]])
+            with pytest.raises(DimensionMismatch):
+                fn(np.ones((2, 3)))
+            with pytest.raises(NoConvergence):
+                fn(h, max_sweeps=0)
+            for value in NON_FINITE:
+                with pytest.raises(ValueError, match="non-finite"):
+                    fn(with_entry(value))
+
+    def test_values_only_callers_make_no_eigh_call(self, eigh_calls):
+        rng = np.random.default_rng(24)
+        a, b = random_psd(rng, 4), random_psd(rng, 4)
+        loewner_leq(a, a + b)
+        operator_norm(a - b)
+        operator_norm(rng.standard_normal((3, 4)))
+        weak_log_majorizes(a, b)
+        _images_dominated(a + b, a, b, None)
+        kraus = KrausSum(kraus=(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),))
+        assert sample_positivity_falsifier(kraus, level=2, trials=4, seed=3) is None
+        assert eigh_calls == []

@@ -335,15 +335,17 @@ class TestValidatedOnce:
 
     def test_definite_mean_eigendecomposes_a_once(self, monkeypatch):
         calls = []
-        original = opcheck.means.eigh
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(opcheck.means, name)
 
-        def counting(h, *args, **kwargs):
-            calls.append(1)
-            return original(h, *args, **kwargs)
+            def counting(h, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(h, *args, **kwargs)
 
-        monkeypatch.setattr(opcheck.means, "eigh", counting)
+            monkeypatch.setattr(opcheck.means, name, counting)
         rng = np.random.default_rng(22)
         mean, used_limit = geometric_mean_ex(random_pd(rng, 3), random_pd(rng, 3))
         assert not used_limit
-        # A, B for the definiteness tests (A's spectrum reused by the formula), inner root
-        assert len(calls) == 3
+        # A for its definiteness test and the formula, B's values for its
+        # definiteness test, inner root
+        assert calls == ["eigh", "eigvalsh", "eigh"]

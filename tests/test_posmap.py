@@ -315,3 +315,24 @@ EYE_2 = {"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}
 def test_params_decoded_by_declared_field_type(payload):
     with pytest.raises(ValueError):
         map_from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "family, params, build",
+    [
+        ("transpose", {"dim": -2}, lambda: TransposeMap(-2)),
+        ("identity", {"dim": 0}, lambda: IdentityMap(0)),
+        ("partial_trace_2x2", {"block_dim": 0}, lambda: PartialTrace2x2(block_dim=0)),
+    ],
+    ids=["transpose-dim", "identity-dim", "partial-trace-block-dim"],
+)
+def test_integer_params_are_range_checked(family, params, build):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        build()
+    with pytest.raises(ValueError, match="must be >= 1"):
+        map_from_json({"family": family, "params": params})
+
+
+def test_map_rejects_unknown_top_level_keys():
+    with pytest.raises(ValueError, match="unknown map keys"):
+        map_from_json({**IDENTITY_2, "parms": {"dim": 3}})
