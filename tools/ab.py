@@ -1,7 +1,7 @@
 """A/B comparison of this checkout against an earlier revision.
 
     python3 tools/ab.py REV --reports
-    python3 tools/ab.py REV --bench PAIRS --out BENCH_6.json [--workload theorem_mix ...]
+    python3 tools/ab.py REV --bench PAIRS --out BENCH_6.json [--seed N]
 
 The revision REV is exported with ``git archive`` into a temporary directory
 and compared with the working tree this script lives in. Standard library
@@ -15,12 +15,14 @@ Each command's ``--out`` file and its stdout plus exit status are compared
 byte for byte. It prints the first file that differs and exits 1, or exits 0
 when every file is equal.
 
-``--bench PAIRS`` runs ``perfbench/run.py --trace 0`` of the two trees
-alternately, PAIRS pairs per workload, the revision first in even pairs and
-the working tree first in odd ones, so slow drift of the host does not favour
-one side. It writes a JSON file with both SHAs, the seed, the per-run
+``--bench PAIRS`` runs the benchmark command of ``BENCHMARK.json`` with
+``--trace 0`` in the two trees alternately, PAIRS pairs for each of its
+workloads and its ``run_seconds`` per run. The revision goes first in even
+pairs and the working tree in odd ones, so slow drift of the host does not
+favour one side. It writes a JSON file with both SHAs, the seed, the per-run
 metrics, and per metric the medians, the quartiles and the pairs each side
-won.
+won, a win judged by the metric's ``better`` direction in ``BENCHMARK.json``.
+The working tree's ``BENCHMARK.json`` is used for both trees.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ REPRO_COMMANDS = {
     "repro_cartesian_cex": ["repro", "cartesian-cex", "--trials", "3000"],
     "find_cex": ["find-cex", "--trials", "3000", "--seed", "5"],
 }
-WORKLOADS = ("theorem_mix", "graded_mix", "small_search")
-LOWER_IS_BETTER = {"op_ms_p50", "op_ms_p90", "setup_s", "peak_rss_mb"}
 
 
 def git(*args: str) -> str:
@@ -110,10 +110,9 @@ def compare_reports(base: Path, work: Path) -> int:
         return 0
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(tree: Path, command: list, workload: str, seed: int, seconds) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, env=child_env(tree), check=True, capture_output=True, text=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -129,12 +128,12 @@ def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
 
 
-def summarize(pairs: list) -> dict:
+def summarize(pairs: list, better: dict) -> dict:
     out = {}
     for metric in pairs[0]["base"]["metrics"]:
         base = [p["base"]["metrics"][metric] for p in pairs]
         work = [p["work"]["metrics"][metric] for p in pairs]
-        sign = -1.0 if metric in LOWER_IS_BETTER else 1.0
+        sign = {"higher": 1.0, "lower": -1.0}[better[metric]]
         out[metric] = {
             "base_median": statistics.median(base),
             "work_median": statistics.median(work),
@@ -147,6 +146,8 @@ def summarize(pairs: list) -> dict:
 
 
 def bench(base: Path, rev_sha: str, args) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     doc = {
         "base": {"rev": args.rev, "sha": rev_sha},
         # dirty: the benchmarked sources differ from the working tree's HEAD
@@ -155,21 +156,21 @@ def bench(base: Path, rev_sha: str, args) -> int:
             "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench")),
         },
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": spec["run_seconds"],
         "pairs": args.bench,
         "workloads": {},
     }
-    for workload in args.workload:
+    for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
         for i in range(args.bench):
             order = [("base", base), ("work", ROOT)][:: 1 if i % 2 == 0 else -1]
             pair = {"first": order[0][0]}
             for side, tree in order:
-                pair[side] = bench_run(tree, workload, args.seed, args.seconds)
+                pair[side] = bench_run(tree, spec["command"], workload, args.seed, spec["run_seconds"])
             pairs.append(pair)
             print(f"{workload} pair {i}: ops_per_s {pair['base']['metrics']['ops_per_s']:.1f} -> "
                   f"{pair['work']['metrics']['ops_per_s']:.1f}", flush=True)
-        doc["workloads"][workload] = {"runs": pairs, "summary": summarize(pairs)}
+        doc["workloads"][workload] = {"runs": pairs, "summary": summarize(pairs, better)}
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -180,9 +181,7 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--reports", action="store_true", help="compare CLI outputs byte for byte")
     mode.add_argument("--bench", type=int, metavar="PAIRS", help="alternating benchmark pairs per workload")
-    parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", help="BENCH_<n>.json path for --bench")
     args = parser.parse_args(argv)
     if args.bench is not None and (args.bench < 1 or not args.out):
