@@ -236,13 +236,19 @@ def domination_holds(z, j, fp: FunPair, tol: Optional[Tolerance] = None) -> bool
 
 def _images_dominated(jm, f_mod, g_comod, tol: Optional[Tolerance]) -> bool:
     """f_mod <= J and g_comod <= J for a Hermitian J, both in the Loewner order."""
+    if jm.size == 0:
+        return True
     t = _tol(tol, jm.shape[0])
-    scale = float(np.abs(eigvalsh(jm, tol)).max()) if jm.size else 0.0
-    threshold = -t.abs * (1.0 + scale)
+    # as in loewner_leq, slacks of at least -abs hold whatever ||J|| is
     slack_f = float(eigvalsh(jm - f_mod, tol)[-1])
+    slack_g = float(eigvalsh(jm - g_comod, tol)[-1]) if slack_f >= -t.abs else None
+    if slack_g is not None and slack_g >= -t.abs:
+        return True
+    threshold = -t.abs * (1.0 + float(np.abs(eigvalsh(jm, tol)).max()))
     if slack_f < threshold:
         return False
-    slack_g = float(eigvalsh(jm - g_comod, tol)[-1])
+    if slack_g is None:
+        slack_g = float(eigvalsh(jm - g_comod, tol)[-1])
     return slack_g >= threshold
 
 

@@ -170,7 +170,7 @@ def _jacobi(
     a = require_hermitian(h, tol)
     n = a.shape[0]
     v = np.eye(n, dtype=complex) if vectors else None
-    if n == 1:
+    if n <= 1:
         return a.real.diagonal().copy(), v
 
     with np.errstate(over="ignore"):
@@ -183,6 +183,9 @@ def _jacobi(
         amax = float(np.abs(a).max())
         if amax == 0.0:
             return np.zeros(n), v
+        if not math.isfinite(amax):
+            # finite input whose Hermitian part overflowed in H + H*
+            raise ValueError("Hermitian part overflows: entries exceed half the largest double")
         shift = -math.frexp(amax)[1]
         a = np.ldexp(a.real, shift) + 1j * np.ldexp(a.imag, shift)
         scale = float(np.linalg.norm(a))
@@ -323,8 +326,10 @@ def loewner_leq(a, b, tol: Optional[Tolerance] = None) -> LoewnerDecision:
     t = _tol(tol, am.shape[0])
     diff = eigvalsh(bm - am, tol)
     slack = float(diff[-1]) if diff.size else 0.0
-    scale = operator_norm(bm)
-    return LoewnerDecision(holds=slack >= -t.abs * (1.0 + scale), slack=slack)
+    # -abs * (1 + s) <= -abs for every s >= 0, rounding included, so a slack
+    # of at least -abs holds whatever ||B|| is: the norm is needed only below
+    holds = slack >= -t.abs or slack >= -t.abs * (1.0 + operator_norm(bm))
+    return LoewnerDecision(holds=holds, slack=slack)
 
 
 def operator_norm(m, tol: Optional[Tolerance] = None) -> float:

@@ -1,7 +1,7 @@
 """A/B comparison of this checkout against an earlier revision.
 
     python3 tools/ab.py REV --reports
-    python3 tools/ab.py REV --bench PAIRS --out BENCH_6.json [--seed N]
+    python3 tools/ab.py REV --bench PAIRS --out BENCH_7.json [--seed N]
 
 The revision REV is exported with ``git archive`` into a temporary directory
 and compared with the working tree this script lives in. Standard library
@@ -22,7 +22,10 @@ pairs and the working tree in odd ones, so slow drift of the host does not
 favour one side. It writes a JSON file with both SHAs, the seed, the per-run
 metrics, and per metric the medians, the quartiles and the pairs each side
 won, a win judged by the metric's ``better`` direction in ``BENCHMARK.json``.
-The working tree's ``BENCHMARK.json`` is used for both trees.
+The working tree's ``BENCHMARK.json`` is used for both trees. Each tree also
+gets one ``--trace 1 --seconds 0`` run per workload, whose ``*.calls_per_op``
+metrics are stored next to the pairs; call counts repeat exactly, so one run
+tells them.
 """
 
 from __future__ import annotations
@@ -110,9 +113,9 @@ def compare_reports(base: Path, work: Path) -> int:
         return 0
 
 
-def bench_run(tree: Path, command: list, workload: str, seed: int, seconds) -> dict:
+def bench_run(tree: Path, command: list, workload: str, seed: int, seconds, trace: int = 0) -> dict:
     proc = subprocess.run(
-        [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, env=child_env(tree), check=True, capture_output=True, text=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -122,6 +125,13 @@ def bench_run(tree: Path, command: list, workload: str, seed: int, seconds) -> d
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def call_counts(tree: Path, command: list, workload: str, seed: int) -> dict:
+    """The ``*.calls_per_op`` metrics of one traced run: counts repeat exactly,
+    so one run is enough."""
+    metrics = bench_run(tree, command, workload, seed, 0, trace=1)["metrics"]
+    return {name: value for name, value in metrics.items() if name.endswith(".calls_per_op")}
 
 
 def quartiles(values: list) -> list:
@@ -170,7 +180,14 @@ def bench(base: Path, rev_sha: str, args) -> int:
             pairs.append(pair)
             print(f"{workload} pair {i}: ops_per_s {pair['base']['metrics']['ops_per_s']:.1f} -> "
                   f"{pair['work']['metrics']['ops_per_s']:.1f}", flush=True)
-        doc["workloads"][workload] = {"runs": pairs, "summary": summarize(pairs, better)}
+        doc["workloads"][workload] = {
+            "runs": pairs,
+            "summary": summarize(pairs, better),
+            "calls_per_op": {
+                side: call_counts(tree, spec["command"], workload, args.seed)
+                for side, tree in (("base", base), ("work", ROOT))
+            },
+        }
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
