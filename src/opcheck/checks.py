@@ -239,17 +239,17 @@ def _images_dominated(jm, f_mod, g_comod, tol: Optional[Tolerance]) -> bool:
     if jm.size == 0:
         return True
     t = _tol(tol, jm.shape[0])
-    # as in loewner_leq, slacks of at least -abs hold whatever ||J|| is
-    slack_f = float(eigvalsh(jm - f_mod, tol)[-1])
-    slack_g = float(eigvalsh(jm - g_comod, tol)[-1]) if slack_f >= -t.abs else None
-    if slack_g is not None and slack_g >= -t.abs:
-        return True
-    threshold = -t.abs * (1.0 + float(np.abs(eigvalsh(jm, tol)).max()))
-    if slack_f < threshold:
-        return False
-    if slack_g is None:
-        slack_g = float(eigvalsh(jm - g_comod, tol)[-1])
-    return slack_g >= threshold
+    threshold = None
+    for image in (f_mod, g_comod):
+        slack = float(eigvalsh(jm - image, tol)[-1])
+        # as in loewner_leq, a slack of at least -abs holds whatever ||J|| is
+        if slack >= -t.abs:
+            continue
+        if threshold is None:
+            threshold = -t.abs * (1.0 + float(np.abs(eigvalsh(jm, tol)).max()))
+        if not slack >= threshold:
+            return False
+    return True
 
 
 def witness_unitary(phi: PosMap, z, tol: Optional[Tolerance] = None) -> np.ndarray:
