@@ -247,7 +247,7 @@ def _images_dominated(jm, f_mod, g_comod, tol: Optional[Tolerance]) -> bool:
             continue
         if threshold is None:
             threshold = -t.abs * (1.0 + float(np.abs(eigvalsh(jm, tol)).max()))
-        if not slack >= threshold:
+        if not slack >= threshold:  # a NaN slack fails too
             return False
     return True
 

@@ -7,6 +7,7 @@ import pytest
 
 from opcheck.checks import (
     FunPair,
+    _images_dominated,
     check_arithmetic_domination,
     check_cartesian_suite,
     check_eigenvalue_gaps,
@@ -147,6 +148,11 @@ class TestDomination:
     def test_violated_hypothesis_detected(self):
         z = 2.0 * np.eye(2)  # |Z|^2 = 4 I is not below the range projection
         assert not domination_holds(z, range_projection(z), FunPair.range_pair())
+
+    def test_empty_matrices_are_dominated(self):
+        empty = np.zeros((0, 0))
+        assert domination_holds(empty, empty, FunPair.power(0.5))
+        assert _images_dominated(empty, empty, empty, None)
 
 
 class TestWitness:

@@ -204,3 +204,12 @@ def test_cartesian_rejects_an_overflowing_part():
     half = np.finfo(float).max / 2
     parts = cartesian([[half, half], [-half, half * 1j]])
     assert np.isfinite(parts.re_part).all() and np.isfinite(parts.im_part).all()
+
+
+def test_empty_matrix_gives_empty_factors():
+    empty = np.zeros((0, 0))
+    parts = svd_square(empty)
+    assert parts.values.shape == (0,) and parts.rank == 0
+    assert parts.left.shape == parts.right.shape == (0, 0)
+    pol = polar(empty)
+    assert pol.unitary.shape == pol.modulus.shape == (0, 0)

@@ -479,20 +479,31 @@ def eigvalsh_cases():
     return cases
 
 
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """Counts calls of eigh through every opcheck module that binds it."""
+def count_calls(monkeypatch, fname):
+    """Counts calls of ``opcheck.linalg.<fname>`` through every opcheck module that binds it."""
     calls = []
-    original = opcheck.linalg.eigh
+    original = getattr(opcheck.linalg, fname)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("opcheck") and getattr(module, "eigh", None) is original:
-            monkeypatch.setattr(module, "eigh", counting)
+        if name.startswith("opcheck") and getattr(module, fname, None) is original:
+            monkeypatch.setattr(module, fname, counting)
     return calls
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts calls of eigh through every opcheck module that binds it."""
+    return count_calls(monkeypatch, "eigh")
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Counts calls of eigvalsh through every opcheck module that binds it."""
+    return count_calls(monkeypatch, "eigvalsh")
 
 
 class TestEigvalsh:
@@ -526,3 +537,118 @@ class TestEigvalsh:
         kraus = KrausSum(kraus=(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),))
         assert sample_positivity_falsifier(kraus, level=2, trials=4, seed=3) is None
         assert eigh_calls == []
+
+
+def with_min_eigenvalue(rng, n, target):
+    """A random Hermitian D whose smallest eigenvalue is ``target`` and the
+    others are at least 0.1."""
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    d = np.concatenate([[target], 0.1 + rng.uniform(0.0, 1.0, n - 1)])
+    return hermitian_part((q * d) @ q.conj().T)
+
+
+# slack targets with a norm scale of 10 and the default abs = 1e-9: at or above
+# -abs, between -abs * (1 + 10) and -abs, and below -abs * (1 + 10)
+SLACK_BANDS = {"clears_abs": -1e-10, "within_scaled": -5e-9, "below_scaled": -1e-6}
+
+
+class TestLazyLoewnerTolerance:
+    """loewner_leq evaluates ||B|| only for a slack below -abs, and decides as
+    the eager rule slack >= -abs * (1 + ||B||) does."""
+
+    @staticmethod
+    def pair(band, n=4, seed=40):
+        rng = np.random.default_rng(seed)
+        b = random_psd(rng, n)
+        b *= 10.0 / np.linalg.norm(b, 2)
+        return b - with_min_eigenvalue(rng, n, SLACK_BANDS[band]), b
+
+    @pytest.mark.parametrize("band", SLACK_BANDS)
+    def test_matches_the_eager_rule_in_every_band(self, band):
+        a, b = self.pair(band)
+        t = Tolerance.for_dim(4)
+        dec = loewner_leq(a, b)
+        assert dec.slack == pytest.approx(SLACK_BANDS[band], abs=1e-13)
+        assert dec.holds == (dec.slack >= -t.abs * (1.0 + operator_norm(b)))
+        assert dec.holds == (band != "below_scaled")
+
+    @pytest.mark.parametrize("band", SLACK_BANDS)
+    def test_norm_is_computed_only_below_abs(self, band, eigvalsh_calls):
+        a, b = self.pair(band)
+        loewner_leq(a, b)
+        assert len(eigvalsh_calls) == (1 if band == "clears_abs" else 2)
+
+
+class TestLazyDominationTolerance:
+    """_images_dominated evaluates ||J|| only when a slack falls below -abs,
+    and decides as the eager rule does."""
+
+    @staticmethod
+    def images(band_f, band_g, n=4, seed=41):
+        rng = np.random.default_rng(seed)
+        j = random_psd(rng, n)
+        j *= 10.0 / np.linalg.norm(j, 2)
+        return (j, j - with_min_eigenvalue(rng, n, SLACK_BANDS[band_f]),
+                j - with_min_eigenvalue(rng, n, SLACK_BANDS[band_g]))
+
+    @pytest.mark.parametrize("band_g", SLACK_BANDS)
+    @pytest.mark.parametrize("band_f", SLACK_BANDS)
+    def test_matches_the_eager_rule_in_every_band(self, band_f, band_g):
+        j, f_mod, g_comod = self.images(band_f, band_g)
+        threshold = -Tolerance.for_dim(4).abs * (1.0 + float(np.abs(eigvalsh(j)).max()))
+        eager = eigvalsh(j - f_mod)[-1] >= threshold and eigvalsh(j - g_comod)[-1] >= threshold
+        assert _images_dominated(j, f_mod, g_comod, None) == eager
+        assert eager == (band_f != "below_scaled" and band_g != "below_scaled")
+
+    @pytest.mark.parametrize(
+        "band_f, band_g, calls",
+        [
+            # the eager rule makes 3 calls when both images hold
+            ("clears_abs", "clears_abs", 2),
+            ("clears_abs", "within_scaled", 3),
+            ("within_scaled", "clears_abs", 3),
+            ("below_scaled", "clears_abs", 2),
+        ],
+    )
+    def test_norm_is_computed_only_below_abs(self, band_f, band_g, calls, eigvalsh_calls):
+        _images_dominated(*self.images(band_f, band_g), None)
+        assert len(eigvalsh_calls) == calls
+
+
+OVERFLOWING = np.array([[1.5e308, 7.5e307], [7.5e307, 1.5e308]])
+
+
+class TestOverflowingHermitianPart:
+    """Finite input whose Hermitian part H + H* overflows raises ValueError at
+    once, not NoConvergence after the whole sweep budget."""
+
+    @pytest.mark.parametrize("fn", [eigh, eigvalsh, lambda h: matrix_function(h, np.sqrt)],
+                             ids=["eigh", "eigvalsh", "matrix_function"])
+    def test_raises_value_error(self, fn):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows"):
+            fn(OVERFLOWING)
+
+    def test_half_the_largest_double_still_works(self):
+        assert eigvalsh(OVERFLOWING / 2) == pytest.approx([1.125e308, 0.375e308], rel=1e-14)
+
+
+class TestEmptyMatrix:
+    """0 x 0 input gives empty results, not numpy's zero-size reduction error."""
+
+    EMPTY = np.zeros((0, 0))
+
+    def test_spectra_are_empty(self):
+        es = eigh(self.EMPTY)
+        assert es.values.shape == (0,) and es.vectors.shape == (0, 0)
+        assert eigvalsh(self.EMPTY).shape == (0,)
+
+    def test_functions_of_an_empty_matrix_are_empty(self):
+        assert sqrtm_psd(self.EMPTY).shape == (0, 0)
+        for p in (-1.0, 0.0, 0.5):
+            assert generalized_inverse(self.EMPTY, p).shape == (0, 0)
+
+    def test_scalars_and_decisions(self):
+        assert loewner_leq(self.EMPTY, self.EMPTY) == (True, 0.0)
+        assert operator_norm(self.EMPTY) == 0.0
+        assert spectral_radius_psd_product(self.EMPTY, self.EMPTY) == 0.0
+        assert Tolerance().support(np.zeros(0)).shape == (0,)

@@ -349,3 +349,7 @@ class TestValidatedOnce:
         # A for its definiteness test and the formula, B's values for its
         # definiteness test, inner root
         assert calls == ["eigh", "eigvalsh", "eigh"]
+
+
+def test_geometric_mean_of_empty_matrices_is_empty():
+    assert geometric_mean(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)

@@ -128,8 +128,7 @@ def bench_run(tree: Path, command: list, workload: str, seed: int, seconds, trac
 
 
 def call_counts(tree: Path, command: list, workload: str, seed: int) -> dict:
-    """The ``*.calls_per_op`` metrics of one traced run: counts repeat exactly,
-    so one run is enough."""
+    """The ``*.calls_per_op`` metrics of one traced run."""
     metrics = bench_run(tree, command, workload, seed, 0, trace=1)["metrics"]
     return {name: value for name, value in metrics.items() if name.endswith(".calls_per_op")}
 
