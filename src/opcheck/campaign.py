@@ -9,7 +9,7 @@ single trial can be regenerated in isolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from .io import (
     tolerance_from_json,
     tolerance_to_json,
 )
-from .linalg import Tolerance, eigvalsh, hermitian_part
+from .linalg import Tolerance, _with_memo, eigvalsh, hermitian_part
 from .means import kato_supremum, q_mean
 from .posmap import (
     Congruence,
@@ -183,6 +183,9 @@ class Instance:
     funpair: Optional[FunPair] = None
     contraction: Optional[np.ndarray] = None
     split_exponent: Optional[float] = None
+    # the factorizations make_instance ran, which run_instance lets the check
+    # reuse; not instance data, so it is left out of the JSON and of equality
+    memo: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         out = {"check_id": self.check_id, "phi": map_to_json(self.phi)}
@@ -312,7 +315,17 @@ def _funpair_and_j(
 
 def make_instance(spec: CampaignSpec, trial: int) -> Instance:
     """Deterministically generate trial inputs satisfying the check's
-    hypotheses; resamples (bounded) when a random draw violates them."""
+    hypotheses; resamples (bounded) when a random draw violates them.
+
+    The instance carries a fresh memo of the Jacobi and SVD factorizations
+    run here, which :func:`run_instance` hands on to the check: each matrix
+    is factored once per trial, and never across trials.
+    """
+    memo: dict = {}
+    return _with_memo(memo, _draw_instance, spec, trial, memo)
+
+
+def _draw_instance(spec: CampaignSpec, trial: int, memo: dict) -> Instance:
     rng = np.random.default_rng([spec.seed, trial])
     families = spec.map_families
     if spec.check_id == "check_two_positive_split":
@@ -327,7 +340,7 @@ def make_instance(spec: CampaignSpec, trial: int) -> Instance:
         phi = _random_map(family, n, spec.m_dims, rng)
         if spec.check_id == "check_russo_dye":
             a = generate_with_rng(GeneratorConfig(ensemble="random_contraction"), n, rng)
-            return Instance(check_id=spec.check_id, phi=phi, contraction=a)
+            return Instance(check_id=spec.check_id, phi=phi, contraction=a, memo=memo)
         z = _random_z(rng, n)
         if spec.check_id == "check_two_positive_split":
             p = (
@@ -335,23 +348,24 @@ def make_instance(spec: CampaignSpec, trial: int) -> Instance:
                 if spec.split_exponent is not None
                 else _SPLIT_EXPONENTS[trial % len(_SPLIT_EXPONENTS)]
             )
-            return Instance(check_id=spec.check_id, phi=phi, z=z, split_exponent=float(p))
+            return Instance(check_id=spec.check_id, phi=phi, z=z, split_exponent=float(p), memo=memo)
         if spec.check_id == "check_cartesian_suite":
-            return Instance(check_id=spec.check_id, phi=phi, z=z)
+            return Instance(check_id=spec.check_id, phi=phi, z=z, memo=memo)
         built = _funpair_and_j(str(_choice(rng, spec.funpair_kinds)), z, spec.tolerances, rng)
         if built is None:
             continue
         fp, j, f_mod, g_comod = built
         if C._images_dominated(j, f_mod, g_comod, spec.tolerances):
-            return Instance(check_id=spec.check_id, phi=phi, z=z, j=j, funpair=fp)
+            return Instance(check_id=spec.check_id, phi=phi, z=z, j=j, funpair=fp, memo=memo)
     raise InstanceGenerationFailure(
         f"could not satisfy hypotheses for {spec.check_id} at trial {trial}"
     )
 
 
 def run_instance(inst: Instance, tol: Tolerance):
-    """Run one generated instance through its check. The outcome reports
-    ``passed``, a signed ``slack`` and its JSON form ``to_json()``."""
+    """Run one generated instance through its check, with the instance's
+    factorization memo, if it has one. The outcome reports ``passed``, a
+    signed ``slack`` and its JSON form ``to_json()``."""
     if inst.check_id not in _CHECK_ARGS:
         raise InvalidSpec(f"unknown check_id {inst.check_id!r}")
     names = _CHECK_ARGS[inst.check_id]
@@ -359,7 +373,7 @@ def run_instance(inst: Instance, tol: Tolerance):
     missing = [name for name, arg in zip(names, args) if arg is None]
     if missing:
         raise InvalidSpec(f"{inst.check_id} instance lacks {', '.join(missing)}")
-    return getattr(C, inst.check_id)(inst.phi, *args, tol)
+    return _with_memo(inst.memo, getattr(C, inst.check_id), inst.phi, *args, tol)
 
 
 @dataclass

@@ -16,7 +16,9 @@ import numpy as np
 from .errors import NotContraction
 from .linalg import (
     Tolerance,
+    _remember,
     _tol,
+    _trial_memo,
     as_matrix,
     eigh,
     generalized_inverse,
@@ -115,7 +117,17 @@ def _complete_columns(cols: list, basis: np.ndarray, n: int) -> list:
 
 
 def svd_square(z, tol: Optional[Tolerance] = None) -> SvdParts:
-    zm = require_square(z)
+    """The SVD of a square Z; memoized inside a campaign trial, like :func:`eigh`."""
+    zm = np.asarray(z, dtype=complex)
+    memo, key = _trial_memo("svd_square", zm, tol)
+    parts = memo.get(key) if memo is not None else None
+    if parts is None:
+        parts = _svd_square(require_square(zm), tol)
+        _remember(memo, key, parts, (parts.left, parts.values, parts.right))
+    return parts
+
+
+def _svd_square(zm: np.ndarray, tol: Optional[Tolerance]) -> SvdParts:
     n = zm.shape[0]
     t = _tol(tol, n)
     right_es = eigh(hermitian_part(zm.conj().T @ zm), tol)

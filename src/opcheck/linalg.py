@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple
 
@@ -43,6 +44,14 @@ __all__ = [
 ]
 
 _MAX_SWEEPS = 100
+
+# Largest entry modulus for which H + H* and H - H* cannot overflow.
+_HALF_MAX = float(np.finfo(float).max) / 2
+
+# The factorization memo of the campaign trial being run, or None. Only
+# opcheck.campaign sets it, for one trial at a time; every other caller sees
+# None and nothing is kept. See _trial_memo.
+_MEMO: ContextVar[Optional[dict]] = ContextVar("opcheck_trial_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -113,13 +122,25 @@ def hermitian_defect(m) -> float:
 
 
 def require_hermitian(m, tol: Optional[Tolerance] = None) -> np.ndarray:
+    """The Hermitian part of a finite square matrix that is Hermitian within ``tol``.
+
+    Raises ValueError when the Hermitian part overflows, which needs an entry
+    above half the largest double.
+    """
     a = require_square(m)
     t = _tol(tol, a.shape[0])
     scale = float(np.abs(a).max()) if a.size else 0.0
-    defect = hermitian_defect(a)
+    if scale <= _HALF_MAX:
+        defect, h = hermitian_defect(a), hermitian_part(a)
+    else:
+        # H - H* and H + H* can overflow here: form them quietly, check the part below
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect, h = hermitian_defect(a), hermitian_part(a)
     if defect > t.abs * (1.0 + scale):
         raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds tolerance")
-    return hermitian_part(a)
+    if scale > _HALF_MAX and not math.isfinite(float(np.abs(h).max())):
+        raise ValueError("Hermitian part overflows: entries exceed half the largest double")
+    return h
 
 
 @dataclass(frozen=True)
@@ -158,16 +179,63 @@ def _pivots(n: int) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
     )
 
 
+def _trial_memo(kind: str, a: np.ndarray, *params) -> Tuple[Optional[dict], tuple]:
+    """The active trial memo and the key of ``kind`` of ``a`` under ``params``
+    in it, or (None, ()) when no campaign trial is running.
+
+    The key holds the shape and the full bytes of ``a``, so an entry answers
+    only for the very matrix it was computed from.
+    """
+    memo = _MEMO.get()
+    if memo is None:
+        return None, ()
+    return memo, (kind, a.shape, a.tobytes(), *params)
+
+
+def _remember(memo: Optional[dict], key: tuple, value, arrays) -> None:
+    """Store ``value`` under ``key`` with its ``arrays`` made read-only, so
+    that no caller can change what a later hit returns."""
+    if memo is not None:
+        for x in arrays:
+            if x is not None:
+                x.setflags(write=False)
+        memo[key] = value
+
+
+def _with_memo(memo: Optional[dict], fn, *args):
+    """``fn(*args)`` with ``memo`` as the trial memo (None: no memo)."""
+    token = _MEMO.set(memo)
+    try:
+        return fn(*args)
+    finally:
+        _MEMO.reset(token)
+
+
 def _jacobi(
     h, tol: Optional[Tolerance], max_sweeps: int, vectors: bool
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The sweep loop behind :func:`eigh` and :func:`eigvalsh`: descending
     eigenvalues, and the eigenvector columns when ``vectors`` is set.
 
+    Inside a campaign trial the result is memoized; a values-only request is
+    also answered by an entry with vectors, whose values are the same bits.
+    """
+    a = np.asarray(h, dtype=complex)
+    memo, key = _trial_memo("jacobi", a, tol, max_sweeps)
+    hit = memo.get(key) if memo is not None else None
+    if hit is not None and (hit[1] is not None or not vectors):
+        return hit
+    out = _sweeps(require_hermitian(a, tol), max_sweeps, vectors)
+    _remember(memo, key, out, out)
+    return out
+
+
+def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Cyclic Jacobi sweeps on the Hermitian ``a``.
+
     The rotations read only A, so skipping the eigenvector updates leaves the
     eigenvalues bit for bit the same.
     """
-    a = require_hermitian(h, tol)
     n = a.shape[0]
     v = np.eye(n, dtype=complex) if vectors else None
     if n <= 1:
@@ -183,9 +251,6 @@ def _jacobi(
         amax = float(np.abs(a).max())
         if amax == 0.0:
             return np.zeros(n), v
-        if not math.isfinite(amax):
-            # finite input whose Hermitian part overflowed in H + H*
-            raise ValueError("Hermitian part overflows: entries exceed half the largest double")
         shift = -math.frexp(amax)[1]
         a = np.ldexp(a.real, shift) + 1j * np.ldexp(a.imag, shift)
         scale = float(np.linalg.norm(a))

@@ -247,12 +247,16 @@ def compress(a, s, tol: Optional[Tolerance] = None) -> np.ndarray:
     sm = np.asarray(s, dtype=complex)
     if sm.ndim != 2 or sm.shape[0] != am.shape[0]:
         raise DimensionMismatch(f"isometry shape {sm.shape} incompatible with {am.shape}")
+    sm = as_matrix(sm)
     t = _tol(tol, sm.shape[1])
-    gram_defect = float(np.abs(sm.conj().T @ sm - np.eye(sm.shape[1])).max())
-    if gram_defect > t.abs * 10:
-        raise NotIsometry(f"columns not orthonormal: defect {gram_defect:.3e}")
-    # checked after the defect test (NaN passes it) and on the product, which can overflow
-    return hermitian_part(as_matrix(sm.conj().T @ am @ sm))
+    # products of finite factors can still overflow: to inf or NaN, which
+    # the defect test and as_matrix reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram_defect = float(np.abs(sm.conj().T @ sm - np.eye(sm.shape[1])).max())
+        if not gram_defect <= t.abs * 10:
+            raise NotIsometry(f"columns not orthonormal: defect {gram_defect:.3e}")
+        product = sm.conj().T @ am @ sm
+    return hermitian_part(as_matrix(product))
 
 
 def ando_compression_check(a, b, s, tol: Optional[Tolerance] = None) -> LoewnerDecision:

@@ -1,7 +1,9 @@
 """Campaign orchestration tests: spec validation, determinism, instance replay."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import opcheck.checks
@@ -229,3 +231,67 @@ def test_every_written_object_loads_back(tmp_path):
         for trial in range(2):
             inst = make_instance(spec, trial)
             assert Instance.from_json(json.loads(json.dumps(inst.to_json()))).to_json() == inst.to_json()
+
+
+class TestFactorizationMemo:
+    """make_instance memoizes its Jacobi and SVD factorizations for the one
+    trial, and run_instance lets the check reuse them."""
+
+    # Jacobi sweep runs in 100 trials at seed 2026; without the memo they
+    # were 1272, 872, 1140, 514, 972, 1028, 972 and 639
+    @pytest.mark.parametrize(
+        "check_id, runs",
+        [
+            ("check_geometric_domination", 957),
+            ("check_arithmetic_domination", 561),
+            ("check_cartesian_suite", 1026),
+            ("check_russo_dye", 503),
+            ("check_log_majorization", 661),
+            ("check_eigenvalue_gaps", 717),
+            ("check_reverse_product", 661),
+            ("check_two_positive_split", 621),
+        ],
+    )
+    def test_sweep_runs_per_trial_at_seed_2026(self, check_id, runs, sweep_runs):
+        spec = CampaignSpec(check_id=check_id, seed=2026)
+        for trial in range(100):
+            run_instance(make_instance(spec, trial), spec.tolerances)
+        assert len(sweep_runs) == runs
+
+    def test_no_reuse_across_instances(self, sweep_runs):
+        first = make_instance(CampaignSpec(check_id="check_arithmetic_domination", seed=2026), 3)
+        spec = CampaignSpec(check_id="check_log_majorization", seed=2026)
+        alone = len(sweep_runs)
+        run_instance(make_instance(spec, 3), spec.tolerances)
+        alone = len(sweep_runs) - alone
+        second = make_instance(spec, 3)
+        assert first.z.tobytes() == second.z.tobytes() and first.j.tobytes() == second.j.tobytes()
+        run_instance(first, spec.tolerances)
+        before = len(sweep_runs)
+        run_instance(make_instance(spec, 3), spec.tolerances)
+        assert len(sweep_runs) - before == alone > 0
+
+    @pytest.mark.parametrize("check_id", CHECK_IDS)
+    def test_replayed_instance_gives_the_same_outcome(self, check_id):
+        spec = CampaignSpec(check_id=check_id, seed=2026)
+        for trial in range(3):
+            inst = make_instance(spec, trial)
+            replayed = Instance.from_json(json.loads(json.dumps(inst.to_json())))
+            assert inst.memo is not None and replayed.memo is None
+            assert (run_instance(replayed, spec.tolerances).to_json()
+                    == run_instance(inst, spec.tolerances).to_json())
+
+    def test_memo_is_not_instance_data(self):
+        inst = make_instance(CampaignSpec(check_id="check_geometric_domination", seed=1), 0)
+        assert inst.memo and "memo" not in repr(inst) and "memo" not in inst.to_json()
+
+    def test_a_replaced_matrix_is_not_answered_by_the_memo(self):
+        spec = CampaignSpec(check_id="check_two_positive_split", n_dims=(4,), seed=2026)
+        rng = np.random.default_rng(5)
+        z = (rng.standard_normal((4, 4)) * np.logspace(0, -9, 4)) @ rng.standard_normal((4, 4))
+        inst = make_instance(spec, 0)
+        run_instance(inst, spec.tolerances)  # fills the memo with the drawn Z's factors
+        swapped = replace(inst, z=z)
+        assert swapped.memo is inst.memo
+        assert (run_instance(swapped, spec.tolerances).to_json()
+                == run_instance(replace(inst, z=z, memo=None), spec.tolerances).to_json())

@@ -6,6 +6,7 @@ oracle; the production path never calls it.
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 import opcheck.linalg
 from opcheck.checks import _images_dominated
+from opcheck.decompose import svd_square
 from opcheck.errors import DimensionMismatch, DomainError, NoConvergence, NonHermitian
 from opcheck.linalg import (
     Tolerance,
+    _with_memo,
     eigh,
     eigvalsh,
     generalized_inverse,
@@ -28,7 +31,7 @@ from opcheck.linalg import (
     spectral_radius_psd_product,
     sqrtm_psd,
 )
-from opcheck.means import weak_log_majorizes
+from opcheck.means import geometric_mean, weak_log_majorizes
 from opcheck.posmap import KrausSum, sample_positivity_falsifier
 
 
@@ -631,6 +634,34 @@ class TestOverflowingHermitianPart:
     def test_half_the_largest_double_still_works(self):
         assert eigvalsh(OVERFLOWING / 2) == pytest.approx([1.125e308, 0.375e308], rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            eigh,
+            lambda h: loewner_leq(h, np.eye(2)),
+            lambda h: geometric_mean(np.eye(2), h),
+            lambda h: weak_log_majorizes(h, np.eye(2)),
+            lambda h: opcheck.linalg.require_hermitian(h),
+        ],
+        ids=["eigh", "loewner_leq", "geometric_mean", "weak_log_majorizes", "require_hermitian"],
+    )
+    @pytest.mark.parametrize(
+        "h",
+        [OVERFLOWING, [[0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0]], np.diag([1e308, 1.0])],
+        ids=["real", "complex", "diagonal"],
+    )
+    def test_every_require_hermitian_caller_raises_without_a_warning(self, fn, h):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Hermitian part overflows"):
+                fn(h)
+
+    def test_non_hermitian_input_above_the_bound_is_non_hermitian(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitian):
+                eigvalsh([[0, 1.5e308], [-1.5e308, 0]])
+
 
 class TestEmptyMatrix:
     """0 x 0 input gives empty results, not numpy's zero-size reduction error."""
@@ -652,3 +683,73 @@ class TestEmptyMatrix:
         assert operator_norm(self.EMPTY) == 0.0
         assert spectral_radius_psd_product(self.EMPTY, self.EMPTY) == 0.0
         assert Tolerance().support(np.zeros(0)).shape == (0,)
+
+
+class TestTrialMemo:
+    """Inside a campaign trial (``_with_memo``) each matrix is factored once;
+    outside one nothing is kept."""
+
+    H = random_hermitian(np.random.default_rng(300), 4)
+    Z = np.random.default_rng(301).standard_normal((4, 4)) + 0j
+
+    def test_outside_a_trial_every_call_sweeps(self, sweep_runs):
+        first, second = eigh(self.H), eigh(self.H)
+        assert len(sweep_runs) == 2 and first.values is not second.values
+        svd_square(self.Z)
+        svd_square(self.Z)
+        assert len(sweep_runs) == 4
+        first.values[0] = 0.0  # arrays stay writable outside a trial
+
+    def test_a_repeat_in_a_trial_sweeps_once(self, sweep_runs):
+        def twice():
+            return eigh(self.H), eigh(self.H.copy()), svd_square(self.Z), svd_square(self.Z)
+
+        es1, es2, svd1, svd2 = _with_memo({}, twice)
+        assert es1.values is es2.values and es1.vectors is es2.vectors and svd1 is svd2
+        assert len(sweep_runs) == 2  # H once, Z*Z once
+        assert es1.values.tobytes() == eigh(self.H).values.tobytes()
+        assert es1.vectors.tobytes() == eigh(self.H).vectors.tobytes()
+
+    def test_values_only_requests_reuse_an_eigh_entry(self, sweep_runs):
+        memo: dict = {}
+        values = _with_memo(memo, lambda: (eigh(self.H), eigvalsh(self.H))[1])
+        assert len(sweep_runs) == 1 and values.tobytes() == eigvalsh(self.H).tobytes()
+        # an eigvalsh entry has no vectors, so eigh must sweep
+        _with_memo({}, lambda: (eigvalsh(self.H), eigh(self.H)))
+        assert len(sweep_runs) == 4
+
+    def test_the_key_is_the_full_input(self, sweep_runs):
+        bumped = self.H.copy()
+        bumped[0, 0] = np.nextafter(bumped[0, 0].real, np.inf)
+
+        def variants():
+            eigvalsh(self.H)
+            eigvalsh(bumped)
+            eigvalsh(self.H, Tolerance(abs=1e-8))
+            eigvalsh(self.H, max_sweeps=50)
+            eigvalsh(self.H[:2, :2])
+
+        _with_memo({}, variants)
+        assert len(sweep_runs) == 5
+
+    def test_cached_arrays_are_read_only(self):
+        def factor():
+            return eigh(self.H), svd_square(self.Z)
+
+        es, parts = _with_memo({}, factor)
+        for array in (es.values, es.vectors, parts.left, parts.values, parts.right):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_errors_are_not_cached(self, sweep_runs):
+        memo: dict = {}
+
+        def fails_twice():
+            for _ in range(2):
+                with pytest.raises(NonHermitian):
+                    eigh([[0, 1], [0, 0]])
+                with pytest.raises(NoConvergence):
+                    eigh(self.H, max_sweeps=0)
+
+        _with_memo(memo, fails_twice)
+        assert memo == {} and len(sweep_runs) == 2

@@ -1,7 +1,9 @@
 """Concurrency smoke test: the kernel and checks are pure functions, so
 concurrent calls must agree bit-for-bit with serial ones."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,3 +34,29 @@ def test_check_trials_thread_consistency():
     for a, b in zip(serial, threaded):
         assert a.passed == b.passed
         assert a.slack == b.slack
+
+
+
+def test_fresh_trials_thread_consistency():
+    """Threads make their own instances, so the kernel runs in every thread,
+    and run freshly made instances three at a time, so threads fill one
+    trial's factorization memo concurrently; every outcome must equal the
+    memo-free run of the same trial."""
+    for check_id in ("check_geometric_domination", "check_cartesian_suite"):
+        spec = CampaignSpec(check_id=check_id, trials=8, seed=22)
+        expected = [
+            run_instance(replace(make_instance(spec, t), memo=None), spec.tolerances).to_json()
+            for t in range(spec.trials)
+        ]
+        shared = [make_instance(spec, t) for t in range(spec.trials)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                made = [pool.submit(lambda t: run_instance(make_instance(spec, t), spec.tolerances), t)
+                        for t in range(spec.trials)]
+                reused = [pool.submit(run_instance, inst, spec.tolerances) for inst in shared * 3]
+                outcomes = [f.result(timeout=120).to_json() for f in made + reused]
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes == expected * 4
