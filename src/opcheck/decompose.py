@@ -16,6 +16,7 @@ import numpy as np
 from .errors import NotContraction
 from .linalg import (
     Tolerance,
+    _frobenius,
     _remember,
     _tol,
     _trial_memo,
@@ -99,7 +100,7 @@ def _complete_columns(cols: list, basis: np.ndarray, n: int) -> list:
         cand = basis[:, j].copy()
         for c in out:
             cand -= c * np.vdot(c, cand)
-        norm = float(np.linalg.norm(cand))
+        norm = _frobenius(cand)
         if norm > 0.5:
             out.append(cand / norm)
     if len(out) < n:  # basis nearly parallel to span; fall back to coordinates
@@ -110,7 +111,7 @@ def _complete_columns(cols: list, basis: np.ndarray, n: int) -> list:
             cand[j] = 1.0
             for c in out:
                 cand -= c * np.vdot(c, cand)
-            norm = float(np.linalg.norm(cand))
+            norm = _frobenius(cand)
             if norm > 1e-3:
                 out.append(cand / norm)
     return out
@@ -143,7 +144,7 @@ def _svd_square(zm: np.ndarray, tol: Optional[Tolerance]) -> SvdParts:
         cand = zm @ right_es.vectors[:, i] / sigma[i]
         for c in left_cols:
             cand = cand - c * np.vdot(c, cand)
-        norm = float(np.linalg.norm(cand))
+        norm = _frobenius(cand)
         if norm <= 0.5:
             break
         left_cols.append(cand / norm)

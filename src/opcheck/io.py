@@ -67,7 +67,7 @@ def matrix_to_json(m) -> dict:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got ndim={a.ndim}")
-    data = [[float(x.real), float(x.imag)] for x in a.reshape(-1)]
+    data = [[z.real, z.imag] for z in a.reshape(-1).tolist()]
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 

@@ -71,7 +71,10 @@ class Tolerance:
             raise ValueError("tolerances must be strictly positive")
 
     @classmethod
+    @functools.lru_cache(maxsize=64)
     def for_dim(cls, n: int, abs: float = 1e-9, rel: float = 1e-9) -> "Tolerance":
+        # memoized: the class is frozen and compared by value, so each
+        # tol=None call need not build and validate a new instance
         return cls(abs=abs, rel=rel, rank_cutoff=1e-12 * max(n, 1))
 
     def support(self, values: np.ndarray) -> np.ndarray:
@@ -86,6 +89,15 @@ class Tolerance:
 
 def _tol(tol: Optional[Tolerance], n: int) -> Tolerance:
     return tol if tol is not None else Tolerance.for_dim(n)
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """``float(np.linalg.norm(x))`` for a complex ``x``, bit for bit: the same
+    two BLAS dot products and correctly rounded square root, without numpy's
+    argument dispatch. Overflow warns as there, in the dot or in the sum."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 class LoewnerDecision(NamedTuple):
@@ -127,11 +139,19 @@ def require_hermitian(m, tol: Optional[Tolerance] = None) -> np.ndarray:
     Raises ValueError when the Hermitian part overflows, which needs an entry
     above half the largest double.
     """
-    a = require_square(m)
+    a = np.asarray(m, dtype=complex)
+    square = a.ndim == 2 and a.shape[0] == a.shape[1]
+    scale = float(np.abs(a).max()) if square and a.size else 0.0
+    if not (square and scale <= _HALF_MAX):
+        # the abs-max is also the finiteness test: NaN and inf fail the bound,
+        # so only these rare inputs pay for require_square's checks and errors
+        a = require_square(a)
     t = _tol(tol, a.shape[0])
-    scale = float(np.abs(a).max()) if a.size else 0.0
     if scale <= _HALF_MAX:
-        defect, h = hermitian_defect(a), hermitian_part(a)
+        # one conjugate transpose serves hermitian_defect and hermitian_part
+        ah = a.conj().T
+        defect = float(np.abs(a - ah).max()) if a.size else 0.0
+        h = 0.5 * (a + ah)
     else:
         # H - H* and H + H* can overflow here: form them quietly, check the part below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -179,17 +199,20 @@ def _pivots(n: int) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
     )
 
 
-def _trial_memo(kind: str, a: np.ndarray, *params) -> Tuple[Optional[dict], tuple]:
-    """The active trial memo and the key of ``kind`` of ``a`` under ``params``
-    in it, or (None, ()) when no campaign trial is running.
+def _trial_memo(kind: str, a: np.ndarray, tol: Optional[Tolerance], *params) -> Tuple[Optional[dict], tuple]:
+    """The active trial memo and the key of ``kind`` of ``a`` under ``tol``
+    and ``params`` in it, or (None, ()) when no campaign trial is running.
 
     The key holds the shape and the full bytes of ``a``, so an entry answers
-    only for the very matrix it was computed from.
+    only for the very matrix it was computed from. ``tol`` enters as its
+    three floats, which hash far faster than the dataclass and are equal
+    exactly when the tolerances are.
     """
     memo = _MEMO.get()
     if memo is None:
         return None, ()
-    return memo, (kind, a.shape, a.tobytes(), *params)
+    tol_key = None if tol is None else (tol.abs, tol.rel, tol.rank_cutoff)
+    return memo, (kind, a.shape, a.tobytes(), tol_key, *params)
 
 
 def _remember(memo: Optional[dict], key: tuple, value, arrays) -> None:
@@ -237,23 +260,30 @@ def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Tuple[np.ndarray, 
     eigenvalues bit for bit the same.
     """
     n = a.shape[0]
-    v = np.eye(n, dtype=complex) if vectors else None
     if n <= 1:
-        return a.real.diagonal().copy(), v
+        return a.real.diagonal().copy(), np.eye(n, dtype=complex) if vectors else None
 
-    with np.errstate(over="ignore"):
-        scale = float(np.linalg.norm(a))
+    rows = a.tolist()
+    amax = max([abs(x) for row in rows for x in row])
     shift = 0
-    if not 2.0**-256 < scale < 2.0**256:
-        # ||A||_F over- or underflows, or the absolute pivot skip below would
-        # swallow the entries: run the sweeps on 2^shift A, with max|a_ij| in
-        # [0.5, 1), and scale the eigenvalues back
-        amax = float(np.abs(a).max())
-        if amax == 0.0:
-            return np.zeros(n), v
-        shift = -math.frexp(amax)[1]
-        a = np.ldexp(a.real, shift) + 1j * np.ldexp(a.imag, shift)
-        scale = float(np.linalg.norm(a))
+    if 2.0**-200 < amax < 2.0**200:
+        # ||A||_F lies in [amax, n * amax]: for any n below 2^56 it can neither
+        # overflow nor leave (2^-256, 2^256), so np.errstate and the range
+        # test below are not needed
+        scale = _frobenius(a)
+    else:
+        with np.errstate(over="ignore"):
+            scale = _frobenius(a)
+        if not 2.0**-256 < scale < 2.0**256:
+            # ||A||_F over- or underflows, or the absolute pivot skip below
+            # would swallow the entries: run the sweeps on 2^shift A, with
+            # max|a_ij| in [0.5, 1), and scale the eigenvalues back
+            if amax == 0.0:
+                return np.zeros(n), np.eye(n, dtype=complex) if vectors else None
+            shift = -math.frexp(amax)[1]
+            a = np.ldexp(a.real, shift) + 1j * np.ldexp(a.imag, shift)
+            rows = a.tolist()
+            scale = _frobenius(a)
     stop = 1e-14 * scale
     tiny = 1e-300
 
@@ -263,8 +293,7 @@ def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Tuple[np.ndarray, 
     # IEEE multiplication commutes with conjugation), so only columns p and q
     # are updated off the (p, q) block and rows p and q receive their
     # conjugates. Without ``vectors`` there are no rows of V to rotate.
-    rows = a.tolist()
-    vrows = v.tolist() if vectors else []
+    vrows = [[complex(i == j) for j in range(n)] for i in range(n)] if vectors else []
 
     for _ in range(max_sweeps):
         off = math.sqrt(2.0) * math.hypot(*[abs(x) for p, row in enumerate(rows) for x in row[p + 1 :]])
@@ -314,9 +343,15 @@ def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Tuple[np.ndarray, 
     else:
         raise NoConvergence(f"Jacobi sweep budget ({max_sweeps}) exhausted")
 
-    values = np.ldexp([rows[i][i].real for i in range(n)], -shift)
-    order = np.argsort(-values, kind="stable")
-    return values[order], np.array(vrows, dtype=complex)[:, order] if vectors else None
+    values = [rows[i][i].real for i in range(n)]
+    if shift:
+        values = np.ldexp(values, -shift).tolist()
+    # descending, ties in index order: sorted stays stable with reverse=True
+    order = sorted(range(n), key=values.__getitem__, reverse=True)
+    # V's columns in that order, built as rows and transposed, so the vectors
+    # are Fortran-ordered
+    vectors_out = np.array([[vrow[j] for vrow in vrows] for j in order], dtype=complex).T if vectors else None
+    return np.array([values[i] for i in order]), vectors_out
 
 
 def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> EigenSystem:
@@ -433,13 +468,14 @@ def spectral_radius(m, max_squarings: int = 40) -> float:
     weight = 1.0
     t = a
     for _ in range(max_squarings):
-        norm = float(np.linalg.norm(t))
+        norm = _frobenius(t)
         if norm == 0.0:
             return 0.0
         log_acc += weight * math.log(norm)
-        t = (t / norm) @ (t / norm)
+        u = t / norm
+        t = u @ u
         weight *= 0.5
-    norm = float(np.linalg.norm(t))
+    norm = _frobenius(t)
     if norm == 0.0:
         return 0.0
     log_acc += weight * math.log(norm)

@@ -17,6 +17,7 @@ from .linalg import (
     EigenSystem,
     LoewnerDecision,
     Tolerance,
+    _frobenius,
     _tol,
     as_matrix,
     eigh,
@@ -183,7 +184,7 @@ def kato_supremum(z, tol: Optional[Tolerance] = None) -> np.ndarray:
                 cand = source[:, col].copy()
                 for b in basis:
                     cand -= b * np.vdot(b, cand)
-                norm = float(np.linalg.norm(cand))
+                norm = _frobenius(cand)
                 if norm > 1e-8:
                     cand = cand / norm
                     basis.append(cand)

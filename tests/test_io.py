@@ -28,6 +28,15 @@ class TestMatrixJson:
         assert payload["rows"] == 2 and payload["cols"] == 2
         assert payload["data"] == [[1.0, 2.0], [3.0, 0.0], [4.0, 0.0], [5.0, -1.0]]
 
+    def test_data_matches_the_numpy_scalar_walk(self):
+        # reference: float() of the real and imaginary part of each numpy scalar
+        m = np.array([[-0.0 + 5e-324j, 1e308 - 0.0j, -5e-324 + 1e308j], [0.5, -1e308 - 1e-300j, 0j]])
+        for a in (m, m.T, np.asfortranarray(m)):
+            payload = matrix_to_json(a)
+            ref = [[float(x.real), float(x.imag)] for x in np.asarray(a, dtype=complex).reshape(-1)]
+            assert json.dumps(payload["data"]) == json.dumps(ref)
+            assert all(type(x) is float for pair in payload["data"] for x in pair)
+
     def test_rejects_non_finite(self):
         bad = {"rows": 1, "cols": 2, "data": [[1.0, 0.0], [float("nan"), 0.0]]}
         with pytest.raises(ValueError):

@@ -50,6 +50,7 @@ class TestTolerance:
         t = Tolerance.for_dim(6)
         assert t.rank_cutoff == pytest.approx(6e-12)
         assert t.abs == 1e-9 and t.rel == 1e-9
+        assert Tolerance.for_dim(6) is t and t == Tolerance(rank_cutoff=1e-12 * 6)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -205,34 +206,6 @@ class TestEigh:
             assert np.array_equal(c.vectors, f.vectors)
 
     def test_one_triangle_matches_full_update_bitwise(self):
-        # reference: the same rotations applied to every row and column of A
-        def full_update_eigh(h):
-            a = hermitian_part(h)
-            n = a.shape[0]
-            rows, v = a.tolist(), np.eye(n, dtype=complex).tolist()
-            stop = 1e-14 * float(np.linalg.norm(a))
-            while math.sqrt(2.0) * math.hypot(*[abs(x) for p, row in enumerate(rows) for x in row[p + 1 :]]) > stop:
-                for p in range(n - 1):
-                    for q in range(p + 1, n):
-                        r = abs(rows[p][q])
-                        if r <= 1e-300:
-                            continue
-                        phase = rows[p][q] / r
-                        theta = 0.5 * math.atan2(2.0 * r, (rows[q][q] - rows[p][p]).real)
-                        c, s = math.cos(theta), math.sin(theta)
-                        sp, spc = s * phase, s * phase.conjugate()
-                        for row in rows + v:
-                            x, y = row[p], row[q]
-                            row[p], row[q] = c * x - spc * y, sp * x + c * y
-                        rp, rq = rows[p], rows[q]
-                        rows[p] = [c * x - sp * y for x, y in zip(rp, rq)]
-                        rows[q] = [spc * x + c * y for x, y in zip(rp, rq)]
-                        rows[p][q] = rows[q][p] = 0j
-                        rows[p][p], rows[q][q] = rows[p][p].real, rows[q][q].real
-            values = np.array([rows[i][i].real for i in range(n)])
-            order = np.argsort(-values, kind="stable")
-            return values[order], np.array(v)[:, order]
-
         rng = np.random.default_rng(18)
         for n in range(2, 9):
             for h in (random_hermitian(rng, n), random_psd(rng, n)):
@@ -240,6 +213,69 @@ class TestEigh:
                 es = eigh(h)
                 assert np.array_equal(es.values, values)
                 assert np.array_equal(es.vectors, vectors)
+
+    def test_call_path_matches_the_reference_bitwise(self):
+        # the cases the numpy glue around the rotations decides: the 2^shift
+        # path, the zero matrix, signed zeros, n = 0 and n = 1
+        rng = np.random.default_rng(19)
+        cases = [np.zeros((0, 0)), np.array([[-0.0]]), np.array([[2.5]]), np.zeros((3, 3)), -np.zeros((2, 2))]
+        for n in range(2, 7):
+            h = random_hermitian(rng, n)
+            signed = h.copy()
+            signed.real[0, :] = signed.real[:, 0] = -0.0
+            signed[0, 0] = -0.0
+            cases += [h, h * 2.0**-300, h * 2.0**300, h * 2.0**-210, h * 2.0**210, signed, np.diag([0.0, -0.0, 1.0, -0.0, 0.0, -1.0][:n])]
+        for h in cases:
+            values, vectors = full_update_eigh(h)
+            es = eigh(h)
+            assert es.values.tobytes() == values.tobytes() and es.values.dtype == values.dtype
+            assert es.vectors.tobytes() == vectors.tobytes()
+            assert es.vectors.strides == vectors.strides and es.vectors.shape == vectors.shape
+            assert eigvalsh(h).tobytes() == values.tobytes()
+
+
+def full_update_eigh(h):
+    """Reference eigh: the numpy glue the kernel had before it moved to
+    Python lists, around the same rotations applied to every row and column
+    of A. For finite Hermitian input only."""
+    a = hermitian_part(h)
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    if n <= 1:
+        return a.real.diagonal().copy(), v
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(a))
+    shift = 0
+    if not 2.0**-256 < scale < 2.0**256:
+        amax = float(np.abs(a).max())
+        if amax == 0.0:
+            return np.zeros(n), v
+        shift = -math.frexp(amax)[1]
+        a = np.ldexp(a.real, shift) + 1j * np.ldexp(a.imag, shift)
+        scale = float(np.linalg.norm(a))
+    rows, v = a.tolist(), v.tolist()
+    stop = 1e-14 * scale
+    while math.sqrt(2.0) * math.hypot(*[abs(x) for p, row in enumerate(rows) for x in row[p + 1 :]]) > stop:
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                r = abs(rows[p][q])
+                if r <= 1e-300:
+                    continue
+                phase = rows[p][q] / r
+                theta = 0.5 * math.atan2(2.0 * r, (rows[q][q] - rows[p][p]).real)
+                c, s = math.cos(theta), math.sin(theta)
+                sp, spc = s * phase, s * phase.conjugate()
+                for row in rows + v:
+                    x, y = row[p], row[q]
+                    row[p], row[q] = c * x - spc * y, sp * x + c * y
+                rp, rq = rows[p], rows[q]
+                rows[p] = [c * x - sp * y for x, y in zip(rp, rq)]
+                rows[q] = [spc * x + c * y for x, y in zip(rp, rq)]
+                rows[p][q] = rows[q][p] = 0j
+                rows[p][p], rows[q][q] = rows[p][p].real, rows[q][q].real
+    values = np.ldexp([rows[i][i].real for i in range(n)], -shift)
+    order = np.argsort(-values, kind="stable")
+    return values[order], np.array(v, dtype=complex)[:, order]
 
 
 @settings(max_examples=25, deadline=None)
@@ -401,6 +437,35 @@ class TestSpectralRadius:
 
     def test_nilpotent(self):
         assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
+
+    def test_matches_the_norm_of_powers_loop_bitwise(self):
+        def reference(m, max_squarings=40):
+            a = np.asarray(m, dtype=complex)
+            if a.size == 0:
+                return 0.0
+            log_acc = 0.0
+            weight = 1.0
+            t = a
+            for _ in range(max_squarings):
+                norm = float(np.linalg.norm(t))
+                if norm == 0.0:
+                    return 0.0
+                log_acc += weight * math.log(norm)
+                t = (t / norm) @ (t / norm)
+                weight *= 0.5
+            norm = float(np.linalg.norm(t))
+            if norm == 0.0:
+                return 0.0
+            log_acc += weight * math.log(norm)
+            return math.exp(log_acc)
+
+        rng = np.random.default_rng(25)
+        cases = [np.zeros((0, 0)), np.zeros((3, 3)), np.array([[0.0, 1.0], [0.0, 0.0]]), np.triu(np.ones((4, 4)), 1)]
+        for n in range(1, 7):
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            cases += [z, z * 1e-150, np.asfortranarray(z), random_psd(rng, n)]
+        for m in cases:
+            assert spectral_radius(m).hex() == float(reference(m)).hex()
 
 
 NON_FINITE = [
@@ -620,6 +685,38 @@ class TestLazyDominationTolerance:
 
 OVERFLOWING = np.array([[1.5e308, 7.5e307], [7.5e307, 1.5e308]])
 
+# each input with the error that require_hermitian, eigh and eigvalsh raise
+# for it; finiteness is decided before squareness
+VALIDATION_ERRORS = {
+    "nan": (with_entry(complex(math.nan, 0.0)), ValueError, "matrix contains non-finite entries"),
+    "inf": (with_entry(complex(math.inf, 0.0)), ValueError, "matrix contains non-finite entries"),
+    "abs_overflows": (
+        with_entry(1.5e308 + 1.5e308j),
+        ValueError,
+        "Hermitian part overflows: entries exceed half the largest double",
+    ),
+    "hermitian_part_overflows": (
+        OVERFLOWING,
+        ValueError,
+        "Hermitian part overflows: entries exceed half the largest double",
+    ),
+    "non_square_nan": (np.array([[1.0, math.nan, 0.0], [0.0, 1.0, 0.0]]), ValueError,
+                       "matrix contains non-finite entries"),
+    "non_square": (np.ones((2, 3)), DimensionMismatch, "expected a square matrix, got shape (2, 3)"),
+    "vector": (np.ones(3), DimensionMismatch, "expected a 2-d array, got ndim=1"),
+    "non_hermitian": ([[0, 1], [0, 0]], NonHermitian, "Hermitian defect 1.000e+00 exceeds tolerance"),
+}
+
+
+@pytest.mark.parametrize("fn", [eigh, eigvalsh, opcheck.linalg.require_hermitian],
+                         ids=["eigh", "eigvalsh", "require_hermitian"])
+@pytest.mark.parametrize("case", VALIDATION_ERRORS)
+def test_validation_errors_and_messages(fn, case):
+    m, error, message = VALIDATION_ERRORS[case]
+    with pytest.raises(error) as info:
+        fn(m)
+    assert type(info.value) is error and str(info.value) == message
+
 
 class TestOverflowingHermitianPart:
     """Finite input whose Hermitian part H + H* overflows raises ValueError at
@@ -731,6 +828,10 @@ class TestTrialMemo:
 
         _with_memo({}, variants)
         assert len(sweep_runs) == 5
+
+    def test_equal_tolerances_share_an_entry(self, sweep_runs):
+        _with_memo({}, lambda: (eigvalsh(self.H, Tolerance(abs=1e-8)), eigvalsh(self.H, Tolerance(abs=1e-8))))
+        assert len(sweep_runs) == 1
 
     def test_cached_arrays_are_read_only(self):
         def factor():

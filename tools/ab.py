@@ -25,7 +25,11 @@ won, a win judged by the metric's ``better`` direction in ``BENCHMARK.json``.
 The working tree's ``BENCHMARK.json`` is used for both trees. Each tree also
 gets one ``--trace 1 --seconds 0`` run per workload, whose ``*.calls_per_op``
 metrics are stored next to the pairs; call counts repeat exactly, so one run
-tells them.
+tells them. After the pairs it prints a verdict table: one row per workload
+and end-to-end metric with both medians, their ratio, the spread between the
+revision's quartiles and the pairs each side won, marked ``WORSE`` where the
+working tree's median is worse than the revision's by more than the metric's
+``bound`` in ``BENCHMARK.json``, taken relative to the revision's median.
 """
 
 from __future__ import annotations
@@ -154,6 +158,24 @@ def summarize(pairs: list, better: dict) -> dict:
     return out
 
 
+def verdict_table(workloads: dict, end_to_end: list) -> str:
+    """The verdict rows for the ``workloads`` of a BENCH document."""
+    lines = [f"{'workload':<13} {'metric':<12} {'base':>10} {'work':>10} {'ratio':>7} {'base IQR':>9} "
+             f"{'wins w/b':>8}"]
+    for name, entry in workloads.items():
+        for metric in end_to_end:
+            s = entry["summary"][metric["name"]]
+            base, work = s["base_median"], s["work_median"]
+            sign = {"higher": 1.0, "lower": -1.0}[metric["better"]]
+            worse = sign * (base - work) > metric["bound"] * abs(base)
+            ratio = work / base if base else float("nan")
+            spread = s["base_quartiles"][2] - s["base_quartiles"][0]
+            wins = f"{s['work_wins']}/{s['base_wins']}"
+            lines.append(f"{name:<13} {metric['name']:<12} {base:>10.4g} {work:>10.4g} {ratio:>7.3f} "
+                         f"{spread:>9.3g} {wins:>8}{'  WORSE' if worse else ''}")
+    return "\n".join(lines)
+
+
 def bench(base: Path, rev_sha: str, args) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
@@ -188,6 +210,7 @@ def bench(base: Path, rev_sha: str, args) -> int:
             },
         }
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(verdict_table(doc["workloads"], spec["end_to_end"]))
     return 0
 
 
