@@ -151,12 +151,19 @@ def require_hermitian(m, tol: Optional[Tolerance] = None) -> np.ndarray:
         # one conjugate transpose serves hermitian_defect and hermitian_part
         ah = a.conj().T
         defect = float(np.abs(a - ah).max()) if a.size else 0.0
+        hermitian = defect <= t.abs * (1.0 + scale)
         h = 0.5 * (a + ah)
     else:
-        # H - H* and H + H* can overflow here: form them quietly, check the part below
+        # |a_ij|, H - H* and H + H* can overflow here, and an infinite scale
+        # would pass any defect: test A / 4, which is exact and cannot
+        # overflow, against the bound / 4. Form the part quietly, check it below
+        quarter = 0.25 * a
+        quarter_defect = hermitian_defect(quarter)
+        hermitian = quarter_defect <= t.abs * (0.25 + float(np.abs(quarter).max()))
+        defect = 4.0 * quarter_defect
         with np.errstate(over="ignore", invalid="ignore"):
-            defect, h = hermitian_defect(a), hermitian_part(a)
-    if defect > t.abs * (1.0 + scale):
+            h = hermitian_part(a)
+    if not hermitian:
         raise NonHermitian(f"Hermitian defect {defect:.3e} exceeds tolerance")
     if scale > _HALF_MAX and not math.isfinite(float(np.abs(h).max())):
         raise ValueError("Hermitian part overflows: entries exceed half the largest double")
@@ -453,31 +460,18 @@ def spectral_radius_psd_product(a, b, tol: Optional[Tolerance] = None) -> float:
     return max(float(lam[0]), 0.0) if lam.size else 0.0
 
 
-def spectral_radius(m, max_squarings: int = 40) -> float:
-    """Spectral radius of a general square matrix via scaled repeated squaring.
+def spectral_radius(m) -> float:
+    """Spectral radius of a general square matrix: the largest eigenvalue
+    modulus, from LAPACK ``zgeev`` (``np.linalg.eigvals``).
 
-    Uses the norm-of-powers limit ||M^(2^j)||^(1/2^j) -> rho(M), which
-    approaches rho from above for any submultiplicative norm (Frobenius here),
-    so the returned value is an upper bound tight to well below 1e-9 after the
-    default number of squarings.
+    ``zgeev`` balances and rescales its input, so tiny and huge entries keep
+    their radius. Raises ValueError when the radius is not a finite double,
+    which takes an entry or an eigenvalue modulus above the largest double.
     """
     a = require_square(m)
     if a.size == 0:
         return 0.0
-    log_acc = 0.0
-    weight = 1.0
-    t = a
-    for _ in range(max_squarings):
-        norm = _frobenius(t)
-        if norm == 0.0:
-            return 0.0
-        log_acc += weight * math.log(norm)
-        u = t / norm
-        t = u @ u
-        weight *= 0.5
-    norm = _frobenius(t)
-    if norm == 0.0:
-        return 0.0
-    log_acc += weight * math.log(norm)
-    return math.exp(log_acc)
-
+    rho = float(np.abs(np.linalg.eigvals(a)).max())
+    if not math.isfinite(rho):
+        raise ValueError("spectral radius overflows: it exceeds the largest double")
+    return rho

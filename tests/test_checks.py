@@ -480,6 +480,19 @@ class TestCounterexampleSearch:
         assert rep.worst_rho <= 1 + 1e-6
         assert rep.worst_congruence_norm <= 1 + 1e-6
 
+    def test_pinned_witnesses_and_worst_rho(self):
+        rep = find_counterexamples_remarks(trials=3000, seed=5, dim=2)
+        witnesses = {name: (w.trial_index, w.margin.hex()) for name, w in rep.witnesses.items()}
+        assert witnesses == {
+            "loewner": (1, "0x1.25b4f058d18fep-4"),
+            "half_power": (1, "0x1.7128917d7a280p-6"),
+            "plain_norm": (0, "0x1.2fb57b23daa00p-9"),
+        }
+        # the largest eigenvalue modulus; the norm-of-powers loop it replaced
+        # gave 0x1.f7bd8bf03e5e6p-1, an upper bound 1.5e-14 above it
+        assert rep.worst_rho == pytest.approx(float.fromhex("0x1.f7bd8bf03e5e6p-1"), rel=1e-10)
+        assert rep.consistency_ok
+
     def test_dimension_three_also_works(self):
         rep = find_counterexamples_remarks(trials=5000, seed=6, dim=3)
         assert rep.all_found and rep.consistency_ok

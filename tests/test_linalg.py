@@ -1,7 +1,9 @@
 """Kernel tests: Jacobi eigensolver, functional calculus, order predicates.
 
 Random-matrix assertions are checked against numpy.linalg as an independent
-oracle; the production path never calls it.
+oracle for the Jacobi eigensolver, which does not call it, and against 50-digit
+mpmath for the kernels that do (``spectral_radius`` runs LAPACK ``zgeev``
+through ``np.linalg.eigvals``).
 """
 
 import math
@@ -427,45 +429,88 @@ class TestSpectralRadius:
         b = np.diag([1.0, 4.0, 0.5])
         assert spectral_radius_psd_product(a, b) == pytest.approx(12.0)
 
-    def test_general_radius_against_numpy(self):
+    def test_general_radius_against_mpmath(self):
         rng = np.random.default_rng(15)
-        for _ in range(25):
-            n = int(rng.integers(2, 7))
-            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            want = float(np.abs(np.linalg.eigvals(z)).max())
-            assert spectral_radius(z) == pytest.approx(want, rel=1e-7, abs=1e-9)
+        for n in range(1, 7):
+            for _ in range(5):
+                z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                want = mp_spectral_radius(z)
+                assert abs(spectral_radius(z) - want) <= 1e-12 * want
 
     def test_nilpotent(self):
         assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
 
-    def test_matches_the_norm_of_powers_loop_bitwise(self):
-        def reference(m, max_squarings=40):
-            a = np.asarray(m, dtype=complex)
-            if a.size == 0:
-                return 0.0
-            log_acc = 0.0
-            weight = 1.0
-            t = a
-            for _ in range(max_squarings):
-                norm = float(np.linalg.norm(t))
-                if norm == 0.0:
-                    return 0.0
-                log_acc += weight * math.log(norm)
-                t = (t / norm) @ (t / norm)
-                weight *= 0.5
-            norm = float(np.linalg.norm(t))
-            if norm == 0.0:
-                return 0.0
-            log_acc += weight * math.log(norm)
-            return math.exp(log_acc)
+    def test_triangular_and_nilpotent_against_mpmath(self):
+        rng = np.random.default_rng(26)
+        for n in range(1, 7):
+            # the eigenvalues of a triangular matrix are its diagonal
+            for t in (np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))),
+                      np.tril(rng.standard_normal((n, n)))):
+                want = mp_spectral_radius(t)
+                assert abs(spectral_radius(t) - want) <= 1e-12 * want
+        assert mp_spectral_radius(np.triu(np.ones((4, 4)), 1)) == 0.0
+        assert spectral_radius(np.triu(np.ones((4, 4)), 1)) == 0.0
+        # N^2 = 0 with no zero entry: a 2 x 2 Jordan block's eigenvalues move
+        # by sqrt(eps ||N||) under rounding, so only that much is promised
+        nilpotent = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        assert mp_spectral_radius(nilpotent) < 1e-20
+        assert spectral_radius(nilpotent) <= 1e-7
 
-        rng = np.random.default_rng(25)
-        cases = [np.zeros((0, 0)), np.zeros((3, 3)), np.array([[0.0, 1.0], [0.0, 0.0]]), np.triu(np.ones((4, 4)), 1)]
+    @pytest.mark.parametrize("n, delta", [(3, 1e-6), (4, 1e-8), (5, 1e-10)])
+    def test_perturbed_jordan_block_against_mpmath(self, n, delta):
+        # J_n(1/2) + delta e_n e_1^T has eigenvalues 1/2 + delta^(1/n) w^k,
+        # which a relative perturbation eps moves by about
+        # eps / (n delta^(1 - 1/n)): allow 100 times that
+        j = 0.5 * np.eye(n) + np.eye(n, k=1)
+        j[-1, 0] = delta
+        want = mp_spectral_radius(j)
+        assert want == pytest.approx(0.5 + delta ** (1 / n), rel=1e-14)
+        bound = 100 * np.finfo(float).eps / (n * delta ** (1 - 1 / n))
+        assert abs(spectral_radius(j) - want) <= bound * want
+
+    def test_memory_layout_does_not_change_bits(self):
+        rng = np.random.default_rng(27)
         for n in range(1, 7):
             z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            cases += [z, z * 1e-150, np.asfortranarray(z), random_psd(rng, n)]
-        for m in cases:
-            assert spectral_radius(m).hex() == float(reference(m)).hex()
+            want = spectral_radius(z).hex()
+            wide = np.zeros((n, 2 * n), dtype=complex)
+            wide[:, ::2] = z
+            for m in (np.asfortranarray(z), np.ascontiguousarray(z), wide[:, ::2], z.T.copy().T):
+                assert spectral_radius(m).hex() == want
+
+    @pytest.mark.parametrize(
+        "m, want",
+        [
+            (1e200 * np.eye(2), 1e200),
+            (1e-200 * np.eye(2), 1e-200),
+            (2.0**600 * np.triu(np.ones((3, 3))), 2.0**600),
+            (2.0**-600 * np.triu(np.ones((3, 3))), 2.0**-600),
+        ],
+        ids=["1e200", "1e-200", "2^600-triangular", "2^-600-triangular"],
+    )
+    def test_far_from_one_keeps_the_radius(self, m, want):
+        assert spectral_radius(m) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.full((2, 2), 1e308), np.diag([1.5e308 + 1.5e308j, 1.0])],
+        ids=["eigenvalue_overflows", "entry_modulus_overflows"],
+    )
+    def test_radius_above_the_largest_double_raises(self, m):
+        with pytest.raises(ValueError, match="spectral radius overflows"):
+            spectral_radius(m)
+
+
+def mp_spectral_radius(m) -> float:
+    """The largest eigenvalue modulus of ``m``, from 50-digit mpmath.eig."""
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    a = np.asarray(m, dtype=complex)
+    # mpmath 1.3.0's eig returns a (values, left, right) tuple for 1 x 1
+    # input whatever it is asked for, so the one eigenvalue is read directly
+    values = ctx.eig(ctx.matrix(a.tolist()), left=False, right=False) if a.shape[0] > 1 else [ctx.mpc(a[0, 0])]
+    return float(max(abs(v) for v in values))
 
 
 NON_FINITE = [
@@ -690,11 +735,8 @@ OVERFLOWING = np.array([[1.5e308, 7.5e307], [7.5e307, 1.5e308]])
 VALIDATION_ERRORS = {
     "nan": (with_entry(complex(math.nan, 0.0)), ValueError, "matrix contains non-finite entries"),
     "inf": (with_entry(complex(math.inf, 0.0)), ValueError, "matrix contains non-finite entries"),
-    "abs_overflows": (
-        with_entry(1.5e308 + 1.5e308j),
-        ValueError,
-        "Hermitian part overflows: entries exceed half the largest double",
-    ),
+    # |a_ij| overflows, so the defect is tested on A / 4: it is not Hermitian
+    "abs_overflows": (with_entry(1.5e308 + 1.5e308j), NonHermitian, "Hermitian defect inf exceeds tolerance"),
     "hermitian_part_overflows": (
         OVERFLOWING,
         ValueError,
@@ -758,6 +800,19 @@ class TestOverflowingHermitianPart:
             warnings.simplefilter("error")
             with pytest.raises(NonHermitian):
                 eigvalsh([[0, 1.5e308], [-1.5e308, 0]])
+
+    @pytest.mark.parametrize("defect, hermitian", [(1e297, True), (1e300, False)], ids=["within", "beyond"])
+    def test_defect_above_the_bound_is_measured_against_the_largest_entry(self, defect, hermitian):
+        # |a_01| = 1.13e308 lies above half the largest double, but H + H*
+        # does not overflow; the defect bound is 1e-9 * (1 + 1.13e308)
+        m = np.array([[1.0, 8e307 + 8e307j], [8e307 - 8e307j + defect, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if hermitian:
+                assert np.isfinite(opcheck.linalg.require_hermitian(m)).all()
+            else:
+                with pytest.raises(NonHermitian, match="Hermitian defect 1.000e\\+300 exceeds tolerance"):
+                    opcheck.linalg.require_hermitian(m)
 
 
 class TestEmptyMatrix:

@@ -12,8 +12,12 @@ both trees: ``opcheck campaign`` for every check id at seeds 7 and 2026 with
 50 trials, ``repro example-2.8``, ``repro sharpness``,
 ``repro cartesian-cex --trials 3000`` and ``find-cex --trials 3000 --seed 5``.
 Each command's ``--out`` file and its stdout plus exit status are compared
-byte for byte. It prints the first file that differs and exits 1, or exits 0
-when every file is equal.
+byte for byte. It exits 0 when every file is equal. Otherwise it names every
+file that differs and exits 1: for a JSON file it prints each differing key
+path (list indices folded into ``[*]``) with the number of values and their
+largest relative difference, and whether a ``pass``, ``failures`` or
+``witness*`` field changed; for a stdout file it prints the first differing
+line of each side.
 
 ``--bench PAIRS`` runs the benchmark command of ``BENCHMARK.json`` with
 ``--trace 0`` in the two trees alternately, PAIRS pairs for each of its
@@ -38,7 +42,9 @@ import argparse
 import filecmp
 import io
 import json
+import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -109,12 +115,71 @@ def compare_reports(base: Path, work: Path) -> int:
         if names_a != names_b:
             print(f"file sets differ: {sorted(set(names_a) ^ set(names_b))}")
             return 1
-        for name in names_a:
-            if not filecmp.cmp(a / name, b / name, shallow=False):
-                print(f"first differing file: {name}")
-                return 1
+        differing = [name for name in names_a if not filecmp.cmp(a / name, b / name, shallow=False)]
+        for name in differing:
+            explain = explain_json if name.endswith(".json") else explain_text
+            print("\n".join(explain(name, (a / name).read_text(), (b / name).read_text())))
+        if differing:
+            print(f"{len(differing)} of {len(names_a)} files differ")
+            return 1
         print(f"all {len(names_a)} files identical")
         return 0
+
+
+_MISSING = object()
+
+
+def leaf_differences(a, b, path: str = ""):
+    """(path, a, b) for every leaf of the JSON values ``a`` and ``b`` that
+    differs; a key present on one side only is paired with ``_MISSING``.
+    Leaves compare by ``repr``, so 1 and True, or 0.0 and -0.0, differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from leaf_differences(a.get(key, _MISSING), b.get(key, _MISSING), f"{path}/{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from leaf_differences(x, y, f"{path}[{i}]")
+    elif repr(a) != repr(b):
+        yield path, a, b
+
+
+def relative_difference(a, b) -> float:
+    """|b - a| / |a| for two numbers (inf from 0 to nonzero), inf otherwise."""
+    numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
+    if not numbers:
+        return math.inf
+    return abs(b - a) / abs(a) if a else (0.0 if b == a else math.inf)
+
+
+def is_verdict(path: str) -> bool:
+    """Whether a key on ``path`` is a pass flag, a failure count or a witness."""
+    keys = re.findall(r"/([^/\[]+)", path)
+    return any(key in ("pass", "failures") or key.startswith("witness") for key in keys)
+
+
+def explain_json(name: str, text_a: str, text_b: str) -> list:
+    """Lines naming each differing key path of two JSON documents."""
+    groups = {}
+    for path, a, b in leaf_differences(json.loads(text_a), json.loads(text_b)):
+        groups.setdefault(re.sub(r"\[\d+\]", "[*]", path), []).append(relative_difference(a, b))
+    if not groups:
+        return [f"{name} differs in formatting only"]
+    verdicts = [path for path in groups if is_verdict(path)]
+    largest = max(max(rel) for rel in groups.values())
+    lines = [f"{name} differs: largest relative difference {largest:.3g}; "
+             + (f"verdict fields changed: {', '.join(verdicts)}" if verdicts
+                else "no pass, failures or witness field changed")]
+    lines += [f"  {path}: {len(rel)} value(s), largest relative difference {max(rel):.3g}"
+              for path, rel in groups.items()]
+    return lines
+
+
+def explain_text(name: str, text_a: str, text_b: str) -> list:
+    """The first differing line of two text files, from each side."""
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    i = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y), min(len(lines_a), len(lines_b)))
+    side = lambda lines: repr(lines[i]) if i < len(lines) else "(no line)"  # noqa: E731
+    return [f"{name} differs at line {i + 1}", f"  - {side(lines_a)}", f"  + {side(lines_b)}"]
 
 
 def bench_run(tree: Path, command: list, workload: str, seed: int, seconds, trace: int = 0) -> dict:
