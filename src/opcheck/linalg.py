@@ -155,8 +155,9 @@ def require_hermitian(m, tol: Optional[Tolerance] = None) -> np.ndarray:
         h = 0.5 * (a + ah)
     else:
         # |a_ij|, H - H* and H + H* can overflow here, and an infinite scale
-        # would pass any defect: test A / 4, which is exact and cannot
-        # overflow, against the bound / 4. Form the part quietly, check it below
+        # would pass any defect: test A / 4, which cannot overflow and is
+        # exact but for subnormal dust, against the bound / 4. Form the part
+        # quietly, check it below
         quarter = 0.25 * a
         quarter_defect = hermitian_defect(quarter)
         hermitian = quarter_defect <= t.abs * (0.25 + float(np.abs(quarter).max()))

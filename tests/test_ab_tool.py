@@ -1,0 +1,58 @@
+"""The report explanations of ``tools/ab.py --reports``."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location("ab", Path(__file__).resolve().parents[1] / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
+
+
+def report(rho, passed=True, failures=0, **extra):
+    return json.dumps({
+        "certificates": [{"rho_value": r, "pass": passed} for r in rho],
+        "summary": {"failures": failures},
+        **extra,
+    })
+
+
+def test_json_differences_are_grouped_by_key_path():
+    lines = ab.explain_json("c.json", report([0.5, 0.25, 1.0]), report([0.5 * (1 + 1e-13), 0.25 * (1 - 4e-13), 1.0]))
+    assert lines == [
+        "c.json differs: largest relative difference 4e-13; no pass, failures or witness field changed",
+        "  /certificates[*]/rho_value: 2 value(s), largest relative difference 4e-13",
+    ]
+
+
+def test_verdict_fields_are_named():
+    base = report([0.5], witnesses={"loewner": {"trial": 1}})
+    work = report([0.5], passed=False, failures=1, witnesses={"loewner": {"trial": 2}})
+    header = ab.explain_json("c.json", base, work)[0]
+    assert header.endswith(
+        "verdict fields changed: /certificates[*]/pass, /summary/failures, /witnesses/loewner/trial"
+    )
+
+
+@pytest.mark.parametrize(
+    "base, work",
+    [(report([0.5]), report([0.5], extra=1)), (report([0.0]), report([-0.0])), (report([1.0]), report([1]))],
+    ids=["added_key", "signed_zero", "int_for_float"],
+)
+def test_every_byte_level_leaf_change_is_a_difference(base, work):
+    assert len(ab.explain_json("c.json", base, work)) == 2
+
+
+def test_formatting_only():
+    assert ab.explain_json("c.json", report([0.5]), report([0.5]).replace(", ", ",")) == [
+        "c.json differs in formatting only"
+    ]
+
+
+def test_text_names_the_first_differing_line():
+    assert ab.explain_text("c.stdout", "a\nb\nexit 0\n", "a\nB\nexit 0\n") == [
+        "c.stdout differs at line 2", "  - 'b'", "  + 'B'"
+    ]
+    assert ab.explain_text("c.stdout", "a\n", "a\nexit 1\n") == ["c.stdout differs at line 2", "  - None", "  + 'exit 1'"]

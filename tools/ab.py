@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import io
+import itertools
 import json
 import math
 import os
@@ -175,11 +176,13 @@ def explain_json(name: str, text_a: str, text_b: str) -> list:
 
 
 def explain_text(name: str, text_a: str, text_b: str) -> list:
-    """The first differing line of two text files, from each side."""
-    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
-    i = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y), min(len(lines_a), len(lines_b)))
-    side = lambda lines: repr(lines[i]) if i < len(lines) else "(no line)"  # noqa: E731
-    return [f"{name} differs at line {i + 1}", f"  - {side(lines_a)}", f"  + {side(lines_b)}"]
+    """The first differing line of two text files, from each side (None past
+    the end of the shorter)."""
+    pairs = itertools.zip_longest(text_a.splitlines(), text_b.splitlines())
+    for i, (line_a, line_b) in enumerate(pairs, 1):
+        if line_a != line_b:
+            return [f"{name} differs at line {i}", f"  - {line_a!r}", f"  + {line_b!r}"]
+    return [f"{name} differs in line endings only"]
 
 
 def bench_run(tree: Path, command: list, workload: str, seed: int, seconds, trace: int = 0) -> dict:
