@@ -21,6 +21,7 @@ from .decompose import SvdParts, cartesian, comodulus, modulus, svd_square
 from .errors import ClassViolation, HypothesisViolated, NotContraction, SearchExhausted
 from .linalg import (
     Tolerance,
+    _clears,
     _generalized_power,
     _tol,
     eigh,
@@ -239,9 +240,15 @@ def _images_dominated(jm, f_mod, g_comod, tol: Optional[Tolerance]) -> bool:
     if jm.size == 0:
         return True
     t = _tol(tol, jm.shape[0])
+    # the rule below is slack >= -abs (1 + ||J||). A screen pass leaves
+    # slack >= -0.75 abs (1 + max|J_ij|), and ||J|| >= max|J_ij|
+    margin = 0.5 * t.abs * (1.0 + float(np.abs(jm).max()))
     threshold = None
     for image in (f_mod, g_comod):
-        slack = float(eigvalsh(jm - image, tol)[-1])
+        gap = jm - image
+        if _clears(gap, margin):
+            continue
+        slack = float(eigvalsh(gap, tol)[-1])
         # as in loewner_leq, a slack of at least -abs holds whatever ||J|| is
         if slack >= -t.abs:
             continue

@@ -380,6 +380,61 @@ def eigvalsh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) 
     return _jacobi(h, tol, max_sweeps, vectors=False)[0]
 
 
+def _clears(h: np.ndarray, margin: float) -> bool:
+    """True only when lambda_min(h) >= -margin is certain, up to an allowance
+    of margin / 2. False decides nothing.
+
+    True guarantees that both the exact lambda_min of the Hermitian ``h`` and
+    the one :func:`eigvalsh` returns for it are >= -1.5 * margin. Input that
+    is not exactly Hermitian or holds a NaN, a margin that is not positive,
+    and a scale top + margin, top = max(0, max h_ii), outside
+    (2^-200, 2^200) give False; a 0 x 0 ``h`` gives True.
+
+    It factorizes h + margin * I by Cholesky on Python scalars held in row
+    lists, like :func:`_sweeps`. When every pivot is positive, the computed
+    factor R has R* R = h + margin * I + E with
+    ||E||_2 <= gamma tr / (1 - gamma), gamma = gamma_(n+1) widened for
+    complex arithmetic (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.5; Rump, BIT 46, 2006). As R* R is PSD,
+    lambda_min(h) >= -margin - ||E||_2 and max|h_ij| <= top + margin +
+    ||E||_2, while ||E||_2 < 1.2e-15 n^2 (top + margin). eigvalsh adds its
+    stop rule's 1e-14 ||h||_F <= 1e-14 n max|h_ij| and the rounding of its
+    rotations. The a-priori test 1e-12 n^2 (top + 3 margin) <= margin / 2
+    keeps both under margin / 2, about 30 times over. In the scale range no
+    square overflows and underflow stays far below that allowance; an
+    overflow from a large off-diagonal entry makes a pivot -inf or NaN,
+    which fails. Only IEEE + - * / and math.sqrt act on the entries, so the
+    verdict does not depend on the host.
+    """
+    rows = h.tolist()
+    # exact Hermitian symmetry; the two lists hold distinct objects, so a
+    # NaN entry compares unequal
+    if rows != h.T.conj().tolist():
+        return False
+    n = len(rows)
+    top = max([0.0] + [row[i].real for i, row in enumerate(rows)])
+    if not (1e-12 * n * n * (top + 3.0 * margin) <= 0.5 * margin and 2.0**-200 < top + margin < 2.0**200):
+        return False
+    # the conjugated strict rows of the lower factor L, and its diagonal
+    conj_rows: list = []
+    pivots: list = []
+    for i, row in enumerate(rows):
+        li = []
+        d = row[i].real + margin
+        for j, conj_lj in enumerate(conj_rows):
+            s = row[j]
+            for lik, conj_ljk in zip(li, conj_lj):
+                s -= lik * conj_ljk
+            x = s / pivots[j]
+            li.append(x)
+            d -= x.real * x.real + x.imag * x.imag
+        if not d > 0.0:  # a NaN pivot fails too
+            return False
+        conj_rows.append([x.conjugate() for x in li])
+        pivots.append(math.sqrt(d))
+    return True
+
+
 def matrix_function(
     h,
     f: Callable[[np.ndarray], np.ndarray],

@@ -17,6 +17,7 @@ from .linalg import (
     EigenSystem,
     LoewnerDecision,
     Tolerance,
+    _clears,
     _frobenius,
     _tol,
     as_matrix,
@@ -103,9 +104,14 @@ def geometric_mean_ex(a, b, tol: Optional[Tolerance] = None) -> Tuple[np.ndarray
     if am.shape != bm.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bm.shape} differ")
     es_a = eigh(am, tol)
-    if _is_definite(es_a.values, tol) and _is_definite(eigvalsh(bm, tol), tol):
-        return _definite_mean(es_a, bm, tol), False
     eye = np.eye(am.shape[0])
+    if _is_definite(es_a.values, tol):
+        # a screen pass leaves lambda_min(B) >= 3 tau - 1.5 tau, in eigvalsh's
+        # values too: above _is_definite's 1e-10 max(1, lambda_max), since
+        # lambda_max <= n max|b_ij|
+        tau = 1e-10 * max(1.0, am.shape[0] * float(np.abs(bm).max()))
+        if _clears(bm - 3.0 * tau * eye, tau) or _is_definite(eigvalsh(bm, tol), tol):
+            return _definite_mean(es_a, bm, tol), False
     iterates = [_definite_mean(eigh(am + e * eye, tol), bm + e * eye, tol) for e in _EPS_LADDER]
     gap = operator_norm(iterates[-1] - iterates[-2], tol)
     if gap > _LIMIT_AGREE * (1.0 + operator_norm(iterates[-1], tol)):

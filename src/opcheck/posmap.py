@@ -9,6 +9,7 @@ falsifier exists to refute a misdeclared class, not to certify one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import ClassVar, Optional, Sequence, Tuple, get_args, get_origin, get_type_hints
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveSemidefinite
 from .io import _json_object, _json_value, matrix_from_json, matrix_to_json
-from .linalg import Tolerance, as_matrix, eigvalsh, hermitian_part, require_hermitian, sqrtm_psd
+from .linalg import Tolerance, _clears, as_matrix, eigvalsh, hermitian_part, require_hermitian, sqrtm_psd
 
 __all__ = [
     "POSITIVE",
@@ -84,13 +85,20 @@ def _require_positive(size: int, what: str) -> None:
 
 
 def apply(phi: PosMap, x) -> np.ndarray:
-    """Evaluate the map on a matrix of its input dimension."""
+    """Evaluate the map on a matrix of its input dimension.
+
+    Raises ValueError, without a warning, when the output overflows.
+    """
     xm = as_matrix(x)
     if xm.shape != (phi.in_dim, phi.in_dim):
         raise DimensionMismatch(
             f"map expects {phi.in_dim}x{phi.in_dim} input, got {xm.shape}"
         )
-    return phi.apply(xm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = phi.apply(xm)
+    if not np.isfinite(out).all():
+        raise ValueError("map output overflows")
+    return out
 
 
 @dataclass(frozen=True)
@@ -130,9 +138,13 @@ class SchurMultiplier(PosMap):
 
     def __post_init__(self):
         s = require_hermitian(self.factor)
-        lam = eigvalsh(s)
-        if lam.size and float(lam[-1]) < -1e-9 * (1.0 + float(lam[0])):
-            raise NotPositiveSemidefinite("Schur factor must be PSD")
+        top = float(np.abs(s).max()) if s.size else 0.0
+        # a pass leaves lambda_min >= -0.75e-9 (1 + max|s_ij|), and then
+        # lambda_max >= max|s_ij| - 0.75e-9 (1 + max|s_ij|): the test below holds
+        if not _clears(s, 0.5e-9 * (1.0 + top)):
+            lam = eigvalsh(s)
+            if lam.size and float(lam[-1]) < -1e-9 * (1.0 + float(lam[0])):
+                raise NotPositiveSemidefinite("Schur factor must be PSD")
         object.__setattr__(self, "factor", s)
 
     @property
@@ -338,24 +350,32 @@ def sample_positivity_falsifier(
         raise ValueError("level must be 1 or 2")
     rng = np.random.default_rng(seed)
     d = level * phi.in_dim
-    for trial in range(trials):
-        if trial % 2 == 0:
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            w = np.outer(v, v.conj())
-        else:
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            w = g @ g.conj().T
-        out = _amplified_apply(phi, w, level)
-        lam = eigvalsh(hermitian_part(out))
-        lam_min = float(lam[-1])
-        scale = float(np.abs(lam).max()) if lam.size else 0.0
-        if lam_min < -1e-7 * (1.0 + scale):
-            return FalsifierWitness(
-                level=level,
-                trial_index=trial,
-                input_matrix=w,
-                min_output_eigenvalue=lam_min,
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for trial in range(trials):
+            if trial % 2 == 0:
+                v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                w = np.outer(v, v.conj())
+            else:
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                w = g @ g.conj().T
+            h = hermitian_part(_amplified_apply(phi, w, level))
+            top = float(np.abs(h).max()) if h.size else 0.0
+            # a pass leaves lambda_min >= -0.75e-7 (1 + max|h_ij|), and
+            # max|lambda| >= max|h_ij|: the witness test below cannot fire
+            if _clears(h, 0.5e-7 * (1.0 + top)):
+                continue
+            if not math.isfinite(top):
+                raise ValueError("map output overflows")
+            lam = eigvalsh(h)
+            lam_min = float(lam[-1])
+            scale = float(np.abs(lam).max()) if lam.size else 0.0
+            if lam_min < -1e-7 * (1.0 + scale):
+                return FalsifierWitness(
+                    level=level,
+                    trial_index=trial,
+                    input_matrix=w,
+                    min_output_eigenvalue=lam_min,
+                )
     return None
 
 

@@ -1,9 +1,10 @@
-"""The report explanations of ``tools/ab.py --reports``."""
+"""The report explanations and the ``opcheck mean`` inputs of ``tools/ab.py --reports``."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _SPEC = importlib.util.spec_from_file_location("ab", Path(__file__).resolve().parents[1] / "tools" / "ab.py")
@@ -56,3 +57,17 @@ def test_text_names_the_first_differing_line():
         "c.stdout differs at line 2", "  - 'b'", "  + 'B'"
     ]
     assert ab.explain_text("c.stdout", "a\n", "a\nexit 1\n") == ["c.stdout differs at line 2", "  - None", "  + 'exit 1'"]
+
+
+@pytest.mark.parametrize("label", list(ab.MEAN_PAIRS))
+def test_mean_pairs_straddle_the_definiteness_thresholds(label):
+    from opcheck.io import matrix_from_json
+
+    a = matrix_from_json(json.loads(ab.matrix_json(ab.MEAN_A)))
+    b = matrix_from_json(json.loads(ab.matrix_json(ab.mean_b(ab.MEAN_PAIRS[label]))))
+    assert np.allclose(np.linalg.eigvalsh(a), [2 - np.sqrt(2), 2, 2 + np.sqrt(2)], rtol=0, atol=1e-15)
+    lam = np.linalg.eigvalsh(b)
+    # B's other eigenvalues are 0.1 and 0.2, and tau = 1e-10 exactly
+    assert np.allclose(lam[1:], [0.1, 0.2], rtol=0, atol=1e-15)
+    assert abs(lam[0] - ab.MEAN_PAIRS[label]) <= 1e-16
+    assert 3 * np.abs(b).max() < 1.0

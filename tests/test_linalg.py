@@ -20,6 +20,7 @@ from opcheck.decompose import svd_square
 from opcheck.errors import DimensionMismatch, DomainError, NoConvergence, NonHermitian
 from opcheck.linalg import (
     Tolerance,
+    _clears,
     _with_memo,
     eigh,
     eigvalsh,
@@ -717,16 +718,148 @@ class TestLazyDominationTolerance:
     @pytest.mark.parametrize(
         "band_f, band_g, calls",
         [
-            # the eager rule makes 3 calls when both images hold
-            ("clears_abs", "clears_abs", 2),
-            ("clears_abs", "within_scaled", 3),
-            ("within_scaled", "clears_abs", 3),
+            # the eager rule makes 3 calls when both images hold; an image
+            # the Cholesky screen clears makes none
+            ("clears_abs", "clears_abs", 0),
+            ("clears_abs", "within_scaled", 2),
+            ("within_scaled", "clears_abs", 2),
             ("below_scaled", "clears_abs", 2),
         ],
     )
     def test_norm_is_computed_only_below_abs(self, band_f, band_g, calls, eigvalsh_calls):
         _images_dominated(*self.images(band_f, band_g), None)
         assert len(eigvalsh_calls) == calls
+
+    # slack / (abs (1 + ||J||)) around the screen's margin, which is
+    # 0.5 (1 + max|J_ij|) / (1 + ||J||) of it, and around the rule's -1
+    NEAR_THRESHOLD = (-0.1, -0.2, -0.3, -0.4, -0.45, -0.5, -0.6, -0.75, -0.9, -0.99, -1.01, -1.1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_eigvalsh_rule_near_both_thresholds(self, seed):
+        rng = np.random.default_rng(seed)
+        for scale in (1e-3, 1.0, 1e3):
+            j = random_psd(rng, 4)
+            j *= scale / np.linalg.norm(j, 2)
+            unit = Tolerance.for_dim(4).abs * (1.0 + scale)
+            images = [j - with_min_eigenvalue(rng, 4, r * unit) for r in self.NEAR_THRESHOLD]
+            for f_mod, g_comod in zip(images, images[::-1] + images[:1]):
+                assert _images_dominated(j, f_mod, g_comod, None) == lazy_images_dominated(j, f_mod, g_comod)
+
+
+def lazy_images_dominated(jm, f_mod, g_comod):
+    """``_images_dominated`` as it was before the Cholesky screen, at the
+    default tolerance: an eigvalsh of J - image for each image, and of J for
+    a slack below -abs."""
+    abs_tol = Tolerance.for_dim(jm.shape[0]).abs
+    threshold = None
+    for image in (f_mod, g_comod):
+        slack = float(eigvalsh(jm - image)[-1])
+        if slack >= -abs_tol:
+            continue
+        if threshold is None:
+            threshold = -abs_tol * (1.0 + float(np.abs(eigvalsh(jm)).max()))
+        if not slack >= threshold:
+            return False
+    return True
+
+
+def mp_lambda_min(h) -> float:
+    """The smallest eigenvalue of the Hermitian ``h``, from 50-digit mpmath.eighe."""
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    if h.shape[0] == 1:
+        return float(h[0, 0].real)
+    return float(min(ctx.eighe(ctx.matrix(h.tolist()), eigvals_only=True)))
+
+
+def with_jacobi_lambda_min(rng, n, target, scale):
+    """A Hermitian matrix with eigenvalues spread over [0, scale], shifted
+    so that eigvalsh's smallest eigenvalue is ``target`` up to the rounding
+    of the shift."""
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    h = hermitian_part((q * (scale * rng.uniform(0.0, 1.0, n))) @ q.conj().T)
+    return h + (target - eigvalsh(h)[-1]) * np.eye(n)
+
+
+class TestCholeskyScreen:
+    """_clears(h, margin) is True only when lambda_min(h) >= -margin holds to
+    within margin / 2, for both eigvalsh's value and the exact one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        k=st.sampled_from([0.25, 0.5, 0.9, 1.01, 1.5, 2.0, 3.0]),
+        exponent=st.integers(-6, 6),
+        relative_margin=st.sampled_from([1e-9, 1e-7, 1e-4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_pass_bounds_lambda_min(self, n, k, exponent, relative_margin, seed):
+        scale = 10.0**exponent
+        margin = relative_margin * scale
+        h = with_jacobi_lambda_min(np.random.default_rng(seed), n, -k * margin, scale)
+        cleared = _clears(h, margin)
+        if cleared:
+            assert eigvalsh(h)[-1] >= -1.5 * margin
+            assert mp_lambda_min(h) >= -1.5 * margin
+        if k < 1.0:
+            # lambda_min(h + margin I) >= 0.1 margin, far above the rounding
+            assert cleared
+
+    @pytest.mark.parametrize("exponent", range(-6, 7, 2))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_clears_psd_inputs(self, n, exponent):
+        rng = np.random.default_rng([n, exponent + 6])
+        scale = 10.0**exponent
+        v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(scale)
+        wishart = hermitian_part(random_psd(rng, n, scale))
+        for h in (wishart, hermitian_part(np.outer(v, v.conj())), np.zeros((n, n), complex)):
+            # the smallest relative margin a caller passes
+            assert _clears(h, 0.5e-9 * (float(np.abs(h).max()) or scale))
+
+    def test_small_inputs(self):
+        assert _clears(np.zeros((0, 0), complex), 1e-7)
+        assert _clears(np.array([[-0.5]], complex), 1.0)
+        assert not _clears(np.array([[-1.0]], complex), 1.0)
+        assert not _clears(np.array([[2.0]], complex), 0.0)
+        assert not _clears(np.array([[2.0]], complex), math.nan)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            np.array([[1.0, 1.0], [0.0, 1.0]], complex),
+            np.array([[1.0, 0.5j], [0.5j, 1.0]]),
+            np.array([[complex(1.0, 1e-300)]]),
+            with_entry(complex(math.nan, 0.0)),
+            with_entry(complex(0.0, math.nan)),
+            np.array([[math.nan]], complex),
+            np.array([[math.inf]], complex),
+            with_entry(complex(math.inf, 0.0)),
+            with_entry(complex(0.0, -math.inf)),
+        ],
+        ids=["triangular", "symmetric_not_hermitian", "complex_diagonal", "nan", "nan-imag", "nan-diagonal",
+             "inf-diagonal", "inf", "-inf-imag"],
+    )
+    def test_non_hermitian_and_non_finite_input_gives_false(self, h):
+        assert not _clears(h, 1.0)
+
+    @pytest.mark.parametrize("magnitude", [1e-300, 1e300, 8.9e307, 1.5e308], ids=["1e-300", "1e300", "8.9e307", "1.5e308"])
+    def test_extreme_entries_are_decided_quietly(self, magnitude):
+        # warnings are errors here: the screen must neither warn nor raise
+        rng = np.random.default_rng(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h in (magnitude * np.eye(3, dtype=complex), with_entry(magnitude), with_entry(magnitude * 1j),
+                      np.full((3, 3), magnitude, dtype=complex), random_hermitian(rng, 3, magnitude / 4)):
+                for margin in (1e-7 * magnitude, 1.0, 1e-7):
+                    cleared = _clears(h, margin)
+                    assert isinstance(cleared, bool)
+                    if cleared:
+                        assert mp_lambda_min(h) >= -1.5 * margin
+
+    @pytest.mark.parametrize("entry", [1e150, 1e199], ids=["square_near_max", "square_overflows"])
+    def test_a_large_off_diagonal_entry_fails_without_overflow_error(self, entry):
+        assert not _clears(with_entry(entry), 1.0)
 
 
 OVERFLOWING = np.array([[1.5e308, 7.5e307], [7.5e307, 1.5e308]])

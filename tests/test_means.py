@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opcheck.errors
+import opcheck.linalg
 import opcheck.means
 from opcheck.decompose import comodulus, modulus
 from opcheck.errors import NoConvergence, NotIsometry
@@ -118,6 +120,46 @@ class TestGeometricMean:
 
         with pytest.raises(NotPositiveSemidefinite):
             geometric_mean(np.diag([1.0, -0.5]), np.eye(2))
+
+
+def reference_geometric_mean_ex(a, b, tol=None):
+    """geometric_mean_ex as it was before the Cholesky screen: B's
+    definiteness from the eigvalsh of B."""
+    m = opcheck.means
+    am = opcheck.linalg.require_hermitian(a, tol)
+    bm = opcheck.linalg.require_hermitian(b, tol)
+    es_a = eigh(am, tol)
+    if m._is_definite(es_a.values, tol) and m._is_definite(opcheck.linalg.eigvalsh(bm, tol), tol):
+        return m._definite_mean(es_a, bm, tol), False
+    eye = np.eye(am.shape[0])
+    iterates = [m._definite_mean(eigh(am + e * eye, tol), bm + e * eye, tol) for e in m._EPS_LADDER]
+    gap = operator_norm(iterates[-1] - iterates[-2], tol)
+    if gap > m._LIMIT_AGREE * (1.0 + operator_norm(iterates[-1], tol)):
+        raise NoConvergence(f"singular-mean limit not Cauchy: gap {gap:.3e}")
+    return iterates[-1], True
+
+
+def mean_outcome(fn, a, b):
+    try:
+        mean, used_limit = fn(a, b)
+    except opcheck.errors.OpcheckError as exc:
+        return type(exc).__name__, str(exc)
+    return mean.tobytes(), used_limit
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_b_definiteness_matches_the_reference_near_the_threshold(n, scale):
+    rng = np.random.default_rng([n, 8])
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    others = scale * rng.uniform(0.1, 1.0, n - 1)
+    a = random_pd(rng, n)
+    # lambda_min(B) around _is_definite's 1e-10 max(1, lambda_max), the
+    # screen's tau = 1e-10 max(1, n max|b_ij|) and 2 tau, where it flips
+    unit = 1e-10 * max(1.0, float(others.max()))
+    for r in (-1.0, 0.0, 0.5, 0.9, 1.0, 1.1, 1.5, 1.9, 2.0, 2.1, 3.0, 4.0, 2.0 * n, 4.0 * n):
+        b = hermitian_part((q * np.concatenate([[r * unit], others])) @ q.conj().T)
+        assert mean_outcome(geometric_mean_ex, a, b) == mean_outcome(reference_geometric_mean_ex, a, b)
 
 
 class TestAgm:
@@ -346,9 +388,9 @@ class TestValidatedOnce:
         rng = np.random.default_rng(22)
         mean, used_limit = geometric_mean_ex(random_pd(rng, 3), random_pd(rng, 3))
         assert not used_limit
-        # A for its definiteness test and the formula, B's values for its
-        # definiteness test, inner root
-        assert calls == ["eigh", "eigvalsh", "eigh"]
+        # A for its definiteness test and the formula, inner root; the
+        # Cholesky screen answers B's definiteness test
+        assert calls == ["eigh", "eigh"]
 
 
 def test_geometric_mean_of_empty_matrices_is_empty():

@@ -1,11 +1,13 @@
 """Positive-map family tests: evaluation, class algebra, Choi diagnostics,
 positivity falsification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from opcheck.errors import DimensionMismatch
-from opcheck.linalg import hermitian_part, operator_norm
+from opcheck.errors import DimensionMismatch, NotPositiveSemidefinite
+from opcheck.linalg import eigvalsh, hermitian_part, operator_norm, require_hermitian
 from opcheck.posmap import (
     COMPLETELY_POSITIVE,
     POSITIVE,
@@ -17,6 +19,7 @@ from opcheck.posmap import (
     PartialTrace2x2,
     SchurMultiplier,
     TransposeMap,
+    _amplified_apply,
     apply,
     choi_matrix,
     compress_map,
@@ -220,6 +223,131 @@ class TestFalsifier:
         b = sample_positivity_falsifier(TransposeMap(2), level=2, trials=50, seed=5)
         assert a.trial_index == b.trial_index
         assert np.array_equal(a.input_matrix, b.input_matrix)
+
+
+def reference_falsifier(phi, level, trials, seed):
+    """sample_positivity_falsifier as it was before the Cholesky screen, for
+    finite outputs: an eigvalsh of every trial's output."""
+    rng = np.random.default_rng(seed)
+    d = level * phi.in_dim
+    for trial in range(trials):
+        if trial % 2 == 0:
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            w = np.outer(v, v.conj())
+        else:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            w = g @ g.conj().T
+        lam = eigvalsh(hermitian_part(_amplified_apply(phi, w, level)))
+        lam_min = float(lam[-1])
+        if lam_min < -1e-7 * (1.0 + float(np.abs(lam).max())):
+            return trial, w, lam_min
+    return None
+
+
+def leaky_identity(n, c):
+    """X -> X + c X^T: positive, and at level 2 the output's lambda_min is
+    about c times a negative eigenvalue of the partial transpose."""
+    return MapSum(terms=(IdentityMap(n), MapCompose(outer=Congruence(np.sqrt(c) * np.eye(n)), inner=TransposeMap(n))))
+
+
+def cp_maps(count=100):
+    rng = np.random.default_rng(2027)
+    for _ in range(count):
+        n, m, k = (int(x) for x in rng.integers((2, 2, 1), (4, 4, 4)))
+        yield KrausSum(kraus=tuple(
+            (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(n) for _ in range(k)))
+
+
+class TestFalsifierScreen:
+    """The Cholesky screen skips only eigvalsh runs whose result cannot make
+    a witness: every outcome equals the eigvalsh-only reference."""
+
+    def test_matches_the_reference_near_the_threshold(self):
+        # c sweeps the level-2 outputs from well inside the screen's margin
+        # to well past the witness threshold
+        found = set()
+        for c in np.geomspace(3e-8, 1e-6, 8):
+            for n in (2, 3):
+                for seed in range(4):
+                    phi = leaky_identity(n, c)
+                    got = sample_positivity_falsifier(phi, level=2, trials=12, seed=seed)
+                    ref = reference_falsifier(phi, 2, 12, seed)
+                    if ref is None:
+                        assert got is None
+                    else:
+                        trial, w, lam_min = ref
+                        assert (got.trial_index, got.min_output_eigenvalue.hex()) == (trial, lam_min.hex())
+                        assert got.input_matrix.tobytes() == w.tobytes() and got.level == 2
+                    found.add(None if ref is None else ref[0])
+        # no witness, a witness at the first trial and a later one all occur
+        assert None in found and 0 in found and len(found) >= 3
+
+    def test_cp_maps_have_no_witness(self):
+        # pinned at the parent of the screen
+        for i, phi in enumerate(cp_maps()):
+            assert sample_positivity_falsifier(phi, level=1 + i % 2, trials=25, seed=i) is None
+
+    @pytest.mark.parametrize(
+        "family, n, level, pinned",
+        [
+            ("transpose", 2, 1, None),
+            ("transpose", 2, 2, (0, "-0x1.52d2272117c3fp+2")),
+            ("transpose", 3, 1, None),
+            ("transpose", 3, 2, (0, "-0x1.60bb46f504afbp+3")),
+            ("transpose_plus_identity", 2, 1, None),
+            ("transpose_plus_identity", 2, 2, (0, "-0x1.3fe297776d8bbp+2")),
+            ("transpose_plus_identity", 3, 1, None),
+            ("transpose_plus_identity", 3, 2, (0, "-0x1.581474b43351bp+3")),
+        ],
+    )
+    def test_witnesses_are_pinned(self, family, n, level, pinned):
+        phi = TransposeMap(n) if family == "transpose" else example_map(n)
+        w = sample_positivity_falsifier(phi, level=level, trials=200, seed=3)
+        assert (None if w is None else (w.trial_index, w.min_output_eigenvalue.hex())) == pinned
+
+
+def reference_schur_rejects(s) -> bool:
+    """SchurMultiplier's PSD test as it was before the Cholesky screen."""
+    lam = eigvalsh(require_hermitian(s))
+    return bool(lam.size and float(lam[-1]) < -1e-9 * (1.0 + float(lam[0])))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_schur_factor_test_matches_the_reference_near_the_threshold(scale):
+    rng = np.random.default_rng(7)
+    q = np.linalg.qr(ginibre(3, rng))[0]
+    for r in (0.0, 0.2, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99, 1.01, 1.1, 2.0):
+        # lambda_min at r times the threshold -1e-9 (1 + lambda_max)
+        s = hermitian_part((q * np.array([-r * 1e-9 * (1.0 + 2.0 * scale), scale, 2.0 * scale])) @ q.conj().T)
+        try:
+            SchurMultiplier(s)
+            rejected = False
+        except NotPositiveSemidefinite:
+            rejected = True
+        assert rejected == reference_schur_rejects(s)
+
+
+class TestOverflowingImage:
+    """Finite input whose image overflows raises ValueError, without a warning."""
+
+    PHI = KrausSum(kraus=(1e160 * np.eye(2),))
+
+    def test_apply(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="map output overflows"):
+                apply(self.PHI, np.eye(2))
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_falsifier(self, level):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="map output overflows"):
+                sample_positivity_falsifier(self.PHI, level=level, trials=3, seed=0)
+
+    def test_large_finite_image_is_kept(self):
+        out = apply(KrausSum(kraus=(1e150 * np.eye(2),)), np.eye(2))
+        assert np.allclose(out, 1e300 * np.eye(2), rtol=1e-15, atol=0.0)
 
 
 class TestNormAttainedAtIdentity:

@@ -10,10 +10,15 @@ only; BLAS and OpenMP are pinned to one thread in every child process.
 ``--reports`` writes the CLI outputs that CI checks for repeatability from
 both trees: ``opcheck campaign`` for every check id at seeds 7 and 2026 with
 50 trials, ``repro example-2.8``, ``repro sharpness``,
-``repro cartesian-cex --trials 3000`` and ``find-cex --trials 3000 --seed 5``.
-Each command's ``--out`` file and its stdout plus exit status are compared
-byte for byte. It exits 0 when every file is equal. Otherwise it names every
-file that differs and exits 1: for a JSON file it prints each differing key
+``repro cartesian-cex --trials 3000``, ``find-cex --trials 3000 --seed 5``
+and ``opcheck mean`` on the fixed (A, B) pairs of ``MEAN_PAIRS``, whose
+matrices the tool writes itself. In those pairs B's smallest eigenvalue is
+0.5, 1, 2 and 4 times 1e-10, on both sides of the mean's definiteness
+threshold and of its Cholesky screen; the first pair ends in the
+singular-mean limit's ``NoConvergence``. Each command's ``--out`` file and
+its stdout and stderr plus exit status are compared byte for byte. It exits
+0 when every file is equal. Otherwise it names every file that differs and
+exits 1: for a JSON file it prints each differing key
 path (list indices folded into ``[*]``) with the number of values and their
 largest relative difference, and whether a ``pass``, ``failures`` or
 ``witness*`` field changed; for a stdout file it prints the first differing
@@ -62,6 +67,10 @@ REPRO_COMMANDS = {
     "repro_cartesian_cex": ["repro", "cartesian-cex", "--trials", "3000"],
     "find_cex": ["find-cex", "--trials", "3000", "--seed", "5"],
 }
+# B's smallest eigenvalue in each ``opcheck mean`` pair, by file label
+MEAN_PAIRS = {"lmin_5e-11": 5e-11, "lmin_1e-10": 1e-10, "lmin_2e-10": 2e-10, "lmin_4e-10": 4e-10}
+# A = [[2, i, 0], [-i, 2, 1], [0, 1, 2]], with eigenvalues 2 - sqrt(2), 2 and 2 + sqrt(2)
+MEAN_A = [[2, 1j, 0], [-1j, 2, 1], [0, 1, 2]]
 
 
 def git(*args: str) -> str:
@@ -82,12 +91,27 @@ def child_env(tree: Path) -> dict:
 
 
 def run_cli(tree: Path, args: list, out_dir: Path, name: str) -> None:
-    """``opcheck ARGS --out name.json`` in ``tree``; stdout and status go to name.stdout."""
+    """``opcheck ARGS --out name.json`` in ``tree``; stdout, stderr and status go to name.stdout."""
     proc = subprocess.run(
         [sys.executable, "-m", "opcheck.cli", *args, "--out", str(out_dir / f"{name}.json")],
         cwd=out_dir, env=child_env(tree), capture_output=True, text=True,
     )
-    (out_dir / f"{name}.stdout").write_text(f"{proc.stdout}exit {proc.returncode}\n")
+    (out_dir / f"{name}.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
+
+
+def mean_b(lmin: float) -> list:
+    """Q diag(lmin, 0.1, 0.2) Q^T for the Householder reflection Q = I - 2 v v^T / 9,
+    v = (1, 2, 2). Its entries stay below 1/3, so n max|b_ij| < 1."""
+    v = (1, 2, 2)
+    q = [[float(i == j) - 2 * v[i] * v[j] / 9 for j in range(3)] for i in range(3)]
+    d = (lmin, 0.1, 0.2)
+    return [[sum(q[i][k] * d[k] * q[j][k] for k in range(3)) for j in range(3)] for i in range(3)]
+
+
+def matrix_json(rows: list) -> str:
+    """``rows`` in the matrix JSON form that ``opcheck`` reads."""
+    data = [[complex(x).real, complex(x).imag] for row in rows for x in row]
+    return json.dumps({"rows": len(rows), "cols": len(rows[0]), "data": data})
 
 
 def write_reports(tree: Path, out_dir: Path) -> None:
@@ -104,6 +128,11 @@ def write_reports(tree: Path, out_dir: Path) -> None:
             run_cli(tree, ["campaign", "--spec", str(spec)], out_dir, name)
     for name, args in REPRO_COMMANDS.items():
         run_cli(tree, args, out_dir, name)
+    for label, lmin in MEAN_PAIRS.items():
+        name = f"mean_{label}"
+        (out_dir / f"{name}.a").write_text(matrix_json(MEAN_A))
+        (out_dir / f"{name}.b").write_text(matrix_json(mean_b(lmin)))
+        run_cli(tree, ["mean", "--a", f"{name}.a", "--b", f"{name}.b"], out_dir, name)
 
 
 def compare_reports(base: Path, work: Path) -> int:
