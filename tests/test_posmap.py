@@ -218,6 +218,10 @@ class TestFalsifier:
             phi = KrausSum(kraus=ops)
             assert sample_positivity_falsifier(phi, level=2, trials=40, seed=seed) is None
 
+    def test_map_onto_empty_matrices_has_no_witness(self):
+        # its images are 0 x 0, so there is no eigenvalue to be negative
+        assert sample_positivity_falsifier(KrausSum(kraus=(np.zeros((0, 2)),)), level=2, trials=3, seed=0) is None
+
     def test_deterministic_in_seed(self):
         a = sample_positivity_falsifier(TransposeMap(2), level=2, trials=50, seed=5)
         b = sample_positivity_falsifier(TransposeMap(2), level=2, trials=50, seed=5)

@@ -18,11 +18,10 @@ threshold and of its Cholesky screen; the first pair ends in the
 singular-mean limit's ``NoConvergence``. Each command's ``--out`` file and
 its stdout and stderr plus exit status are compared byte for byte. It exits
 0 when every file is equal. Otherwise it names every file that differs and
-exits 1: for a JSON file it prints each differing key
-path (list indices folded into ``[*]``) with the number of values and their
-largest relative difference, and whether a ``pass``, ``failures`` or
-``witness*`` field changed; for a stdout file it prints the first differing
-line of each side.
+exits 1: for a JSON file it prints each differing key path (list indices
+folded into ``[*]``) with the number of values and their largest relative
+difference, and whether a ``pass``, ``failures`` or ``witness*`` field
+changed; for a stdout file it prints the first differing line of each side.
 
 ``--bench PAIRS`` runs the benchmark command of ``BENCHMARK.json`` with
 ``--trace 0`` in the two trees alternately, PAIRS pairs for each of its
