@@ -19,7 +19,6 @@ from .linalg import (
     eigvalsh,
     generalized_inverse,
     loewner_leq,
-    matrix_function,
     operator_norm,
     spectral_radius,
     spectral_radius_psd_product,
@@ -32,27 +31,17 @@ from .decompose import (
     comodulus,
     modulus,
     polar,
-    range_projection,
-    support_projection,
-    unitary_mean_decomposition,
 )
 from .means import (
     MajorizationReport,
-    agm_check,
-    ando_compression_check,
-    compress,
     geometric_mean,
     geometric_mean_ex,
-    kato_supremum,
-    power_mean,
-    q_mean,
     weak_log_majorizes,
 )
 from .posmap import (
     COMPLETELY_POSITIVE,
     POSITIVE,
     TWO_POSITIVE,
-    ChoiMatrix,
     Congruence,
     IdentityMap,
     KrausSum,
@@ -63,8 +52,6 @@ from .posmap import (
     SchurMultiplier,
     TransposeMap,
     apply,
-    choi_matrix,
-    compress_map,
     map_from_json,
     map_to_json,
     sample_positivity_falsifier,
@@ -85,7 +72,6 @@ from .checks import (
     find_counterexamples_remarks,
     reproduce_counterexample_2_8,
     reproduce_sharpness_cor2_5,
-    witness_unitary,
 )
 from .ensembles import ENSEMBLES, GeneratorConfig, generate
 from .campaign import CampaignSpec, Instance, run_campaign, run_instance

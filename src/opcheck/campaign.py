@@ -30,7 +30,6 @@ from .io import (
     tolerance_to_json,
 )
 from .linalg import Tolerance, _with_memo, eigvalsh, hermitian_part
-from .means import kato_supremum, q_mean
 from .posmap import (
     Congruence,
     IdentityMap,
@@ -293,23 +292,16 @@ def _funpair_and_j(
         if rng.uniform() < 0.3:
             j = hermitian_part(j + generate_with_rng(GeneratorConfig(ensemble="wishart_psd"), n, rng))
         return fp, j, f_mod, g_comod
-    modes = ["sum", "sum_plus_psd", "scaled_identity"]
-    if fp.kind == "power" and fp.p == 0.0:
-        modes += ["qmean", "kato"]
-    mode = str(_choice(rng, modes))
+    mode = str(_choice(rng, ("sum", "sum_plus_psd", "scaled_identity")))
     if mode == "sum":
         j = hermitian_part(f_mod + g_comod)
     elif mode == "sum_plus_psd":
         j = hermitian_part(
             f_mod + g_comod + generate_with_rng(GeneratorConfig(ensemble="wishart_psd"), n, rng)
         )
-    elif mode == "scaled_identity":
+    else:
         lam = max(float(fp.f_sigma(sig).max()), float(fp.g_sigma(sig).max()))
         j = (lam * (1.0 + rng.uniform(0.0, 1.0)) + 1e-6) * np.eye(n)
-    elif mode == "qmean":
-        j = q_mean(z, float(_choice(rng, (1.0, 2.0, 4.0))), tol)
-    else:
-        j = kato_supremum(z, tol)
     return fp, j, f_mod, g_comod
 
 

@@ -63,7 +63,6 @@ __all__ = [
     "domination_holds",
     "moduli_images",
     "moduli_from_svd",
-    "witness_unitary",
     "check_russo_dye",
     "check_arithmetic_domination",
     "check_geometric_domination",
@@ -259,12 +258,6 @@ def _images_dominated(jm, f_mod, g_comod, tol: Optional[Tolerance]) -> bool:
     return True
 
 
-def witness_unitary(phi: PosMap, z, tol: Optional[Tolerance] = None) -> np.ndarray:
-    """Adjoint of the polar unitary of phi(Z): V phi(Z) = |phi(Z)|."""
-    v, _ = _polar_witness_and_modulus(apply(phi, z), tol)
-    return v
-
-
 def _std_inputs(phi: PosMap, z, j=None, fp: Optional[FunPair] = None, **extra) -> dict:
     inputs = {"phi": map_to_json(phi), "Z": matrix_to_json(np.asarray(z, dtype=complex))}
     if j is not None:
@@ -404,6 +397,8 @@ class GapReport:
 def _scalar_weight(j) -> Optional[float]:
     """lam when J = lam I within rounding, else None."""
     jm = np.asarray(j, dtype=complex)
+    if not jm.size:
+        return None
     lam = float(np.real(np.trace(jm))) / jm.shape[0]
     if np.abs(jm - lam * np.eye(jm.shape[0])).max() <= 1e-12 * (1.0 + abs(lam)):
         return lam
@@ -598,7 +593,7 @@ def check_schur_remarks(s, tol: Optional[Tolerance] = None) -> SchurRemarkReport
     vals_c = _descending_clamped(prod_c, tol)
     diag_c = np.sort(np.real(np.diagonal(contractive)))[::-1]
     worst_c = min((diag_c[jj] - vals_c[2 * jj] for jj in half), default=math.inf)
-    slack = t.abs * (1.0 + float(diag_sorted[0]))
+    slack = t.abs * (1.0 + (float(diag_sorted[0]) if n else 0.0))
     return SchurRemarkReport(
         passed=bool(worst_e >= -slack and worst_c >= -slack),
         worst_margin_expansive=worst_e,

@@ -1,4 +1,4 @@
-"""Polar and Cartesian decompositions, moduli, projections.
+"""Polar and Cartesian decompositions and moduli.
 
 The SVD here is derived from the Jacobi eigendecompositions of Z*Z and ZZ*,
 which is accurate enough at desk scale and keeps every factor deterministic:
@@ -9,11 +9,10 @@ against the left Gram eigenbasis, in eigenvalue order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .errors import NotContraction
 from .linalg import (
     Tolerance,
     _frobenius,
@@ -22,9 +21,7 @@ from .linalg import (
     _trial_memo,
     as_matrix,
     eigh,
-    generalized_inverse,
     hermitian_part,
-    operator_norm,
     require_square,
 )
 
@@ -36,10 +33,7 @@ __all__ = [
     "modulus",
     "comodulus",
     "polar",
-    "unitary_mean_decomposition",
     "cartesian",
-    "range_projection",
-    "support_projection",
 ]
 
 
@@ -173,33 +167,6 @@ def polar(z, tol: Optional[Tolerance] = None) -> PolarParts:
     return PolarParts(unitary=parts.unitary, modulus=parts.modulus())
 
 
-def unitary_mean_decomposition(a, tol: Optional[Tolerance] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Write a contraction as the average of two unitaries.
-
-    Uses W = |A| + i (I - |A|^2)^(1/2), which is unitary because it is a
-    spectral function of |A|, giving A = (U W + U W*)/2 for A = U |A|.
-    Inputs with norm in (1, 1 + tol] are renormalized first.
-    """
-    am = require_square(a)
-    n = am.shape[0]
-    t = _tol(tol, n)
-    norm = operator_norm(am, tol)
-    if norm > 1.0 + t.abs:
-        raise NotContraction(f"operator norm {norm:.6g} exceeds 1")
-    if norm > 1.0:
-        am = am / norm
-    parts = svd_square(am, tol)
-    u = parts.unitary
-    sig = np.clip(parts.values, 0.0, 1.0)
-    # sqrt(1 - sigma^2) amplifies boundary dust, so snap sigma ~ 1 to exactly 1
-    sig = np.where(sig >= 1.0 - 1e-12, 1.0, sig)
-    w_eigs = sig + 1j * np.sqrt(np.clip(1.0 - sig**2, 0.0, None))
-    q = parts.right
-    w = (q * w_eigs) @ q.conj().T
-    w_star = (q * w_eigs.conj()) @ q.conj().T
-    return u @ w, u @ w_star
-
-
 def cartesian(z) -> CartesianParts:
     """Z = X + iY with X = (Z + Z*)/2 and Y = (Z - Z*)/(2i).
 
@@ -210,14 +177,3 @@ def cartesian(z) -> CartesianParts:
         re_part=as_matrix(hermitian_part(zm)),
         im_part=as_matrix(hermitian_part((zm - zm.conj().T) / 2j)),
     )
-
-
-def range_projection(z, tol: Optional[Tolerance] = None) -> np.ndarray:
-    """Orthogonal projection onto the column space of Z."""
-    zm = require_square(z)
-    return generalized_inverse(hermitian_part(zm @ zm.conj().T), 0, tol)
-
-
-def support_projection(z, tol: Optional[Tolerance] = None) -> np.ndarray:
-    """Orthogonal projection onto the row-space support (range of Z*)."""
-    return range_projection(np.asarray(z, dtype=complex).conj().T, tol)

@@ -29,10 +29,6 @@ class NotContraction(OpcheckError):
     """Operator norm exceeds 1 beyond tolerance."""
 
 
-class NotIsometry(OpcheckError):
-    """Columns are not orthonormal within tolerance."""
-
-
 class HypothesisViolated(OpcheckError):
     """A check was invoked on inputs that fail its domination hypothesis."""
 

@@ -1,4 +1,4 @@
-"""Dense complex matrix kernel: Jacobi eigensolver, functional calculus, order predicates.
+"""Dense complex matrix kernel: Jacobi eigensolver, matrix powers, order predicates.
 
 Matrices are plain ``numpy.ndarray`` values (complex128, row-major). Everything
 downstream builds on :func:`eigh`, a cyclic Jacobi diagonalizer for complex
@@ -12,7 +12,7 @@ import functools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "as_matrix",
     "eigh",
     "eigvalsh",
-    "matrix_function",
     "sqrtm_psd",
     "generalized_inverse",
     "loewner_leq",
@@ -181,10 +180,6 @@ class EigenSystem:
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
-    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Q f(lambda) Q* with f applied entrywise to the eigenvalues."""
-        return (self.vectors * f(self.values)) @ self.vectors.conj().T
-
     def power(self, p: float, tol: Optional[Tolerance] = None) -> np.ndarray:
         """Generalized power H^p of the PSD matrix H this spectrum belongs to.
 
@@ -195,7 +190,7 @@ class EigenSystem:
         """
         lam = np.clip(self.values, 0.0, None)
         out = _generalized_power(lam, p, _tol(tol, lam.size).support(lam))
-        return hermitian_part(self.apply(lambda _: out))
+        return hermitian_part((self.vectors * out) @ self.vectors.conj().T)
 
 
 @functools.lru_cache(maxsize=16)
@@ -435,34 +430,19 @@ def _clears(h: np.ndarray, margin: float) -> bool:
     return True
 
 
-def matrix_function(
-    h,
-    f: Callable[[np.ndarray], np.ndarray],
-    tol: Optional[Tolerance] = None,
-    domain_min: Optional[float] = None,
-) -> np.ndarray:
-    """Functional calculus Q f(lambda) Q* on a Hermitian matrix.
+def sqrtm_psd(h, tol: Optional[Tolerance] = None) -> np.ndarray:
+    """PSD square root H^(1/2) (:meth:`EigenSystem.power`), clamping negative
+    eigenvalue dust at zero.
 
-    When ``domain_min`` is given, eigenvalues below it are clamped up to it if
-    the shortfall is rounding dust (within the relative rank cutoff) and
-    rejected with DomainError otherwise.
+    Raises DomainError for an eigenvalue below -rank_cutoff * max(1, max|lambda|).
     """
     es = eigh(h, tol)
-    t = _tol(tol, es.values.size)
-    lam = es.values.copy()
-    if domain_min is not None:
-        slack = t.rank_cutoff * max(1.0, float(np.abs(lam).max()) if lam.size else 0.0)
-        if np.any(lam < domain_min - slack):
-            worst = float(lam.min())
-            raise DomainError(f"eigenvalue {worst:.3e} below function domain [{domain_min}, inf)")
-        np.clip(lam, domain_min, None, out=lam)
-    vals = np.asarray(f(lam), dtype=float)
-    return hermitian_part((es.vectors * vals) @ es.vectors.conj().T)
-
-
-def sqrtm_psd(h, tol: Optional[Tolerance] = None) -> np.ndarray:
-    """PSD square root, clamping negative eigenvalue dust at zero."""
-    return matrix_function(h, np.sqrt, tol, domain_min=0.0)
+    lam = es.values
+    if lam.size:
+        slack = _tol(tol, lam.size).rank_cutoff * max(1.0, float(np.abs(lam).max()))
+        if lam[-1] < -slack:
+            raise DomainError(f"eigenvalue {float(lam[-1]):.3e} below function domain [0.0, inf)")
+    return es.power(0.5, tol)
 
 
 def _generalized_power(values: np.ndarray, p: float, support: np.ndarray) -> np.ndarray:

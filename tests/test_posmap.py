@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from opcheck.errors import DimensionMismatch, NotPositiveSemidefinite
-from opcheck.linalg import eigvalsh, hermitian_part, operator_norm, require_hermitian
+from opcheck.linalg import eigvalsh, hermitian_part, operator_norm, require_hermitian, sqrtm_psd
 from opcheck.posmap import (
     COMPLETELY_POSITIVE,
     POSITIVE,
@@ -21,8 +21,6 @@ from opcheck.posmap import (
     TransposeMap,
     _amplified_apply,
     apply,
-    choi_matrix,
-    compress_map,
     map_from_json,
     map_to_json,
     sample_positivity_falsifier,
@@ -38,6 +36,23 @@ def ginibre(n, rng=RNG):
 def random_psd(n, rng=RNG):
     g = ginibre(n, rng)
     return g @ g.conj().T
+
+
+def compress_map(phi, j):
+    """X -> phi(J^1/2 X J^1/2), built from the map families."""
+    return MapCompose(outer=phi, inner=Congruence(sqrtm_psd(j)))
+
+
+def choi_matrix(phi):
+    """The block matrix [phi(E_ij)] over the matrix units; PSD iff phi is CP."""
+    n, m = phi.in_dim, phi.out_dim
+    out = np.zeros((n * m, n * m), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[i, j] = 1.0
+            out[i * m : (i + 1) * m, j * m : (j + 1) * m] = apply(phi, unit)
+    return hermitian_part(out)
 
 
 def example_map(n=2):
@@ -165,21 +180,21 @@ class TestCompressMap:
 
 class TestChoi:
     def test_identity_choi_is_rank_one_projector(self):
-        c = choi_matrix(IdentityMap(2)).matrix
+        c = choi_matrix(IdentityMap(2))
         assert np.allclose(c, [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]])
         vals = np.linalg.eigvalsh(c)
         assert vals.min() > -1e-12 and np.trace(c).real == pytest.approx(2.0)
         assert np.sum(vals > 1e-9) == 1
 
     def test_transpose_choi_is_swap(self):
-        c = choi_matrix(TransposeMap(2)).matrix
+        c = choi_matrix(TransposeMap(2))
         assert np.allclose(c, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
         assert np.allclose(np.sort(np.linalg.eigvalsh(c)), [-1, 1, 1, 1])
 
     def test_single_kraus_choi_is_rank_one(self):
         rng = np.random.default_rng(8)
         k = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        c = choi_matrix(KrausSum(kraus=(k,))).matrix
+        c = choi_matrix(KrausSum(kraus=(k,)))
         vals = np.linalg.eigvalsh(c)
         assert vals.min() > -1e-10
         assert np.sum(vals > 1e-9 * vals.max()) == 1
@@ -191,7 +206,7 @@ class TestChoi:
         for _ in range(200):
             zoo = family_zoo(rng)
             phi = zoo[int(rng.integers(len(zoo)))]
-            vals = np.linalg.eigvalsh(choi_matrix(phi).matrix)
+            vals = np.linalg.eigvalsh(choi_matrix(phi))
             scale = 1 + np.abs(vals).max()
             is_psd = vals.min() > -1e-9 * scale
             assert is_psd == (phi.declared_class == COMPLETELY_POSITIVE), type(phi)

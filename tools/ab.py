@@ -7,15 +7,18 @@ The revision REV is exported with ``git archive`` into a temporary directory
 and compared with the working tree this script lives in. Standard library
 only; BLAS and OpenMP are pinned to one thread in every child process.
 
-``--reports`` writes the CLI outputs that CI checks for repeatability from
-both trees: ``opcheck campaign`` for every check id at seeds 7 and 2026 with
-50 trials, ``repro example-2.8``, ``repro sharpness``,
-``repro cartesian-cex --trials 3000``, ``find-cex --trials 3000 --seed 5``
-and ``opcheck mean`` on the fixed (A, B) pairs of ``MEAN_PAIRS``, whose
-matrices the tool writes itself. In those pairs B's smallest eigenvalue is
-0.5, 1, 2 and 4 times 1e-10, on both sides of the mean's definiteness
-threshold and of its Cholesky screen; the first pair ends in the
-singular-mean limit's ``NoConvergence``. Each command's ``--out`` file and
+``--reports`` writes the outputs of every CLI subcommand from both trees:
+``opcheck campaign`` for every check id at seeds 7 and 2026 with 50 trials,
+``repro example-2.8``, ``repro sharpness``,
+``repro cartesian-cex --trials 3000``, ``find-cex --trials 3000 --seed 5``,
+``opcheck mean`` on the fixed (A, B) pairs of ``MEAN_PAIRS``,
+``opcheck polar`` on the rank-one ``POLAR_Z``, and ``opcheck check`` for
+every check id on the fixed instance of ``check_instance``. The tool writes
+those matrices and instances itself. In the mean pairs B's smallest
+eigenvalue is 0.5, 1, 2 and 4 times 1e-10, on both sides of the mean's
+definiteness threshold and of its Cholesky screen; the first pair ends in
+the singular-mean limit's ``NoConvergence``. The polar factor of ``POLAR_Z``
+needs two completed columns. Each command's ``--out`` file and
 its stdout and stderr plus exit status are compared byte for byte. It exits
 0 when every file is equal. Otherwise it names every file that differs and
 exits 1: for a JSON file it prints each differing key path (list indices
@@ -70,6 +73,13 @@ REPRO_COMMANDS = {
 MEAN_PAIRS = {"lmin_5e-11": 5e-11, "lmin_1e-10": 1e-10, "lmin_2e-10": 2e-10, "lmin_4e-10": 4e-10}
 # A = [[2, i, 0], [-i, 2, 1], [0, 1, 2]], with eigenvalues 2 - sqrt(2), 2 and 2 + sqrt(2)
 MEAN_A = [[2, 1j, 0], [-1j, 2, 1], [0, 1, 2]]
+# rank one, so the unitary polar factor completes two columns
+POLAR_Z = [[1, 2, 0], [1j, 2j, 0], [0, 0, 0]]
+# the ``opcheck check`` instance: ||Z|| <= ||Z||_F = 0.39, so with p = 0.25
+# f(|Z|) = |Z|^1.25 and g(|Z*|) = |Z*|^0.75 lie below 0.5 I, and so below
+# J = MEAN_A, whose smallest eigenvalue is 0.59, or J = I
+CHECK_Z = [[0.25, 0.1j, 0], [0.05, -0.15, 0.2], [0, 0.05 + 0.05j, 0.1]]
+KRAUS = ([[1, 0.5j, 0], [0, 1, 0.5], [0.25, 0, 1]], [[0.5, 0, 0.25j], [0, -0.5, 0], [0.25, 0.25, 0.5]])
 
 
 def git(*args: str) -> str:
@@ -107,10 +117,24 @@ def mean_b(lmin: float) -> list:
     return [[sum(q[i][k] * d[k] * q[j][k] for k in range(3)) for j in range(3)] for i in range(3)]
 
 
-def matrix_json(rows: list) -> str:
+def matrix_obj(rows: list) -> dict:
     """``rows`` in the matrix JSON form that ``opcheck`` reads."""
     data = [[complex(x).real, complex(x).imag] for row in rows for x in row]
-    return json.dumps({"rows": len(rows), "cols": len(rows[0]), "data": data})
+    return {"rows": len(rows), "cols": len(rows[0]), "data": data}
+
+
+def check_instance(check_id: str) -> dict:
+    """The instance ``opcheck check`` runs under ``check_id``: a Kraus map, or
+    for ``check_eigenvalue_gaps`` the Schur multiplier by MEAN_A with a scalar
+    J, so that its Schur grids run. It carries every field a check reads."""
+    if check_id == "check_eigenvalue_gaps":
+        phi = {"family": "schur_multiplier", "params": {"factor": matrix_obj(MEAN_A)}}
+        j = [[float(r == c) for c in range(3)] for r in range(3)]
+    else:
+        phi = {"family": "kraus_sum", "params": {"kraus": [matrix_obj(k) for k in KRAUS]}}
+        j = MEAN_A
+    return {"phi": phi, "Z": matrix_obj(CHECK_Z), "J": matrix_obj(j), "A": matrix_obj(CHECK_Z),
+            "funpair": {"kind": "power", "p": 0.25, "rho": 1.0}, "p": 0.5}
 
 
 def write_reports(tree: Path, out_dir: Path) -> None:
@@ -125,13 +149,18 @@ def write_reports(tree: Path, out_dir: Path) -> None:
             spec = out_dir / f"{name}.spec"
             spec.write_text(json.dumps({"check_id": check_id, "trials": CAMPAIGN_TRIALS, "seed": seed}))
             run_cli(tree, ["campaign", "--spec", str(spec)], out_dir, name)
+        name = f"check_{check_id}"
+        (out_dir / f"{name}.in").write_text(json.dumps(check_instance(check_id)))
+        run_cli(tree, ["check", check_id, "--in", f"{name}.in"], out_dir, name)
     for name, args in REPRO_COMMANDS.items():
         run_cli(tree, args, out_dir, name)
     for label, lmin in MEAN_PAIRS.items():
         name = f"mean_{label}"
-        (out_dir / f"{name}.a").write_text(matrix_json(MEAN_A))
-        (out_dir / f"{name}.b").write_text(matrix_json(mean_b(lmin)))
+        (out_dir / f"{name}.a").write_text(json.dumps(matrix_obj(MEAN_A)))
+        (out_dir / f"{name}.b").write_text(json.dumps(matrix_obj(mean_b(lmin))))
         run_cli(tree, ["mean", "--a", f"{name}.a", "--b", f"{name}.b"], out_dir, name)
+    (out_dir / "polar.in").write_text(json.dumps(matrix_obj(POLAR_Z)))
+    run_cli(tree, ["polar", "--in", "polar.in"], out_dir, "polar")
 
 
 def compare_reports(base: Path, work: Path) -> int:
