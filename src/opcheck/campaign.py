@@ -16,7 +16,7 @@ import numpy as np
 
 from . import checks as C
 from .checks import FunPair
-from .decompose import svd_square
+from .decompose import _svd
 from .ensembles import GeneratorConfig, generate_with_rng
 from .errors import InstanceGenerationFailure, InvalidSpec
 from .io import (
@@ -29,7 +29,7 @@ from .io import (
     tolerance_from_json,
     tolerance_to_json,
 )
-from .linalg import Tolerance, _with_memo, eigvalsh, hermitian_part
+from .linalg import Tolerance, _eig, _with_memo, hermitian_part
 from .posmap import (
     Congruence,
     IdentityMap,
@@ -271,7 +271,7 @@ def _funpair_and_j(
     """Build (funpair, J, f(|Z|), g(|Z*|)) with the images meant to lie below J,
     sharing one SVD of Z across the modulus data. None means resample Z."""
     n = z.shape[0]
-    parts = svd_square(z, tol)
+    parts = _svd(z, tol)
     sig = parts.values
     if parts.rank == 0:
         return None
@@ -284,7 +284,7 @@ def _funpair_and_j(
             return None  # scaled pair needs an invertible modulus
         inv_half = (parts.right * sig**-0.5) @ parts.right.conj().T
         comod = parts.comodulus()
-        rho = float(eigvalsh(hermitian_part(inv_half @ comod @ inv_half), tol)[0])
+        rho = float(_eig(hermitian_part(inv_half @ comod @ inv_half), tol, vectors=False)[0][0])
         fp = FunPair.scaled(max(rho, 1e-8))
     f_mod, g_comod = C.moduli_from_svd(parts, fp)
     if fp.kind == "scaled":

@@ -17,36 +17,39 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .decompose import SvdParts, cartesian, comodulus, modulus, svd_square
+from .decompose import SvdParts, _cartesian, _svd, cartesian, svd_square
 from .errors import ClassViolation, HypothesisViolated, NotContraction, SearchExhausted
 from .linalg import (
+    EigenSystem,
     Tolerance,
     _clears,
+    _eig,
     _generalized_power,
+    _hermitian_input,
+    _loewner_leq,
+    _operator_norm,
+    _spectral_radius,
+    _spectral_radius_psd_product,
+    _sqrtm_psd,
     _tol,
-    eigh,
-    eigvalsh,
-    generalized_inverse,
+    as_matrix,
     hermitian_part,
-    loewner_leq,
     operator_norm,
     require_hermitian,
-    spectral_radius,
-    spectral_radius_psd_product,
 )
 from .means import (
     MajorizationReport,
     _clamped_spectrum,
+    _geometric_mean,
     _prefix_ratios,
-    geometric_mean_ex,
-    weak_log_majorizes,
+    _weak_log_majorizes,
 )
 from .posmap import (
     COMPLETELY_POSITIVE,
     TWO_POSITIVE,
     PosMap,
     SchurMultiplier,
-    apply,
+    _apply,
     map_to_json,
 )
 from .io import _json_object, _json_value, matrix_to_json, tolerance_to_json
@@ -195,7 +198,7 @@ def _certificate(
     notes: str = "",
     extra_ok: bool = True,
 ) -> Certificate:
-    dec = loewner_leq(lhs, rhs, tol)
+    dec = _loewner_leq(lhs, rhs, tol)
     t = _tol(tol, lhs.shape[0])
     return Certificate(
         check_id=check_id,
@@ -212,9 +215,9 @@ def _certificate(
     )
 
 
-def _polar_witness_and_modulus(w, tol: Optional[Tolerance]) -> Tuple[np.ndarray, np.ndarray]:
+def _polar_witness_and_modulus(w: np.ndarray, tol: Optional[Tolerance]) -> Tuple[np.ndarray, np.ndarray]:
     """(V, |W|) with V the adjoint polar unitary, so V W = |W|."""
-    parts = svd_square(w, tol)
+    parts = _svd(w, tol)
     return parts.unitary.conj().T, parts.modulus()
 
 
@@ -234,6 +237,14 @@ def domination_holds(z, j, fp: FunPair, tol: Optional[Tolerance] = None) -> bool
     return _images_dominated(require_hermitian(j, tol), *moduli_images(z, fp, tol), tol)
 
 
+def _dominated_inputs(z, j, fp: FunPair, tol: Optional[Tolerance]) -> Tuple[np.ndarray, np.ndarray]:
+    """Z and J as complex arrays, once :func:`domination_holds` has validated
+    them and found f(|Z|) <= J and g(|Z*|) <= J; HypothesisViolated otherwise."""
+    if not domination_holds(z, j, fp, tol):
+        raise HypothesisViolated("f(|Z|) <= J and g(|Z*|) <= J required")
+    return np.asarray(z, dtype=complex), np.asarray(j, dtype=complex)
+
+
 def _images_dominated(jm, f_mod, g_comod, tol: Optional[Tolerance]) -> bool:
     """f_mod <= J and g_comod <= J for a Hermitian J, both in the Loewner order."""
     if jm.size == 0:
@@ -247,12 +258,12 @@ def _images_dominated(jm, f_mod, g_comod, tol: Optional[Tolerance]) -> bool:
         gap = jm - image
         if _clears(gap, margin):
             continue
-        slack = float(eigvalsh(gap, tol)[-1])
+        slack = float(_eig(gap, tol, vectors=False)[0][-1])
         # as in loewner_leq, a slack of at least -abs holds whatever ||J|| is
         if slack >= -t.abs:
             continue
         if threshold is None:
-            threshold = -t.abs * (1.0 + float(np.abs(eigvalsh(jm, tol)).max()))
+            threshold = -t.abs * (1.0 + float(np.abs(_eig(jm, tol, vectors=False)[0]).max()))
         if not slack >= threshold:  # a NaN slack fails too
             return False
     return True
@@ -275,8 +286,8 @@ def check_russo_dye(phi: PosMap, a, tol: Optional[Tolerance] = None) -> Certific
     norm_a = operator_norm(am, tol)
     if norm_a > 1.0 + t.abs:
         raise NotContraction(f"operator norm {norm_a:.6g} exceeds 1")
-    lhs = np.array([[operator_norm(apply(phi, am), tol)]], dtype=complex)
-    rhs = np.array([[operator_norm(apply(phi, np.eye(phi.in_dim)), tol)]], dtype=complex)
+    lhs = np.array([[_operator_norm(_apply(phi, am), tol)]], dtype=complex)
+    rhs = np.array([[_operator_norm(_apply(phi, np.eye(phi.in_dim, dtype=complex)), tol)]], dtype=complex)
     inputs = {"phi": map_to_json(phi), "A": matrix_to_json(am)}
     return _certificate("check_russo_dye", inputs, lhs, rhs, None, tol)
 
@@ -285,12 +296,11 @@ def check_arithmetic_domination(
     phi: PosMap, z, j, fp: FunPair, tol: Optional[Tolerance] = None
 ) -> Certificate:
     """|phi(Z)| against the arithmetic mean of phi(J) and its witness conjugate."""
-    if not domination_holds(z, j, fp, tol):
-        raise HypothesisViolated("f(|Z|) <= J and g(|Z*|) <= J required")
-    v, lhs = _polar_witness_and_modulus(apply(phi, z), tol)
-    phj = hermitian_part(apply(phi, j))
+    zm, jm = _dominated_inputs(z, j, fp, tol)
+    v, lhs = _polar_witness_and_modulus(_apply(phi, zm), tol)
+    phj = hermitian_part(_apply(phi, jm))
     rhs = hermitian_part(0.5 * (phj + v @ phj @ v.conj().T))
-    inputs = _std_inputs(phi, z, j, fp)
+    inputs = _std_inputs(phi, zm, jm, fp)
     return _certificate(
         "check_arithmetic_domination", inputs, lhs, rhs, v, tol, notes=fp.describe()
     )
@@ -304,16 +314,15 @@ def check_geometric_domination(
     Also asserts the sharpening itself: the geometric right-hand side must not
     exceed the arithmetic one.
     """
-    if not domination_holds(z, j, fp, tol):
-        raise HypothesisViolated("f(|Z|) <= J and g(|Z*|) <= J required")
-    v, lhs = _polar_witness_and_modulus(apply(phi, z), tol)
-    phj = hermitian_part(apply(phi, j))
+    zm, jm = _dominated_inputs(z, j, fp, tol)
+    v, lhs = _polar_witness_and_modulus(_apply(phi, zm), tol)
+    phj = hermitian_part(_apply(phi, jm))
     conj = hermitian_part(v @ phj @ v.conj().T)
-    rhs, used_limit = geometric_mean_ex(phj, conj, tol)
+    rhs, used_limit = _geometric_mean(phj, conj, tol)
     arith = hermitian_part(0.5 * (phj + conj))
-    agm = loewner_leq(rhs, arith, tol)
+    agm = _loewner_leq(rhs, arith, tol)
     notes = f"{fp.describe()}; agm_slack={agm.slack:.3e}"
-    inputs = _std_inputs(phi, z, j, fp)
+    inputs = _std_inputs(phi, zm, jm, fp)
     return _certificate(
         "check_geometric_domination",
         inputs,
@@ -339,12 +348,13 @@ def check_two_positive_split(
         raise ClassViolation(
             f"map declared {phi.declared_class!r}; the split bound needs 2-positivity"
         )
-    v, lhs = _polar_witness_and_modulus(apply(phi, z), tol)
-    f_mod, g_comod = moduli_images(z, FunPair.power(p), tol)
-    left = hermitian_part(apply(phi, f_mod))
-    right = hermitian_part(v @ apply(phi, g_comod) @ v.conj().T)
-    rhs, used_limit = geometric_mean_ex(left, right, tol)
-    inputs = _std_inputs(phi, z, p=p)
+    zm = as_matrix(z)
+    v, lhs = _polar_witness_and_modulus(_apply(phi, zm), tol)
+    f_mod, g_comod = moduli_from_svd(_svd(zm, tol), FunPair.power(p))
+    left = hermitian_part(_apply(phi, f_mod))
+    right = hermitian_part(v @ _apply(phi, g_comod) @ v.conj().T)
+    rhs, used_limit = _geometric_mean(left, right, tol)
+    inputs = _std_inputs(phi, zm, p=p)
     return _certificate(
         "check_two_positive_split",
         inputs,
@@ -361,15 +371,14 @@ def check_log_majorization(
     phi: PosMap, z, j, fp: FunPair, tol: Optional[Tolerance] = None
 ) -> MajorizationReport:
     """|phi(Z)| weakly log-majorized by phi(J) under the domination hypothesis."""
-    if not domination_holds(z, j, fp, tol):
-        raise HypothesisViolated("f(|Z|) <= J and g(|Z*|) <= J required")
-    lhs = modulus(apply(phi, z), tol)
-    rhs = hermitian_part(apply(phi, j))
-    return weak_log_majorizes(lhs, rhs, tol)
+    zm, jm = _dominated_inputs(z, j, fp, tol)
+    lhs = _svd(_apply(phi, zm), tol).modulus()
+    rhs = hermitian_part(_apply(phi, jm))
+    return _weak_log_majorizes(lhs, rhs, tol)
 
 
 def _descending_clamped(h, tol: Optional[Tolerance]) -> np.ndarray:
-    return np.clip(eigvalsh(h, tol), 0.0, None)
+    return np.clip(_eig(h, tol, vectors=False)[0], 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -416,11 +425,10 @@ def check_eigenvalue_gaps(
     for the expansive factor against its inverse and the contractive factor
     against itself are folded in.
     """
-    if not domination_holds(z, j, fp, tol):
-        raise HypothesisViolated("f(|Z|) <= J and g(|Z*|) <= J required")
+    zm, jm = _dominated_inputs(z, j, fp, tol)
     t = _tol(tol, phi.out_dim)
-    lhs_vals = _descending_clamped(modulus(apply(phi, z), tol), tol)
-    rhs_vals = _descending_clamped(hermitian_part(apply(phi, j)), tol)
+    lhs_vals = _descending_clamped(_svd(_apply(phi, zm), tol).modulus(), tol)
+    rhs_vals = _descending_clamped(hermitian_part(_apply(phi, jm)), tol)
     m = lhs_vals.size
     scale = float(rhs_vals[0]) if m else 0.0
     slackstep = t.abs * (1.0 + scale)
@@ -430,12 +438,12 @@ def check_eigenvalue_gaps(
     grids = [rhs_vals]
     notes = ""
     if isinstance(phi, SchurMultiplier):
-        lam = _scalar_weight(j)
+        lam = _scalar_weight(jm)
         if lam is not None:
             diag_sorted = lam * np.sort(np.real(np.diagonal(phi.factor)))[::-1]
             grids.append(diag_sorted)
             notes = "schur diagonal grid included"
-        remarks = check_schur_remarks(phi.factor, tol)
+        remarks = _schur_remarks(phi.factor, tol)
         checked += 2
         if not remarks.passed:
             passed = False
@@ -480,11 +488,10 @@ def check_reverse_product(
 ) -> ReverseProductReport:
     """Products of the k smallest eigenvalues of |phi(Z)|, squared, bounded by
     the mixed smallest-times-largest products of phi(J)."""
-    if not domination_holds(z, j, fp, tol):
-        raise HypothesisViolated("f(|Z|) <= J and g(|Z*|) <= J required")
+    zm, jm = _dominated_inputs(z, j, fp, tol)
     t = _tol(tol, phi.out_dim)
-    lhs_vals = _clamped_spectrum(modulus(apply(phi, z), tol), tol)
-    rhs_vals = _clamped_spectrum(hermitian_part(apply(phi, j)), tol)
+    lhs_vals = _clamped_spectrum(_svd(_apply(phi, zm), tol).modulus(), tol)
+    rhs_vals = _clamped_spectrum(hermitian_part(_apply(phi, jm)), tol)
     lhs_sq = np.cumprod(lhs_vals[::-1]) ** 2
     mixed = np.cumprod(rhs_vals[::-1] * rhs_vals)
     passed, worst = _prefix_ratios(lhs_sq, mixed, t.rel * lhs_sq.size)
@@ -533,25 +540,25 @@ def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> Ca
     zm = np.asarray(z, dtype=complex)
     t = _tol(tol, zm.shape[0])
     parts = cartesian(zm)
-    k_sum = hermitian_part(modulus(parts.re_part, tol) + modulus(parts.im_part, tol))
-    es = eigh(k_sum, tol)  # K's one spectrum: the singular flag and both generalized powers
+    k_sum = hermitian_part(_svd(parts.re_part, tol).modulus() + _svd(parts.im_part, tol).modulus())
+    es = EigenSystem(*_eig(k_sum, tol))  # K's one spectrum: the singular flag and both generalized powers
     lmax = float(es.values[0]) if es.values.size else 0.0
     singular = not t.support(np.clip(es.values, 0.0, None)).all()
 
-    v, lhs = _polar_witness_and_modulus(apply(phi, zm), tol)
-    phk = hermitian_part(apply(phi, k_sum))
+    v, lhs = _polar_witness_and_modulus(_apply(phi, zm), tol)
+    phk = hermitian_part(_apply(phi, k_sum))
     conj = hermitian_part(v @ phk @ v.conj().T)
-    rhs, used_limit = geometric_mean_ex(phk, conj, tol)
+    rhs, used_limit = _geometric_mean(phk, conj, tol)
     inputs = _std_inputs(phi, zm, k_sum)
     cert = _certificate(
         "check_cartesian_suite", inputs, lhs, rhs, v, tol, used_limit=used_limit,
         notes="J = |X| + |Y| from the Cartesian decomposition",
     )
-    major = weak_log_majorizes(lhs, phk, tol)
+    major = _weak_log_majorizes(lhs, phk, tol)
 
     k_inv_half = es.power(-0.5, tol)
-    norm_value = operator_norm(k_inv_half @ zm @ k_inv_half, tol)
-    rho_value = spectral_radius(zm @ es.power(-1.0, tol))
+    norm_value = _operator_norm(k_inv_half @ zm @ k_inv_half, tol)
+    rho_value = _spectral_radius(zm @ es.power(-1.0, tol))
     bound = 1.0 + t.abs * (1.0 + lmax) + 1e-6
     passed = bool(cert.passed and major.passed and norm_value <= bound and rho_value <= bound)
     return CartesianReport(
@@ -576,18 +583,24 @@ class SchurRemarkReport:
 def check_schur_remarks(s, tol: Optional[Tolerance] = None) -> SchurRemarkReport:
     """lambda_{2j+1}(S o S^-1) <= s_{j+1} for expansive S, and the same with
     S o S for contractive S, built from one PSD sample."""
-    sm = require_hermitian(s, tol)
+    return _schur_remarks(_hermitian_input(s, tol), tol)
+
+
+def _schur_remarks(s, tol: Optional[Tolerance]) -> SchurRemarkReport:
+    """:func:`check_schur_remarks` of an ``s`` with zero Hermitian defect,
+    taken through its Hermitian part as there."""
+    sm = hermitian_part(s)
     n = sm.shape[0]
     t = _tol(tol, n)
     expansive = hermitian_part(sm + np.eye(n))
-    inv = generalized_inverse(expansive, -1.0, tol)
+    inv = EigenSystem(*_eig(expansive, tol)).power(-1.0, tol)
     prod = hermitian_part(expansive * inv)
     vals = _descending_clamped(prod, tol)
     diag_sorted = np.sort(np.real(np.diagonal(expansive)))[::-1]
     half = range((n + 1) // 2)  # the indices j with 2j + 1 <= n
     worst_e = min((diag_sorted[jj] - vals[2 * jj] for jj in half), default=math.inf)
 
-    top = operator_norm(sm, tol)
+    top = _operator_norm(sm, tol)
     contractive = sm / (top * (1.0 + 1e-12)) if top > 0 else sm
     prod_c = hermitian_part(contractive * contractive)
     vals_c = _descending_clamped(prod_c, tol)
@@ -623,22 +636,22 @@ def reproduce_counterexample_2_8(
     rng = np.random.default_rng(seed)
     z = np.array([[0.0, 4.0], [1.0, 0.0]], dtype=complex)
     phi = MapSum(terms=(IdentityMap(2), TransposeMap(2)))
-    lhs_vals = _descending_clamped(modulus(apply(phi, z), tol), tol)
+    lhs_vals = _descending_clamped(_svd(_apply(phi, z), tol).modulus(), tol)
     det_lhs = float(np.prod(lhs_vals))
-    phi_mod = hermitian_part(apply(phi, modulus(z, tol)))
-    phi_comod = hermitian_part(apply(phi, comodulus(z, tol)))
+    phi_mod = hermitian_part(_apply(phi, _svd(z, tol).modulus()))
+    phi_comod = hermitian_part(_apply(phi, _svd(z, tol).comodulus()))
     haar = GeneratorConfig(ensemble="haar_unitary")
     det_rhss = []
     ok = abs(det_lhs - 25.0) <= 1e-9 * 25.0
     for _ in range(pairs):
         u = generate_with_rng(haar, 2, rng)
         v = generate_with_rng(haar, 2, rng)
-        mean, _ = geometric_mean_ex(
+        mean, _ = _geometric_mean(
             hermitian_part(u @ phi_mod @ u.conj().T),
             hermitian_part(v @ phi_comod @ v.conj().T),
             tol,
         )
-        det_rhs = float(np.prod(eigvalsh(mean, tol)))
+        det_rhs = float(np.prod(_eig(mean, tol, vectors=False)[0]))
         det_rhss.append(det_rhs)
         if abs(det_rhs - 16.0) > 1e-9 * 16.0:
             ok = False
@@ -671,17 +684,18 @@ def reproduce_sharpness_cor2_5(k: float, tol: Optional[Tolerance] = None) -> Sha
         raise ValueError("k must be positive")
     z = np.array([[0.0, 1.0], [float(k), 0.0]], dtype=complex)
     phi = TransposeMap(2)
-    mod = modulus(z, tol)
-    comod = comodulus(z, tol)
-    rho = spectral_radius_psd_product(comod, generalized_inverse(mod, -1.0, tol), tol)
+    mod = _svd(z, tol).modulus()
+    comod = _svd(z, tol).comodulus()
+    inv = EigenSystem(*_eig(mod, tol)).power(-1.0, tol)
+    rho = _spectral_radius_psd_product(comod, _sqrtm_psd(inv, tol), tol)
 
-    v, lhs = _polar_witness_and_modulus(apply(phi, z), tol)
+    v, lhs = _polar_witness_and_modulus(_apply(phi, z), tol)
     e2 = np.zeros(2)
     e2[1] = 1.0
     bracket_lhs = float(np.real(e2 @ lhs @ e2))
 
-    phi_mod = hermitian_part(apply(phi, mod))
-    mean, used_limit = geometric_mean_ex(
+    phi_mod = hermitian_part(_apply(phi, mod))
+    mean, used_limit = _geometric_mean(
         phi_mod, hermitian_part(v @ phi_mod @ v.conj().T), tol
     )
     bracket_rhs = float(np.real(e2 @ mean @ e2))
@@ -775,28 +789,26 @@ def find_counterexamples_remarks(
     margin = 1e-6
     for trial in range(trials):
         zm = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
-        parts = cartesian(zm)
-        k_sum = hermitian_part(modulus(parts.re_part, tol) + modulus(parts.im_part, tol))
-        mod = modulus(zm, tol)
+        parts = _cartesian(zm)
+        k_sum = hermitian_part(_svd(parts.re_part, tol).modulus() + _svd(parts.im_part, tol).modulus())
+        mod = _svd(zm, tol).modulus()
         if found_a is None:
-            dec = loewner_leq(mod, k_sum, tol)
+            dec = _loewner_leq(mod, k_sum, tol)
             if dec.slack < -margin:
                 found_a = CexWitness(trial_index=trial, matrix=zm, margin=-dec.slack)
-        es_k = eigh(k_sum, tol)
+        es_k = EigenSystem(*_eig(k_sum, tol))
         k_inv_half = es_k.power(-0.5, tol)
         k_inv = es_k.power(-1.0, tol)
         if found_b is None:
-            half_norm = operator_norm(
-                generalized_inverse(mod, 0.5, tol) @ k_inv_half, tol
-            )
+            half_norm = _operator_norm(EigenSystem(*_eig(mod, tol)).power(0.5, tol) @ k_inv_half, tol)
             if half_norm > 1.0 + margin:
                 found_b = CexWitness(trial_index=trial, matrix=zm, margin=half_norm - 1.0)
         if found_c is None:
-            plain_norm = operator_norm(zm @ k_inv, tol)
+            plain_norm = _operator_norm(zm @ k_inv, tol)
             if plain_norm > 1.0 + margin:
                 found_c = CexWitness(trial_index=trial, matrix=zm, margin=plain_norm - 1.0)
-        cong_norm = operator_norm(k_inv_half @ zm @ k_inv_half, tol)
-        rho = spectral_radius(zm @ k_inv)
+        cong_norm = _operator_norm(k_inv_half @ zm @ k_inv_half, tol)
+        rho = _spectral_radius(zm @ k_inv)
         worst_rho = max(worst_rho, rho)
         worst_norm = max(worst_norm, cong_norm)
         if cong_norm > 1.0 + margin or rho > 1.0 + margin:

@@ -15,12 +15,12 @@ import numpy as np
 
 from .linalg import (
     Tolerance,
+    _eig,
     _frobenius,
     _remember,
     _tol,
     _trial_memo,
     as_matrix,
-    eigh,
     hermitian_part,
     require_square,
 )
@@ -113,11 +113,15 @@ def _complete_columns(cols: list, basis: np.ndarray, n: int) -> list:
 
 def svd_square(z, tol: Optional[Tolerance] = None) -> SvdParts:
     """The SVD of a square Z; memoized inside a campaign trial, like :func:`eigh`."""
-    zm = np.asarray(z, dtype=complex)
+    return _svd(require_square(z), tol)
+
+
+def _svd(zm: np.ndarray, tol: Optional[Tolerance]) -> SvdParts:
+    """:func:`svd_square` of a square complex array, which it trusts."""
     memo, key = _trial_memo("svd_square", zm, tol)
     parts = memo.get(key) if memo is not None else None
     if parts is None:
-        parts = _svd_square(require_square(zm), tol)
+        parts = _svd_square(zm, tol)
         _remember(memo, key, parts, (parts.left, parts.values, parts.right))
     return parts
 
@@ -125,8 +129,8 @@ def svd_square(z, tol: Optional[Tolerance] = None) -> SvdParts:
 def _svd_square(zm: np.ndarray, tol: Optional[Tolerance]) -> SvdParts:
     n = zm.shape[0]
     t = _tol(tol, n)
-    right_es = eigh(hermitian_part(zm.conj().T @ zm), tol)
-    lam = np.clip(right_es.values, 0.0, None)
+    values, right = _eig(hermitian_part(zm.conj().T @ zm), tol)
+    lam = np.clip(values, 0.0, None)
     sigma = np.sqrt(lam)
     # the rank rule acts on sigma^2 = eigenvalues of Z*Z
     keep = t.support(lam)
@@ -135,7 +139,7 @@ def _svd_square(zm: np.ndarray, tol: Optional[Tolerance]) -> SvdParts:
     for i in range(n):
         if not keep[i] or sigma[i] == 0.0:
             break
-        cand = zm @ right_es.vectors[:, i] / sigma[i]
+        cand = zm @ right[:, i] / sigma[i]
         for c in left_cols:
             cand = cand - c * np.vdot(c, cand)
         norm = _frobenius(cand)
@@ -145,10 +149,9 @@ def _svd_square(zm: np.ndarray, tol: Optional[Tolerance]) -> SvdParts:
         rank += 1
     sigma[rank:] = 0.0
     if rank < n:
-        left_es = eigh(hermitian_part(zm @ zm.conj().T), tol)
-        left_cols = _complete_columns(left_cols, left_es.vectors, n)
+        left_cols = _complete_columns(left_cols, _eig(hermitian_part(zm @ zm.conj().T), tol)[1], n)
     left = np.column_stack(left_cols) if left_cols else np.eye(n, dtype=complex)
-    return SvdParts(left=left, values=sigma, right=right_es.vectors.copy(), rank=rank)
+    return SvdParts(left=left, values=sigma, right=right.copy(), rank=rank)
 
 
 def modulus(z, tol: Optional[Tolerance] = None) -> np.ndarray:
@@ -172,8 +175,12 @@ def cartesian(z) -> CartesianParts:
 
     Raises ValueError when a part overflows, which needs an entry above half
     the largest double."""
-    zm = require_square(z)
-    return CartesianParts(
-        re_part=as_matrix(hermitian_part(zm)),
-        im_part=as_matrix(hermitian_part((zm - zm.conj().T) / 2j)),
-    )
+    parts = _cartesian(require_square(z))
+    for part in (parts.re_part, parts.im_part):
+        as_matrix(part)  # raises for a part that overflowed
+    return parts
+
+
+def _cartesian(zm: np.ndarray) -> CartesianParts:
+    """:func:`cartesian` of a square complex array, whose parts it does not check."""
+    return CartesianParts(re_part=hermitian_part(zm), im_part=hermitian_part((zm - zm.conj().T) / 2j))

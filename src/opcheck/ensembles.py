@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import operator_norm
+from .linalg import _operator_norm
 
-__all__ = ["ENSEMBLES", "GeneratorConfig", "generate", "generate_with_rng"]
+__all__ = ["ENSEMBLES", "GeneratorConfig", "generate_with_rng"]
 
 ENSEMBLES = (
     "ginibre",
@@ -66,7 +66,7 @@ def generate_with_rng(cfg: GeneratorConfig, n: int, rng: np.random.Generator) ->
     elif cfg.ensemble == "random_contraction":
         g = _ginibre(n, rng)
         shrink = 1.0 if rng.uniform() < 0.25 else 1.0 + rng.uniform(0.0, 1.0)
-        sample = g / (operator_norm(g) * shrink)
+        sample = g / (_operator_norm(g, None) * shrink)
     elif cfg.ensemble == "random_semi_hyponormal":
         # |Z*| <= |Z| with equal spectra forces |Z*| = |Z|, so the ensemble is
         # built as U P with commuting factors: phases and positive weights on
@@ -79,7 +79,3 @@ def generate_with_rng(cfg: GeneratorConfig, n: int, rng: np.random.Generator) ->
         raise AssertionError(cfg.ensemble)
     return cfg.scale * sample
 
-
-def generate(cfg: GeneratorConfig, n: int, seed: int) -> np.ndarray:
-    """Draw one sample; deterministic in (cfg, n, seed)."""
-    return generate_with_rng(cfg, n, np.random.default_rng(seed))

@@ -177,8 +177,10 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
+    @functools.cached_property
+    def _clamped(self) -> np.ndarray:
+        """The values with negative dust clamped at zero, shared by every power."""
+        return np.clip(self.values, 0.0, None)
 
     def power(self, p: float, tol: Optional[Tolerance] = None) -> np.ndarray:
         """Generalized power H^p of the PSD matrix H this spectrum belongs to.
@@ -188,8 +190,9 @@ class EigenSystem:
         p > 0. Negative dust is clamped at zero throughout; the zero matrix maps
         to zero for p > 0 and to the zero projection for p <= 0.
         """
-        lam = np.clip(self.values, 0.0, None)
-        out = _generalized_power(lam, p, _tol(tol, lam.size).support(lam))
+        lam = self._clamped
+        support = None if p > 0 else _tol(tol, lam.size).support(lam)
+        out = _generalized_power(lam, p, support)
         return hermitian_part((self.vectors * out) @ self.vectors.conj().T)
 
 
@@ -237,11 +240,18 @@ def _with_memo(memo: Optional[dict], fn, *args):
         _MEMO.reset(token)
 
 
-def _jacobi(
-    h, tol: Optional[Tolerance], max_sweeps: int, vectors: bool
+def _eig(
+    h, tol: Optional[Tolerance], max_sweeps: int = _MAX_SWEEPS, vectors: bool = True
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The sweep loop behind :func:`eigh` and :func:`eigvalsh`: descending
-    eigenvalues, and the eigenvector columns when ``vectors`` is set.
+    """The kernel behind :func:`eigh` and :func:`eigvalsh`, which trusts ``h``:
+    descending eigenvalues, and the eigenvector columns when ``vectors`` is set.
+
+    ``h`` is a square matrix with zero Hermitian defect, such as a
+    :func:`hermitian_part` output or a sum or difference of them, or one that
+    :func:`require_hermitian` has passed. The sweeps run on 0.5 (h + h*),
+    which is what require_hermitian returns for it, without its scale and
+    defect passes. When that holds a NaN or an inf, require_hermitian is run
+    on ``h`` and raises the error the validating entry points raise.
 
     Inside a campaign trial the result is memoized; a values-only request is
     also answered by an entry with vectors, whose values are the same bits.
@@ -251,23 +261,30 @@ def _jacobi(
     hit = memo.get(key) if memo is not None else None
     if hit is not None and (hit[1] is not None or not vectors):
         return hit
-    out = _sweeps(require_hermitian(a, tol), max_sweeps, vectors)
+    out = _sweeps(0.5 * (a + a.conj().T), max_sweeps, vectors)
+    if out is None:  # a NaN or an inf, which require_hermitian rejects
+        out = _sweeps(require_hermitian(a, tol), max_sweeps, vectors)
     _remember(memo, key, out, out)
     return out
 
 
-def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Cyclic Jacobi sweeps on the Hermitian ``a``.
+def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Cyclic Jacobi sweeps on the Hermitian ``a``; None, before any sweep,
+    when ``a`` holds a NaN or an inf.
 
     The rotations read only A, so skipping the eigenvector updates leaves the
     eigenvalues bit for bit the same.
     """
     n = a.shape[0]
+    rows = a.tolist()
+    moduli = [abs(x) for row in rows for x in row]
+    amax = max(moduli, default=0.0)
+    # max skips a NaN that is not first; the sum of moduli is NaN for any
+    if amax == math.inf or math.isnan(sum(moduli)):
+        return None
     if n <= 1:
         return a.real.diagonal().copy(), np.eye(n, dtype=complex) if vectors else None
 
-    rows = a.tolist()
-    amax = max([abs(x) for row in rows for x in row])
     shift = 0
     if 2.0**-200 < amax < 2.0**200:
         # ||A||_F lies in [amax, n * amax]: for any n below 2^56 it can neither
@@ -357,6 +374,16 @@ def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Tuple[np.ndarray, 
     return np.array([values[i] for i in order]), vectors_out
 
 
+def _hermitian_input(h, tol: Optional[Tolerance]) -> np.ndarray:
+    """``h`` as a complex array, once :func:`require_hermitian` has passed it.
+
+    The cores form its Hermitian part themselves, with the same arithmetic.
+    """
+    a = np.asarray(h, dtype=complex)
+    require_hermitian(a, tol)
+    return a
+
+
 def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> EigenSystem:
     """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
 
@@ -365,14 +392,13 @@ def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> E
     eigenspaces. Raises NonHermitian for asymmetric input and NoConvergence
     if the off-diagonal mass does not vanish within the sweep budget.
     """
-    values, vectors = _jacobi(h, tol, max_sweeps, vectors=True)
-    return EigenSystem(values=values, vectors=vectors)
+    return EigenSystem(*_eig(_hermitian_input(h, tol), tol, max_sweeps))
 
 
 def eigvalsh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
     """The descending eigenvalues of :func:`eigh`, bit for bit, without the
     eigenvectors; same validation, sweeps and errors."""
-    return _jacobi(h, tol, max_sweeps, vectors=False)[0]
+    return _eig(_hermitian_input(h, tol), tol, max_sweeps, vectors=False)[0]
 
 
 def _clears(h: np.ndarray, margin: float) -> bool:
@@ -436,7 +462,12 @@ def sqrtm_psd(h, tol: Optional[Tolerance] = None) -> np.ndarray:
 
     Raises DomainError for an eigenvalue below -rank_cutoff * max(1, max|lambda|).
     """
-    es = eigh(h, tol)
+    return _sqrtm_psd(_hermitian_input(h, tol), tol)
+
+
+def _sqrtm_psd(h, tol: Optional[Tolerance]) -> np.ndarray:
+    """:func:`sqrtm_psd` of an ``h`` that :func:`_eig` trusts."""
+    es = EigenSystem(*_eig(h, tol))
     lam = es.values
     if lam.size:
         slack = _tol(tol, lam.size).rank_cutoff * max(1.0, float(np.abs(lam).max()))
@@ -445,9 +476,10 @@ def sqrtm_psd(h, tol: Optional[Tolerance] = None) -> np.ndarray:
     return es.power(0.5, tol)
 
 
-def _generalized_power(values: np.ndarray, p: float, support: np.ndarray) -> np.ndarray:
+def _generalized_power(values: np.ndarray, p: float, support: Optional[np.ndarray]) -> np.ndarray:
     """values^p entrywise for p > 0; for p <= 0 the power of the values on
-    ``support`` and zero off it, so p = 0 gives the support indicator."""
+    ``support`` and zero off it, so p = 0 gives the support indicator. The
+    support is read only for p <= 0."""
     if p > 0:
         return values**p
     out = np.zeros_like(values)
@@ -462,37 +494,56 @@ def generalized_inverse(h, p: float, tol: Optional[Tolerance] = None) -> np.ndar
 
 def loewner_leq(a, b, tol: Optional[Tolerance] = None) -> LoewnerDecision:
     """Decide A <= B in the Loewner order; slack is lambda_min(B - A)."""
-    am = require_hermitian(a, tol)
-    bm = require_hermitian(b, tol)
+    am = _hermitian_input(a, tol)
+    bm = _hermitian_input(b, tol)
     if am.shape != bm.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bm.shape} differ")
+    return _loewner_leq(am, bm, tol)
+
+
+def _loewner_leq(a, b, tol: Optional[Tolerance]) -> LoewnerDecision:
+    """:func:`loewner_leq` of two square matrices of one shape with zero
+    Hermitian defect, taken through their Hermitian parts as there."""
+    am = hermitian_part(a)
+    bm = hermitian_part(b)
     t = _tol(tol, am.shape[0])
-    diff = eigvalsh(bm - am, tol)
+    diff = _eig(bm - am, tol, vectors=False)[0]
     slack = float(diff[-1]) if diff.size else 0.0
     # -abs * (1 + s) <= -abs for every s >= 0, rounding included, so a slack
     # of at least -abs holds whatever ||B|| is: the norm is needed only below
-    holds = slack >= -t.abs or slack >= -t.abs * (1.0 + operator_norm(bm))
+    holds = slack >= -t.abs or slack >= -t.abs * (1.0 + _operator_norm(bm, None))
     return LoewnerDecision(holds=holds, slack=slack)
 
 
 def operator_norm(m, tol: Optional[Tolerance] = None) -> float:
     """Largest singular value, sqrt(lambda_max(M* M))."""
-    a = as_matrix(m)
+    return _operator_norm(as_matrix(m), tol)
+
+
+def _operator_norm(a: np.ndarray, tol: Optional[Tolerance]) -> float:
+    """:func:`operator_norm` of a finite 2-d complex array."""
     if a.size == 0:
         return 0.0
     if a.shape[0] == a.shape[1] and hermitian_defect(a) <= 1e-12 * (1.0 + float(np.abs(a).max())):
-        return float(np.abs(eigvalsh(hermitian_part(a), tol)).max())
+        return float(np.abs(_eig(hermitian_part(a), tol, vectors=False)[0]).max())
     gram = hermitian_part(a.conj().T @ a)
-    return math.sqrt(max(float(eigvalsh(gram, tol)[0]), 0.0))
+    return math.sqrt(max(float(_eig(gram, tol, vectors=False)[0][0]), 0.0))
 
 
 def spectral_radius_psd_product(a, b, tol: Optional[Tolerance] = None) -> float:
     """rho(A B) for PSD A, B, computed as lambda_max(B^1/2 A B^1/2)."""
-    am = require_hermitian(a, tol)
+    am = _hermitian_input(a, tol)
     bh = sqrtm_psd(b, tol)
     if am.shape != bh.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bh.shape} differ")
-    lam = eigvalsh(hermitian_part(bh @ am @ bh), tol)
+    return _spectral_radius_psd_product(am, bh, tol)
+
+
+def _spectral_radius_psd_product(a, bh: np.ndarray, tol: Optional[Tolerance]) -> float:
+    """:func:`spectral_radius_psd_product` from B^1/2 and an ``a`` of its
+    shape with zero Hermitian defect."""
+    am = hermitian_part(a)
+    lam = _eig(hermitian_part(bh @ am @ bh), tol, vectors=False)[0]
     return max(float(lam[0]), 0.0) if lam.size else 0.0
 
 
@@ -504,9 +555,16 @@ def spectral_radius(m) -> float:
     their radius. Raises ValueError when the radius is not a finite double,
     which takes an entry or an eigenvalue modulus above the largest double.
     """
-    a = require_square(m)
+    return _spectral_radius(require_square(m))
+
+
+def _spectral_radius(a: np.ndarray) -> float:
+    """:func:`spectral_radius` of a square complex array. A NaN or an inf
+    raises :func:`as_matrix`'s ValueError here, never LAPACK's LinAlgError."""
     if a.size == 0:
         return 0.0
+    if not np.isfinite(a).all():
+        as_matrix(a)  # raises
     rho = float(np.abs(np.linalg.eigvals(a)).max())
     if not math.isfinite(rho):
         raise ValueError("spectral radius overflows: it exceeds the largest double")

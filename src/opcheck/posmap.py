@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveSemidefinite
 from .io import _json_object, _json_value, matrix_from_json, matrix_to_json
-from .linalg import _clears, as_matrix, eigvalsh, hermitian_part, require_hermitian
+from .linalg import _clears, _eig, as_matrix, hermitian_part, require_hermitian
 
 __all__ = [
     "POSITIVE",
@@ -86,7 +86,11 @@ def apply(phi: PosMap, x) -> np.ndarray:
 
     Raises ValueError, without a warning, when the output overflows.
     """
-    xm = as_matrix(x)
+    return _apply(phi, as_matrix(x))
+
+
+def _apply(phi: PosMap, xm: np.ndarray) -> np.ndarray:
+    """:func:`apply` on a finite 2-d complex array; its shape is still checked."""
     if xm.shape != (phi.in_dim, phi.in_dim):
         raise DimensionMismatch(
             f"map expects {phi.in_dim}x{phi.in_dim} input, got {xm.shape}"
@@ -139,7 +143,7 @@ class SchurMultiplier(PosMap):
         # a pass leaves lambda_min >= -0.75e-9 (1 + max|s_ij|), and then
         # lambda_max >= max|s_ij| - 0.75e-9 (1 + max|s_ij|): the test below holds
         if not _clears(s, 0.5e-9 * (1.0 + top)):
-            lam = eigvalsh(s)
+            lam = _eig(s, None, vectors=False)[0]
             if lam.size and float(lam[-1]) < -1e-9 * (1.0 + float(lam[0])):
                 raise NotPositiveSemidefinite("Schur factor must be PSD")
         object.__setattr__(self, "factor", s)
@@ -332,7 +336,7 @@ def sample_positivity_falsifier(
                 continue
             if not math.isfinite(top):
                 raise ValueError("map output overflows")
-            lam = eigvalsh(h)
+            lam = _eig(h, None, vectors=False)[0]
             lam_min = float(lam[-1])
             scale = float(np.abs(lam).max()) if lam.size else 0.0
             if lam_min < -1e-7 * (1.0 + scale):

@@ -1,5 +1,5 @@
-"""The report explanations and the ``opcheck mean``, ``polar`` and ``check``
-inputs of ``tools/ab.py --reports``."""
+"""The report explanations, the ``opcheck mean``, ``polar`` and ``check``
+inputs and the benchmark traffic of ``tools/ab.py --reports``."""
 
 import importlib.util
 import json
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from opcheck.campaign import CHECK_IDS, Instance, run_instance
+from opcheck.checks import find_counterexamples_remarks
 from opcheck.decompose import svd_square
 from opcheck.io import matrix_from_json
 from opcheck.linalg import Tolerance
@@ -90,3 +91,15 @@ def test_check_instances_meet_the_hypotheses_and_pass(check_id):
     assert outcome.passed
     if check_id == "check_eigenvalue_gaps":
         assert outcome.notes == "schur diagonal grid included; schur factor variants included"
+
+
+def test_search_seeds_are_the_small_search_searches(tmp_path):
+    """The find-cex seeds are the searches of small_search ops 0 and 5, whose
+    outcome digests the workload script writes from perfbench/workloads.py."""
+    ab.run_workload(ab.ROOT, "small_search", 6, tmp_path)
+    lines = (tmp_path / "workload_small_search.stdout").read_text().splitlines()
+    assert len(lines) == 7 and lines[-1] == "exit 0"
+    for op, seed in zip((0, 5), ab.SEARCH_SEEDS):
+        rep = find_counterexamples_remarks(trials=10_000, seed=seed, dim=2)
+        trials = [w.trial_index for w in rep.witnesses.values()]
+        assert lines[op] == f"{op} True True True:{trials}:{rep.worst_rho!r}"

@@ -4,40 +4,40 @@ import numpy as np
 import pytest
 
 from opcheck.decompose import comodulus, modulus
-from opcheck.ensembles import ENSEMBLES, GeneratorConfig, generate
+from opcheck.ensembles import ENSEMBLES, GeneratorConfig, generate_with_rng
 from opcheck.linalg import loewner_leq, operator_norm
 
 
 class TestInvariants:
     def test_haar_unitary(self):
         for seed in range(20):
-            u = generate(GeneratorConfig(ensemble="haar_unitary"), 4, seed)
+            u = generate_with_rng(GeneratorConfig(ensemble="haar_unitary"), 4, np.random.default_rng(seed))
             assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-10
 
     def test_contraction_norm(self):
         for seed in range(20):
-            a = generate(GeneratorConfig(ensemble="random_contraction"), 5, seed)
+            a = generate_with_rng(GeneratorConfig(ensemble="random_contraction"), 5, np.random.default_rng(seed))
             assert operator_norm(a) <= 1 + 1e-12
 
     def test_wishart_psd(self):
         for seed in range(20):
-            w = generate(GeneratorConfig(ensemble="wishart_psd"), 4, seed)
+            w = generate_with_rng(GeneratorConfig(ensemble="wishart_psd"), 4, np.random.default_rng(seed))
             assert np.abs(w - w.conj().T).max() < 1e-14
             assert np.linalg.eigvalsh(w).min() > -1e-12
 
     def test_normal_commutator(self):
         for seed in range(20):
-            n = generate(GeneratorConfig(ensemble="random_normal_matrix"), 4, seed)
+            n = generate_with_rng(GeneratorConfig(ensemble="random_normal_matrix"), 4, np.random.default_rng(seed))
             comm = n @ n.conj().T - n.conj().T @ n
             assert np.abs(comm).max() < 1e-10 * (1 + np.abs(n).max() ** 2)
 
     def test_semi_hyponormal_moduli_order(self):
         for seed in range(20):
-            z = generate(GeneratorConfig(ensemble="random_semi_hyponormal"), 4, seed)
+            z = generate_with_rng(GeneratorConfig(ensemble="random_semi_hyponormal"), 4, np.random.default_rng(seed))
             assert loewner_leq(comodulus(z), modulus(z)).holds
 
     def test_ginibre_scale(self):
-        g = generate(GeneratorConfig(ensemble="ginibre", scale=3.0), 50, 0)
+        g = generate_with_rng(GeneratorConfig(ensemble="ginibre", scale=3.0), 50, np.random.default_rng(0))
         # entries are standard complex normal times the scale
         assert 2.0 < np.sqrt(np.mean(np.abs(g) ** 2)) < 4.0
 
@@ -46,10 +46,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("ensemble", ENSEMBLES)
     def test_seed_reproducibility(self, ensemble):
         cfg = GeneratorConfig(ensemble=ensemble)
-        a = generate(cfg, 3, seed=42)
-        b = generate(cfg, 3, seed=42)
+        a = generate_with_rng(cfg, 3, np.random.default_rng(42))
+        b = generate_with_rng(cfg, 3, np.random.default_rng(42))
         assert np.array_equal(a, b)
-        c = generate(cfg, 3, seed=43)
+        c = generate_with_rng(cfg, 3, np.random.default_rng(43))
         assert not np.array_equal(a, c)
 
 

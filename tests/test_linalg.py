@@ -100,7 +100,7 @@ class TestEigh:
             h = random_hermitian(rng, n, scale=rng.uniform(0.1, 10))
             es = eigh(h)
             scale = 1.0 + np.abs(h).max()
-            assert np.abs(es.reconstruct() - h).max() <= 1e-10 * scale
+            assert np.abs((es.vectors * es.values) @ es.vectors.conj().T - h).max() <= 1e-10 * scale
             assert np.abs(es.vectors.conj().T @ es.vectors - np.eye(n)).max() < 1e-12
             assert np.all(np.diff(es.values) <= 1e-14)
 
@@ -286,7 +286,7 @@ def test_eigh_reconstruction_property(seed, n):
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, n, scale=float(rng.uniform(0.01, 100)))
     es = eigh(h)
-    assert np.abs(es.reconstruct() - h).max() <= 1e-10 * (1 + np.abs(h).max())
+    assert np.abs((es.vectors * es.values) @ es.vectors.conj().T - h).max() <= 1e-10 * (1 + np.abs(h).max())
 
 
 def reference_sqrtm_psd(h, tol=None):
@@ -596,6 +596,19 @@ class TestArithmeticHelpers:
             for p in (-1.0, -0.5, 0.0, 0.5, 2.0):
                 assert np.array_equal(es.power(p), generalized_inverse(h, p))
 
+    def test_powers_share_the_clamped_spectrum_and_only_p_at_most_0_reads_the_support(self, monkeypatch):
+        supports = []
+        original = Tolerance.support
+        monkeypatch.setattr(Tolerance, "support", lambda t, values: supports.append(1) or original(t, values))
+        es = eigh(random_psd(np.random.default_rng(22), 3))
+        es.power(0.5)
+        es.power(2.0)
+        assert supports == []
+        clamped = es._clamped
+        es.power(-0.5)
+        es.power(0.0)
+        assert len(supports) == 2 and es._clamped is clamped
+
 
 def eigvalsh_cases():
     """Seeded Hermitian matrices for the values-only contract: random, graded,
@@ -619,31 +632,35 @@ def eigvalsh_cases():
     return cases
 
 
-def count_calls(monkeypatch, fname):
-    """Counts calls of ``opcheck.linalg.<fname>`` through every opcheck module that binds it."""
+def count_calls(monkeypatch, vectors):
+    """Counts calls of the Jacobi kernel ``opcheck.linalg._eig`` with its
+    ``vectors`` flag as given, through every opcheck module that binds it.
+    eigh and eigvalsh each make one such call, and internal code calls it
+    directly."""
     calls = []
-    original = getattr(opcheck.linalg, fname)
+    original = opcheck.linalg._eig
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(h, tol, max_sweeps=opcheck.linalg._MAX_SWEEPS, vectors=True, _wanted=vectors):
+        if vectors == _wanted:
+            calls.append(1)
+        return original(h, tol, max_sweeps, vectors)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("opcheck") and getattr(module, fname, None) is original:
-            monkeypatch.setattr(module, fname, counting)
+        if name.startswith("opcheck") and getattr(module, "_eig", None) is original:
+            monkeypatch.setattr(module, "_eig", counting)
     return calls
 
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Counts calls of eigh through every opcheck module that binds it."""
-    return count_calls(monkeypatch, "eigh")
+    """Counts eigenvector runs of the kernel: eigh's work."""
+    return count_calls(monkeypatch, vectors=True)
 
 
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
-    """Counts calls of eigvalsh through every opcheck module that binds it."""
-    return count_calls(monkeypatch, "eigvalsh")
+    """Counts values-only runs of the kernel: eigvalsh's work."""
+    return count_calls(monkeypatch, vectors=False)
 
 
 class TestEigvalsh:

@@ -242,14 +242,13 @@ class TestAndoCompression:
 class TestValidatedOnce:
     def test_definite_mean_eigendecomposes_a_once(self, monkeypatch):
         calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(opcheck.means, name)
+        original = opcheck.means._eig
 
-            def counting(h, *args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(h, *args, **kwargs)
+        def counting(h, tol, max_sweeps=opcheck.linalg._MAX_SWEEPS, vectors=True):
+            calls.append("eigh" if vectors else "eigvalsh")
+            return original(h, tol, max_sweeps, vectors)
 
-            monkeypatch.setattr(opcheck.means, name, counting)
+        monkeypatch.setattr(opcheck.means, "_eig", counting)
         rng = np.random.default_rng(22)
         mean, used_limit = geometric_mean_ex(random_pd(rng, 3), random_pd(rng, 3))
         assert not used_limit

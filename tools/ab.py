@@ -11,10 +11,16 @@ only; BLAS and OpenMP are pinned to one thread in every child process.
 ``opcheck campaign`` for every check id at seeds 7 and 2026 with 50 trials,
 ``repro example-2.8``, ``repro sharpness``,
 ``repro cartesian-cex --trials 3000``, ``find-cex --trials 3000 --seed 5``,
-``opcheck mean`` on the fixed (A, B) pairs of ``MEAN_PAIRS``,
+``find-cex --trials 10000`` at the two ``SEARCH_SEEDS``, which are the seeds
+of the first two searches of the benchmark's ``small_search`` workload at
+seed 2026, ``opcheck mean`` on the fixed (A, B) pairs of ``MEAN_PAIRS``,
 ``opcheck polar`` on the rank-one ``POLAR_Z``, and ``opcheck check`` for
 every check id on the fixed instance of ``check_instance``. The tool writes
-those matrices and instances itself. In the mean pairs B's smallest
+those matrices and instances itself. It also runs the first ``WORKLOAD_OPS``
+ops of each benchmark workload at seed 2026 through the tree's own
+``perfbench/workloads.py`` and writes each op's outcome digest, one line per
+op, which names every op whose verdict, slack, witness trials or error
+changed. In the mean pairs B's smallest
 eigenvalue is 0.5, 1, 2 and 4 times 1e-10, on both sides of the mean's
 definiteness threshold and of its Cholesky screen; the first pair ends in
 the singular-mean limit's ``NoConvergence``. The polar factor of ``POLAR_Z``
@@ -63,12 +69,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (7, 2026)
 CAMPAIGN_TRIALS = 50
+# small_search op i at workload seed s searches at seed s * 1_000_003 + i with
+# 10,000 trials; ops 0 and 5 are its first two searches at seed 2026
+SEARCH_SEEDS = tuple(2026 * 1_000_003 + i for i in (0, 5))
 REPRO_COMMANDS = {
     "repro_example_2_8": ["repro", "example-2.8"],
     "repro_sharpness": ["repro", "sharpness"],
     "repro_cartesian_cex": ["repro", "cartesian-cex", "--trials", "3000"],
     "find_cex": ["find-cex", "--trials", "3000", "--seed", "5"],
+    **{f"find_cex_{seed}": ["find-cex", "--trials", "10000", "--seed", str(seed)] for seed in SEARCH_SEEDS},
 }
+# ops per benchmark workload for the outcome digests, whole cycles of each
+WORKLOAD_OPS = {"theorem_mix": 700, "graded_mix": 400, "small_search": 25}
+# run in a tree as: python -c WORKLOAD_SCRIPT <tree>/perfbench <workload> <seed> <ops>
+WORKLOAD_SCRIPT = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import workloads
+workload = workloads.WORKLOADS[sys.argv[2]](int(sys.argv[3]))
+for i in range(int(sys.argv[4])):
+    _, outcome = workloads.run_op(workload, i, time.perf_counter)
+    print(i, outcome.ok, outcome.passed, outcome.digest)
+"""
 # B's smallest eigenvalue in each ``opcheck mean`` pair, by file label
 MEAN_PAIRS = {"lmin_5e-11": 5e-11, "lmin_1e-10": 1e-10, "lmin_2e-10": 2e-10, "lmin_4e-10": 4e-10}
 # A = [[2, i, 0], [-i, 2, 1], [0, 1, 2]], with eigenvalues 2 - sqrt(2), 2 and 2 + sqrt(2)
@@ -106,6 +128,17 @@ def run_cli(tree: Path, args: list, out_dir: Path, name: str) -> None:
         cwd=out_dir, env=child_env(tree), capture_output=True, text=True,
     )
     (out_dir / f"{name}.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
+
+
+def run_workload(tree: Path, name: str, ops: int, out_dir: Path) -> None:
+    """The outcome digests of ``ops`` ops of workload ``name`` at seed 2026,
+    from ``tree``'s ``perfbench/workloads.py``, in workload_<name>.stdout
+    with stderr and the exit status."""
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKLOAD_SCRIPT, str(tree / "perfbench"), name, "2026", str(ops)],
+        cwd=out_dir, env=child_env(tree), capture_output=True, text=True,
+    )
+    (out_dir / f"workload_{name}.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
 
 
 def mean_b(lmin: float) -> list:
@@ -161,6 +194,8 @@ def write_reports(tree: Path, out_dir: Path) -> None:
         run_cli(tree, ["mean", "--a", f"{name}.a", "--b", f"{name}.b"], out_dir, name)
     (out_dir / "polar.in").write_text(json.dumps(matrix_obj(POLAR_Z)))
     run_cli(tree, ["polar", "--in", "polar.in"], out_dir, "polar")
+    for name, ops in WORKLOAD_OPS.items():
+        run_workload(tree, name, ops, out_dir)
 
 
 def compare_reports(base: Path, work: Path) -> int:
