@@ -16,15 +16,15 @@ of the first two searches of the benchmark's ``small_search`` workload at
 seed 2026, ``opcheck mean`` on the fixed (A, B) pairs of ``MEAN_PAIRS``,
 ``opcheck polar`` on the rank-one ``POLAR_Z``, and ``opcheck check`` for
 every check id on the fixed instance of ``check_instance``. The tool writes
-those matrices and instances itself. It also runs the first ``WORKLOAD_OPS``
-ops of each benchmark workload at seed 2026 through the tree's own
-``perfbench/workloads.py`` and writes each op's outcome digest, one line per
-op, which names every op whose verdict, slack, witness trials or error
-changed. In the mean pairs B's smallest
+those matrices and instances itself. In the mean pairs B's smallest
 eigenvalue is 0.5, 1, 2 and 4 times 1e-10, on both sides of the mean's
 definiteness threshold and of its Cholesky screen; the first pair ends in
 the singular-mean limit's ``NoConvergence``. The polar factor of ``POLAR_Z``
-needs two completed columns. Each command's ``--out`` file and
+needs two completed columns. It also runs the first ``WORKLOAD_OPS`` ops of
+each benchmark workload at seed 2026 through the tree's own
+``perfbench/workloads.py`` and writes each op's outcome digest, one line per
+op, which shows the first op whose verdict, slack, witness trials or error
+changed. Each command's ``--out`` file and
 its stdout and stderr plus exit status are compared byte for byte. It exits
 0 when every file is equal. Otherwise it names every file that differs and
 exits 1: for a JSON file it prints each differing key path (list indices
