@@ -29,7 +29,7 @@ from .io import (
     tolerance_from_json,
     tolerance_to_json,
 )
-from .linalg import Tolerance, _eig, _with_memo, hermitian_part
+from .linalg import Tolerance, _spectral_radius_psd_product, _with_memo, hermitian_part
 from .posmap import (
     Congruence,
     IdentityMap,
@@ -283,9 +283,7 @@ def _funpair_and_j(
         if parts.rank < n:
             return None  # scaled pair needs an invertible modulus
         inv_half = (parts.right * sig**-0.5) @ parts.right.conj().T
-        comod = parts.comodulus()
-        rho = float(_eig(hermitian_part(inv_half @ comod @ inv_half), tol, vectors=False)[0][0])
-        fp = FunPair.scaled(max(rho, 1e-8))
+        fp = FunPair.scaled(max(_spectral_radius_psd_product(parts.comodulus(), inv_half, tol), 1e-8))
     f_mod, g_comod = C.moduli_from_svd(parts, fp)
     if fp.kind == "scaled":
         j = f_mod.copy()
@@ -294,7 +292,7 @@ def _funpair_and_j(
         return fp, j, f_mod, g_comod
     mode = str(_choice(rng, ("sum", "sum_plus_psd", "scaled_identity")))
     if mode == "sum":
-        j = hermitian_part(f_mod + g_comod)
+        j = f_mod + g_comod
     elif mode == "sum_plus_psd":
         j = hermitian_part(
             f_mod + g_comod + generate_with_rng(GeneratorConfig(ensemble="wishart_psd"), n, rng)

@@ -13,19 +13,18 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .decompose import SvdParts, _cartesian, _svd, cartesian, svd_square
-from .errors import ClassViolation, HypothesisViolated, NotContraction, SearchExhausted
+from .decompose import CartesianParts, SvdParts, _cartesian, _svd, cartesian, svd_square
+from .errors import ClassViolation, DimensionMismatch, HypothesisViolated, NotContraction, SearchExhausted
 from .linalg import (
     EigenSystem,
     Tolerance,
     _clears,
     _eig,
     _generalized_power,
-    _hermitian_input,
     _loewner_leq,
     _operator_norm,
     _spectral_radius,
@@ -34,7 +33,6 @@ from .linalg import (
     _tol,
     as_matrix,
     hermitian_part,
-    operator_norm,
     require_hermitian,
 )
 from .means import (
@@ -234,7 +232,11 @@ def moduli_from_svd(parts: SvdParts, fp: FunPair) -> Tuple[np.ndarray, np.ndarra
 
 def domination_holds(z, j, fp: FunPair, tol: Optional[Tolerance] = None) -> bool:
     """f(|Z|) <= J and g(|Z*|) <= J, both in the Loewner order."""
-    return _images_dominated(require_hermitian(j, tol), *moduli_images(z, fp, tol), tol)
+    jm = require_hermitian(j, tol)
+    f_mod, g_comod = moduli_images(z, fp, tol)
+    if f_mod.shape != jm.shape:
+        raise DimensionMismatch(f"shapes {f_mod.shape} and {jm.shape} differ")
+    return _images_dominated(jm, f_mod, g_comod, tol)
 
 
 def _dominated_inputs(z, j, fp: FunPair, tol: Optional[Tolerance]) -> Tuple[np.ndarray, np.ndarray]:
@@ -281,12 +283,13 @@ def _std_inputs(phi: PosMap, z, j=None, fp: Optional[FunPair] = None, **extra) -
 
 def check_russo_dye(phi: PosMap, a, tol: Optional[Tolerance] = None) -> Certificate:
     """Norm attained at the identity: ||phi(A)|| <= ||phi(I)|| for contractions."""
-    am = np.asarray(a, dtype=complex)
+    am = as_matrix(a)
+    image = _apply(phi, am)  # checks A's shape before its norm
     t = _tol(tol, am.shape[0])
-    norm_a = operator_norm(am, tol)
+    norm_a = _operator_norm(am, tol)
     if norm_a > 1.0 + t.abs:
         raise NotContraction(f"operator norm {norm_a:.6g} exceeds 1")
-    lhs = np.array([[_operator_norm(_apply(phi, am), tol)]], dtype=complex)
+    lhs = np.array([[_operator_norm(image, tol)]], dtype=complex)
     rhs = np.array([[_operator_norm(_apply(phi, np.eye(phi.in_dim, dtype=complex)), tol)]], dtype=complex)
     inputs = {"phi": map_to_json(phi), "A": matrix_to_json(am)}
     return _certificate("check_russo_dye", inputs, lhs, rhs, None, tol)
@@ -319,7 +322,7 @@ def check_geometric_domination(
     phj = hermitian_part(_apply(phi, jm))
     conj = hermitian_part(v @ phj @ v.conj().T)
     rhs, used_limit = _geometric_mean(phj, conj, tol)
-    arith = hermitian_part(0.5 * (phj + conj))
+    arith = 0.5 * (phj + conj)
     agm = _loewner_leq(rhs, arith, tol)
     notes = f"{fp.describe()}; agm_slack={agm.slack:.3e}"
     inputs = _std_inputs(phi, zm, jm, fp)
@@ -378,7 +381,7 @@ def check_log_majorization(
 
 
 def _descending_clamped(h, tol: Optional[Tolerance]) -> np.ndarray:
-    return np.clip(_eig(h, tol, vectors=False)[0], 0.0, None)
+    return np.maximum(_eig(h, tol, vectors=False)[0], 0.0)
 
 
 @dataclass(frozen=True)
@@ -537,37 +540,56 @@ def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> Ca
     rho(Z K^-1) <= 1 are map-independent. A kernel in K (always inside the
     kernel of Z) is flagged and handled by generalized inverses.
     """
+    parts = cartesian(z)  # validates Z
     zm = np.asarray(z, dtype=complex)
     t = _tol(tol, zm.shape[0])
-    parts = cartesian(zm)
-    k_sum = hermitian_part(_svd(parts.re_part, tol).modulus() + _svd(parts.im_part, tol).modulus())
-    es = EigenSystem(*_eig(k_sum, tol))  # K's one spectrum: the singular flag and both generalized powers
-    lmax = float(es.values[0]) if es.values.size else 0.0
-    singular = not t.support(np.clip(es.values, 0.0, None)).all()
+    k_sum = _cartesian_sum(zm, parts, tol)
+    lmax = float(k_sum.spectrum.values[0]) if k_sum.spectrum.values.size else 0.0
+    singular = not t.support(np.maximum(k_sum.spectrum.values, 0.0)).all()
 
     v, lhs = _polar_witness_and_modulus(_apply(phi, zm), tol)
-    phk = hermitian_part(_apply(phi, k_sum))
+    phk = hermitian_part(_apply(phi, k_sum.matrix))
     conj = hermitian_part(v @ phk @ v.conj().T)
     rhs, used_limit = _geometric_mean(phk, conj, tol)
-    inputs = _std_inputs(phi, zm, k_sum)
+    inputs = _std_inputs(phi, zm, k_sum.matrix)
     cert = _certificate(
         "check_cartesian_suite", inputs, lhs, rhs, v, tol, used_limit=used_limit,
         notes="J = |X| + |Y| from the Cartesian decomposition",
     )
     major = _weak_log_majorizes(lhs, phk, tol)
 
-    k_inv_half = es.power(-0.5, tol)
-    norm_value = _operator_norm(k_inv_half @ zm @ k_inv_half, tol)
-    rho_value = _spectral_radius(zm @ es.power(-1.0, tol))
     bound = 1.0 + t.abs * (1.0 + lmax) + 1e-6
-    passed = bool(cert.passed and major.passed and norm_value <= bound and rho_value <= bound)
+    passed = bool(cert.passed and major.passed and k_sum.congruence_norm <= bound and k_sum.rho <= bound)
     return CartesianReport(
         passed=passed,
         mean_certificate=cert,
         majorization=major,
-        norm_value=norm_value,
-        rho_value=rho_value,
+        norm_value=k_sum.congruence_norm,
+        rho_value=k_sum.rho,
         singular_cartesian_sum=singular,
+    )
+
+
+class _CartesianSum(NamedTuple):
+    """K = |X| + |Y| for Z = X + iY, its spectrum, K^-1/2, K^-1, and the two
+    bounds that hold for every Z: ||K^-1/2 Z K^-1/2|| and rho(Z K^-1)."""
+
+    matrix: np.ndarray
+    spectrum: EigenSystem
+    inv_half: np.ndarray
+    inv: np.ndarray
+    congruence_norm: float
+    rho: float
+
+
+def _cartesian_sum(zm: np.ndarray, parts: CartesianParts, tol: Optional[Tolerance]) -> _CartesianSum:
+    """The :class:`_CartesianSum` of Z from its Cartesian parts."""
+    k = _svd(parts.re_part, tol).modulus() + _svd(parts.im_part, tol).modulus()
+    es = EigenSystem(*_eig(k, tol))  # K's one spectrum: the singular flag and both generalized powers
+    inv_half = es.power(-0.5, tol)
+    inv = es.power(-1.0, tol)
+    return _CartesianSum(
+        k, es, inv_half, inv, _operator_norm(inv_half @ zm @ inv_half, tol), _spectral_radius(zm @ inv)
     )
 
 
@@ -583,26 +605,24 @@ class SchurRemarkReport:
 def check_schur_remarks(s, tol: Optional[Tolerance] = None) -> SchurRemarkReport:
     """lambda_{2j+1}(S o S^-1) <= s_{j+1} for expansive S, and the same with
     S o S for contractive S, built from one PSD sample."""
-    return _schur_remarks(_hermitian_input(s, tol), tol)
+    return _schur_remarks(require_hermitian(s, tol), tol)
 
 
 def _schur_remarks(s, tol: Optional[Tolerance]) -> SchurRemarkReport:
-    """:func:`check_schur_remarks` of an ``s`` with zero Hermitian defect,
-    taken through its Hermitian part as there."""
-    sm = hermitian_part(s)
-    n = sm.shape[0]
+    """:func:`check_schur_remarks` of an exactly Hermitian ``s``."""
+    n = s.shape[0]
     t = _tol(tol, n)
-    expansive = hermitian_part(sm + np.eye(n))
+    expansive = s + np.eye(n)
     inv = EigenSystem(*_eig(expansive, tol)).power(-1.0, tol)
-    prod = hermitian_part(expansive * inv)
+    prod = expansive * inv
     vals = _descending_clamped(prod, tol)
     diag_sorted = np.sort(np.real(np.diagonal(expansive)))[::-1]
     half = range((n + 1) // 2)  # the indices j with 2j + 1 <= n
     worst_e = min((diag_sorted[jj] - vals[2 * jj] for jj in half), default=math.inf)
 
-    top = _operator_norm(sm, tol)
-    contractive = sm / (top * (1.0 + 1e-12)) if top > 0 else sm
-    prod_c = hermitian_part(contractive * contractive)
+    top = _operator_norm(s, tol)
+    contractive = s / (top * (1.0 + 1e-12)) if top > 0 else s
+    prod_c = contractive * contractive
     vals_c = _descending_clamped(prod_c, tol)
     diag_c = np.sort(np.real(np.diagonal(contractive)))[::-1]
     worst_c = min((diag_c[jj] - vals_c[2 * jj] for jj in half), default=math.inf)
@@ -701,7 +721,7 @@ def reproduce_sharpness_cor2_5(k: float, tol: Optional[Tolerance] = None) -> Sha
     bracket_rhs = float(np.real(e2 @ mean @ e2))
     required_c = bracket_lhs / bracket_rhs if bracket_rhs > 0 else math.inf
 
-    rhs_scaled = hermitian_part(math.sqrt(rho) * mean)
+    rhs_scaled = math.sqrt(rho) * mean
     inputs = _std_inputs(phi, z, k=float(k))
     cert = _certificate(
         "reproduce_sharpness_cor2_5",
@@ -789,29 +809,23 @@ def find_counterexamples_remarks(
     margin = 1e-6
     for trial in range(trials):
         zm = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
-        parts = _cartesian(zm)
-        k_sum = hermitian_part(_svd(parts.re_part, tol).modulus() + _svd(parts.im_part, tol).modulus())
+        k_sum = _cartesian_sum(zm, _cartesian(zm), tol)
         mod = _svd(zm, tol).modulus()
         if found_a is None:
-            dec = _loewner_leq(mod, k_sum, tol)
+            dec = _loewner_leq(mod, k_sum.matrix, tol)
             if dec.slack < -margin:
                 found_a = CexWitness(trial_index=trial, matrix=zm, margin=-dec.slack)
-        es_k = EigenSystem(*_eig(k_sum, tol))
-        k_inv_half = es_k.power(-0.5, tol)
-        k_inv = es_k.power(-1.0, tol)
         if found_b is None:
-            half_norm = _operator_norm(EigenSystem(*_eig(mod, tol)).power(0.5, tol) @ k_inv_half, tol)
+            half_norm = _operator_norm(EigenSystem(*_eig(mod, tol)).power(0.5, tol) @ k_sum.inv_half, tol)
             if half_norm > 1.0 + margin:
                 found_b = CexWitness(trial_index=trial, matrix=zm, margin=half_norm - 1.0)
         if found_c is None:
-            plain_norm = _operator_norm(zm @ k_inv, tol)
+            plain_norm = _operator_norm(zm @ k_sum.inv, tol)
             if plain_norm > 1.0 + margin:
                 found_c = CexWitness(trial_index=trial, matrix=zm, margin=plain_norm - 1.0)
-        cong_norm = _operator_norm(k_inv_half @ zm @ k_inv_half, tol)
-        rho = _spectral_radius(zm @ k_inv)
-        worst_rho = max(worst_rho, rho)
-        worst_norm = max(worst_norm, cong_norm)
-        if cong_norm > 1.0 + margin or rho > 1.0 + margin:
+        worst_rho = max(worst_rho, k_sum.rho)
+        worst_norm = max(worst_norm, k_sum.congruence_norm)
+        if k_sum.congruence_norm > 1.0 + margin or k_sum.rho > 1.0 + margin:
             consistency_ok = False
         if found_a is not None and found_b is not None and found_c is not None and trial >= 99:
             break

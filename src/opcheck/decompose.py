@@ -130,7 +130,7 @@ def _svd_square(zm: np.ndarray, tol: Optional[Tolerance]) -> SvdParts:
     n = zm.shape[0]
     t = _tol(tol, n)
     values, right = _eig(hermitian_part(zm.conj().T @ zm), tol)
-    lam = np.clip(values, 0.0, None)
+    lam = np.maximum(values, 0.0)
     sigma = np.sqrt(lam)
     # the rank rule acts on sigma^2 = eigenvalues of Z*Z
     keep = t.support(lam)

@@ -180,7 +180,7 @@ class EigenSystem:
     @functools.cached_property
     def _clamped(self) -> np.ndarray:
         """The values with negative dust clamped at zero, shared by every power."""
-        return np.clip(self.values, 0.0, None)
+        return np.maximum(self.values, 0.0)
 
     def power(self, p: float, tol: Optional[Tolerance] = None) -> np.ndarray:
         """Generalized power H^p of the PSD matrix H this spectrum belongs to.
@@ -243,15 +243,17 @@ def _with_memo(memo: Optional[dict], fn, *args):
 def _eig(
     h, tol: Optional[Tolerance], max_sweeps: int = _MAX_SWEEPS, vectors: bool = True
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The kernel behind :func:`eigh` and :func:`eigvalsh`, which trusts ``h``:
-    descending eigenvalues, and the eigenvector columns when ``vectors`` is set.
+    """The kernel behind :func:`eigh` and :func:`eigvalsh`: descending
+    eigenvalues, and the eigenvector columns when ``vectors`` is set.
 
-    ``h`` is a square matrix with zero Hermitian defect, such as a
-    :func:`hermitian_part` output or a sum or difference of them, or one that
-    :func:`require_hermitian` has passed. The sweeps run on 0.5 (h + h*),
-    which is what require_hermitian returns for it, without its scale and
-    defect passes. When that holds a NaN or an inf, require_hermitian is run
-    on ``h`` and raises the error the validating entry points raise.
+    A Hermitian matrix is symmetrized once, where it is formed, and everything
+    downstream trusts it. So ``h`` is exactly Hermitian: a
+    :func:`require_hermitian` or :func:`hermitian_part` output, or a sum,
+    difference, real multiple or entrywise product of such outputs, and the
+    sweeps run on it as given. When it holds a NaN or an inf, or a real or
+    imaginary part above half the largest double, where its Hermitian part
+    would overflow, require_hermitian is run on ``h`` and raises the error
+    the validating entry points raise.
 
     Inside a campaign trial the result is memoized; a values-only request is
     also answered by an entry with vectors, whose values are the same bits.
@@ -261,16 +263,17 @@ def _eig(
     hit = memo.get(key) if memo is not None else None
     if hit is not None and (hit[1] is not None or not vectors):
         return hit
-    out = _sweeps(0.5 * (a + a.conj().T), max_sweeps, vectors)
-    if out is None:  # a NaN or an inf, which require_hermitian rejects
+    out = _sweeps(a, max_sweeps, vectors)
+    if out is None:  # require_hermitian rejects what _sweeps refuses
         out = _sweeps(require_hermitian(a, tol), max_sweeps, vectors)
     _remember(memo, key, out, out)
     return out
 
 
 def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Cyclic Jacobi sweeps on the Hermitian ``a``; None, before any sweep,
-    when ``a`` holds a NaN or an inf.
+    """Cyclic Jacobi sweeps on the exactly Hermitian ``a``; None, before any
+    sweep, when ``a`` holds a NaN or an inf, or a real or imaginary part
+    above half the largest double.
 
     The rotations read only A, so skipping the eigenvector updates leaves the
     eigenvalues bit for bit the same.
@@ -292,6 +295,8 @@ def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Optional[Tuple[np.
         # test below are not needed
         scale = _frobenius(a)
     else:
+        if amax > _HALF_MAX and max(float(np.abs(a.real).max()), float(np.abs(a.imag).max())) > _HALF_MAX:
+            return None  # 0.5 (a + a*) overflows here
         with np.errstate(over="ignore"):
             scale = _frobenius(a)
         if not 2.0**-256 < scale < 2.0**256:
@@ -309,7 +314,7 @@ def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Optional[Tuple[np.
 
     # The rotations run on Python complex scalars held in row lists: at these
     # sizes a numpy call on a length-n slice costs far more than its
-    # arithmetic. A stays exactly Hermitian (hermitian_part made it so, and
+    # arithmetic. A stays exactly Hermitian (it is on entry, see _eig, and
     # IEEE multiplication commutes with conjugation), so only columns p and q
     # are updated off the (p, q) block and rows p and q receive their
     # conjugates. Without ``vectors`` there are no rows of V to rotate.
@@ -374,16 +379,6 @@ def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Optional[Tuple[np.
     return np.array([values[i] for i in order]), vectors_out
 
 
-def _hermitian_input(h, tol: Optional[Tolerance]) -> np.ndarray:
-    """``h`` as a complex array, once :func:`require_hermitian` has passed it.
-
-    The cores form its Hermitian part themselves, with the same arithmetic.
-    """
-    a = np.asarray(h, dtype=complex)
-    require_hermitian(a, tol)
-    return a
-
-
 def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> EigenSystem:
     """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
 
@@ -392,13 +387,13 @@ def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> E
     eigenspaces. Raises NonHermitian for asymmetric input and NoConvergence
     if the off-diagonal mass does not vanish within the sweep budget.
     """
-    return EigenSystem(*_eig(_hermitian_input(h, tol), tol, max_sweeps))
+    return EigenSystem(*_eig(require_hermitian(h, tol), tol, max_sweeps))
 
 
 def eigvalsh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
     """The descending eigenvalues of :func:`eigh`, bit for bit, without the
     eigenvectors; same validation, sweeps and errors."""
-    return _eig(_hermitian_input(h, tol), tol, max_sweeps, vectors=False)[0]
+    return _eig(require_hermitian(h, tol), tol, max_sweeps, vectors=False)[0]
 
 
 def _clears(h: np.ndarray, margin: float) -> bool:
@@ -462,7 +457,7 @@ def sqrtm_psd(h, tol: Optional[Tolerance] = None) -> np.ndarray:
 
     Raises DomainError for an eigenvalue below -rank_cutoff * max(1, max|lambda|).
     """
-    return _sqrtm_psd(_hermitian_input(h, tol), tol)
+    return _sqrtm_psd(require_hermitian(h, tol), tol)
 
 
 def _sqrtm_psd(h, tol: Optional[Tolerance]) -> np.ndarray:
@@ -494,24 +489,21 @@ def generalized_inverse(h, p: float, tol: Optional[Tolerance] = None) -> np.ndar
 
 def loewner_leq(a, b, tol: Optional[Tolerance] = None) -> LoewnerDecision:
     """Decide A <= B in the Loewner order; slack is lambda_min(B - A)."""
-    am = _hermitian_input(a, tol)
-    bm = _hermitian_input(b, tol)
+    am = require_hermitian(a, tol)
+    bm = require_hermitian(b, tol)
     if am.shape != bm.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bm.shape} differ")
     return _loewner_leq(am, bm, tol)
 
 
 def _loewner_leq(a, b, tol: Optional[Tolerance]) -> LoewnerDecision:
-    """:func:`loewner_leq` of two square matrices of one shape with zero
-    Hermitian defect, taken through their Hermitian parts as there."""
-    am = hermitian_part(a)
-    bm = hermitian_part(b)
-    t = _tol(tol, am.shape[0])
-    diff = _eig(bm - am, tol, vectors=False)[0]
+    """:func:`loewner_leq` of two exactly Hermitian matrices of one shape."""
+    t = _tol(tol, a.shape[0])
+    diff = _eig(b - a, tol, vectors=False)[0]
     slack = float(diff[-1]) if diff.size else 0.0
     # -abs * (1 + s) <= -abs for every s >= 0, rounding included, so a slack
     # of at least -abs holds whatever ||B|| is: the norm is needed only below
-    holds = slack >= -t.abs or slack >= -t.abs * (1.0 + _operator_norm(bm, None))
+    holds = slack >= -t.abs or slack >= -t.abs * (1.0 + _operator_norm(b, None))
     return LoewnerDecision(holds=holds, slack=slack)
 
 
@@ -532,7 +524,7 @@ def _operator_norm(a: np.ndarray, tol: Optional[Tolerance]) -> float:
 
 def spectral_radius_psd_product(a, b, tol: Optional[Tolerance] = None) -> float:
     """rho(A B) for PSD A, B, computed as lambda_max(B^1/2 A B^1/2)."""
-    am = _hermitian_input(a, tol)
+    am = require_hermitian(a, tol)
     bh = sqrtm_psd(b, tol)
     if am.shape != bh.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bh.shape} differ")
@@ -540,10 +532,9 @@ def spectral_radius_psd_product(a, b, tol: Optional[Tolerance] = None) -> float:
 
 
 def _spectral_radius_psd_product(a, bh: np.ndarray, tol: Optional[Tolerance]) -> float:
-    """:func:`spectral_radius_psd_product` from B^1/2 and an ``a`` of its
-    shape with zero Hermitian defect."""
-    am = hermitian_part(a)
-    lam = _eig(hermitian_part(bh @ am @ bh), tol, vectors=False)[0]
+    """:func:`spectral_radius_psd_product` from B^1/2 and an exactly
+    Hermitian ``a`` of its shape."""
+    lam = _eig(hermitian_part(bh @ a @ bh), tol, vectors=False)[0]
     return max(float(lam[0]), 0.0) if lam.size else 0.0
 
 

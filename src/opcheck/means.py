@@ -18,10 +18,10 @@ from .linalg import (
     Tolerance,
     _clears,
     _eig,
-    _hermitian_input,
     _operator_norm,
     _tol,
     hermitian_part,
+    require_hermitian,
 )
 
 __all__ = [
@@ -58,13 +58,13 @@ class MajorizationReport:
 
 
 def _definite_mean(es_a: EigenSystem, b: np.ndarray, tol: Optional[Tolerance]) -> np.ndarray:
-    lam = np.clip(es_a.values, 0.0, None)
+    lam = np.maximum(es_a.values, 0.0)
     q = es_a.vectors
     a_half = (q * np.sqrt(lam)) @ q.conj().T
     a_ihalf = (q * (1.0 / np.sqrt(lam))) @ q.conj().T
     inner = hermitian_part(a_ihalf @ b @ a_ihalf)
     values, vectors = _eig(inner, tol)
-    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+    root = (vectors * np.sqrt(np.maximum(values, 0.0))) @ vectors.conj().T
     return hermitian_part(a_half @ root @ a_half)
 
 
@@ -87,28 +87,25 @@ def geometric_mean_ex(a, b, tol: Optional[Tolerance] = None) -> Tuple[np.ndarray
     is the limit of (A + eps I) # (B + eps I) over a fixed epsilon ladder,
     accepted when the last two iterates agree to 1e-6 in operator norm.
     """
-    am = _hermitian_input(a, tol)
-    bm = _hermitian_input(b, tol)
+    am = require_hermitian(a, tol)
+    bm = require_hermitian(b, tol)
     if am.shape != bm.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bm.shape} differ")
     return _geometric_mean(am, bm, tol)
 
 
 def _geometric_mean(a, b, tol: Optional[Tolerance]) -> Tuple[np.ndarray, bool]:
-    """:func:`geometric_mean_ex` of two square matrices of one shape with
-    zero Hermitian defect, taken through their Hermitian parts as there."""
-    am = hermitian_part(a)
-    bm = hermitian_part(b)
-    es_a = EigenSystem(*_eig(am, tol))
-    eye = np.eye(am.shape[0])
+    """:func:`geometric_mean_ex` of two exactly Hermitian matrices of one shape."""
+    es_a = EigenSystem(*_eig(a, tol))
+    eye = np.eye(a.shape[0])
     if _is_definite(es_a.values, tol):
         # a screen pass leaves lambda_min(B) >= 3 tau - 1.5 tau, in eigvalsh's
         # values too: above _is_definite's 1e-10 max(1, lambda_max), since
         # lambda_max <= n max|b_ij|
-        tau = 1e-10 * max(1.0, am.shape[0] * float(np.abs(bm).max()))
-        if _clears(bm - 3.0 * tau * eye, tau) or _is_definite(_eig(bm, tol, vectors=False)[0], tol):
-            return _definite_mean(es_a, bm, tol), False
-    iterates = [_definite_mean(EigenSystem(*_eig(am + e * eye, tol)), bm + e * eye, tol) for e in _EPS_LADDER]
+        tau = 1e-10 * max(1.0, a.shape[0] * float(np.abs(b).max()))
+        if _clears(b - 3.0 * tau * eye, tau) or _is_definite(_eig(b, tol, vectors=False)[0], tol):
+            return _definite_mean(es_a, b, tol), False
+    iterates = [_definite_mean(EigenSystem(*_eig(a + e * eye, tol)), b + e * eye, tol) for e in _EPS_LADDER]
     gap = _operator_norm(iterates[-1] - iterates[-2], tol)
     if gap > _LIMIT_AGREE * (1.0 + _operator_norm(iterates[-1], tol)):
         raise NoConvergence(f"singular-mean limit not Cauchy: gap {gap:.3e}")
@@ -123,7 +120,7 @@ def geometric_mean(a, b, tol: Optional[Tolerance] = None) -> np.ndarray:
 
 def _clamped_spectrum(h: np.ndarray, tol: Optional[Tolerance]) -> np.ndarray:
     """Descending eigenvalues of a PSD matrix, zero off the support."""
-    lam = np.clip(_eig(h, tol, vectors=False)[0], 0.0, None)
+    lam = np.maximum(_eig(h, tol, vectors=False)[0], 0.0)
     lam[~_tol(tol, lam.size).support(lam)] = 0.0
     return lam
 
@@ -150,21 +147,18 @@ def weak_log_majorizes(a, b, tol: Optional[Tolerance] = None) -> MajorizationRep
     Eigenvalues off the support are clamped to exact zero before the prefix
     products are formed, and zero-against-zero prefixes compare equal.
     """
-    am = _hermitian_input(a, tol)
-    bm = _hermitian_input(b, tol)
+    am = require_hermitian(a, tol)
+    bm = require_hermitian(b, tol)
     if am.shape != bm.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bm.shape} differ")
     return _weak_log_majorizes(am, bm, tol)
 
 
 def _weak_log_majorizes(a, b, tol: Optional[Tolerance]) -> MajorizationReport:
-    """:func:`weak_log_majorizes` of two square matrices of one shape with
-    zero Hermitian defect, taken through their Hermitian parts as there."""
-    am = hermitian_part(a)
-    bm = hermitian_part(b)
-    t = _tol(tol, am.shape[0])
-    lhs = np.cumprod(_clamped_spectrum(am, tol))
-    rhs = np.cumprod(_clamped_spectrum(bm, tol))
+    """:func:`weak_log_majorizes` of two exactly Hermitian matrices of one shape."""
+    t = _tol(tol, a.shape[0])
+    lhs = np.cumprod(_clamped_spectrum(a, tol))
+    rhs = np.cumprod(_clamped_spectrum(b, tol))
     passed, worst = _prefix_ratios(lhs, rhs, t.rel)
     return MajorizationReport(
         k_products_lhs=lhs, k_products_rhs=rhs, passed=passed, worst_ratio=worst

@@ -219,8 +219,6 @@ ERRORS = {
     "defect": (NonHermitian, "Hermitian defect 1.000e+00 exceeds tolerance"),
     "defect_1e160": (NonHermitian, "Hermitian defect 2.062e+160 exceeds tolerance"),
     "part_overflows": (ValueError, "Hermitian part overflows: entries exceed half the largest double"),
-    "broadcast_32": (ValueError, "operands could not be broadcast together with shapes (3,3) (2,2) "),
-    "broadcast_23": (ValueError, "operands could not be broadcast together with shapes (2,2) (3,3) "),
     "hypothesis": (HypothesisViolated, "f(|Z|) <= J and g(|Z*|) <= J required"),
     "map_33": (DimensionMismatch, "map expects 2x2 input, got (3, 3)"),
     "map_23": (DimensionMismatch, "map expects 2x2 input, got (2, 3)"),
@@ -228,14 +226,15 @@ ERRORS = {
     "shapes_32": (DimensionMismatch, "shapes (3, 3) and (2, 2) differ"),
     "shapes_23": (DimensionMismatch, "shapes (2, 2) and (3, 3) differ"),
     "norm_1.6": (NotContraction, "operator norm 1.61803 exceeds 1"),
-    "norm_2.4": (NotContraction, "operator norm 2.44949 exceeds 1"),
     "rho_overflows": (ValueError, "spectral radius overflows: it exceeds the largest double"),
     "map_overflows": (ValueError, "map output overflows"),
     "class": (ClassViolation, "map declared 'positive'; the split bound needs 2-positivity"),
 }
 
 # each call's outcome on the inputs of BAD, in BAD's order, as the program
-# gave them before its public functions and cores were split
+# gave them before its public functions and cores were split; but a Z and a J
+# of different sizes raise DimensionMismatch, not numpy's broadcast error,
+# and check_russo_dye tests A's shape before its norm
 ONE_ARG_OUTCOMES = {
     "as_matrix": ("finite", "finite", "finite", "ok", "2d", "ok", "ok", "ok", "ok"),
     "require_square": ("finite", "finite", "finite", "square", "2d", "ok", "ok", "ok", "ok"),
@@ -271,20 +270,20 @@ ONE_ARG_OUTCOMES = {
     "apply": ("finite", "finite", "finite", "map_23", "2d", "map_33", "ok", "ok", "ok"),
     "schur_multiplier": ("finite", "finite", "finite", "square", "2d", "ok", "defect", "part_overflows",
                          "defect_1e160"),
-    "domination_holds_z": ("finite", "finite", "finite", "square", "2d", "broadcast_23", "ok", "finite", "finite"),
-    "domination_holds_j": ("finite", "finite", "finite", "square", "2d", "broadcast_32", "defect", "part_overflows",
+    "domination_holds_z": ("finite", "finite", "finite", "square", "2d", "shapes_32", "ok", "finite", "finite"),
+    "domination_holds_j": ("finite", "finite", "finite", "square", "2d", "shapes_23", "defect", "part_overflows",
                            "defect_1e160"),
     "moduli_images": ("finite", "finite", "finite", "square", "2d", "ok", "ok", "finite", "finite"),
-    "check_russo_dye": ("finite", "finite", "finite", "norm_2.4", "2d", "map_33", "norm_1.6", "finite", "finite"),
+    "check_russo_dye": ("finite", "finite", "finite", "map_23", "2d", "map_33", "norm_1.6", "finite", "finite"),
     "check_two_positive_split": ("finite", "finite", "finite", "map_23", "2d", "map_33", "ok", "finite", "finite"),
     "check_cartesian_suite": ("finite", "finite", "finite", "square", "2d", "map_33", "ok", "finite", "finite"),
     "check_schur_remarks": ("finite", "finite", "finite", "square", "2d", "ok", "defect", "part_overflows",
                             "defect_1e160"),
-    **{f"check_{name}_z": ("finite", "finite", "finite", "square", "2d", "broadcast_23", "hypothesis", "finite",
+    **{f"check_{name}_z": ("finite", "finite", "finite", "square", "2d", "shapes_32", "hypothesis", "finite",
                            "finite")
        for name in ("arithmetic_domination", "geometric_domination", "log_majorization", "eigenvalue_gaps",
                     "reverse_product")},
-    **{f"check_{name}_j": ("finite", "finite", "finite", "square", "2d", "broadcast_32", "defect", "part_overflows",
+    **{f"check_{name}_j": ("finite", "finite", "finite", "square", "2d", "shapes_23", "defect", "part_overflows",
                            "defect_1e160")
        for name in ("arithmetic_domination", "geometric_domination", "log_majorization", "eigenvalue_gaps",
                     "reverse_product")},
@@ -311,6 +310,16 @@ def error_or_ok(fn, x):
 @pytest.mark.parametrize("name", ONE_ARG)
 def test_public_functions_raise_as_before_on_bad_arguments(name):
     assert [error_or_ok(ONE_ARG[name], x) for x in BAD.values()] == expected(ONE_ARG_OUTCOMES[name])
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [lambda x: C.check_russo_dye(PHI, x), lambda x: C.check_two_positive_split(PHI, x, 0.5),
+     lambda x: C.check_cartesian_suite(PHI, x)],
+    ids=["check_russo_dye", "check_two_positive_split", "check_cartesian_suite"],
+)
+def test_checks_reject_a_0d_matrix_argument(fn):
+    assert error_or_ok(fn, np.array(1.0)) == ("DimensionMismatch", "expected a 2-d array, got ndim=0")
 
 
 @pytest.mark.parametrize("name", MAP_ARG)

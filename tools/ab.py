@@ -80,7 +80,9 @@ REPRO_COMMANDS = {
     **{f"find_cex_{seed}": ["find-cex", "--trials", "10000", "--seed", str(seed)] for seed in SEARCH_SEEDS},
 }
 # ops per benchmark workload for the outcome digests, whole cycles of each
-WORKLOAD_OPS = {"theorem_mix": 700, "graded_mix": 400, "small_search": 25}
+# (70, 40 and 5 ops), past the most ops a benchmark run of BENCH_14.json
+# reached (13,370, 8,160 and 1,965), so every op a run can reach is compared
+WORKLOAD_OPS = {"theorem_mix": 13_440, "graded_mix": 8_200, "small_search": 2_000}
 # run in a tree as: python -c WORKLOAD_SCRIPT <tree>/perfbench <workload> <seed> <ops>
 WORKLOAD_SCRIPT = """
 import sys, time
