@@ -73,7 +73,7 @@ from .checks import (
     reproduce_counterexample_2_8,
     reproduce_sharpness_cor2_5,
 )
-from .ensembles import ENSEMBLES, GeneratorConfig
+from .ensembles import ENSEMBLES
 from .campaign import CampaignSpec, Instance, run_campaign, run_instance
 
 __all__ = [name for name in dir() if not name.startswith("_")]

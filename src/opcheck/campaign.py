@@ -17,7 +17,7 @@ import numpy as np
 from . import checks as C
 from .checks import FunPair
 from .decompose import _svd
-from .ensembles import GeneratorConfig, generate_with_rng
+from .ensembles import generate_with_rng
 from .errors import InstanceGenerationFailure, InvalidSpec
 from .io import (
     _json_list,
@@ -117,12 +117,18 @@ class CampaignSpec:
             raise InvalidSpec("n_dims must be nonempty positive")
         if not self.m_dims or any(d < 1 for d in self.m_dims):
             raise InvalidSpec("m_dims must be nonempty positive")
+        if not self.map_families:
+            raise InvalidSpec("map_families must be nonempty")
+        if not self.funpair_kinds:
+            raise InvalidSpec("funpair_kinds must be nonempty")
         bad = set(self.map_families) - set(MAP_FAMILIES)
         if bad:
             raise InvalidSpec(f"unknown map families {sorted(bad)}")
         bad = set(self.funpair_kinds) - set(FUNPAIR_KINDS)
         if bad:
             raise InvalidSpec(f"unknown funpair kinds {sorted(bad)}")
+        if self.check_id == "check_two_positive_split" and not set(self.map_families) & set(_CP_FAMILIES):
+            raise InvalidSpec("check_two_positive_split needs a completely positive map family")
 
     def to_json(self) -> dict:
         return {
@@ -261,8 +267,7 @@ def _random_map(
 
 
 def _random_z(rng: np.random.Generator, n: int) -> np.ndarray:
-    cfg = GeneratorConfig(ensemble=str(_choice(rng, _Z_ENSEMBLES)))
-    return generate_with_rng(cfg, n, rng)
+    return generate_with_rng(str(_choice(rng, _Z_ENSEMBLES)), n, rng)
 
 
 def _funpair_and_j(
@@ -283,20 +288,18 @@ def _funpair_and_j(
         if parts.rank < n:
             return None  # scaled pair needs an invertible modulus
         inv_half = (parts.right * sig**-0.5) @ parts.right.conj().T
-        fp = FunPair.scaled(max(_spectral_radius_psd_product(parts.comodulus(), inv_half, tol), 1e-8))
+        fp = FunPair.scaled(max(_spectral_radius_psd_product(parts.comodulus(), inv_half), 1e-8))
     f_mod, g_comod = C.moduli_from_svd(parts, fp)
     if fp.kind == "scaled":
         j = f_mod.copy()
         if rng.uniform() < 0.3:
-            j = hermitian_part(j + generate_with_rng(GeneratorConfig(ensemble="wishart_psd"), n, rng))
+            j = hermitian_part(j + generate_with_rng("wishart_psd", n, rng))
         return fp, j, f_mod, g_comod
     mode = str(_choice(rng, ("sum", "sum_plus_psd", "scaled_identity")))
     if mode == "sum":
         j = f_mod + g_comod
     elif mode == "sum_plus_psd":
-        j = hermitian_part(
-            f_mod + g_comod + generate_with_rng(GeneratorConfig(ensemble="wishart_psd"), n, rng)
-        )
+        j = hermitian_part(f_mod + g_comod + generate_with_rng("wishart_psd", n, rng))
     else:
         lam = max(float(fp.f_sigma(sig).max()), float(fp.g_sigma(sig).max()))
         j = (lam * (1.0 + rng.uniform(0.0, 1.0)) + 1e-6) * np.eye(n)
@@ -319,7 +322,7 @@ def _draw_instance(spec: CampaignSpec, trial: int, memo: dict) -> Instance:
     rng = np.random.default_rng([spec.seed, trial])
     families = spec.map_families
     if spec.check_id == "check_two_positive_split":
-        families = tuple(f for f in families if f in _CP_FAMILIES) or _CP_FAMILIES
+        families = tuple(f for f in families if f in _CP_FAMILIES)
     for _attempt in range(20):
         family = str(_choice(rng, families))
         n = int(_choice(rng, spec.n_dims))
@@ -329,7 +332,7 @@ def _draw_instance(spec: CampaignSpec, trial: int, memo: dict) -> Instance:
                 n = int(_choice(rng, evens))
         phi = _random_map(family, n, spec.m_dims, rng)
         if spec.check_id == "check_russo_dye":
-            a = generate_with_rng(GeneratorConfig(ensemble="random_contraction"), n, rng)
+            a = generate_with_rng("random_contraction", n, rng)
             return Instance(check_id=spec.check_id, phi=phi, contraction=a, memo=memo)
         z = _random_z(rng, n)
         if spec.check_id == "check_two_positive_split":
@@ -391,7 +394,7 @@ class CampaignReport:
         }
 
 
-def run_campaign(spec: CampaignSpec, keep_outcomes: bool = True) -> CampaignReport:
+def run_campaign(spec: CampaignSpec) -> CampaignReport:
     """Run every trial; abort on the first hard failure, keeping the
     serialized instance for replay."""
     spec.validate()
@@ -406,8 +409,7 @@ def run_campaign(spec: CampaignSpec, keep_outcomes: bool = True) -> CampaignRepo
         result = run_instance(inst, spec.tolerances)
         trials_run += 1
         min_slack = min(min_slack, result.slack)
-        if keep_outcomes:
-            outcomes.append(result.to_json())
+        outcomes.append(result.to_json())
         if result.passed and result.slack < 0:
             near += 1
         if not result.passed:

@@ -248,27 +248,14 @@ def _dominated_inputs(z, j, fp: FunPair, tol: Optional[Tolerance]) -> Tuple[np.n
 
 
 def _images_dominated(jm, f_mod, g_comod, tol: Optional[Tolerance]) -> bool:
-    """f_mod <= J and g_comod <= J for a Hermitian J, both in the Loewner order."""
+    """f_mod <= J and g_comod <= J for a Hermitian J, both in the Loewner
+    order of :func:`loewner_leq`, which decides what the screen leaves open."""
     if jm.size == 0:
         return True
-    t = _tol(tol, jm.shape[0])
-    # the rule below is slack >= -abs (1 + ||J||). A screen pass leaves
+    # loewner_leq holds at slack >= -abs (1 + ||J||). A screen pass leaves
     # slack >= -0.75 abs (1 + max|J_ij|), and ||J|| >= max|J_ij|
-    margin = 0.5 * t.abs * (1.0 + float(np.abs(jm).max()))
-    threshold = None
-    for image in (f_mod, g_comod):
-        gap = jm - image
-        if _clears(gap, margin):
-            continue
-        slack = float(_eig(gap, tol, vectors=False)[0][-1])
-        # as in loewner_leq, a slack of at least -abs holds whatever ||J|| is
-        if slack >= -t.abs:
-            continue
-        if threshold is None:
-            threshold = -t.abs * (1.0 + float(np.abs(_eig(jm, tol, vectors=False)[0]).max()))
-        if not slack >= threshold:  # a NaN slack fails too
-            return False
-    return True
+    margin = 0.5 * _tol(tol, jm.shape[0]).abs * (1.0 + float(np.abs(jm).max()))
+    return all(_clears(jm - image, margin) or _loewner_leq(image, jm, tol).holds for image in (f_mod, g_comod))
 
 
 def _std_inputs(phi: PosMap, z, j=None, fp: Optional[FunPair] = None, **extra) -> dict:
@@ -286,11 +273,11 @@ def check_russo_dye(phi: PosMap, a, tol: Optional[Tolerance] = None) -> Certific
     am = as_matrix(a)
     image = _apply(phi, am)  # checks A's shape before its norm
     t = _tol(tol, am.shape[0])
-    norm_a = _operator_norm(am, tol)
+    norm_a = _operator_norm(am)
     if norm_a > 1.0 + t.abs:
         raise NotContraction(f"operator norm {norm_a:.6g} exceeds 1")
-    lhs = np.array([[_operator_norm(image, tol)]], dtype=complex)
-    rhs = np.array([[_operator_norm(_apply(phi, np.eye(phi.in_dim, dtype=complex)), tol)]], dtype=complex)
+    lhs = np.array([[_operator_norm(image)]], dtype=complex)
+    rhs = np.array([[_operator_norm(_apply(phi, np.eye(phi.in_dim, dtype=complex)))]], dtype=complex)
     inputs = {"phi": map_to_json(phi), "A": matrix_to_json(am)}
     return _certificate("check_russo_dye", inputs, lhs, rhs, None, tol)
 
@@ -380,8 +367,8 @@ def check_log_majorization(
     return _weak_log_majorizes(lhs, rhs, tol)
 
 
-def _descending_clamped(h, tol: Optional[Tolerance]) -> np.ndarray:
-    return np.maximum(_eig(h, tol, vectors=False)[0], 0.0)
+def _descending_clamped(h) -> np.ndarray:
+    return np.maximum(_eig(h, vectors=False)[0], 0.0)
 
 
 @dataclass(frozen=True)
@@ -430,8 +417,8 @@ def check_eigenvalue_gaps(
     """
     zm, jm = _dominated_inputs(z, j, fp, tol)
     t = _tol(tol, phi.out_dim)
-    lhs_vals = _descending_clamped(_svd(_apply(phi, zm), tol).modulus(), tol)
-    rhs_vals = _descending_clamped(hermitian_part(_apply(phi, jm)), tol)
+    lhs_vals = _descending_clamped(_svd(_apply(phi, zm), tol).modulus())
+    rhs_vals = _descending_clamped(hermitian_part(_apply(phi, jm)))
     m = lhs_vals.size
     scale = float(rhs_vals[0]) if m else 0.0
     slackstep = t.abs * (1.0 + scale)
@@ -585,11 +572,11 @@ class _CartesianSum(NamedTuple):
 def _cartesian_sum(zm: np.ndarray, parts: CartesianParts, tol: Optional[Tolerance]) -> _CartesianSum:
     """The :class:`_CartesianSum` of Z from its Cartesian parts."""
     k = _svd(parts.re_part, tol).modulus() + _svd(parts.im_part, tol).modulus()
-    es = EigenSystem(*_eig(k, tol))  # K's one spectrum: the singular flag and both generalized powers
+    es = EigenSystem(*_eig(k))  # K's one spectrum: the singular flag and both generalized powers
     inv_half = es.power(-0.5, tol)
     inv = es.power(-1.0, tol)
     return _CartesianSum(
-        k, es, inv_half, inv, _operator_norm(inv_half @ zm @ inv_half, tol), _spectral_radius(zm @ inv)
+        k, es, inv_half, inv, _operator_norm(inv_half @ zm @ inv_half), _spectral_radius(zm @ inv)
     )
 
 
@@ -613,17 +600,17 @@ def _schur_remarks(s, tol: Optional[Tolerance]) -> SchurRemarkReport:
     n = s.shape[0]
     t = _tol(tol, n)
     expansive = s + np.eye(n)
-    inv = EigenSystem(*_eig(expansive, tol)).power(-1.0, tol)
+    inv = EigenSystem(*_eig(expansive)).power(-1.0, tol)
     prod = expansive * inv
-    vals = _descending_clamped(prod, tol)
+    vals = _descending_clamped(prod)
     diag_sorted = np.sort(np.real(np.diagonal(expansive)))[::-1]
     half = range((n + 1) // 2)  # the indices j with 2j + 1 <= n
     worst_e = min((diag_sorted[jj] - vals[2 * jj] for jj in half), default=math.inf)
 
-    top = _operator_norm(s, tol)
+    top = _operator_norm(s)
     contractive = s / (top * (1.0 + 1e-12)) if top > 0 else s
     prod_c = contractive * contractive
-    vals_c = _descending_clamped(prod_c, tol)
+    vals_c = _descending_clamped(prod_c)
     diag_c = np.sort(np.real(np.diagonal(contractive)))[::-1]
     worst_c = min((diag_c[jj] - vals_c[2 * jj] for jj in half), default=math.inf)
     slack = t.abs * (1.0 + (float(diag_sorted[0]) if n else 0.0))
@@ -645,40 +632,41 @@ class Example28Report:
     pairs: int
 
 
-def reproduce_counterexample_2_8(
-    pairs: int = 100, seed: int = 2026, tol: Optional[Tolerance] = None
-) -> Example28Report:
-    """det |phi(Z)| = 25 > 16 = det of the mixed geometric mean, for every
-    unitary conjugation pair, with phi(X) = X + X^T and Z the (4,1)-shift."""
-    from .ensembles import GeneratorConfig, generate_with_rng
+_EXAMPLE_2_8_PAIRS = 100
+
+
+def reproduce_counterexample_2_8(seed: int = 2026) -> Example28Report:
+    """det |phi(Z)| = 25 > 16 = det of the mixed geometric mean, for each of
+    100 random unitary conjugation pairs, with phi(X) = X + X^T and Z the
+    (4,1)-shift."""
+    from .ensembles import generate_with_rng
     from .posmap import IdentityMap, MapSum, TransposeMap
 
     rng = np.random.default_rng(seed)
     z = np.array([[0.0, 4.0], [1.0, 0.0]], dtype=complex)
     phi = MapSum(terms=(IdentityMap(2), TransposeMap(2)))
-    lhs_vals = _descending_clamped(_svd(_apply(phi, z), tol).modulus(), tol)
+    lhs_vals = _descending_clamped(_svd(_apply(phi, z), None).modulus())
     det_lhs = float(np.prod(lhs_vals))
-    phi_mod = hermitian_part(_apply(phi, _svd(z, tol).modulus()))
-    phi_comod = hermitian_part(_apply(phi, _svd(z, tol).comodulus()))
-    haar = GeneratorConfig(ensemble="haar_unitary")
+    phi_mod = hermitian_part(_apply(phi, _svd(z, None).modulus()))
+    phi_comod = hermitian_part(_apply(phi, _svd(z, None).comodulus()))
     det_rhss = []
     ok = abs(det_lhs - 25.0) <= 1e-9 * 25.0
-    for _ in range(pairs):
-        u = generate_with_rng(haar, 2, rng)
-        v = generate_with_rng(haar, 2, rng)
+    for _ in range(_EXAMPLE_2_8_PAIRS):
+        u = generate_with_rng("haar_unitary", 2, rng)
+        v = generate_with_rng("haar_unitary", 2, rng)
         mean, _ = _geometric_mean(
             hermitian_part(u @ phi_mod @ u.conj().T),
             hermitian_part(v @ phi_comod @ v.conj().T),
-            tol,
+            None,
         )
-        det_rhs = float(np.prod(_eig(mean, tol, vectors=False)[0]))
+        det_rhs = float(np.prod(_eig(mean, vectors=False)[0]))
         det_rhss.append(det_rhs)
         if abs(det_rhs - 16.0) > 1e-9 * 16.0:
             ok = False
     det_min, det_max = float(min(det_rhss)), float(max(det_rhss))
     ok = ok and det_lhs > det_max
     return Example28Report(
-        passed=bool(ok), det_lhs=det_lhs, det_rhs_min=det_min, det_rhs_max=det_max, pairs=pairs
+        passed=bool(ok), det_lhs=det_lhs, det_rhs_min=det_min, det_rhs_max=det_max, pairs=_EXAMPLE_2_8_PAIRS
     )
 
 
@@ -694,7 +682,7 @@ class SharpnessReport:
     scaled_certificate: Certificate
 
 
-def reproduce_sharpness_cor2_5(k: float, tol: Optional[Tolerance] = None) -> SharpnessReport:
+def reproduce_sharpness_cor2_5(k: float) -> SharpnessReport:
     """With Z = [[0, 1], [k, 0]] and the transpose map: rho = k, the e2 bracket
     of |Z^T| equals k, the minimal admissible constant is at least sqrt(k), and
     the sqrt(rho)-prefactored bound itself passes."""
@@ -704,20 +692,18 @@ def reproduce_sharpness_cor2_5(k: float, tol: Optional[Tolerance] = None) -> Sha
         raise ValueError("k must be positive")
     z = np.array([[0.0, 1.0], [float(k), 0.0]], dtype=complex)
     phi = TransposeMap(2)
-    mod = _svd(z, tol).modulus()
-    comod = _svd(z, tol).comodulus()
-    inv = EigenSystem(*_eig(mod, tol)).power(-1.0, tol)
-    rho = _spectral_radius_psd_product(comod, _sqrtm_psd(inv, tol), tol)
+    mod = _svd(z, None).modulus()
+    comod = _svd(z, None).comodulus()
+    inv = EigenSystem(*_eig(mod)).power(-1.0)
+    rho = _spectral_radius_psd_product(comod, _sqrtm_psd(inv, None))
 
-    v, lhs = _polar_witness_and_modulus(_apply(phi, z), tol)
+    v, lhs = _polar_witness_and_modulus(_apply(phi, z), None)
     e2 = np.zeros(2)
     e2[1] = 1.0
     bracket_lhs = float(np.real(e2 @ lhs @ e2))
 
     phi_mod = hermitian_part(_apply(phi, mod))
-    mean, used_limit = _geometric_mean(
-        phi_mod, hermitian_part(v @ phi_mod @ v.conj().T), tol
-    )
+    mean, used_limit = _geometric_mean(phi_mod, hermitian_part(v @ phi_mod @ v.conj().T), None)
     bracket_rhs = float(np.real(e2 @ mean @ e2))
     required_c = bracket_lhs / bracket_rhs if bracket_rhs > 0 else math.inf
 
@@ -729,7 +715,7 @@ def reproduce_sharpness_cor2_5(k: float, tol: Optional[Tolerance] = None) -> Sha
         lhs,
         rhs_scaled,
         v,
-        tol,
+        None,
         used_limit=used_limit,
         notes=f"rho={rho:.12g}, required_c={required_c:.12g}",
     )
@@ -788,9 +774,7 @@ class CexSearchReport:
         return all(w is not None for w in self.witnesses.values())
 
 
-def find_counterexamples_remarks(
-    trials: int, seed: int, dim: int = 2, tol: Optional[Tolerance] = None
-) -> CexSearchReport:
+def find_counterexamples_remarks(trials: int, seed: int, dim: int = 2) -> CexSearchReport:
     """Random search for the three expected failures on K = |X| + |Y|:
     |Z| <= K in the Loewner order, contractivity of |Z|^1/2 K^-1/2, and
     contractivity of Z K^-1. Every sample is simultaneously validated against
@@ -809,18 +793,18 @@ def find_counterexamples_remarks(
     margin = 1e-6
     for trial in range(trials):
         zm = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
-        k_sum = _cartesian_sum(zm, _cartesian(zm), tol)
-        mod = _svd(zm, tol).modulus()
+        k_sum = _cartesian_sum(zm, _cartesian(zm), None)
+        mod = _svd(zm, None).modulus()
         if found_a is None:
-            dec = _loewner_leq(mod, k_sum.matrix, tol)
+            dec = _loewner_leq(mod, k_sum.matrix, None)
             if dec.slack < -margin:
                 found_a = CexWitness(trial_index=trial, matrix=zm, margin=-dec.slack)
         if found_b is None:
-            half_norm = _operator_norm(EigenSystem(*_eig(mod, tol)).power(0.5, tol) @ k_sum.inv_half, tol)
+            half_norm = _operator_norm(EigenSystem(*_eig(mod)).power(0.5) @ k_sum.inv_half)
             if half_norm > 1.0 + margin:
                 found_b = CexWitness(trial_index=trial, matrix=zm, margin=half_norm - 1.0)
         if found_c is None:
-            plain_norm = _operator_norm(zm @ k_sum.inv, tol)
+            plain_norm = _operator_norm(zm @ k_sum.inv)
             if plain_norm > 1.0 + margin:
                 found_c = CexWitness(trial_index=trial, matrix=zm, margin=plain_norm - 1.0)
         worst_rho = max(worst_rho, k_sum.rho)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -27,14 +26,7 @@ from .io import _json_value, dump_json, matrix_from_json, matrix_to_json, tolera
 from .linalg import Tolerance
 from .means import geometric_mean_ex
 
-_DEFAULT_SEED_ENV = "OPCHECK_SEED"
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get(_DEFAULT_SEED_ENV, "2026"))
-    except ValueError:
-        return 2026
+_DEFAULT_SEED = 2026
 
 
 def _load_tolerance(args, dim: int) -> Optional[Tolerance]:
@@ -84,7 +76,7 @@ def _cmd_campaign(args) -> int:
 
 def _cmd_repro(args) -> int:
     if args.name == "example-2.8":
-        rep = reproduce_counterexample_2_8(pairs=100, seed=_default_seed())
+        rep = reproduce_counterexample_2_8(seed=_DEFAULT_SEED)
         print("transpose-augmented map on the 2x2 weighted shift:")
         print(f"  det |phi(Z)|      = {rep.det_lhs:.12f}   (expected 25)")
         print(
@@ -125,7 +117,7 @@ def _cmd_repro(args) -> int:
         }
         ok = rep.passed
     else:  # cartesian-cex
-        rep = find_counterexamples_remarks(trials=args.trials, seed=_default_seed(), dim=2)
+        rep = find_counterexamples_remarks(trials=args.trials, seed=_DEFAULT_SEED, dim=2)
         print("operator-norm failures around K = |X| + |Y| (all expected to exist):")
         print(
             f"  |Z| <= K fails           at trial {rep.loewner_witness.trial_index}"
@@ -234,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-cex", help="search for Cartesian-sum counterexamples")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     p.add_argument("--n", type=int, default=2, help="matrix dimension (2 or 3)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_find_cex)

@@ -117,19 +117,20 @@ def svd_square(z, tol: Optional[Tolerance] = None) -> SvdParts:
 
 
 def _svd(zm: np.ndarray, tol: Optional[Tolerance]) -> SvdParts:
-    """:func:`svd_square` of a square complex array, which it trusts."""
-    memo, key = _trial_memo("svd_square", zm, tol)
+    """:func:`svd_square` of a square complex array, which it trusts. The
+    memo key holds the rank cutoff, the one tolerance field the SVD reads."""
+    t = _tol(tol, zm.shape[0])
+    memo, key = _trial_memo("svd_square", zm, t.rank_cutoff)
     parts = memo.get(key) if memo is not None else None
     if parts is None:
-        parts = _svd_square(zm, tol)
+        parts = _svd_square(zm, t)
         _remember(memo, key, parts, (parts.left, parts.values, parts.right))
     return parts
 
 
-def _svd_square(zm: np.ndarray, tol: Optional[Tolerance]) -> SvdParts:
+def _svd_square(zm: np.ndarray, t: Tolerance) -> SvdParts:
     n = zm.shape[0]
-    t = _tol(tol, n)
-    values, right = _eig(hermitian_part(zm.conj().T @ zm), tol)
+    values, right = _eig(hermitian_part(zm.conj().T @ zm))
     lam = np.maximum(values, 0.0)
     sigma = np.sqrt(lam)
     # the rank rule acts on sigma^2 = eigenvalues of Z*Z
@@ -149,7 +150,7 @@ def _svd_square(zm: np.ndarray, tol: Optional[Tolerance]) -> SvdParts:
         rank += 1
     sigma[rank:] = 0.0
     if rank < n:
-        left_cols = _complete_columns(left_cols, _eig(hermitian_part(zm @ zm.conj().T), tol)[1], n)
+        left_cols = _complete_columns(left_cols, _eig(hermitian_part(zm @ zm.conj().T))[1], n)
     left = np.column_stack(left_cols) if left_cols else np.eye(n, dtype=complex)
     return SvdParts(left=left, values=sigma, right=right.copy(), rank=rank)
 

@@ -11,13 +11,12 @@ which commutes with U by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import _operator_norm
 
-__all__ = ["ENSEMBLES", "GeneratorConfig", "generate_with_rng"]
+__all__ = ["ENSEMBLES", "generate_with_rng"]
 
 ENSEMBLES = (
     "ginibre",
@@ -27,18 +26,6 @@ ENSEMBLES = (
     "random_contraction",
     "random_semi_hyponormal",
 )
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Which ensemble to draw from, and an overall scale factor."""
-
-    ensemble: str
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.ensemble not in ENSEMBLES:
-            raise ValueError(f"unknown ensemble {self.ensemble!r}; choose from {ENSEMBLES}")
 
 
 def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -51,31 +38,30 @@ def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def generate_with_rng(cfg: GeneratorConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    if cfg.ensemble == "ginibre":
-        sample = _ginibre(n, rng)
-    elif cfg.ensemble == "haar_unitary":
-        sample = _haar_unitary(n, rng)
-    elif cfg.ensemble == "wishart_psd":
+def generate_with_rng(ensemble: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """An n x n draw from the named ensemble, one of :data:`ENSEMBLES`."""
+    if ensemble == "ginibre":
+        return _ginibre(n, rng)
+    if ensemble == "haar_unitary":
+        return _haar_unitary(n, rng)
+    if ensemble == "wishart_psd":
         g = _ginibre(n, rng)
-        sample = g @ g.conj().T / n
-    elif cfg.ensemble == "random_normal_matrix":
+        return g @ g.conj().T / n
+    if ensemble == "random_normal_matrix":
         q = _haar_unitary(n, rng)
         eigs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        sample = (q * eigs) @ q.conj().T
-    elif cfg.ensemble == "random_contraction":
+        return (q * eigs) @ q.conj().T
+    if ensemble == "random_contraction":
         g = _ginibre(n, rng)
         shrink = 1.0 if rng.uniform() < 0.25 else 1.0 + rng.uniform(0.0, 1.0)
-        sample = g / (_operator_norm(g, None) * shrink)
-    elif cfg.ensemble == "random_semi_hyponormal":
+        return g / (_operator_norm(g) * shrink)
+    if ensemble == "random_semi_hyponormal":
         # |Z*| <= |Z| with equal spectra forces |Z*| = |Z|, so the ensemble is
         # built as U P with commuting factors: phases and positive weights on
         # one Haar eigenbasis
         v = _haar_unitary(n, rng)
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=n))
         weights = np.abs(rng.standard_normal(n)) + 0.1
-        sample = (v * (phases * weights)) @ v.conj().T
-    else:  # pragma: no cover
-        raise AssertionError(cfg.ensemble)
-    return cfg.scale * sample
+        return (v * (phases * weights)) @ v.conj().T
+    raise ValueError(f"unknown ensemble {ensemble!r}; choose from {ENSEMBLES}")
 

@@ -2,22 +2,23 @@
 
 Matrix format, shared by every command and report:
 ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with ``data`` row-major.
-Parsers reject non-finite entries, and every reader checks the JSON type of
-each field it parses, raising ValueError: integers are ints and numbers are
-ints or floats, never bools. Readers also reject keys that are not theirs, so
-a misspelt field is an error rather than a silent default.
+Every reader checks the JSON type of each field it parses, raising
+ValueError: integers are ints and numbers are ints or floats, never bools.
+Numbers must be finite doubles: Python's ``json`` reads ``NaN``,
+``Infinity`` and ``1e400`` as floats, and the readers reject them. Readers
+also reject keys that are not theirs, so a misspelt field is an error rather
+than a silent default.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import reprlib
 from typing import Optional
 
 import numpy as np
 
-from .linalg import Tolerance
+from .linalg import Tolerance, _is_finite
 
 __all__ = [
     "matrix_to_json",
@@ -38,10 +39,13 @@ def _is_kind(value, kind: type) -> bool:
 
 def _json_value(value, kind: type, what: str, nullable: bool = False):
     """``value`` unchanged if it is a JSON ``kind`` (int, float, str, list or
-    dict), or null when ``nullable``; otherwise ValueError naming ``what``."""
+    dict), or null when ``nullable``, and a finite number when ``kind`` is
+    float; otherwise ValueError naming ``what``."""
     if not (_is_kind(value, kind) or (nullable and value is None)):
         null = " or null" if nullable else ""
         raise ValueError(f"{what} must be {_KIND_NAMES[kind]}{null}, got {reprlib.repr(value)}")
+    if kind is float and value is not None and not _is_finite(value):
+        raise ValueError(f"{what} must be a finite number, got {reprlib.repr(value)}")
     return value
 
 
@@ -83,10 +87,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     for i, pair in enumerate(data):
         if not (isinstance(pair, list) and len(pair) == 2 and all(_is_kind(x, float) for x in pair)):
             raise ValueError(f"entry {i} is not an [re, im] pair of numbers: {reprlib.repr(pair)}")
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
+        if not (_is_finite(pair[0]) and _is_finite(pair[1])):
             raise ValueError(f"non-finite entry at index {i}")
-        flat[i] = complex(re, im)
+        flat[i] = complex(float(pair[0]), float(pair[1]))
     return flat.reshape(rows, cols)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
@@ -53,6 +54,12 @@ _HALF_MAX = float(np.finfo(float).max) / 2
 _MEMO: ContextVar[Optional[dict]] = ContextVar("opcheck_trial_memo", default=None)
 
 
+def _is_finite(number) -> bool:
+    """An int or float within the doubles: False for NaN, an infinity or an
+    int that no double holds."""
+    return abs(number) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical slack used by validation, order predicates and rank cutoffs.
@@ -66,8 +73,8 @@ class Tolerance:
     rank_cutoff: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (self.abs > 0 and self.rel > 0 and self.rank_cutoff > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not all(x > 0 and _is_finite(x) for x in (self.abs, self.rel, self.rank_cutoff)):
+            raise ValueError("tolerances must be finite and strictly positive")
 
     @classmethod
     @functools.lru_cache(maxsize=64)
@@ -205,20 +212,17 @@ def _pivots(n: int) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
     )
 
 
-def _trial_memo(kind: str, a: np.ndarray, tol: Optional[Tolerance], *params) -> Tuple[Optional[dict], tuple]:
-    """The active trial memo and the key of ``kind`` of ``a`` under ``tol``
-    and ``params`` in it, or (None, ()) when no campaign trial is running.
+def _trial_memo(kind: str, a: np.ndarray, *params) -> Tuple[Optional[dict], tuple]:
+    """The active trial memo and the key of ``kind`` of ``a`` and ``params``
+    in it, or (None, ()) when no campaign trial is running.
 
     The key holds the shape and the full bytes of ``a``, so an entry answers
-    only for the very matrix it was computed from. ``tol`` enters as its
-    three floats, which hash far faster than the dataclass and are equal
-    exactly when the tolerances are.
+    only for the very matrix it was computed from.
     """
     memo = _MEMO.get()
     if memo is None:
         return None, ()
-    tol_key = None if tol is None else (tol.abs, tol.rel, tol.rank_cutoff)
-    return memo, (kind, a.shape, a.tobytes(), tol_key, *params)
+    return memo, (kind, a.shape, a.tobytes(), *params)
 
 
 def _remember(memo: Optional[dict], key: tuple, value, arrays) -> None:
@@ -240,9 +244,7 @@ def _with_memo(memo: Optional[dict], fn, *args):
         _MEMO.reset(token)
 
 
-def _eig(
-    h, tol: Optional[Tolerance], max_sweeps: int = _MAX_SWEEPS, vectors: bool = True
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+def _eig(h, vectors: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The kernel behind :func:`eigh` and :func:`eigvalsh`: descending
     eigenvalues, and the eigenvector columns when ``vectors`` is set.
 
@@ -253,24 +255,25 @@ def _eig(
     sweeps run on it as given. When it holds a NaN or an inf, or a real or
     imaginary part above half the largest double, where its Hermitian part
     would overflow, require_hermitian is run on ``h`` and raises the error
-    the validating entry points raise.
+    the validating entry points raise. No tolerance enters: the spectrum of
+    an exactly Hermitian matrix depends on nothing else.
 
     Inside a campaign trial the result is memoized; a values-only request is
     also answered by an entry with vectors, whose values are the same bits.
     """
     a = np.asarray(h, dtype=complex)
-    memo, key = _trial_memo("jacobi", a, tol, max_sweeps)
+    memo, key = _trial_memo("jacobi", a)
     hit = memo.get(key) if memo is not None else None
     if hit is not None and (hit[1] is not None or not vectors):
         return hit
-    out = _sweeps(a, max_sweeps, vectors)
+    out = _sweeps(a, vectors)
     if out is None:  # require_hermitian rejects what _sweeps refuses
-        out = _sweeps(require_hermitian(a, tol), max_sweeps, vectors)
+        out = _sweeps(require_hermitian(a), vectors)
     _remember(memo, key, out, out)
     return out
 
 
-def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
+def _sweeps(a: np.ndarray, vectors: bool) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
     """Cyclic Jacobi sweeps on the exactly Hermitian ``a``; None, before any
     sweep, when ``a`` holds a NaN or an inf, or a real or imaginary part
     above half the largest double.
@@ -320,7 +323,7 @@ def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Optional[Tuple[np.
     # conjugates. Without ``vectors`` there are no rows of V to rotate.
     vrows = [[complex(i == j) for j in range(n)] for i in range(n)] if vectors else []
 
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = math.sqrt(2.0) * math.hypot(*[abs(x) for p, row in enumerate(rows) for x in row[p + 1 :]])
         if off <= stop:
             break
@@ -366,7 +369,7 @@ def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Optional[Tuple[np.
                 vrow[p] = c * vp - spc * vq
                 vrow[q] = sp * vp + c * vq
     else:
-        raise NoConvergence(f"Jacobi sweep budget ({max_sweeps}) exhausted")
+        raise NoConvergence(f"Jacobi sweep budget ({_MAX_SWEEPS}) exhausted")
 
     values = [rows[i][i].real for i in range(n)]
     if shift:
@@ -379,7 +382,7 @@ def _sweeps(a: np.ndarray, max_sweeps: int, vectors: bool) -> Optional[Tuple[np.
     return np.array([values[i] for i in order]), vectors_out
 
 
-def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> EigenSystem:
+def eigh(h, tol: Optional[Tolerance] = None) -> EigenSystem:
     """Diagonalize a complex Hermitian matrix by cyclic Jacobi rotations.
 
     The pivot order is fixed (row-major over the strict upper triangle), so
@@ -387,13 +390,13 @@ def eigh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> E
     eigenspaces. Raises NonHermitian for asymmetric input and NoConvergence
     if the off-diagonal mass does not vanish within the sweep budget.
     """
-    return EigenSystem(*_eig(require_hermitian(h, tol), tol, max_sweeps))
+    return EigenSystem(*_eig(require_hermitian(h, tol)))
 
 
-def eigvalsh(h, tol: Optional[Tolerance] = None, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
+def eigvalsh(h, tol: Optional[Tolerance] = None) -> np.ndarray:
     """The descending eigenvalues of :func:`eigh`, bit for bit, without the
     eigenvectors; same validation, sweeps and errors."""
-    return _eig(require_hermitian(h, tol), tol, max_sweeps, vectors=False)[0]
+    return _eig(require_hermitian(h, tol), vectors=False)[0]
 
 
 def _clears(h: np.ndarray, margin: float) -> bool:
@@ -462,7 +465,7 @@ def sqrtm_psd(h, tol: Optional[Tolerance] = None) -> np.ndarray:
 
 def _sqrtm_psd(h, tol: Optional[Tolerance]) -> np.ndarray:
     """:func:`sqrtm_psd` of an ``h`` that :func:`_eig` trusts."""
-    es = EigenSystem(*_eig(h, tol))
+    es = EigenSystem(*_eig(h))
     lam = es.values
     if lam.size:
         slack = _tol(tol, lam.size).rank_cutoff * max(1.0, float(np.abs(lam).max()))
@@ -499,27 +502,27 @@ def loewner_leq(a, b, tol: Optional[Tolerance] = None) -> LoewnerDecision:
 def _loewner_leq(a, b, tol: Optional[Tolerance]) -> LoewnerDecision:
     """:func:`loewner_leq` of two exactly Hermitian matrices of one shape."""
     t = _tol(tol, a.shape[0])
-    diff = _eig(b - a, tol, vectors=False)[0]
+    diff = _eig(b - a, vectors=False)[0]
     slack = float(diff[-1]) if diff.size else 0.0
     # -abs * (1 + s) <= -abs for every s >= 0, rounding included, so a slack
     # of at least -abs holds whatever ||B|| is: the norm is needed only below
-    holds = slack >= -t.abs or slack >= -t.abs * (1.0 + _operator_norm(b, None))
+    holds = slack >= -t.abs or slack >= -t.abs * (1.0 + _operator_norm(b))
     return LoewnerDecision(holds=holds, slack=slack)
 
 
-def operator_norm(m, tol: Optional[Tolerance] = None) -> float:
+def operator_norm(m) -> float:
     """Largest singular value, sqrt(lambda_max(M* M))."""
-    return _operator_norm(as_matrix(m), tol)
+    return _operator_norm(as_matrix(m))
 
 
-def _operator_norm(a: np.ndarray, tol: Optional[Tolerance]) -> float:
+def _operator_norm(a: np.ndarray) -> float:
     """:func:`operator_norm` of a finite 2-d complex array."""
     if a.size == 0:
         return 0.0
     if a.shape[0] == a.shape[1] and hermitian_defect(a) <= 1e-12 * (1.0 + float(np.abs(a).max())):
-        return float(np.abs(_eig(hermitian_part(a), tol, vectors=False)[0]).max())
+        return float(np.abs(_eig(hermitian_part(a), vectors=False)[0]).max())
     gram = hermitian_part(a.conj().T @ a)
-    return math.sqrt(max(float(_eig(gram, tol, vectors=False)[0][0]), 0.0))
+    return math.sqrt(max(float(_eig(gram, vectors=False)[0][0]), 0.0))
 
 
 def spectral_radius_psd_product(a, b, tol: Optional[Tolerance] = None) -> float:
@@ -528,13 +531,13 @@ def spectral_radius_psd_product(a, b, tol: Optional[Tolerance] = None) -> float:
     bh = sqrtm_psd(b, tol)
     if am.shape != bh.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bh.shape} differ")
-    return _spectral_radius_psd_product(am, bh, tol)
+    return _spectral_radius_psd_product(am, bh)
 
 
-def _spectral_radius_psd_product(a, bh: np.ndarray, tol: Optional[Tolerance]) -> float:
+def _spectral_radius_psd_product(a, bh: np.ndarray) -> float:
     """:func:`spectral_radius_psd_product` from B^1/2 and an exactly
     Hermitian ``a`` of its shape."""
-    lam = _eig(hermitian_part(bh @ a @ bh), tol, vectors=False)[0]
+    lam = _eig(hermitian_part(bh @ a @ bh), vectors=False)[0]
     return max(float(lam[0]), 0.0) if lam.size else 0.0
 
 

@@ -57,13 +57,13 @@ class MajorizationReport:
         }
 
 
-def _definite_mean(es_a: EigenSystem, b: np.ndarray, tol: Optional[Tolerance]) -> np.ndarray:
+def _definite_mean(es_a: EigenSystem, b: np.ndarray) -> np.ndarray:
     lam = np.maximum(es_a.values, 0.0)
     q = es_a.vectors
     a_half = (q * np.sqrt(lam)) @ q.conj().T
     a_ihalf = (q * (1.0 / np.sqrt(lam))) @ q.conj().T
     inner = hermitian_part(a_ihalf @ b @ a_ihalf)
-    values, vectors = _eig(inner, tol)
+    values, vectors = _eig(inner)
     root = (vectors * np.sqrt(np.maximum(values, 0.0))) @ vectors.conj().T
     return hermitian_part(a_half @ root @ a_half)
 
@@ -96,18 +96,18 @@ def geometric_mean_ex(a, b, tol: Optional[Tolerance] = None) -> Tuple[np.ndarray
 
 def _geometric_mean(a, b, tol: Optional[Tolerance]) -> Tuple[np.ndarray, bool]:
     """:func:`geometric_mean_ex` of two exactly Hermitian matrices of one shape."""
-    es_a = EigenSystem(*_eig(a, tol))
+    es_a = EigenSystem(*_eig(a))
     eye = np.eye(a.shape[0])
     if _is_definite(es_a.values, tol):
         # a screen pass leaves lambda_min(B) >= 3 tau - 1.5 tau, in eigvalsh's
         # values too: above _is_definite's 1e-10 max(1, lambda_max), since
         # lambda_max <= n max|b_ij|
         tau = 1e-10 * max(1.0, a.shape[0] * float(np.abs(b).max()))
-        if _clears(b - 3.0 * tau * eye, tau) or _is_definite(_eig(b, tol, vectors=False)[0], tol):
-            return _definite_mean(es_a, b, tol), False
-    iterates = [_definite_mean(EigenSystem(*_eig(a + e * eye, tol)), b + e * eye, tol) for e in _EPS_LADDER]
-    gap = _operator_norm(iterates[-1] - iterates[-2], tol)
-    if gap > _LIMIT_AGREE * (1.0 + _operator_norm(iterates[-1], tol)):
+        if _clears(b - 3.0 * tau * eye, tau) or _is_definite(_eig(b, vectors=False)[0], tol):
+            return _definite_mean(es_a, b), False
+    iterates = [_definite_mean(EigenSystem(*_eig(a + e * eye)), b + e * eye) for e in _EPS_LADDER]
+    gap = _operator_norm(iterates[-1] - iterates[-2])
+    if gap > _LIMIT_AGREE * (1.0 + _operator_norm(iterates[-1])):
         raise NoConvergence(f"singular-mean limit not Cauchy: gap {gap:.3e}")
     return iterates[-1], True
 
@@ -120,7 +120,7 @@ def geometric_mean(a, b, tol: Optional[Tolerance] = None) -> np.ndarray:
 
 def _clamped_spectrum(h: np.ndarray, tol: Optional[Tolerance]) -> np.ndarray:
     """Descending eigenvalues of a PSD matrix, zero off the support."""
-    lam = np.maximum(_eig(h, tol, vectors=False)[0], 0.0)
+    lam = np.maximum(_eig(h, vectors=False)[0], 0.0)
     lam[~_tol(tol, lam.size).support(lam)] = 0.0
     return lam
 

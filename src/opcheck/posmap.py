@@ -143,7 +143,7 @@ class SchurMultiplier(PosMap):
         # a pass leaves lambda_min >= -0.75e-9 (1 + max|s_ij|), and then
         # lambda_max >= max|s_ij| - 0.75e-9 (1 + max|s_ij|): the test below holds
         if not _clears(s, 0.5e-9 * (1.0 + top)):
-            lam = _eig(s, None, vectors=False)[0]
+            lam = _eig(s, vectors=False)[0]
             if lam.size and float(lam[-1]) < -1e-9 * (1.0 + float(lam[0])):
                 raise NotPositiveSemidefinite("Schur factor must be PSD")
         object.__setattr__(self, "factor", s)
@@ -336,7 +336,7 @@ def sample_positivity_falsifier(
                 continue
             if not math.isfinite(top):
                 raise ValueError("map output overflows")
-            lam = _eig(h, None, vectors=False)[0]
+            lam = _eig(h, vectors=False)[0]
             lam_min = float(lam[-1])
             scale = float(np.abs(lam).max()) if lam.size else 0.0
             if lam_min < -1e-7 * (1.0 + scale):

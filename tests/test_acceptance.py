@@ -35,7 +35,7 @@ def _announce(name: str, ok: bool, detail: str = "") -> None:
 
 def test_example_2_8_reproduction():
     t0 = time.perf_counter()
-    rep = reproduce_counterexample_2_8(pairs=100, seed=SEED)
+    rep = reproduce_counterexample_2_8(seed=SEED)
     elapsed = time.perf_counter() - t0
     ok = (
         rep.passed
@@ -96,7 +96,7 @@ def test_theorem_campaigns():
     ok = True
     worst = []
     for spec in campaigns:
-        rep = run_campaign(spec, keep_outcomes=False)
+        rep = run_campaign(spec)
         label = spec.check_id
         if spec.split_exponent is not None:
             label += f"(p={spec.split_exponent:g})"

@@ -88,10 +88,10 @@ class TestCoresGiveThePublicBytes:
     def test_eig_sweeps_what_require_hermitian_returns(self):
         for h in HERMITIAN + DIFFERENCES:
             for vectors in (True, False):
-                reference = L._sweeps(L.require_hermitian(h), L._MAX_SWEEPS, vectors)
-                assert fingerprint(L._eig(h, None, vectors=vectors)) == fingerprint(reference)
-            assert outcome(L._eig, h, None) == outcome(lambda x: tuple(dataclasses.astuple(L.eigh(x))), h)
-            assert outcome(lambda x: L._eig(x, None, vectors=False)[0], h) == outcome(L.eigvalsh, h)
+                reference = L._sweeps(L.require_hermitian(h), vectors)
+                assert fingerprint(L._eig(h, vectors=vectors)) == fingerprint(reference)
+            assert outcome(L._eig, h) == outcome(lambda x: tuple(dataclasses.astuple(L.eigh(x))), h)
+            assert outcome(lambda x: L._eig(x, vectors=False)[0], h) == outcome(L.eigvalsh, h)
 
     def test_svd(self):
         for z in SQUARE:
@@ -99,7 +99,7 @@ class TestCoresGiveThePublicBytes:
 
     def test_operator_norm(self):
         for z in SQUARE + HERMITIAN + [z[:, :-1] for z in SQUARE if z.shape[0] > 1]:
-            assert outcome(L._operator_norm, z, None) == outcome(L.operator_norm, z)
+            assert outcome(L._operator_norm, z) == outcome(L.operator_norm, z)
 
     def test_spectral_radius(self):
         for z in SQUARE:
@@ -132,7 +132,7 @@ class TestCoresGiveThePublicBytes:
         for h in HERMITIAN:
             assert outcome(L._sqrtm_psd, h, None) == outcome(L.sqrtm_psd, h)
         for a, b in PSD_PAIRS:
-            assert (outcome(L._spectral_radius_psd_product, a, L.sqrtm_psd(b), None)
+            assert (outcome(L._spectral_radius_psd_product, a, L.sqrtm_psd(b))
                     == outcome(L.spectral_radius_psd_product, a, b))
 
     def test_schur_remarks(self):
@@ -382,4 +382,4 @@ def test_the_search_on_overflowing_draws_raises_the_validation_error(monkeypatch
 )
 @pytest.mark.parametrize("vectors", [True, False])
 def test_the_kernel_raises_the_validation_error_on_non_finite_input(h, vectors):
-    raises_the_validation_error(L._eig, np.array(h, dtype=complex), None, L._MAX_SWEEPS, vectors)
+    raises_the_validation_error(L._eig, np.array(h, dtype=complex), vectors)

@@ -34,6 +34,23 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             CampaignSpec(check_id="check_russo_dye", n_dims=()).validate()
 
+    @pytest.mark.parametrize("field", ["map_families", "funpair_kinds"])
+    def test_empty_choice_lists_rejected(self, field):
+        with pytest.raises(InvalidSpec, match=f"^{field} must be nonempty$"):
+            CampaignSpec.from_json({"check_id": "check_geometric_domination", field: []})
+
+    def test_split_spec_needs_a_completely_positive_family(self):
+        with pytest.raises(InvalidSpec, match="needs a completely positive map family"):
+            CampaignSpec.from_json({"check_id": "check_two_positive_split",
+                                    "map_families": ["transpose_plus_identity"]})
+        # other checks take the family alone, and the split check draws only
+        # the completely positive families of a mixed list
+        CampaignSpec(check_id="check_russo_dye", map_families=("transpose_plus_identity",)).validate()
+        spec = CampaignSpec(check_id="check_two_positive_split", trials=10,
+                            map_families=("transpose_plus_identity", "identity"))
+        spec.validate()
+        assert {make_instance(spec, t).phi.family for t in range(spec.trials)} == {"identity"}
+
     def test_json_round_trip(self):
         spec = CampaignSpec(
             check_id="check_geometric_domination",

@@ -511,7 +511,7 @@ class TestSpecializationConsistency:
 
 class TestReproductions:
     def test_example_2_8_exact_determinants(self):
-        rep = reproduce_counterexample_2_8(pairs=100, seed=3)
+        rep = reproduce_counterexample_2_8(seed=3)
         assert rep.passed
         assert rep.det_lhs == pytest.approx(25.0, rel=1e-12)
         assert rep.det_rhs_min == pytest.approx(16.0, rel=1e-9)

@@ -1,6 +1,7 @@
 """CLI surface tests, run in-process through main()."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -49,12 +50,10 @@ class TestFindCex:
         assert main(["find-cex", "--trials", "1", "--seed", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_seed_environment_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OPCHECK_SEED", "1")
+    def test_seed_option(self):
         # seed 1's first draw is clean, so a single-trial search exhausts
-        assert main(["find-cex", "--trials", "1"]) == 2
-        monkeypatch.setenv("OPCHECK_SEED", "3")
-        assert main(["find-cex", "--trials", "2000"]) == 0
+        assert main(["find-cex", "--trials", "1", "--seed", "1"]) == 2
+        assert main(["find-cex", "--trials", "2000", "--seed", "3"]) == 0
 
 
 class TestMatrixCommands:
@@ -226,3 +225,42 @@ def test_unknown_keys_and_out_of_range_params_exit_with_status_2(tmp_path, capsy
     assert main([arg.format(**paths) for arg in command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and ("unknown" in err or "must be >= 1" in err)
+
+
+SPLIT_INSTANCE = {"phi": IDENTITY_2, "Z": SHIFT_JSON, "p": 0.5}
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        (["campaign", "--spec", "{x}"], {"x": '{"check_id": "check_russo_dye", "tolerances": {"abs": Infinity}}'}),
+        (["campaign", "--spec", "{x}"], {"x": '{"check_id": "check_two_positive_split", "split_exponent": NaN}'}),
+        (["campaign", "--spec", "{x}"], {"x": '{"check_id": "check_russo_dye", "tolerances": {"rel": 1e400}}'}),
+        (["campaign", "--spec", "{x}"], {"x": {"check_id": "check_russo_dye", "map_families": []}}),
+        (["campaign", "--spec", "{x}"], {"x": {"check_id": "check_log_majorization", "funpair_kinds": []}}),
+        (["campaign", "--spec", "{x}"],
+         {"x": {"check_id": "check_two_positive_split", "map_families": ["transpose_plus_identity"]}}),
+        (["check", "check_two_positive_split", "--in", "{x}", "--tol", "inf"], {"x": SPLIT_INSTANCE}),
+        (["check", "check_two_positive_split", "--in", "{x}", "--tol", "nan"], {"x": SPLIT_INSTANCE}),
+        (["check", "check_two_positive_split", "--in", "{x}", "--config", "{y}"],
+         {"x": SPLIT_INSTANCE, "y": '{"abs": Infinity}'}),
+        (["check", "check_two_positive_split", "--in", "{x}"],
+         {"x": json.dumps({**SPLIT_INSTANCE, "p": math.nan})}),
+        (["check", "check_geometric_domination", "--in", "{x}"],
+         {"x": json.dumps({"phi": IDENTITY_2, "Z": HALF_I, "J": HALF_I,
+                           "funpair": {"kind": "power", "rho": -math.inf}})}),
+        (["mean", "--a", "{x}", "--b", "{x}", "--tol", "inf"], {"x": HALF_I}),
+    ],
+    ids=["spec-abs-infinity", "spec-split-nan", "spec-rel-1e400", "spec-no-families", "spec-no-funpair-kinds",
+         "split-spec-no-cp-family", "check-tol-inf", "check-tol-nan", "check-config-infinity",
+         "instance-p-nan", "funpair-rho-minus-infinity", "mean-tol-inf"],
+)
+def test_non_finite_numbers_and_empty_choices_exit_with_a_one_line_error(tmp_path, capsys, command, files):
+    paths = {"x": str(tmp_path / "x.json"), "y": str(tmp_path / "y.json")}
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(content if isinstance(content, str) else json.dumps(content))
+    assert main([arg.format(**paths) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert any(word in captured.err for word in ("finite", "nonempty", "completely positive"))
+    assert captured.out == ""

@@ -1,10 +1,14 @@
 """Wire-format tests: matrix JSON round trips and rejection rules."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from opcheck.campaign import CampaignSpec, Instance, make_instance
+from opcheck.checks import FunPair
+from opcheck.errors import InvalidSpec
 from opcheck.io import (
     dump_json,
     matrix_from_json,
@@ -112,3 +116,59 @@ def test_readers_reject_unknown_keys():
     with pytest.raises(ValueError, match=r"unknown matrix keys \['row'\]"):
         matrix_from_json({"rows": 1, "cols": 1, "row": 1, "data": [[1.0, 0.0]]})
     assert tolerance_from_json(tolerance_to_json(Tolerance(abs=1e-7)), 2) == Tolerance(abs=1e-7)
+
+
+# what Python's json reads from NaN, Infinity, -Infinity and 1e400, and an
+# integer that no double holds
+NON_FINITE = [math.nan, math.inf, -math.inf, 10**400]
+NON_FINITE_IDS = ["nan", "inf", "-inf", "huge-int"]
+
+
+class TestNonFiniteNumbers:
+    def test_python_json_reads_them(self):
+        assert [repr(json.loads(text)) for text in ("NaN", "Infinity", "-Infinity", "1e400")] == [
+            "nan", "inf", "-inf", "inf"]
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_tolerance_fields(self, value):
+        for key in ("abs", "rel", "rank_cutoff"):
+            with pytest.raises(ValueError, match=f"^tolerance {key} must be a finite number, got "):
+                tolerance_from_json({key: value}, dim=2)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge-int"])
+    def test_tolerance_constructor(self, value):
+        for key in ("abs", "rel", "rank_cutoff"):
+            with pytest.raises(ValueError, match="^tolerances must be finite and strictly positive$"):
+                Tolerance(**{key: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_funpair_p_and_rho(self, value):
+        for key in ("p", "rho"):
+            with pytest.raises(ValueError, match=f"^funpair {key} must be a finite number, got "):
+                FunPair.from_json({"kind": "power", key: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_instance_split_exponent(self, value):
+        payload = make_instance(CampaignSpec(check_id="check_two_positive_split", seed=3), 0).to_json()
+        with pytest.raises(ValueError, match="^p must be a finite number, got "):
+            Instance.from_json({**payload, "p": value})
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_spec_numbers(self, value):
+        spec = {"check_id": "check_two_positive_split"}
+        with pytest.raises(InvalidSpec, match="^tolerance abs must be a finite number, got "):
+            CampaignSpec.from_json({**spec, "tolerances": {"abs": value}})
+        with pytest.raises(InvalidSpec, match="^split_exponent must be a finite number, got "):
+            CampaignSpec.from_json({**spec, "split_exponent": value})
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_matrix_entries_keep_their_message(self, value):
+        for pair in ([value, 0.0], [0.0, value]):
+            with pytest.raises(ValueError, match="^non-finite entry at index 1$"):
+                matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0], pair]})
+
+    def test_the_largest_numbers_pass(self):
+        big = float(np.finfo(float).max)
+        assert tolerance_from_json({"abs": big}, dim=2).abs == big
+        assert FunPair.from_json({"kind": "power", "p": -big}).p == -big
+        assert matrix_from_json({"rows": 1, "cols": 1, "data": [[big, -big]]})[0, 0] == complex(big, -big)

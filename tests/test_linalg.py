@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opcheck.checks
 import opcheck.linalg
 from opcheck.checks import _images_dominated
 from opcheck.decompose import svd_square
@@ -163,13 +164,14 @@ class TestEigh:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
 
-    def test_exhausted_sweep_budget_raises(self):
+    def test_exhausted_sweep_budget_raises(self, monkeypatch):
         from opcheck.errors import NoConvergence
 
         rng = np.random.default_rng(100)
         h = random_hermitian(rng, 4)
-        with pytest.raises(NoConvergence):
-            eigh(h, max_sweeps=0)
+        monkeypatch.setattr(opcheck.linalg, "_MAX_SWEEPS", 0)
+        with pytest.raises(NoConvergence, match=r"^Jacobi sweep budget \(0\) exhausted$"):
+            eigh(h)
 
     def test_matches_mpmath_reference(self):
         mpmath = pytest.importorskip("mpmath")
@@ -640,10 +642,10 @@ def count_calls(monkeypatch, vectors):
     calls = []
     original = opcheck.linalg._eig
 
-    def counting(h, tol, max_sweeps=opcheck.linalg._MAX_SWEEPS, vectors=True, _wanted=vectors):
+    def counting(h, vectors=True, _wanted=vectors):
         if vectors == _wanted:
             calls.append(1)
-        return original(h, tol, max_sweeps, vectors)
+        return original(h, vectors)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("opcheck") and getattr(module, "_eig", None) is original:
@@ -670,15 +672,17 @@ class TestEigvalsh:
             assert values.dtype == np.float64
             assert values.tobytes() == eigh(h).values.tobytes()
 
-    def test_same_errors_as_eigh(self):
+    def test_same_errors_as_eigh(self, monkeypatch):
         h = random_hermitian(np.random.default_rng(100), 4)
         for fn in (eigh, eigvalsh):
             with pytest.raises(NonHermitian):
                 fn([[0, 1], [0, 0]])
             with pytest.raises(DimensionMismatch):
                 fn(np.ones((2, 3)))
-            with pytest.raises(NoConvergence):
-                fn(h, max_sweeps=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(opcheck.linalg, "_MAX_SWEEPS", 0)
+                with pytest.raises(NoConvergence):
+                    fn(h)
             for value in NON_FINITE:
                 with pytest.raises(ValueError, match="non-finite"):
                     fn(with_entry(value))
@@ -771,6 +775,23 @@ class TestLazyDominationTolerance:
     def test_norm_is_computed_only_below_abs(self, band_f, band_g, calls, eigvalsh_calls):
         _images_dominated(*self.images(band_f, band_g), None)
         assert len(eigvalsh_calls) == calls
+
+    def test_loewner_leq_decides_what_the_screen_leaves_open(self, monkeypatch):
+        verdicts = []
+        original = opcheck.checks._loewner_leq
+
+        def spy(a, b, tol):
+            dec = original(a, b, tol)
+            verdicts.append((dec.slack, dec.holds))
+            return dec
+
+        monkeypatch.setattr(opcheck.checks, "_loewner_leq", spy)
+        for band in ("within_scaled", "below_scaled"):
+            j, f_mod, g_comod = self.images(band, "clears_abs")
+            assert _images_dominated(j, f_mod, g_comod, None) == (band == "within_scaled")
+        # one call for each f_mod; the screen clears each g_comod
+        assert [holds for _, holds in verdicts] == [True, False]
+        assert [slack for slack, _ in verdicts] == pytest.approx([-5e-9, -1e-6], abs=1e-13)
 
     # slack / (abs (1 + ||J||)) around the screen's margin, which is
     # 0.5 (1 + max|J_ij|) / (1 + ||J||) of it, and around the rule's -1
@@ -1053,12 +1074,23 @@ class TestTrialMemo:
         def variants():
             eigvalsh(self.H)
             eigvalsh(bumped)
-            eigvalsh(self.H, Tolerance(abs=1e-8))
-            eigvalsh(self.H, max_sweeps=50)
+            eigvalsh(self.H, Tolerance(abs=1e-8))  # no tolerance enters the spectrum: a hit
             eigvalsh(self.H[:2, :2])
 
         _with_memo({}, variants)
-        assert len(sweep_runs) == 5
+        assert len(sweep_runs) == 3
+
+    def test_svd_entries_are_keyed_by_the_rank_cutoff(self):
+        z = np.diag([1.0, 1e-2]).astype(complex)  # sigma^2 = 1e-4 relative to the top
+
+        def variants():
+            other_abs = Tolerance.for_dim(2, abs=1e-8)  # the default rank cutoff 2e-12
+            return svd_square(z), svd_square(z, other_abs), svd_square(z, Tolerance(rank_cutoff=1e-3))
+
+        memo: dict = {}
+        default, same_cutoff, coarse = _with_memo(memo, variants)
+        assert same_cutoff is default and (default.rank, coarse.rank) == (2, 1)
+        assert sorted(key[-1] for key in memo if key[0] == "svd_square") == [2e-12, 1e-3]
 
     def test_equal_tolerances_share_an_entry(self, sweep_runs):
         _with_memo({}, lambda: (eigvalsh(self.H, Tolerance(abs=1e-8)), eigvalsh(self.H, Tolerance(abs=1e-8))))
@@ -1073,15 +1105,16 @@ class TestTrialMemo:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
-    def test_errors_are_not_cached(self, sweep_runs):
+    def test_errors_are_not_cached(self, sweep_runs, monkeypatch):
         memo: dict = {}
+        monkeypatch.setattr(opcheck.linalg, "_MAX_SWEEPS", 0)
 
         def fails_twice():
             for _ in range(2):
                 with pytest.raises(NonHermitian):
                     eigh([[0, 1], [0, 0]])
                 with pytest.raises(NoConvergence):
-                    eigh(self.H, max_sweeps=0)
+                    eigh(self.H)
 
         _with_memo(memo, fails_twice)
         assert memo == {} and len(sweep_runs) == 2

@@ -105,11 +105,11 @@ def test_a_hermitian_part_that_overflows_raises_without_a_warning(h, vectors):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^Hermitian part overflows: entries exceed half the largest double$"):
-            L._eig(h, None, vectors=vectors)
+            L._eig(h, vectors=vectors)
 
 
 def test_parts_within_half_the_largest_double_are_swept_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, _ = L._eig(off_diagonal(8e307 + 8e307j), None)
+        values, _ = L._eig(off_diagonal(8e307 + 8e307j))
     assert values.tolist() == [math.hypot(8e307, 8e307), -math.hypot(8e307, 8e307)]
