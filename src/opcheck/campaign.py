@@ -29,7 +29,7 @@ from .io import (
     tolerance_from_json,
     tolerance_to_json,
 )
-from .linalg import Tolerance, _spectral_radius_psd_product, _with_memo, hermitian_part
+from .linalg import Tolerance, _with_memo, hermitian_part
 from .posmap import (
     Congruence,
     IdentityMap,
@@ -287,8 +287,7 @@ def _funpair_and_j(
     else:
         if parts.rank < n:
             return None  # scaled pair needs an invertible modulus
-        inv_half = (parts.right * sig**-0.5) @ parts.right.conj().T
-        fp = FunPair.scaled(max(_spectral_radius_psd_product(parts.comodulus(), inv_half), 1e-8))
+        fp = FunPair.scaled(max(C._moduli_radius(parts), 1e-8))
     f_mod, g_comod = C.moduli_from_svd(parts, fp)
     if fp.kind == "scaled":
         j = f_mod.copy()
@@ -314,6 +313,7 @@ def make_instance(spec: CampaignSpec, trial: int) -> Instance:
     run here, which :func:`run_instance` hands on to the check: each matrix
     is factored once per trial, and never across trials.
     """
+    spec.validate()
     memo: dict = {}
     return _with_memo(memo, _draw_instance, spec, trial, memo)
 

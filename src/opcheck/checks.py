@@ -29,7 +29,6 @@ from .linalg import (
     _operator_norm,
     _spectral_radius,
     _spectral_radius_psd_product,
-    _sqrtm_psd,
     _tol,
     as_matrix,
     hermitian_part,
@@ -230,6 +229,12 @@ def moduli_from_svd(parts: SvdParts, fp: FunPair) -> Tuple[np.ndarray, np.ndarra
     return parts.modulus(fp.f_sigma(parts.values)), parts.comodulus(fp.g_sigma(parts.values))
 
 
+def _moduli_radius(parts: SvdParts) -> float:
+    """rho(|Z*| |Z|^-1) = lambda_max(|Z|^-1/2 |Z*| |Z|^-1/2) from the SVD of an invertible Z."""
+    inv_half = (parts.right * parts.values**-0.5) @ parts.right.conj().T
+    return _spectral_radius_psd_product(parts.comodulus(), inv_half)
+
+
 def domination_holds(z, j, fp: FunPair, tol: Optional[Tolerance] = None) -> bool:
     """f(|Z|) <= J and g(|Z*|) <= J, both in the Loewner order."""
     jm = require_hermitian(j, tol)
@@ -362,13 +367,8 @@ def check_log_majorization(
 ) -> MajorizationReport:
     """|phi(Z)| weakly log-majorized by phi(J) under the domination hypothesis."""
     zm, jm = _dominated_inputs(z, j, fp, tol)
-    lhs = _svd(_apply(phi, zm), tol).modulus()
-    rhs = hermitian_part(_apply(phi, jm))
-    return _weak_log_majorizes(lhs, rhs, tol)
-
-
-def _descending_clamped(h) -> np.ndarray:
-    return np.maximum(_eig(h, vectors=False)[0], 0.0)
+    rhs_vals = _clamped_spectrum(hermitian_part(_apply(phi, jm)), tol)
+    return _weak_log_majorizes(_svd(_apply(phi, zm), tol).values, rhs_vals, tol)
 
 
 @dataclass(frozen=True)
@@ -417,8 +417,8 @@ def check_eigenvalue_gaps(
     """
     zm, jm = _dominated_inputs(z, j, fp, tol)
     t = _tol(tol, phi.out_dim)
-    lhs_vals = _descending_clamped(_svd(_apply(phi, zm), tol).modulus())
-    rhs_vals = _descending_clamped(hermitian_part(_apply(phi, jm)))
+    lhs_vals = _svd(_apply(phi, zm), tol).values
+    rhs_vals = _clamped_spectrum(hermitian_part(_apply(phi, jm)), tol)
     m = lhs_vals.size
     scale = float(rhs_vals[0]) if m else 0.0
     slackstep = t.abs * (1.0 + scale)
@@ -480,7 +480,7 @@ def check_reverse_product(
     the mixed smallest-times-largest products of phi(J)."""
     zm, jm = _dominated_inputs(z, j, fp, tol)
     t = _tol(tol, phi.out_dim)
-    lhs_vals = _clamped_spectrum(_svd(_apply(phi, zm), tol).modulus(), tol)
+    lhs_vals = _svd(_apply(phi, zm), tol).values
     rhs_vals = _clamped_spectrum(hermitian_part(_apply(phi, jm)), tol)
     lhs_sq = np.cumprod(lhs_vals[::-1]) ** 2
     mixed = np.cumprod(rhs_vals[::-1] * rhs_vals)
@@ -534,7 +534,8 @@ def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> Ca
     lmax = float(k_sum.spectrum.values[0]) if k_sum.spectrum.values.size else 0.0
     singular = not t.support(np.maximum(k_sum.spectrum.values, 0.0)).all()
 
-    v, lhs = _polar_witness_and_modulus(_apply(phi, zm), tol)
+    w_parts = _svd(_apply(phi, zm), tol)
+    v, lhs = w_parts.unitary.conj().T, w_parts.modulus()
     phk = hermitian_part(_apply(phi, k_sum.matrix))
     conj = hermitian_part(v @ phk @ v.conj().T)
     rhs, used_limit = _geometric_mean(phk, conj, tol)
@@ -543,7 +544,7 @@ def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> Ca
         "check_cartesian_suite", inputs, lhs, rhs, v, tol, used_limit=used_limit,
         notes="J = |X| + |Y| from the Cartesian decomposition",
     )
-    major = _weak_log_majorizes(lhs, phk, tol)
+    major = _weak_log_majorizes(w_parts.values, _clamped_spectrum(phk, tol), tol)
 
     bound = 1.0 + t.abs * (1.0 + lmax) + 1e-6
     passed = bool(cert.passed and major.passed and k_sum.congruence_norm <= bound and k_sum.rho <= bound)
@@ -571,13 +572,19 @@ class _CartesianSum(NamedTuple):
 
 def _cartesian_sum(zm: np.ndarray, parts: CartesianParts, tol: Optional[Tolerance]) -> _CartesianSum:
     """The :class:`_CartesianSum` of Z from its Cartesian parts."""
-    k = _svd(parts.re_part, tol).modulus() + _svd(parts.im_part, tol).modulus()
+    k = _hermitian_modulus(parts.re_part) + _hermitian_modulus(parts.im_part)
     es = EigenSystem(*_eig(k))  # K's one spectrum: the singular flag and both generalized powers
     inv_half = es.power(-0.5, tol)
     inv = es.power(-1.0, tol)
     return _CartesianSum(
         k, es, inv_half, inv, _operator_norm(inv_half @ zm @ inv_half), _spectral_radius(zm @ inv)
     )
+
+
+def _hermitian_modulus(h: np.ndarray) -> np.ndarray:
+    """|H| = V |Lambda| V* from one eigendecomposition of an exactly Hermitian H = V Lambda V*."""
+    values, vectors = _eig(h)
+    return hermitian_part((vectors * np.abs(values)) @ vectors.conj().T)
 
 
 @dataclass(frozen=True)
@@ -602,7 +609,7 @@ def _schur_remarks(s, tol: Optional[Tolerance]) -> SchurRemarkReport:
     expansive = s + np.eye(n)
     inv = EigenSystem(*_eig(expansive)).power(-1.0, tol)
     prod = expansive * inv
-    vals = _descending_clamped(prod)
+    vals = _clamped_spectrum(prod, tol)
     diag_sorted = np.sort(np.real(np.diagonal(expansive)))[::-1]
     half = range((n + 1) // 2)  # the indices j with 2j + 1 <= n
     worst_e = min((diag_sorted[jj] - vals[2 * jj] for jj in half), default=math.inf)
@@ -610,7 +617,7 @@ def _schur_remarks(s, tol: Optional[Tolerance]) -> SchurRemarkReport:
     top = _operator_norm(s)
     contractive = s / (top * (1.0 + 1e-12)) if top > 0 else s
     prod_c = contractive * contractive
-    vals_c = _descending_clamped(prod_c)
+    vals_c = _clamped_spectrum(prod_c, tol)
     diag_c = np.sort(np.real(np.diagonal(contractive)))[::-1]
     worst_c = min((diag_c[jj] - vals_c[2 * jj] for jj in half), default=math.inf)
     slack = t.abs * (1.0 + (float(diag_sorted[0]) if n else 0.0))
@@ -645,10 +652,10 @@ def reproduce_counterexample_2_8(seed: int = 2026) -> Example28Report:
     rng = np.random.default_rng(seed)
     z = np.array([[0.0, 4.0], [1.0, 0.0]], dtype=complex)
     phi = MapSum(terms=(IdentityMap(2), TransposeMap(2)))
-    lhs_vals = _descending_clamped(_svd(_apply(phi, z), None).modulus())
-    det_lhs = float(np.prod(lhs_vals))
-    phi_mod = hermitian_part(_apply(phi, _svd(z, None).modulus()))
-    phi_comod = hermitian_part(_apply(phi, _svd(z, None).comodulus()))
+    det_lhs = float(np.prod(_svd(_apply(phi, z), None).values))
+    parts = _svd(z, None)
+    phi_mod = hermitian_part(_apply(phi, parts.modulus()))
+    phi_comod = hermitian_part(_apply(phi, parts.comodulus()))
     det_rhss = []
     ok = abs(det_lhs - 25.0) <= 1e-9 * 25.0
     for _ in range(_EXAMPLE_2_8_PAIRS):
@@ -685,24 +692,26 @@ class SharpnessReport:
 def reproduce_sharpness_cor2_5(k: float) -> SharpnessReport:
     """With Z = [[0, 1], [k, 0]] and the transpose map: rho = k, the e2 bracket
     of |Z^T| equals k, the minimal admissible constant is at least sqrt(k), and
-    the sqrt(rho)-prefactored bound itself passes."""
+    the sqrt(rho)-prefactored bound itself passes.
+
+    The weight k must be finite and at least 1: for 0 < k < 1 the radius
+    rho(|Z*| |Z|^-1) is 1/k, not k, and the example shows no sharpness.
+    """
     from .posmap import TransposeMap
 
-    if not k > 0:
-        raise ValueError("k must be positive")
+    if not (k >= 1 and math.isfinite(k)):
+        raise ValueError(f"k must be a finite number >= 1, got {k:g}")
     z = np.array([[0.0, 1.0], [float(k), 0.0]], dtype=complex)
     phi = TransposeMap(2)
-    mod = _svd(z, None).modulus()
-    comod = _svd(z, None).comodulus()
-    inv = EigenSystem(*_eig(mod)).power(-1.0)
-    rho = _spectral_radius_psd_product(comod, _sqrtm_psd(inv, None))
+    parts = _svd(z, None)
+    rho = _moduli_radius(parts)
 
     v, lhs = _polar_witness_and_modulus(_apply(phi, z), None)
     e2 = np.zeros(2)
     e2[1] = 1.0
     bracket_lhs = float(np.real(e2 @ lhs @ e2))
 
-    phi_mod = hermitian_part(_apply(phi, mod))
+    phi_mod = hermitian_part(_apply(phi, parts.modulus()))
     mean, used_limit = _geometric_mean(phi_mod, hermitian_part(v @ phi_mod @ v.conj().T), None)
     bracket_rhs = float(np.real(e2 @ mean @ e2))
     required_c = bracket_lhs / bracket_rhs if bracket_rhs > 0 else math.inf
@@ -794,13 +803,14 @@ def find_counterexamples_remarks(trials: int, seed: int, dim: int = 2) -> CexSea
     for trial in range(trials):
         zm = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
         k_sum = _cartesian_sum(zm, _cartesian(zm), None)
-        mod = _svd(zm, None).modulus()
+        # |Z| serves targets a and b only
+        parts = _svd(zm, None) if found_a is None or found_b is None else None
         if found_a is None:
-            dec = _loewner_leq(mod, k_sum.matrix, None)
+            dec = _loewner_leq(parts.modulus(), k_sum.matrix, None)
             if dec.slack < -margin:
                 found_a = CexWitness(trial_index=trial, matrix=zm, margin=-dec.slack)
         if found_b is None:
-            half_norm = _operator_norm(EigenSystem(*_eig(mod)).power(0.5) @ k_sum.inv_half)
+            half_norm = _operator_norm(parts.modulus(np.sqrt(parts.values)) @ k_sum.inv_half)
             if half_norm > 1.0 + margin:
                 found_b = CexWitness(trial_index=trial, matrix=zm, margin=half_norm - 1.0)
         if found_c is None:

@@ -460,12 +460,7 @@ def sqrtm_psd(h, tol: Optional[Tolerance] = None) -> np.ndarray:
 
     Raises DomainError for an eigenvalue below -rank_cutoff * max(1, max|lambda|).
     """
-    return _sqrtm_psd(require_hermitian(h, tol), tol)
-
-
-def _sqrtm_psd(h, tol: Optional[Tolerance]) -> np.ndarray:
-    """:func:`sqrtm_psd` of an ``h`` that :func:`_eig` trusts."""
-    es = EigenSystem(*_eig(h))
+    es = EigenSystem(*_eig(require_hermitian(h, tol)))
     lam = es.values
     if lam.size:
         slack = _tol(tol, lam.size).rank_cutoff * max(1.0, float(np.abs(lam).max()))

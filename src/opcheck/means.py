@@ -151,15 +151,15 @@ def weak_log_majorizes(a, b, tol: Optional[Tolerance] = None) -> MajorizationRep
     bm = require_hermitian(b, tol)
     if am.shape != bm.shape:
         raise DimensionMismatch(f"shapes {am.shape} and {bm.shape} differ")
-    return _weak_log_majorizes(am, bm, tol)
+    return _weak_log_majorizes(_clamped_spectrum(am, tol), _clamped_spectrum(bm, tol), tol)
 
 
-def _weak_log_majorizes(a, b, tol: Optional[Tolerance]) -> MajorizationReport:
-    """:func:`weak_log_majorizes` of two exactly Hermitian matrices of one shape."""
-    t = _tol(tol, a.shape[0])
-    lhs = np.cumprod(_clamped_spectrum(a, tol))
-    rhs = np.cumprod(_clamped_spectrum(b, tol))
-    passed, worst = _prefix_ratios(lhs, rhs, t.rel)
+def _weak_log_majorizes(a: np.ndarray, b: np.ndarray, tol: Optional[Tolerance]) -> MajorizationReport:
+    """:func:`weak_log_majorizes` of two descending spectra of one size, each
+    zero off its support: a :func:`_clamped_spectrum` or an SVD's values."""
+    lhs = np.cumprod(a)
+    rhs = np.cumprod(b)
+    passed, worst = _prefix_ratios(lhs, rhs, _tol(tol, a.size).rel)
     return MajorizationReport(
         k_products_lhs=lhs, k_products_rhs=rhs, passed=passed, worst_ratio=worst
     )

@@ -1,5 +1,6 @@
 """The report explanations, the ``opcheck mean``, ``polar`` and ``check``
-inputs and the benchmark traffic of ``tools/ab.py --reports``."""
+inputs, the benchmark traffic and the sweep-run counts of ``tools/ab.py
+--reports``."""
 
 import importlib.util
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opcheck.campaign import CHECK_IDS, Instance, run_instance
+from opcheck.campaign import CHECK_IDS, CampaignSpec, Instance, make_instance, run_instance
 from opcheck.checks import find_counterexamples_remarks
 from opcheck.decompose import svd_square
 from opcheck.io import matrix_from_json
@@ -91,6 +92,20 @@ def test_check_instances_meet_the_hypotheses_and_pass(check_id):
     assert outcome.passed
     if check_id == "check_eigenvalue_gaps":
         assert outcome.notes == "schur diagonal grid included; schur factor variants included"
+
+
+def test_sweep_runs_are_counted_per_check_id(tmp_path, sweep_runs):
+    """sweep_runs.json holds what the conftest counter sees in the same trials."""
+    ab.run_sweep_counts(ab.ROOT, tmp_path, trials=3, seed=7)
+    assert (tmp_path / "sweep_runs.stdout").read_text() == "exit 0\n"
+    counts = json.loads((tmp_path / "sweep_runs.json").read_text())
+    assert list(counts) == sorted(CHECK_IDS)
+    for check_id in CHECK_IDS:
+        spec = CampaignSpec(check_id=check_id, seed=7)
+        before = len(sweep_runs)
+        for trial in range(3):
+            run_instance(make_instance(spec, trial), spec.tolerances)
+        assert counts[check_id] == len(sweep_runs) - before > 0
 
 
 def test_search_seeds_are_the_small_search_searches(tmp_path):

@@ -126,11 +126,10 @@ class TestCoresGiveThePublicBytes:
 
     def test_weak_log_majorizes(self):
         for a, b in PAIRS:
-            assert outcome(M._weak_log_majorizes, a, b, None) == outcome(M.weak_log_majorizes, a, b)
+            spectra = (M._clamped_spectrum(a, None), M._clamped_spectrum(b, None))
+            assert outcome(M._weak_log_majorizes, *spectra, None) == outcome(M.weak_log_majorizes, a, b)
 
     def test_square_root_and_psd_radius(self):
-        for h in HERMITIAN:
-            assert outcome(L._sqrtm_psd, h, None) == outcome(L.sqrtm_psd, h)
         for a, b in PSD_PAIRS:
             assert (outcome(L._spectral_radius_psd_product, a, L.sqrtm_psd(b))
                     == outcome(L.spectral_radius_psd_product, a, b))

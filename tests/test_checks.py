@@ -525,9 +525,11 @@ class TestReproductions:
         assert rep.bracket_lhs == pytest.approx(k, rel=1e-9)
         assert rep.required_constant >= math.sqrt(k) * (1 - 1e-6)
 
-    def test_sharpness_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError):
-            reproduce_sharpness_cor2_5(0.0)
+    @pytest.mark.parametrize("k", [0.0, 0.5, math.inf, math.nan])
+    def test_sharpness_needs_a_finite_weight_of_at_least_one(self, k):
+        # at k = 0.5, rho(|Z*| |Z|^-1) = 1 / k = 2: the example shows nothing
+        with pytest.raises(ValueError, match="finite number >= 1"):
+            reproduce_sharpness_cor2_5(k)
 
 
 class TestCounterexampleSearch:
@@ -543,9 +545,9 @@ class TestCounterexampleSearch:
         rep = find_counterexamples_remarks(trials=3000, seed=5, dim=2)
         witnesses = {name: (w.trial_index, w.margin.hex()) for name, w in rep.witnesses.items()}
         assert witnesses == {
-            "loewner": (1, "0x1.25b4f058d18fep-4"),
-            "half_power": (1, "0x1.7128917d7a280p-6"),
-            "plain_norm": (0, "0x1.2fb57b23daa00p-9"),
+            "loewner": (1, "0x1.25b4f058d18b7p-4"),
+            "half_power": (1, "0x1.7128917d7a240p-6"),
+            "plain_norm": (0, "0x1.2fb57b23dac00p-9"),
         }
         # the largest eigenvalue modulus; the norm-of-powers loop it replaced
         # gave 0x1.f7bd8bf03e5e6p-1, an upper bound 1.5e-14 above it

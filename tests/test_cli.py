@@ -32,6 +32,12 @@ class TestRepro:
         stdout = capsys.readouterr().out
         assert "rho = 4" in stdout and "sqrt(k) = 2" in stdout
 
+    @pytest.mark.parametrize("k", ["0.5", "inf", "nan"])
+    def test_sharpness_weight_outside_its_domain_exits_2(self, capsys, k):
+        assert main(["repro", "sharpness", "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: k must be a finite number >= 1") and captured.out == ""
+
     def test_cartesian_cex(self, capsys):
         assert main(["repro", "cartesian-cex", "--trials", "3000"]) == 0
         assert "PASS" in capsys.readouterr().out

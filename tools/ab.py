@@ -24,7 +24,10 @@ needs two completed columns. It also runs the first ``WORKLOAD_OPS`` ops of
 each benchmark workload at seed 2026 through the tree's own
 ``perfbench/workloads.py`` and writes each op's outcome digest, one line per
 op, which shows the first op whose verdict, slack, witness trials or error
-changed. Each command's ``--out`` file and
+changed. And it writes ``sweep_runs.json``: per check id, the runs of the
+Jacobi sweep loop ``opcheck.linalg._sweeps`` in ``SWEEP_TRIALS`` campaign
+trials at seed 2026, which names any change in factorization work that the
+byte comparison cannot see. Each command's ``--out`` file and
 its stdout and stderr plus exit status are compared byte for byte. It exits
 0 when every file is equal. Otherwise it names every file that differs and
 exits 1: for a JSON file it prints each differing key path (list indices
@@ -93,6 +96,28 @@ for i in range(int(sys.argv[4])):
     _, outcome = workloads.run_op(workload, i, time.perf_counter)
     print(i, outcome.ok, outcome.passed, outcome.digest)
 """
+SWEEP_TRIALS = 100
+# run in a tree as: python -c SWEEP_SCRIPT <out.json> <trials> <seed>
+SWEEP_SCRIPT = """
+import json, sys
+import opcheck.linalg
+from opcheck.campaign import CHECK_IDS, CampaignSpec, make_instance, run_instance
+sweeps = opcheck.linalg._sweeps
+runs = []
+def counting(*args, **kwargs):
+    runs.append(1)
+    return sweeps(*args, **kwargs)
+opcheck.linalg._sweeps = counting
+out = {}
+for check_id in CHECK_IDS:
+    spec = CampaignSpec(check_id=check_id, seed=int(sys.argv[3]))
+    start = len(runs)
+    for trial in range(int(sys.argv[2])):
+        run_instance(make_instance(spec, trial), spec.tolerances)
+    out[check_id] = len(runs) - start
+with open(sys.argv[1], "w") as f:
+    json.dump(out, f, indent=2, sort_keys=True)
+"""
 # B's smallest eigenvalue in each ``opcheck mean`` pair, by file label
 MEAN_PAIRS = {"lmin_5e-11": 5e-11, "lmin_1e-10": 1e-10, "lmin_2e-10": 2e-10, "lmin_4e-10": 4e-10}
 # A = [[2, i, 0], [-i, 2, 1], [0, 1, 2]], with eigenvalues 2 - sqrt(2), 2 and 2 + sqrt(2)
@@ -141,6 +166,17 @@ def run_workload(tree: Path, name: str, ops: int, out_dir: Path) -> None:
         cwd=out_dir, env=child_env(tree), capture_output=True, text=True,
     )
     (out_dir / f"workload_{name}.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
+
+
+def run_sweep_counts(tree: Path, out_dir: Path, trials: int = SWEEP_TRIALS, seed: int = 2026) -> None:
+    """sweep_runs.json from ``tree``: the ``_sweeps`` runs per check id in
+    ``trials`` trials at ``seed``; stderr and the exit status go to
+    sweep_runs.stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", SWEEP_SCRIPT, str(out_dir / "sweep_runs.json"), str(trials), str(seed)],
+        cwd=out_dir, env=child_env(tree), capture_output=True, text=True,
+    )
+    (out_dir / "sweep_runs.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
 
 
 def mean_b(lmin: float) -> list:
@@ -198,6 +234,7 @@ def write_reports(tree: Path, out_dir: Path) -> None:
     run_cli(tree, ["polar", "--in", "polar.in"], out_dir, "polar")
     for name, ops in WORKLOAD_OPS.items():
         run_workload(tree, name, ops, out_dir)
+    run_sweep_counts(tree, out_dir)
 
 
 def compare_reports(base: Path, work: Path) -> int:
