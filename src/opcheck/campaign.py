@@ -108,7 +108,9 @@ class CampaignSpec:
     output_path: Optional[str] = None
     split_exponent: Optional[float] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """InvalidSpec unless every field names something a campaign can run;
+        the one validation of a spec, however it is built."""
         if self.check_id not in CHECK_IDS:
             raise InvalidSpec(f"unknown check_id {self.check_id!r}")
         if self.trials < 1:
@@ -173,7 +175,6 @@ class CampaignSpec:
             )
         except ValueError as exc:
             raise InvalidSpec(str(exc)) from None
-        spec.validate()
         return spec
 
 
@@ -313,7 +314,6 @@ def make_instance(spec: CampaignSpec, trial: int) -> Instance:
     run here, which :func:`run_instance` hands on to the check: each matrix
     is factored once per trial, and never across trials.
     """
-    spec.validate()
     memo: dict = {}
     return _with_memo(memo, _draw_instance, spec, trial, memo)
 
@@ -397,7 +397,6 @@ class CampaignReport:
 def run_campaign(spec: CampaignSpec) -> CampaignReport:
     """Run every trial; abort on the first hard failure, keeping the
     serialized instance for replay."""
-    spec.validate()
     outcomes: List[dict] = []
     failures = 0
     near = 0

@@ -212,9 +212,8 @@ def _certificate(
     )
 
 
-def _polar_witness_and_modulus(w: np.ndarray, tol: Optional[Tolerance]) -> Tuple[np.ndarray, np.ndarray]:
-    """(V, |W|) with V the adjoint polar unitary, so V W = |W|."""
-    parts = _svd(w, tol)
+def _polar_witness_and_modulus(parts: SvdParts) -> Tuple[np.ndarray, np.ndarray]:
+    """(V, |W|) from the SVD of W, with V the adjoint polar unitary, so V W = |W|."""
     return parts.unitary.conj().T, parts.modulus()
 
 
@@ -292,7 +291,7 @@ def check_arithmetic_domination(
 ) -> Certificate:
     """|phi(Z)| against the arithmetic mean of phi(J) and its witness conjugate."""
     zm, jm = _dominated_inputs(z, j, fp, tol)
-    v, lhs = _polar_witness_and_modulus(_apply(phi, zm), tol)
+    v, lhs = _polar_witness_and_modulus(_svd(_apply(phi, zm), tol))
     phj = hermitian_part(_apply(phi, jm))
     rhs = hermitian_part(0.5 * (phj + v @ phj @ v.conj().T))
     inputs = _std_inputs(phi, zm, jm, fp)
@@ -310,7 +309,7 @@ def check_geometric_domination(
     exceed the arithmetic one.
     """
     zm, jm = _dominated_inputs(z, j, fp, tol)
-    v, lhs = _polar_witness_and_modulus(_apply(phi, zm), tol)
+    v, lhs = _polar_witness_and_modulus(_svd(_apply(phi, zm), tol))
     phj = hermitian_part(_apply(phi, jm))
     conj = hermitian_part(v @ phj @ v.conj().T)
     rhs, used_limit = _geometric_mean(phj, conj, tol)
@@ -344,7 +343,7 @@ def check_two_positive_split(
             f"map declared {phi.declared_class!r}; the split bound needs 2-positivity"
         )
     zm = as_matrix(z)
-    v, lhs = _polar_witness_and_modulus(_apply(phi, zm), tol)
+    v, lhs = _polar_witness_and_modulus(_svd(_apply(phi, zm), tol))
     f_mod, g_comod = moduli_from_svd(_svd(zm, tol), FunPair.power(p))
     left = hermitian_part(_apply(phi, f_mod))
     right = hermitian_part(v @ _apply(phi, g_comod) @ v.conj().T)
@@ -418,7 +417,9 @@ def check_eigenvalue_gaps(
     zm, jm = _dominated_inputs(z, j, fp, tol)
     t = _tol(tol, phi.out_dim)
     lhs_vals = _svd(_apply(phi, zm), tol).values
-    rhs_vals = _clamped_spectrum(hermitian_part(_apply(phi, jm)), tol)
+    # clamped at 0 but not cut at the rank rule: each bound is sqrt(lam_j lam_k),
+    # so a kept lam_k below rank_cutoff * lam_0 still bounds by up to sqrt(rank_cutoff) * lam_0
+    rhs_vals = np.maximum(_eig(hermitian_part(_apply(phi, jm)), vectors=False)[0], 0.0)
     m = lhs_vals.size
     scale = float(rhs_vals[0]) if m else 0.0
     slackstep = t.abs * (1.0 + scale)
@@ -535,7 +536,7 @@ def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> Ca
     singular = not t.support(np.maximum(k_sum.spectrum.values, 0.0)).all()
 
     w_parts = _svd(_apply(phi, zm), tol)
-    v, lhs = w_parts.unitary.conj().T, w_parts.modulus()
+    v, lhs = _polar_witness_and_modulus(w_parts)
     phk = hermitian_part(_apply(phi, k_sum.matrix))
     conj = hermitian_part(v @ phk @ v.conj().T)
     rhs, used_limit = _geometric_mean(phk, conj, tol)
@@ -706,7 +707,7 @@ def reproduce_sharpness_cor2_5(k: float) -> SharpnessReport:
     parts = _svd(z, None)
     rho = _moduli_radius(parts)
 
-    v, lhs = _polar_witness_and_modulus(_apply(phi, z), None)
+    v, lhs = _polar_witness_and_modulus(_svd(_apply(phi, z), None))
     e2 = np.zeros(2)
     e2[1] = 1.0
     bracket_lhs = float(np.real(e2 @ lhs @ e2))

@@ -94,9 +94,11 @@ def test_check_instances_meet_the_hypotheses_and_pass(check_id):
         assert outcome.notes == "schur diagonal grid included; schur factor variants included"
 
 
-def test_sweep_runs_are_counted_per_check_id(tmp_path, sweep_runs):
+def test_sweep_runs_are_counted_per_check_id(tmp_path, sweep_runs, monkeypatch):
     """sweep_runs.json holds what the conftest counter sees in the same trials."""
-    ab.run_sweep_counts(ab.ROOT, tmp_path, trials=3, seed=7)
+    monkeypatch.setattr(ab, "SWEEP_TRIALS", 3)
+    monkeypatch.setattr(ab, "SWEEP_SEED", 7)
+    ab.run_sweep_counts(ab.ROOT, tmp_path)
     assert (tmp_path / "sweep_runs.stdout").read_text() == "exit 0\n"
     counts = json.loads((tmp_path / "sweep_runs.json").read_text())
     assert list(counts) == sorted(CHECK_IDS)

@@ -24,15 +24,15 @@ from opcheck.linalg import Tolerance
 class TestSpecValidation:
     def test_zero_trials_rejected(self):
         with pytest.raises(InvalidSpec):
-            CampaignSpec(check_id="check_russo_dye", trials=0).validate()
+            CampaignSpec(check_id="check_russo_dye", trials=0)
 
     def test_unknown_check_rejected(self):
         with pytest.raises(InvalidSpec):
-            CampaignSpec(check_id="check_mystery").validate()
+            CampaignSpec(check_id="check_mystery")
 
     def test_bad_dims_rejected(self):
         with pytest.raises(InvalidSpec):
-            CampaignSpec(check_id="check_russo_dye", n_dims=()).validate()
+            CampaignSpec(check_id="check_russo_dye", n_dims=())
 
     @pytest.mark.parametrize("field", ["map_families", "funpair_kinds"])
     def test_empty_choice_lists_rejected(self, field):
@@ -45,10 +45,9 @@ class TestSpecValidation:
                                     "map_families": ["transpose_plus_identity"]})
         # other checks take the family alone, and the split check draws only
         # the completely positive families of a mixed list
-        CampaignSpec(check_id="check_russo_dye", map_families=("transpose_plus_identity",)).validate()
+        CampaignSpec(check_id="check_russo_dye", map_families=("transpose_plus_identity",))
         spec = CampaignSpec(check_id="check_two_positive_split", trials=10,
                             map_families=("transpose_plus_identity", "identity"))
-        spec.validate()
         assert {make_instance(spec, t).phi.family for t in range(spec.trials)} == {"identity"}
 
     @pytest.mark.parametrize(
@@ -62,10 +61,15 @@ class TestSpecValidation:
         ],
         ids=["no-families", "no-dims", "split-no-cp-family", "unknown-funpair-kind"],
     )
-    def test_make_instance_validates_a_spec_built_in_python(self, fields, message):
-        # these raised numpy's "high <= 0", or ran a bogus kind as the scaled pair
+    def test_a_spec_built_in_python_is_validated(self, fields, message):
+        # make_instance raised numpy's "high <= 0" on these, or ran a bogus kind as the scaled pair
         with pytest.raises(InvalidSpec, match=message):
-            make_instance(CampaignSpec(**fields), 0)
+            CampaignSpec(**fields)
+
+    def test_replace_revalidates(self):
+        spec = CampaignSpec(check_id="check_russo_dye")
+        with pytest.raises(InvalidSpec, match="trials must be >= 1"):
+            replace(spec, trials=0)
 
     def test_json_round_trip(self):
         spec = CampaignSpec(

@@ -73,7 +73,7 @@ def range_projection(z):
 
 def witness_unitary(phi, z):
     """The checks' witness: the adjoint polar unitary V of phi(Z), so V phi(Z) = |phi(Z)|."""
-    return _polar_witness_and_modulus(apply(phi, z), None)[0]
+    return _polar_witness_and_modulus(svd_square(apply(phi, z)))[0]
 
 
 def kato_supremum(z):
@@ -366,6 +366,14 @@ class TestSpectralReports:
         d = np.diag([5.0, 4.0, 3.0, 2.0])
         rep = check_eigenvalue_gaps(IdentityMap(4), d, d, FunPair.power(0.0))
         assert rep.passed and rep.checked > 0
+
+    def test_gap_grid_keeps_weights_below_the_rank_cutoff(self):
+        # lam_1(J) = 1e-13 is below rank_cutoff * lam_0 but still bounds sigma_1 by
+        # sqrt(lam_0 lam_1): the right-hand spectrum is clamped at 0, not cut at the rank rule
+        j = np.diag([1.0, 1e-13])
+        rep = check_eigenvalue_gaps(IdentityMap(2), np.diag([0.5, 0.0]), j, FunPair.power(0.0))
+        assert rep.passed
+        assert rep.worst_margin == pytest.approx(math.sqrt(1e-13), rel=1e-9)
 
     def test_gap_grid_schur_contraction(self):
         # third singular value of S o A under the second diagonal entry, n = 5

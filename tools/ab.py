@@ -26,7 +26,7 @@ each benchmark workload at seed 2026 through the tree's own
 op, which shows the first op whose verdict, slack, witness trials or error
 changed. And it writes ``sweep_runs.json``: per check id, the runs of the
 Jacobi sweep loop ``opcheck.linalg._sweeps`` in ``SWEEP_TRIALS`` campaign
-trials at seed 2026, which names any change in factorization work that the
+trials at seed ``SWEEP_SEED``, which names any change in factorization work that the
 byte comparison cannot see. Each command's ``--out`` file and
 its stdout and stderr plus exit status are compared byte for byte. It exits
 0 when every file is equal. Otherwise it names every file that differs and
@@ -97,6 +97,7 @@ for i in range(int(sys.argv[4])):
     print(i, outcome.ok, outcome.passed, outcome.digest)
 """
 SWEEP_TRIALS = 100
+SWEEP_SEED = 2026
 # run in a tree as: python -c SWEEP_SCRIPT <out.json> <trials> <seed>
 SWEEP_SCRIPT = """
 import json, sys
@@ -168,12 +169,12 @@ def run_workload(tree: Path, name: str, ops: int, out_dir: Path) -> None:
     (out_dir / f"workload_{name}.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
 
 
-def run_sweep_counts(tree: Path, out_dir: Path, trials: int = SWEEP_TRIALS, seed: int = 2026) -> None:
+def run_sweep_counts(tree: Path, out_dir: Path) -> None:
     """sweep_runs.json from ``tree``: the ``_sweeps`` runs per check id in
-    ``trials`` trials at ``seed``; stderr and the exit status go to
-    sweep_runs.stdout."""
+    ``SWEEP_TRIALS`` trials at ``SWEEP_SEED``; stderr and the exit status go
+    to sweep_runs.stdout."""
     proc = subprocess.run(
-        [sys.executable, "-c", SWEEP_SCRIPT, str(out_dir / "sweep_runs.json"), str(trials), str(seed)],
+        [sys.executable, "-c", SWEEP_SCRIPT, str(out_dir / "sweep_runs.json"), str(SWEEP_TRIALS), str(SWEEP_SEED)],
         cwd=out_dir, env=child_env(tree), capture_output=True, text=True,
     )
     (out_dir / "sweep_runs.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
