@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-cex", help="search for Cartesian-sum counterexamples")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    p.add_argument("--n", type=int, default=2, help="matrix dimension (2 or 3)")
+    p.add_argument("--n", type=int, default=2, help="matrix dimension, at least 2")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_find_cex)
 

@@ -183,5 +183,7 @@ def cartesian(z) -> CartesianParts:
 
 
 def _cartesian(zm: np.ndarray) -> CartesianParts:
-    """:func:`cartesian` of a square complex array, whose parts it does not check."""
-    return CartesianParts(re_part=hermitian_part(zm), im_part=hermitian_part((zm - zm.conj().T) / 2j))
+    """:func:`cartesian` of a square complex array, or of each matrix of a
+    stack (..., n, n), whose parts it does not check."""
+    im_part = hermitian_part((zm - zm.conj().swapaxes(-1, -2)) / 2j)
+    return CartesianParts(re_part=hermitian_part(zm), im_part=im_part)

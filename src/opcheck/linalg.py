@@ -86,11 +86,10 @@ class Tolerance:
     def support(self, values: np.ndarray) -> np.ndarray:
         """The rank rule: which of the nonnegative ``values`` count as nonzero.
 
-        True where a value exceeds ``rank_cutoff`` times the largest one; the
-        largest of an empty array is taken as 0.
+        True where a value exceeds ``rank_cutoff`` times the largest one on
+        its row (the last axis); the largest of an empty row is taken as 0.
         """
-        top = float(values.max()) if values.size else 0.0
-        return values > self.rank_cutoff * top
+        return values > self.rank_cutoff * values.max(axis=-1, keepdims=True, initial=0.0)
 
 
 def _tol(tol: Optional[Tolerance], n: int) -> Tolerance:
@@ -129,8 +128,9 @@ def require_square(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(m) -> np.ndarray:
+    """(M + M*) / 2 of a square array, or of each matrix of a stack (..., n, n)."""
     a = np.asarray(m, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def hermitian_defect(m) -> float:
@@ -179,7 +179,11 @@ def require_hermitian(m, tol: Optional[Tolerance] = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Spectrum of a Hermitian matrix: real values sorted descending, orthonormal columns."""
+    """Spectrum of a Hermitian matrix: real values sorted descending, orthonormal columns.
+
+    It may also hold the spectra of a stack of them, values (..., n) and
+    vectors (..., n, n); :meth:`power` then acts on each one.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
@@ -198,9 +202,9 @@ class EigenSystem:
         to zero for p > 0 and to the zero projection for p <= 0.
         """
         lam = self._clamped
-        support = None if p > 0 else _tol(tol, lam.size).support(lam)
+        support = None if p > 0 else _tol(tol, lam.shape[-1]).support(lam)
         out = _generalized_power(lam, p, support)
-        return hermitian_part((self.vectors * out) @ self.vectors.conj().T)
+        return hermitian_part((self.vectors * out[..., None, :]) @ self.vectors.conj().swapaxes(-1, -2))
 
 
 @functools.lru_cache(maxsize=16)
@@ -271,6 +275,16 @@ def _eig(h, vectors: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         out = _sweeps(require_hermitian(a), vectors)
     _remember(memo, key, out, out)
     return out
+
+
+def _eig_stack(hs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_eig` of each matrix of ``hs`` (..., n, n), one run each: the
+    values (..., n), and the vectors (..., n, n), each matrix laid out in
+    Fortran order as :func:`_eig` returns it, so that a product with it
+    makes the BLAS call the lone matrix makes."""
+    out = [_eig(h) for h in hs.reshape((math.prod(hs.shape[:-2]),) + hs.shape[-2:])]
+    values = np.array([values for values, _ in out]).reshape(hs.shape[:-1])
+    return values, np.array([vectors.T for _, vectors in out]).swapaxes(-1, -2).reshape(hs.shape)
 
 
 def _sweeps(a: np.ndarray, vectors: bool) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
@@ -547,14 +561,16 @@ def spectral_radius(m) -> float:
     return _spectral_radius(require_square(m))
 
 
-def _spectral_radius(a: np.ndarray) -> float:
-    """:func:`spectral_radius` of a square complex array. A NaN or an inf
-    raises :func:`as_matrix`'s ValueError here, never LAPACK's LinAlgError."""
-    if a.size == 0:
-        return 0.0
+def _spectral_radius(a: np.ndarray):
+    """:func:`spectral_radius` of a square complex array, a float, or of
+    each matrix of a stack (..., n, n), a list: one LAPACK call per matrix
+    either way. A NaN or an inf raises :func:`as_matrix`'s ValueError here,
+    never LAPACK's LinAlgError."""
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-2]).tolist()
     if not np.isfinite(a).all():
-        as_matrix(a)  # raises
-    rho = float(np.abs(np.linalg.eigvals(a)).max())
-    if not math.isfinite(rho):
+        as_matrix(a.reshape(-1, a.shape[-1]))  # raises, for a stack too
+    rho = np.abs(np.linalg.eigvals(a)).max(axis=-1)
+    if not np.isfinite(rho).all():
         raise ValueError("spectral radius overflows: it exceeds the largest double")
-    return rho
+    return rho.tolist()

@@ -1,7 +1,8 @@
 """The report explanations, the ``opcheck mean``, ``polar`` and ``check``
-inputs, the benchmark traffic and the sweep-run counts of ``tools/ab.py
---reports``."""
+inputs, the benchmark traffic, the sweep-run counts and the falsifier
+witnesses of ``tools/ab.py --reports``."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -14,6 +15,7 @@ from opcheck.checks import find_counterexamples_remarks
 from opcheck.decompose import svd_square
 from opcheck.io import matrix_from_json
 from opcheck.linalg import Tolerance
+from opcheck.posmap import TransposeMap, sample_positivity_falsifier
 
 _SPEC = importlib.util.spec_from_file_location("ab", Path(__file__).resolve().parents[1] / "tools" / "ab.py")
 ab = importlib.util.module_from_spec(_SPEC)
@@ -120,3 +122,26 @@ def test_search_seeds_are_the_small_search_searches(tmp_path):
         rep = find_counterexamples_remarks(trials=10_000, seed=seed, dim=2)
         trials = [w.trial_index for w in rep.witnesses.values()]
         assert lines[op] == f"{op} True True True:{trials}:{rep.worst_rho!r}"
+
+
+def test_falsifier_witnesses_are_recorded(tmp_path):
+    """falsifier.json holds, per map and level, the witness the falsifier
+    returns: the pinned ones of tests/test_posmap.py at level 2, none at
+    level 1 and none for the Kraus maps."""
+    ab.run_falsifier(ab.ROOT, tmp_path)
+    assert (tmp_path / "falsifier.stdout").read_text() == "exit 0\n"
+    got = json.loads((tmp_path / "falsifier.json").read_text())
+    pinned = {
+        "transpose_2": "-0x1.52d2272117c3fp+2",
+        "transpose_3": "-0x1.60bb46f504afbp+3",
+        "transpose_plus_identity_2": "-0x1.3fe297776d8bbp+2",
+        "transpose_plus_identity_3": "-0x1.581474b43351bp+3",
+    }
+    assert sorted(got) == sorted(f"{name}_level_{level}" for name in [*pinned, "kraus_0", "kraus_1", "kraus_2"]
+                                 for level in (1, 2))
+    for name, value in pinned.items():
+        assert got[f"{name}_level_1"] is None
+        assert (got[f"{name}_level_2"]["trial"], got[f"{name}_level_2"]["min_output_eigenvalue"]) == (0, value)
+    w = sample_positivity_falsifier(TransposeMap(3), 2, ab.FALSIFIER_TRIALS, ab.FALSIFIER_SEED)
+    assert got["transpose_3_level_2"]["input_sha256"] == hashlib.sha256(w.input_matrix.tobytes()).hexdigest()
+    assert all(got[f"kraus_{i}_level_{level}"] is None for i in range(3) for level in (1, 2))

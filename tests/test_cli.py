@@ -61,6 +61,15 @@ class TestFindCex:
         assert main(["find-cex", "--trials", "1", "--seed", "1"]) == 2
         assert main(["find-cex", "--trials", "2000", "--seed", "3"]) == 0
 
+    @pytest.mark.parametrize("n", ["1", "0", "-1"])
+    def test_dimension_below_two_exits_2(self, capsys, n):
+        assert main(["find-cex", "--trials", "10", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: dim must be >= 2, got {n}: ") and captured.out == ""
+
+    def test_dimension_four(self):
+        assert main(["find-cex", "--trials", "3000", "--seed", "2", "--n", "4"]) == 0
+
 
 class TestMatrixCommands:
     def test_mean(self, tmp_path):

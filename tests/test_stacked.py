@@ -1,0 +1,304 @@
+"""Stacked evaluation gives every matrix and every trial the bits it has
+alone: maps on the last two axes, the amplified map on the block view, and
+the positivity falsifier and the counterexample search against copies of
+their one-trial-at-a-time loops."""
+
+import math
+
+import numpy as np
+import pytest
+
+import opcheck.checks as C
+from opcheck.decompose import _cartesian
+from opcheck.errors import SearchExhausted
+from opcheck.linalg import EigenSystem, _clears, _eig, _operator_norm, _spectral_radius, hermitian_part
+from opcheck.posmap import (
+    Congruence,
+    IdentityMap,
+    KrausSum,
+    MapCompose,
+    MapSum,
+    PartialTrace2x2,
+    SchurMultiplier,
+    TransposeMap,
+    _amplified_apply,
+    sample_positivity_falsifier,
+)
+
+
+def ginibre(shape, rng):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def psd(n, rng):
+    g = ginibre((n, n), rng)
+    return g @ g.conj().T
+
+
+def families(rng):
+    """Every family, Kraus and congruence maps between unequal dimensions,
+    and sums and compositions nested in each other."""
+    transpose_plus = MapSum(terms=(IdentityMap(3), TransposeMap(3)))
+    twisted = MapCompose(outer=Congruence(ginibre((3, 3), rng)), inner=TransposeMap(3))
+    return [
+        KrausSum(kraus=(ginibre((3, 3), rng),)),
+        KrausSum(kraus=(ginibre((2, 3), rng), ginibre((2, 3), rng), ginibre((2, 3), rng))),
+        SchurMultiplier(psd(3, rng)),
+        TransposeMap(3),
+        PartialTrace2x2(block_dim=2),
+        Congruence(ginibre((2, 3), rng)),
+        IdentityMap(3),
+        transpose_plus,
+        twisted,
+        MapSum(terms=(twisted, MapSum(terms=(transpose_plus, KrausSum(kraus=(ginibre((3, 3), rng),)))))),
+        MapCompose(outer=MapSum(terms=(IdentityMap(2), TransposeMap(2))),
+                   inner=MapCompose(outer=PartialTrace2x2(block_dim=2), inner=Congruence(ginibre((4, 3), rng)))),
+    ]
+
+
+FAMILIES = families(np.random.default_rng(41))
+
+
+@pytest.mark.parametrize("phi", FAMILIES, ids=lambda phi: phi.family)
+@pytest.mark.parametrize("lead", [(5,), (3, 4)], ids=["k", "k1_k2"])
+def test_a_stack_maps_each_matrix_as_alone(phi, lead):
+    n, m = phi.dims
+    x = ginibre(lead + (n, n), np.random.default_rng(42))
+    out = phi.apply(x)
+    assert out.shape == lead + (m, m) and out.dtype == complex
+    for index in np.ndindex(*lead):
+        alone = phi.apply(x[index].copy())
+        assert out[index].tobytes() == alone.tobytes()
+
+
+def reference_amplified_apply(phi, w, level):
+    """The amplified map as it was before stacking: one call per block."""
+    n, m = phi.in_dim, phi.out_dim
+    out = np.zeros((level * m, level * m), dtype=complex)
+    for bi in range(level):
+        for bj in range(level):
+            block = phi.apply(w[bi * n : (bi + 1) * n, bj * n : (bj + 1) * n])
+            out[bi * m : (bi + 1) * m, bj * m : (bj + 1) * m] = block
+    return out
+
+
+@pytest.mark.parametrize("phi", FAMILIES, ids=lambda phi: phi.family)
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_amplified_apply_equals_the_block_loop(phi, level):
+    rng = np.random.default_rng(43)
+    d = level * phi.in_dim
+    w = psd(d, rng)
+    assert _amplified_apply(phi, w, level).tobytes() == reference_amplified_apply(phi, w, level).tobytes()
+    stack = np.array([psd(d, rng) for _ in range(6)])
+    out = _amplified_apply(phi, stack, level)
+    for i, wi in enumerate(stack):
+        assert out[i].tobytes() == reference_amplified_apply(phi, wi, level).tobytes()
+
+
+def reference_falsifier(phi, level, trials, seed):
+    """sample_positivity_falsifier as it was before stacking, one trial at a
+    time; the witness as (trial, input bytes, lambda_min hex), or None."""
+    rng = np.random.default_rng(seed)
+    d = level * phi.in_dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        for trial in range(trials):
+            if trial % 2 == 0:
+                v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                w = np.outer(v, v.conj())
+            else:
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                w = g @ g.conj().T
+            h = hermitian_part(reference_amplified_apply(phi, w, level))
+            top = float(np.abs(h).max()) if h.size else 0.0
+            if _clears(h, 0.5e-7 * (1.0 + top)):
+                continue
+            if not math.isfinite(top):
+                raise ValueError("map output overflows")
+            lam = _eig(h, vectors=False)[0]
+            lam_min = float(lam[-1])
+            scale = float(np.abs(lam).max()) if lam.size else 0.0
+            if lam_min < -1e-7 * (1.0 + scale):
+                return trial, w.tobytes(), lam_min.hex()
+    return None
+
+
+def falsifier_outcome(phi, level, trials, seed):
+    w = sample_positivity_falsifier(phi, level, trials, seed)
+    if w is None:
+        return None
+    assert w.level == level and w.input_matrix.flags.owndata
+    return w.trial_index, w.input_matrix.tobytes(), w.min_output_eigenvalue.hex()
+
+
+def leaky_identity(n, c):
+    """X -> X + c X^T: positive; at level 2 a witness is rare for c near 2e-7."""
+    return MapSum(terms=(IdentityMap(n), MapCompose(outer=Congruence(np.sqrt(c) * np.eye(n)), inner=TransposeMap(n))))
+
+
+def falsifier_maps(n):
+    rng = np.random.default_rng(44 + n)
+    kraus = KrausSum(kraus=tuple(ginibre((n - 1, n), rng) for _ in range(2)))
+    return {"transpose": TransposeMap(n), "kraus": kraus, "leaky": leaky_identity(n, 2.2e-7)}
+
+
+@pytest.mark.parametrize("trials", [1, 25, 99, 100, 101, 3000])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("level", [1, 2])
+def test_falsifier_equals_the_per_trial_loop(trials, n, level):
+    for name, phi in falsifier_maps(n).items():
+        assert falsifier_outcome(phi, level, trials, 3) == reference_falsifier(phi, level, trials, 3), name
+
+
+def test_falsifier_witnesses_in_later_blocks():
+    later = set()
+    for n in (2, 3):
+        for seed in range(8):
+            phi = leaky_identity(n, 2.2e-7)
+            got = falsifier_outcome(phi, 2, 3000, seed)
+            assert got == reference_falsifier(phi, 2, 3000, seed)
+            if got is not None and got[0] >= 100:
+                later.add(got[0])
+    # witnesses in the second block and in blocks far past it
+    assert min(later) < 200 and max(later) >= 1000
+
+
+def reference_cartesian_sum(zm):
+    """K, K^-1/2, K^-1, ||K^-1/2 Z K^-1/2|| and rho(Z K^-1) of one Z, as
+    computed before stacking."""
+    parts = _cartesian(zm)
+
+    def modulus(h):
+        values, vectors = _eig(h)
+        return hermitian_part((vectors * np.abs(values)) @ vectors.conj().T)
+
+    k = modulus(parts.re_part) + modulus(parts.im_part)
+    es = EigenSystem(*_eig(k))
+    inv_half = es.power(-0.5, None)
+    inv = es.power(-1.0, None)
+    return k, inv_half, inv, _operator_norm(inv_half @ zm @ inv_half), _spectral_radius(zm @ inv)
+
+
+def reference_search(trials, seed, dim):
+    """find_counterexamples_remarks as it was before stacking, one trial at
+    a time; its outcome as search_outcome gives it."""
+    rng = np.random.default_rng(seed)
+    found = {"loewner": None, "half_power": None, "plain_norm": None}
+    consistency_ok = True
+    worst_rho = 0.0
+    worst_norm = 0.0
+    margin = 1e-6
+    try:
+        for trial in range(trials):
+            zm = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
+            k, inv_half, inv, congruence_norm, rho = reference_cartesian_sum(zm)
+            parts = C._svd(zm, None) if found["loewner"] is None or found["half_power"] is None else None
+            if found["loewner"] is None:
+                dec = C._loewner_leq(parts.modulus(), k, None)
+                if dec.slack < -margin:
+                    found["loewner"] = (trial, zm.tobytes(), (-dec.slack).hex())
+            if found["half_power"] is None:
+                half_norm = _operator_norm(parts.modulus(np.sqrt(parts.values)) @ inv_half)
+                if half_norm > 1.0 + margin:
+                    found["half_power"] = (trial, zm.tobytes(), (half_norm - 1.0).hex())
+            if found["plain_norm"] is None:
+                plain_norm = _operator_norm(zm @ inv)
+                if plain_norm > 1.0 + margin:
+                    found["plain_norm"] = (trial, zm.tobytes(), (plain_norm - 1.0).hex())
+            worst_rho = max(worst_rho, rho)
+            worst_norm = max(worst_norm, congruence_norm)
+            if congruence_norm > 1.0 + margin or rho > 1.0 + margin:
+                consistency_ok = False
+            if all(w is not None for w in found.values()) and trial >= 99:
+                break
+    except Exception as exc:
+        return type(exc), str(exc)
+    if any(w is None for w in found.values()):
+        missing = [name for name, w in found.items() if w is None]
+        return SearchExhausted, f"targets not found within {trials} trials: {', '.join(missing)}"
+    return found, consistency_ok, repr(worst_rho), repr(worst_norm)
+
+
+def search_outcome(trials, seed, dim):
+    try:
+        rep = C.find_counterexamples_remarks(trials, seed, dim)
+    except Exception as exc:
+        return type(exc), str(exc)
+    found = {name: (w.trial_index, w.matrix.tobytes(), w.margin.hex()) for name, w in rep.witnesses.items()}
+    assert type(rep.worst_rho) is float and type(rep.worst_congruence_norm) is float
+    return found, rep.consistency_ok, repr(rep.worst_rho), repr(rep.worst_congruence_norm)
+
+
+@pytest.mark.parametrize("trials", [1, 25, 99, 100, 101, 3000])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("seed", [1, 6])
+def test_search_equals_the_per_trial_loop(trials, dim, seed):
+    assert search_outcome(trials, seed, dim) == reference_search(trials, seed, dim)
+
+
+class HermitianFirst:
+    """A generator that draws as default_rng(seed) does, except that in the
+    first ``hermitian`` trials X is made symmetric and Y antisymmetric, so
+    that Z = (X + iY) / sqrt(2) is exactly Hermitian: K = |Z|, and no target
+    fires. In trial ``poisoned`` one entry of X is NaN."""
+
+    draw = staticmethod(np.random.default_rng)
+
+    def __init__(self, seed, dim, hermitian=150, poisoned=None):
+        self.rng = self.draw(seed)
+        self.dim, self.hermitian, self.poisoned = dim, hermitian, poisoned
+        self.drawn = 0  # (dim, dim) matrices drawn so far, two per trial
+
+    def standard_normal(self, shape):
+        x = self.rng.standard_normal(shape)
+        for m in x.reshape(-1, self.dim, self.dim):
+            trial, part = divmod(self.drawn, 2)
+            if trial < self.hermitian:
+                m[...] = (m - m.T) / 2 if part else (m + m.T) / 2
+            if trial == self.poisoned and not part:
+                m[0, 0] = math.nan
+            self.drawn += 1
+        return x
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_search_whose_targets_fire_past_the_stack(monkeypatch, dim):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: HermitianFirst(seed, dim))
+    got = search_outcome(3000, 5, dim)
+    assert got == reference_search(3000, 5, dim)
+    found = got[0]
+    assert min(trial for trial, _, _ in found.values()) >= 150
+
+
+@pytest.mark.parametrize("failing_svd", [None, 11, 60], ids=["none", "before", "after"])
+def test_a_failing_stack_raises_the_first_error_in_trial_order(monkeypatch, failing_svd):
+    """Trial 40's NaN makes the stacked K raise; the target code of an
+    earlier trial, made to raise here, must still raise first."""
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: HermitianFirst(seed, 2, poisoned=40))
+    svd = C._svd
+    calls = []
+
+    def counting_svd(*args):
+        calls.append(1)
+        if len(calls) == failing_svd:
+            raise ValueError(f"svd call {len(calls)}")
+        return svd(*args)
+
+    monkeypatch.setattr(C, "_svd", counting_svd)
+    got = search_outcome(3000, 5, 2)
+    calls.clear()
+    expected = reference_search(3000, 5, 2)
+    assert got == expected
+    if failing_svd == 11:
+        assert expected == (ValueError, "svd call 11")
+    else:
+        assert expected == (ValueError, "matrix contains non-finite entries")
+
+
+@pytest.mark.parametrize("dim", [1, 0, -1])
+def test_the_search_needs_dimension_two(monkeypatch, dim):
+    def no_draws(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=f"^dim must be >= 2, got {dim}: "):
+        C.find_counterexamples_remarks(10, 1, dim)

@@ -11,9 +11,10 @@ only; BLAS and OpenMP are pinned to one thread in every child process.
 ``opcheck campaign`` for every check id at seeds 7 and 2026 with 50 trials,
 ``repro example-2.8``, ``repro sharpness``,
 ``repro cartesian-cex --trials 3000``, ``find-cex --trials 3000 --seed 5``,
-``find-cex --trials 10000`` at the two ``SEARCH_SEEDS``, which are the seeds
-of the first two searches of the benchmark's ``small_search`` workload at
-seed 2026, ``opcheck mean`` on the fixed (A, B) pairs of ``MEAN_PAIRS``,
+``find-cex --trials 5000 --seed 6 --n 3``, ``find-cex --trials 10000`` at
+the two ``SEARCH_SEEDS``, which are the seeds of the first two searches of
+the benchmark's ``small_search`` workload at seed 2026, ``opcheck mean`` on
+the fixed (A, B) pairs of ``MEAN_PAIRS``,
 ``opcheck polar`` on the rank-one ``POLAR_Z``, and ``opcheck check`` for
 every check id on the fixed instance of ``check_instance``. The tool writes
 those matrices and instances itself. In the mean pairs B's smallest
@@ -27,7 +28,13 @@ op, which shows the first op whose verdict, slack, witness trials or error
 changed. And it writes ``sweep_runs.json``: per check id, the runs of the
 Jacobi sweep loop ``opcheck.linalg._sweeps`` in ``SWEEP_TRIALS`` campaign
 trials at seed ``SWEEP_SEED``, which names any change in factorization work that the
-byte comparison cannot see. Each command's ``--out`` file and
+byte comparison cannot see. And it writes ``falsifier.json``: per map and
+level, the witness of ``sample_positivity_falsifier`` (its trial, the
+``hex`` of its eigenvalue and the sha256 of its input) or null, for the
+transpose and transpose-plus-identity maps at n = 2, 3 and for the three
+Kraus maps of ``FALSIFIER_SCRIPT``, at levels 1 and 2 with
+``FALSIFIER_TRIALS`` trials at seed ``FALSIFIER_SEED``; the workload
+digests see only whether a falsifier op found a witness. Each command's ``--out`` file and
 its stdout and stderr plus exit status are compared byte for byte. It exits
 0 when every file is equal. Otherwise it names every file that differs and
 exits 1: for a JSON file it prints each differing key path (list indices
@@ -80,6 +87,7 @@ REPRO_COMMANDS = {
     "repro_sharpness": ["repro", "sharpness"],
     "repro_cartesian_cex": ["repro", "cartesian-cex", "--trials", "3000"],
     "find_cex": ["find-cex", "--trials", "3000", "--seed", "5"],
+    "find_cex_n3": ["find-cex", "--trials", "5000", "--seed", "6", "--n", "3"],
     **{f"find_cex_{seed}": ["find-cex", "--trials", "10000", "--seed", str(seed)] for seed in SEARCH_SEEDS},
 }
 # ops per benchmark workload for the outcome digests, whole cycles of each
@@ -116,6 +124,33 @@ for check_id in CHECK_IDS:
     for trial in range(int(sys.argv[2])):
         run_instance(make_instance(spec, trial), spec.tolerances)
     out[check_id] = len(runs) - start
+with open(sys.argv[1], "w") as f:
+    json.dump(out, f, indent=2, sort_keys=True)
+"""
+FALSIFIER_TRIALS = 200
+FALSIFIER_SEED = 3
+# run in a tree as: python -c FALSIFIER_SCRIPT <out.json> <trials> <seed>
+FALSIFIER_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+from opcheck.posmap import IdentityMap, KrausSum, MapSum, TransposeMap, sample_positivity_falsifier
+maps = {}
+for n in (2, 3):
+    maps[f"transpose_{n}"] = TransposeMap(n)
+    maps[f"transpose_plus_identity_{n}"] = MapSum(terms=(IdentityMap(n), TransposeMap(n)))
+rng = np.random.default_rng(2027)
+for i, (m, n, count) in enumerate(((2, 2, 1), (3, 2, 2), (2, 3, 3))):
+    ops = tuple(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)) for _ in range(count))
+    maps[f"kraus_{i}"] = KrausSum(kraus=ops)
+out = {}
+for name, phi in maps.items():
+    for level in (1, 2):
+        w = sample_positivity_falsifier(phi, level, int(sys.argv[2]), int(sys.argv[3]))
+        out[f"{name}_level_{level}"] = None if w is None else {
+            "trial": w.trial_index,
+            "min_output_eigenvalue": w.min_output_eigenvalue.hex(),
+            "input_sha256": hashlib.sha256(w.input_matrix.tobytes()).hexdigest(),
+        }
 with open(sys.argv[1], "w") as f:
     json.dump(out, f, indent=2, sort_keys=True)
 """
@@ -180,6 +215,18 @@ def run_sweep_counts(tree: Path, out_dir: Path) -> None:
     (out_dir / "sweep_runs.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
 
 
+def run_falsifier(tree: Path, out_dir: Path) -> None:
+    """falsifier.json from ``tree``: the falsifier's witnesses per map and
+    level, ``FALSIFIER_TRIALS`` trials at ``FALSIFIER_SEED``; stderr and
+    the exit status go to falsifier.stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", FALSIFIER_SCRIPT, str(out_dir / "falsifier.json"), str(FALSIFIER_TRIALS),
+         str(FALSIFIER_SEED)],
+        cwd=out_dir, env=child_env(tree), capture_output=True, text=True,
+    )
+    (out_dir / "falsifier.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
+
+
 def mean_b(lmin: float) -> list:
     """Q diag(lmin, 0.1, 0.2) Q^T for the Householder reflection Q = I - 2 v v^T / 9,
     v = (1, 2, 2). Its entries stay below 1/3, so n max|b_ij| < 1."""
@@ -236,6 +283,7 @@ def write_reports(tree: Path, out_dir: Path) -> None:
     for name, ops in WORKLOAD_OPS.items():
         run_workload(tree, name, ops, out_dir)
     run_sweep_counts(tree, out_dir)
+    run_falsifier(tree, out_dir)
 
 
 def compare_reports(base: Path, work: Path) -> int:
