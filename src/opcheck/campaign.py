@@ -115,6 +115,8 @@ class CampaignSpec:
             raise InvalidSpec(f"unknown check_id {self.check_id!r}")
         if self.trials < 1:
             raise InvalidSpec("trials must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if not self.n_dims or any(d < 1 for d in self.n_dims):
             raise InvalidSpec("n_dims must be nonempty positive")
         if not self.m_dims or any(d < 1 for d in self.m_dims):

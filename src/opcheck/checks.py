@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .decompose import SvdParts, _cartesian, _svd, cartesian, svd_square
+from .decompose import SvdParts, _cartesian, _svd, svd_square
 from .errors import (
     ClassViolation,
     DimensionMismatch,
@@ -41,6 +41,7 @@ from .linalg import (
     as_matrix,
     hermitian_part,
     require_hermitian,
+    require_square,
 )
 from .means import (
     MajorizationReport,
@@ -536,8 +537,7 @@ def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> Ca
     rho(Z K^-1) <= 1 are map-independent. A kernel in K (always inside the
     kernel of Z) is flagged and handled by generalized inverses.
     """
-    cartesian(z)  # validates Z and its parts
-    zm = np.asarray(z, dtype=complex)
+    zm = require_square(z)  # _cartesian_sum raises for a part that overflows
     t = _tol(tol, zm.shape[0])
     k_sum = _cartesian_sum(zm[None], tol)[0]
     lmax = float(k_sum.values[0]) if k_sum.values.size else 0.0
@@ -586,7 +586,8 @@ def _cartesian_sum(zs: np.ndarray, tol: Optional[Tolerance]) -> List[_CartesianS
     act on each matrix by the IEEE operations, in the order, that they
     apply to it alone; the eigendecompositions and the operator norms run
     one matrix at a time, and the spectral radii are one LAPACK call per
-    matrix. So each record has the bits of a stack of one.
+    matrix. So each record has the bits of a stack of one. A Cartesian part
+    that overflows raises :func:`_eig`'s ValueError.
     """
     parts = _cartesian(zs)
     k = _hermitian_modulus(parts.re_part) + _hermitian_modulus(parts.im_part)
@@ -830,6 +831,8 @@ def find_counterexamples_remarks(trials: int, seed: int, dim: int = 2) -> CexSea
         raise ValueError(
             f"dim must be >= 2, got {dim}: for 1 x 1 matrices all three bounds hold, so no target exists"
         )
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     found_a: Optional[CexWitness] = None
     found_b: Optional[CexWitness] = None

@@ -1,9 +1,9 @@
 """Polar and Cartesian decompositions and moduli.
 
-The SVD here is derived from the Jacobi eigendecompositions of Z*Z and ZZ*,
-which is accurate enough at desk scale and keeps every factor deterministic:
-for singular input the unitary polar factor is completed by Gram-Schmidt
-against the left Gram eigenbasis, in eigenvalue order.
+The SVD here is derived from the one Jacobi eigendecomposition of Z*Z, which
+is accurate enough at desk scale and keeps every factor deterministic: for
+singular input the unitary polar factor is completed by Gram-Schmidt against
+the coordinate basis e_1, ..., e_n, in index order.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ class SvdParts:
     """Z = left @ diag(values) @ right.conj().T with square unitary factors.
 
     Singular values are sorted descending; directions whose squared singular
-    value falls off the support carry deterministically completed basis
-    columns instead of quotients Z q / sigma, and a zero singular value. So
-    the rank decision is made once, here: ``values > 0`` is the support, and
-    it holds exactly for the first ``rank`` values.
+    value falls off the support carry left columns completed from the
+    coordinate basis instead of quotients Z q / sigma, and a zero singular
+    value. So the rank decision is made once, here: ``values > 0`` is the
+    support, and it holds exactly for the first ``rank`` values.
     """
 
     left: np.ndarray
@@ -85,29 +85,21 @@ class SvdParts:
         return hermitian_part((self.left * vals) @ self.left.conj().T)
 
 
-def _complete_columns(cols: list, basis: np.ndarray, n: int) -> list:
-    """Extend an orthonormal column list to a full basis, drawing from ``basis``."""
+def _complete_columns(cols: list, n: int) -> list:
+    """Extend orthonormal columns to a basis of C^n by Gram-Schmidt against
+    e_1, ..., e_n, in index order. The 1e-3 rule cannot stop short: while
+    k < n columns are held, the squared residuals of the e_j sum to n - k >= 1,
+    an accepted e_j keeps 0 of it and a rejected one under 1e-6, so an
+    untried e_j has a residual of about 1/sqrt(n) > 1e-3 (n < 500,000)."""
     out = list(cols)
-    for j in range(basis.shape[1]):
+    for cand in np.eye(n, dtype=complex):  # e_1, ..., e_n, each its own row
         if len(out) == n:
             break
-        cand = basis[:, j].copy()
         for c in out:
             cand -= c * np.vdot(c, cand)
         norm = _frobenius(cand)
-        if norm > 0.5:
+        if norm > 1e-3:
             out.append(cand / norm)
-    if len(out) < n:  # basis nearly parallel to span; fall back to coordinates
-        for j in range(n):
-            if len(out) == n:
-                break
-            cand = np.zeros(n, dtype=complex)
-            cand[j] = 1.0
-            for c in out:
-                cand -= c * np.vdot(c, cand)
-            norm = _frobenius(cand)
-            if norm > 1e-3:
-                out.append(cand / norm)
     return out
 
 
@@ -136,9 +128,8 @@ def _svd_square(zm: np.ndarray, t: Tolerance) -> SvdParts:
     # the rank rule acts on sigma^2 = eigenvalues of Z*Z
     keep = t.support(lam)
     left_cols: list = []
-    rank = 0
     for i in range(n):
-        if not keep[i] or sigma[i] == 0.0:
+        if not keep[i]:  # the support holds only sigma > 0
             break
         cand = zm @ right[:, i] / sigma[i]
         for c in left_cols:
@@ -147,10 +138,9 @@ def _svd_square(zm: np.ndarray, t: Tolerance) -> SvdParts:
         if norm <= 0.5:
             break
         left_cols.append(cand / norm)
-        rank += 1
+    rank = len(left_cols)
     sigma[rank:] = 0.0
-    if rank < n:
-        left_cols = _complete_columns(left_cols, _eig(hermitian_part(zm @ zm.conj().T))[1], n)
+    left_cols = _complete_columns(left_cols, n)
     left = np.column_stack(left_cols) if left_cols else np.eye(n, dtype=complex)
     return SvdParts(left=left, values=sigma, right=right.copy(), rank=rank)
 

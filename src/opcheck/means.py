@@ -31,7 +31,7 @@ __all__ = [
     "weak_log_majorizes",
 ]
 
-_EPS_LADDER = (1e-4, 1e-6, 1e-8)
+_EPS_LADDER = (1e-6, 1e-8)
 _LIMIT_AGREE = 1e-6
 
 
@@ -84,8 +84,8 @@ def geometric_mean_ex(a, b, tol: Optional[Tolerance] = None) -> Tuple[np.ndarray
     """A # B plus a flag telling whether the singular-input limit was taken.
 
     Definite inputs use A^1/2 (A^-1/2 B A^-1/2)^1/2 A^1/2. Otherwise the mean
-    is the limit of (A + eps I) # (B + eps I) over a fixed epsilon ladder,
-    accepted when the last two iterates agree to 1e-6 in operator norm.
+    is the limit of (A + eps I) # (B + eps I), taken at eps = 1e-6 and 1e-8
+    and accepted when the two iterates agree to 1e-6 in operator norm.
     """
     am = require_hermitian(a, tol)
     bm = require_hermitian(b, tol)
@@ -105,7 +105,8 @@ def _geometric_mean(a, b, tol: Optional[Tolerance]) -> Tuple[np.ndarray, bool]:
         tau = 1e-10 * max(1.0, a.shape[0] * float(np.abs(b).max()))
         if _clears(b - 3.0 * tau * eye, tau) or _is_definite(_eig(b, vectors=False)[0], tol):
             return _definite_mean(es_a, b), False
-    iterates = [_definite_mean(EigenSystem(*_eig(a + e * eye)), b + e * eye) for e in _EPS_LADDER]
+    # A + eps I = V (Lambda + eps) V*: every iterate shares A's one eigensystem
+    iterates = [_definite_mean(EigenSystem(es_a.values + e, es_a.vectors), b + e * eye) for e in _EPS_LADDER]
     gap = _operator_norm(iterates[-1] - iterates[-2])
     if gap > _LIMIT_AGREE * (1.0 + _operator_norm(iterates[-1])):
         raise NoConvergence(f"singular-mean limit not Cauchy: gap {gap:.3e}")

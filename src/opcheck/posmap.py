@@ -348,6 +348,8 @@ def sample_positivity_falsifier(
         raise ValueError("trials must be >= 1")
     if level not in (1, 2):
         raise ValueError("level must be 1 or 2")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     d = level * phi.in_dim
     with np.errstate(over="ignore", invalid="ignore"):

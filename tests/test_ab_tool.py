@@ -5,6 +5,8 @@ witnesses of ``tools/ab.py --reports``."""
 import hashlib
 import importlib.util
 import json
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -97,19 +99,32 @@ def test_check_instances_meet_the_hypotheses_and_pass(check_id):
 
 
 def test_sweep_runs_are_counted_per_check_id(tmp_path, sweep_runs, monkeypatch):
-    """sweep_runs.json holds what the conftest counter sees in the same trials."""
+    """sweep_runs.json holds what the conftest counter sees in the same
+    trials, and under graded_mix in the same ops of perfbench/workloads.py."""
     monkeypatch.setattr(ab, "SWEEP_TRIALS", 3)
     monkeypatch.setattr(ab, "SWEEP_SEED", 7)
+    monkeypatch.setattr(ab, "SWEEP_GRADED_OPS", 4)
     ab.run_sweep_counts(ab.ROOT, tmp_path)
     assert (tmp_path / "sweep_runs.stdout").read_text() == "exit 0\n"
     counts = json.loads((tmp_path / "sweep_runs.json").read_text())
-    assert list(counts) == sorted(CHECK_IDS)
+    assert list(counts) == sorted([*CHECK_IDS, "graded_mix"])
     for check_id in CHECK_IDS:
         spec = CampaignSpec(check_id=check_id, seed=7)
         before = len(sweep_runs)
         for trial in range(3):
             run_instance(make_instance(spec, trial), spec.tolerances)
         assert counts[check_id] == len(sweep_runs) - before > 0
+    spec = importlib.util.spec_from_file_location("workloads", ab.ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up; it puts the checkout's src first on the path
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec.loader.exec_module(workloads)
+    graded = workloads.WORKLOADS["graded_mix"](7)
+    before = len(sweep_runs)
+    for i in range(4):
+        workloads.run_op(graded, i, time.perf_counter)
+    assert counts["graded_mix"] == len(sweep_runs) - before > 0
 
 
 def test_search_seeds_are_the_small_search_searches(tmp_path):

@@ -58,8 +58,9 @@ class TestSpecValidation:
             ({"check_id": "check_two_positive_split", "map_families": ("transpose_plus_identity",)},
              "needs a completely positive map family"),
             ({"check_id": "check_log_majorization", "funpair_kinds": ("bogus",)}, "unknown funpair kinds"),
+            ({"check_id": "check_russo_dye", "seed": -1}, "^seed must be >= 0, got -1$"),
         ],
-        ids=["no-families", "no-dims", "split-no-cp-family", "unknown-funpair-kind"],
+        ids=["no-families", "no-dims", "split-no-cp-family", "unknown-funpair-kind", "negative-seed"],
     )
     def test_a_spec_built_in_python_is_validated(self, fields, message):
         # make_instance raised numpy's "high <= 0" on these, or ran a bogus kind as the scaled pair

@@ -67,6 +67,11 @@ class TestFindCex:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: dim must be >= 2, got {n}: ") and captured.out == ""
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["find-cex", "--trials", "10", "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -3\n" and captured.out == ""
+
     def test_dimension_four(self):
         assert main(["find-cex", "--trials", "3000", "--seed", "2", "--n", "4"]) == 0
 
@@ -215,6 +220,12 @@ class TestCampaignCommand:
         path = write(tmp_path / "spec.json", {"check_id": "check_russo_dye", "trials": 0})
         assert main(["campaign", "--spec", path]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path / "spec.json", {"check_id": "check_russo_dye", "seed": -1})
+        assert main(["campaign", "--spec", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n" and captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opcheck.decompose import (
     cartesian,
@@ -94,6 +95,58 @@ class TestPolar:
         re = (parts.left * parts.values) @ parts.right.conj().T
         assert np.abs(re - z).max() < 1e-10 * (1 + np.abs(z).max())
         assert np.all(np.diff(parts.values) <= 1e-12)
+
+
+# rank one, so its unitary polar factor completes two columns (tools/ab.py's POLAR_Z)
+POLAR_Z = np.array([[1, 2, 0], [1j, 2j, 0], [0, 0, 0]])
+
+
+def graded(rng, n, values):
+    """U diag(values) V* for Haar U and V."""
+    return (haar(rng, n) * values) @ haar(rng, n).conj().T
+
+
+class TestCompletion:
+    """A rank-deficient Z's left factor is completed from the coordinate
+    basis, with no factorization beyond the one of Z*Z."""
+
+    @pytest.mark.parametrize(
+        "z",
+        [POLAR_Z, graded(np.random.default_rng(9), 4, [1.0, 0.1, 1e-8, 1e-9])],
+        ids=["polar_z", "graded_below_the_cutoff"],
+    )
+    def test_a_rank_deficient_svd_runs_the_jacobi_loop_once(self, z, sweep_runs):
+        parts = svd_square(z)
+        assert parts.rank == (1 if z is POLAR_Z else 2)
+        assert len(sweep_runs) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.sampled_from(["zeroed_columns", "sigma_below_the_cutoff"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_the_completed_factor_is_unitary_and_reproduces_z(self, shape, build, seed):
+        n, r = shape
+        rng = np.random.default_rng(seed)
+        if build == "zeroed_columns":
+            z = random_square(rng, n)
+            z[:, r:] = 0.0
+        else:
+            kept = rng.uniform(0.1, 1.0, r)
+            # at most 1e-9 times the largest, far below the rank cutoff's
+            # sqrt(1e-12 n); all zero when r = 0
+            cut = rng.uniform(0.0, 1e-9, n - r) * (kept.max() if r else 0.0)
+            z = graded(rng, n, np.concatenate([kept, cut]))
+        parts = svd_square(z)
+        u = parts.unitary
+        assert parts.rank == r
+        assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-12
+        largest_cut = np.linalg.svd(z, compute_uv=False)[r:].max(initial=0.0)
+        error = np.linalg.norm((parts.left * parts.values) @ parts.right.conj().T - z, 2)
+        assert error <= 4.0 * largest_cut + 1e-12 * np.linalg.norm(z, 2)
+        if r == 0:  # the zero matrix
+            assert np.array_equal(u, np.eye(n))
 
 
 class TestCartesian:

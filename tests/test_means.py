@@ -151,6 +151,29 @@ def mean_outcome(fn, a, b):
     return mean.tobytes(), used_limit
 
 
+class TestSingularLimit:
+    """The limit's iterates at eps = 1e-6 and 1e-8 take A + eps I's
+    eigensystem as (Lambda + eps, V) from A's one decomposition."""
+
+    rng = np.random.default_rng(19)
+    A = random_pd(rng, 4)
+    G = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    B = hermitian_part(G @ G.conj().T)
+
+    def test_a_definite_a_and_a_rank_two_b_run_the_jacobi_loop_six_times(self, sweep_runs):
+        # A once, B's spectrum once, each iterate's inner root once and the
+        # Cauchy test's two norms once each
+        with pytest.raises(NoConvergence, match=r"^singular-mean limit not Cauchy: gap 2\.062e-03$"):
+            geometric_mean_ex(self.A, self.B)
+        assert len(sweep_runs) == 6
+
+    def test_a_trial_memo_leaves_the_limit_unchanged(self):
+        # inside a trial A's eigensystem is read-only, so the shift forms new arrays
+        a, b = np.diag([1.0, 0.0]), np.diag([2.0, 0.0])
+        mean, used_limit = opcheck.linalg._with_memo({}, geometric_mean_ex, a, b)
+        assert used_limit and mean.tobytes() == geometric_mean_ex(a, b)[0].tobytes()
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_b_definiteness_matches_the_reference_near_the_threshold(n, scale):

@@ -237,6 +237,14 @@ class TestFalsifier:
         # its images are 0 x 0, so there is no eigenvalue to be negative
         assert sample_positivity_falsifier(KrausSum(kraus=(np.zeros((0, 2)),)), level=2, trials=3, seed=0) is None
 
+    def test_a_negative_seed_is_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            sample_positivity_falsifier(TransposeMap(2), level=2, trials=10, seed=-1)
+
     def test_deterministic_in_seed(self):
         a = sample_positivity_falsifier(TransposeMap(2), level=2, trials=50, seed=5)
         b = sample_positivity_falsifier(TransposeMap(2), level=2, trials=50, seed=5)

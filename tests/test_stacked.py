@@ -302,3 +302,12 @@ def test_the_search_needs_dimension_two(monkeypatch, dim):
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     with pytest.raises(ValueError, match=f"^dim must be >= 2, got {dim}: "):
         C.find_counterexamples_remarks(10, 1, dim)
+
+
+def test_the_search_needs_a_nonnegative_seed(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
+        C.find_counterexamples_remarks(10, -3, 2)

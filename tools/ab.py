@@ -27,8 +27,11 @@ each benchmark workload at seed 2026 through the tree's own
 op, which shows the first op whose verdict, slack, witness trials or error
 changed. And it writes ``sweep_runs.json``: per check id, the runs of the
 Jacobi sweep loop ``opcheck.linalg._sweeps`` in ``SWEEP_TRIALS`` campaign
-trials at seed ``SWEEP_SEED``, which names any change in factorization work that the
-byte comparison cannot see. And it writes ``falsifier.json``: per map and
+trials at seed ``SWEEP_SEED``, and under ``graded_mix`` the runs in the
+first ``SWEEP_GRADED_OPS`` ops of that workload at the same seed, through
+the tree's own ``perfbench/workloads.py``, where the rank-deficient SVDs and
+the singular-mean limits run; it names any change in factorization work that
+the byte comparison cannot see. And it writes ``falsifier.json``: per map and
 level, the witness of ``sample_positivity_falsifier`` (its trial, the
 ``hex`` of its eigenvalue and the sha256 of its input) or null, for the
 transpose and transpose-plus-identity maps at n = 2, 3 and for the three
@@ -106,10 +109,15 @@ for i in range(int(sys.argv[4])):
 """
 SWEEP_TRIALS = 100
 SWEEP_SEED = 2026
-# run in a tree as: python -c SWEEP_SCRIPT <out.json> <trials> <seed>
+# graded_mix ops whose sweep runs are counted, at SWEEP_SEED: campaign trials
+# hold no rank-deficient SVD and no singular-mean limit, and these ops do
+SWEEP_GRADED_OPS = 400
+# run in a tree as: python -c SWEEP_SCRIPT <out.json> <trials> <seed> <tree>/perfbench <graded ops>
 SWEEP_SCRIPT = """
-import json, sys
+import json, sys, time
+sys.path.insert(0, sys.argv[4])
 import opcheck.linalg
+import workloads
 from opcheck.campaign import CHECK_IDS, CampaignSpec, make_instance, run_instance
 sweeps = opcheck.linalg._sweeps
 runs = []
@@ -124,6 +132,11 @@ for check_id in CHECK_IDS:
     for trial in range(int(sys.argv[2])):
         run_instance(make_instance(spec, trial), spec.tolerances)
     out[check_id] = len(runs) - start
+graded = workloads.WORKLOADS["graded_mix"](int(sys.argv[3]))
+start = len(runs)
+for i in range(int(sys.argv[5])):
+    workloads.run_op(graded, i, time.perf_counter)
+out["graded_mix"] = len(runs) - start
 with open(sys.argv[1], "w") as f:
     json.dump(out, f, indent=2, sort_keys=True)
 """
@@ -206,10 +219,13 @@ def run_workload(tree: Path, name: str, ops: int, out_dir: Path) -> None:
 
 def run_sweep_counts(tree: Path, out_dir: Path) -> None:
     """sweep_runs.json from ``tree``: the ``_sweeps`` runs per check id in
-    ``SWEEP_TRIALS`` trials at ``SWEEP_SEED``; stderr and the exit status go
-    to sweep_runs.stdout."""
+    ``SWEEP_TRIALS`` trials at ``SWEEP_SEED``, and under ``graded_mix`` in
+    the first ``SWEEP_GRADED_OPS`` ops of that workload at ``SWEEP_SEED``,
+    from ``tree``'s ``perfbench/workloads.py``; stderr and the exit status
+    go to sweep_runs.stdout."""
     proc = subprocess.run(
-        [sys.executable, "-c", SWEEP_SCRIPT, str(out_dir / "sweep_runs.json"), str(SWEEP_TRIALS), str(SWEEP_SEED)],
+        [sys.executable, "-c", SWEEP_SCRIPT, str(out_dir / "sweep_runs.json"), str(SWEEP_TRIALS), str(SWEEP_SEED),
+         str(tree / "perfbench"), str(SWEEP_GRADED_OPS)],
         cwd=out_dir, env=child_env(tree), capture_output=True, text=True,
     )
     (out_dir / "sweep_runs.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
