@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -22,34 +23,33 @@ from .checks import (
 )
 from .decompose import polar
 from .errors import OpcheckError
-from .io import _json_value, dump_json, matrix_from_json, matrix_to_json, tolerance_from_json
+from .io import _json_value, dump_json, matrix_from_json, matrix_to_json, tolerance_from_json, tolerance_to_json
 from .linalg import Tolerance
 from .means import geometric_mean_ex
 
 _DEFAULT_SEED = 2026
 
 
-def _load_tolerance(args, dim: int) -> Optional[Tolerance]:
+def _load_tolerance(args, default: Tolerance) -> Tolerance:
+    """``default`` with the fields that --config and --tol give replaced."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = _json_value(json.load(fh), dict, "tolerance config")
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         cfg["abs"] = args.tol
         cfg.setdefault("rel", args.tol)
-    if not cfg:
-        return None
-    return tolerance_from_json(cfg, dim=dim)
+    return tolerance_from_json({**tolerance_to_json(default), **cfg})
 
 
 def _cmd_check(args) -> int:
+    """One check at the campaign tolerances, so a campaign's instance replays
+    to its certificate."""
     with open(args.infile) as fh:
         payload = _json_value(json.load(fh), dict, "instance")
     payload["check_id"] = args.check_id
     inst = Instance.from_json(payload)
-    dim = inst.phi.out_dim
-    tol = _load_tolerance(args, dim) or Tolerance.for_dim(dim, abs=1e-8, rel=1e-8)
-    result = run_instance(inst, tol)
+    result = run_instance(inst, _load_tolerance(args, CampaignSpec.tolerances))
     if args.out:
         dump_json(result.to_json(), args.out)
     print(f"{args.check_id}: {'PASS' if result.passed else 'FAIL'} (slack {result.slack:+.3e})")
@@ -74,101 +74,68 @@ def _cmd_campaign(args) -> int:
     return 0 if report.failures == 0 else 1
 
 
+def _print_example_2_8(rep: dict) -> None:
+    print("transpose-augmented map on the 2x2 weighted shift:")
+    print(f"  det |phi(Z)|      = {rep['det_lhs']:.12f}   (expected 25)")
+    print(
+        f"  det geometric rhs = [{rep['det_rhs_min']:.12f}, {rep['det_rhs_max']:.12f}]"
+        f"   (expected 16 for all {rep['pairs']} unitary pairs)"
+    )
+    print(f"  gap confirms the split bound needs 2-positivity: {_verdict(rep)}")
+
+
+def _print_sharpness(rep: dict) -> None:
+    k = rep["k"]
+    print(f"scaled bound sharpness at k = {k:g}:")
+    print(f"  spectral radius rho = {rep['rho']:.12g}   (expected {k:g})")
+    print(f"  <e2, |Z^T| e2>      = {rep['bracket_lhs']:.12g}   (expected {k:g})")
+    print(f"  required constant   = {rep['required_constant']:.12g}   (lower bound sqrt(k) = {math.sqrt(k):.12g})")
+    print(f"  sqrt(rho)-scaled inequality slack = {rep['certificate']['slack']:+.3e}")
+    print(f"  {_verdict(rep)}")
+
+
+_SEARCH_TARGETS = {
+    "loewner": "|Z| <= K fails           at trial {trial} (margin {margin:.4f})",
+    "half_power": "|| |Z|^1/2 K^-1/2 || > 1 at trial {trial} (excess {margin:.4f})",
+    "plain_norm": "|| Z K^-1 || > 1         at trial {trial} (excess {margin:.4f})",
+}
+
+
+def _print_search(rep: dict) -> None:
+    print("operator-norm failures around K = |X| + |Y| (all expected to exist):")
+    for name, line in _SEARCH_TARGETS.items():
+        print("  " + line.format(**rep["witnesses"][name]))
+    print(
+        f"  while rho(Z K^-1) <= 1 and ||K^-1/2 Z K^-1/2|| <= 1 on every sample: {_verdict(rep)} "
+        f"(worst rho {rep['worst_rho']:.9f}, worst norm {rep['worst_congruence_norm']:.9f})"
+    )
+
+
+def _verdict(rep: dict) -> str:
+    return "PASS" if rep["pass"] else "FAIL"
+
+
+def _report(rep, printer, out: Optional[str]) -> int:
+    """Print the summary of a reproduction or search outcome, write its
+    JSON to ``out`` and exit on whether it passed."""
+    payload = rep.to_json()
+    printer(payload)
+    if out:
+        dump_json(payload, out)
+    return 0 if rep.passed else 1
+
+
 def _cmd_repro(args) -> int:
     if args.name == "example-2.8":
-        rep = reproduce_counterexample_2_8(seed=_DEFAULT_SEED)
-        print("transpose-augmented map on the 2x2 weighted shift:")
-        print(f"  det |phi(Z)|      = {rep.det_lhs:.12f}   (expected 25)")
-        print(
-            f"  det geometric rhs = [{rep.det_rhs_min:.12f}, {rep.det_rhs_max:.12f}]"
-            f"   (expected 16 for all {rep.pairs} unitary pairs)"
-        )
-        print(f"  gap confirms the split bound needs 2-positivity: {'PASS' if rep.passed else 'FAIL'}")
-        payload = {
-            "name": "example-2.8",
-            "pass": rep.passed,
-            "det_lhs": rep.det_lhs,
-            "det_rhs_min": rep.det_rhs_min,
-            "det_rhs_max": rep.det_rhs_max,
-            "pairs": rep.pairs,
-        }
-        ok = rep.passed
-    elif args.name == "sharpness":
-        rep = reproduce_sharpness_cor2_5(args.k)
-        import math
-
-        print(f"scaled bound sharpness at k = {args.k:g}:")
-        print(f"  spectral radius rho = {rep.rho:.12g}   (expected {args.k:g})")
-        print(f"  <e2, |Z^T| e2>      = {rep.bracket_lhs:.12g}   (expected {args.k:g})")
-        print(
-            f"  required constant   = {rep.required_constant:.12g}"
-            f"   (lower bound sqrt(k) = {math.sqrt(args.k):.12g})"
-        )
-        print(f"  sqrt(rho)-scaled inequality slack = {rep.scaled_certificate.slack:+.3e}")
-        print(f"  {'PASS' if rep.passed else 'FAIL'}")
-        payload = {
-            "name": "sharpness",
-            "pass": rep.passed,
-            "k": rep.k,
-            "rho": rep.rho,
-            "bracket_lhs": rep.bracket_lhs,
-            "required_constant": rep.required_constant,
-            "certificate": rep.scaled_certificate.to_json(),
-        }
-        ok = rep.passed
-    else:  # cartesian-cex
-        rep = find_counterexamples_remarks(trials=args.trials, seed=_DEFAULT_SEED, dim=2)
-        print("operator-norm failures around K = |X| + |Y| (all expected to exist):")
-        print(
-            f"  |Z| <= K fails           at trial {rep.loewner_witness.trial_index}"
-            f" (margin {rep.loewner_witness.margin:.4f})"
-        )
-        print(
-            f"  || |Z|^1/2 K^-1/2 || > 1 at trial {rep.half_power_witness.trial_index}"
-            f" (excess {rep.half_power_witness.margin:.4f})"
-        )
-        print(
-            f"  || Z K^-1 || > 1         at trial {rep.plain_norm_witness.trial_index}"
-            f" (excess {rep.plain_norm_witness.margin:.4f})"
-        )
-        print(
-            f"  while rho(Z K^-1) <= 1 and ||K^-1/2 Z K^-1/2|| <= 1 on every sample: "
-            f"{'PASS' if rep.consistency_ok else 'FAIL'} "
-            f"(worst rho {rep.worst_rho:.9f}, worst norm {rep.worst_congruence_norm:.9f})"
-        )
-        payload = {
-            "name": "cartesian-cex",
-            "pass": rep.consistency_ok and rep.all_found,
-            "trials": rep.trials,
-            "witness_trials": {name: w.trial_index for name, w in rep.witnesses.items()},
-            "worst_rho": rep.worst_rho,
-            "worst_congruence_norm": rep.worst_congruence_norm,
-        }
-        ok = rep.consistency_ok
-    if args.out:
-        dump_json(payload, args.out)
-    return 0 if ok else 1
+        return _report(reproduce_counterexample_2_8(seed=_DEFAULT_SEED), _print_example_2_8, args.out)
+    if args.name == "sharpness":
+        return _report(reproduce_sharpness_cor2_5(args.k), _print_sharpness, args.out)
+    # cartesian-cex is find-cex at the default seed and n = 2
+    return _report(find_counterexamples_remarks(args.trials, _DEFAULT_SEED, 2), _print_search, args.out)
 
 
 def _cmd_find_cex(args) -> int:
-    rep = find_counterexamples_remarks(trials=args.trials, seed=args.seed, dim=args.n)
-    print(
-        f"found all three witnesses by trial "
-        f"{max(w.trial_index for w in rep.witnesses.values())}; "
-        f"consistency {'PASS' if rep.consistency_ok else 'FAIL'}"
-    )
-    if args.out:
-        payload = {
-            "trials": rep.trials,
-            "seed": rep.seed,
-            "dim": rep.dim,
-            "pass": rep.consistency_ok,
-            "witnesses": {name: w.to_json() for name, w in rep.witnesses.items()},
-            "worst_rho": rep.worst_rho,
-            "worst_congruence_norm": rep.worst_congruence_norm,
-        }
-        dump_json(payload, args.out)
-    return 0 if rep.consistency_ok else 1
+    return _report(find_counterexamples_remarks(args.trials, args.seed, args.n), _print_search, args.out)
 
 
 def _cmd_mean(args) -> int:
@@ -176,7 +143,7 @@ def _cmd_mean(args) -> int:
         a = matrix_from_json(json.load(fh))
     with open(args.b) as fh:
         b = matrix_from_json(json.load(fh))
-    mean, used_limit = geometric_mean_ex(a, b, _load_tolerance(args, a.shape[0]))
+    mean, used_limit = geometric_mean_ex(a, b, _load_tolerance(args, Tolerance.for_dim(a.shape[0])))
     if args.out:
         dump_json({"mean": matrix_to_json(mean), "used_singular_mean_limit": used_limit}, args.out)
     print(f"geometric mean computed ({'singular limit' if used_limit else 'definite formula'})")
@@ -186,7 +153,7 @@ def _cmd_mean(args) -> int:
 def _cmd_polar(args) -> int:
     with open(args.infile) as fh:
         z = matrix_from_json(json.load(fh))
-    parts = polar(z, _load_tolerance(args, z.shape[0]))
+    parts = polar(z, _load_tolerance(args, Tolerance.for_dim(z.shape[0])))
     if args.out:
         dump_json(
             {"unitary": matrix_to_json(parts.unitary), "modulus": matrix_to_json(parts.modulus)},

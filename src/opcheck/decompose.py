@@ -174,6 +174,8 @@ def cartesian(z) -> CartesianParts:
 
 def _cartesian(zm: np.ndarray) -> CartesianParts:
     """:func:`cartesian` of a square complex array, or of each matrix of a
-    stack (..., n, n), whose parts it does not check."""
-    im_part = hermitian_part((zm - zm.conj().swapaxes(-1, -2)) / 2j)
-    return CartesianParts(re_part=hermitian_part(zm), im_part=im_part)
+    stack (..., n, n), whose parts it does not check. A part that overflows
+    is formed quietly; the caller's check of it raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        im_part = hermitian_part((zm - zm.conj().swapaxes(-1, -2)) / 2j)
+        return CartesianParts(re_part=hermitian_part(zm), im_part=im_part)

@@ -78,10 +78,10 @@ class Tolerance:
 
     @classmethod
     @functools.lru_cache(maxsize=64)
-    def for_dim(cls, n: int, abs: float = 1e-9, rel: float = 1e-9) -> "Tolerance":
+    def for_dim(cls, n: int) -> "Tolerance":
         # memoized: the class is frozen and compared by value, so each
         # tol=None call need not build and validate a new instance
-        return cls(abs=abs, rel=rel, rank_cutoff=1e-12 * max(n, 1))
+        return cls(rank_cutoff=1e-12 * max(n, 1))
 
     def support(self, values: np.ndarray) -> np.ndarray:
         """The rank rule: which of the nonnegative ``values`` count as nonzero.

@@ -28,7 +28,7 @@ from opcheck.checks import (
 from opcheck.campaign import _CHECK_ARGS
 from opcheck.decompose import comodulus, modulus, svd_square
 from opcheck.errors import ClassViolation, HypothesisViolated, NotContraction, SearchExhausted
-from opcheck.linalg import generalized_inverse, hermitian_part, loewner_leq, operator_norm
+from opcheck.linalg import _eig, generalized_inverse, hermitian_part, loewner_leq, operator_norm
 from opcheck.posmap import (
     IdentityMap,
     KrausSum,
@@ -383,11 +383,25 @@ class TestSpectralReports:
             phi = SchurMultiplier(s)
             a = contraction(5, rng)
             rep = check_eigenvalue_gaps(phi, a, np.eye(5), FunPair.power(0.0))
-            assert rep.passed and "schur diagonal grid included" in rep.notes
+            # the 15 index pairs of the grid against eig phi(I), and the two remarks
+            assert rep.passed and rep.checked == 17
             assert "schur factor variants included" in rep.notes
             svals = np.linalg.svd(s * a, compute_uv=False)
             diag_sorted = np.sort(np.diag(s).real)[::-1]
             assert svals[2] <= diag_sorted[1] + 1e-9
+
+    def test_gap_grid_at_a_scalar_weight_is_the_schur_specialization(self):
+        # phi(I) = diag(S) is diagonal, and the kernel returns its entries without a
+        # rotation, so the grid against eig phi(J) is the one against the sorted
+        # diagonal of S: it runs once, 10 index pairs at n = 4, plus the two remarks
+        rng = np.random.default_rng(13)
+        s = wishart(4, rng)
+        phi = SchurMultiplier(s)
+        spectrum = _eig(hermitian_part(apply(phi, np.eye(4))), vectors=False)[0]
+        assert np.array_equal(spectrum, np.sort(np.diag(s).real)[::-1])
+        rep = check_eigenvalue_gaps(phi, contraction(4, rng), np.eye(4), FunPair.power(0.0))
+        assert rep.passed and rep.checked == 12
+        assert rep.notes == "schur factor variants included"
 
     def test_reverse_product_determinant_identity(self):
         # with Z = J the full-length products coincide: both are det(J)^2
@@ -524,6 +538,14 @@ class TestReproductions:
         assert rep.det_lhs == pytest.approx(25.0, rel=1e-12)
         assert rep.det_rhs_min == pytest.approx(16.0, rel=1e-9)
         assert rep.det_rhs_max == pytest.approx(16.0, rel=1e-9)
+
+    def test_example_2_8_needs_a_nonnegative_seed(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            reproduce_counterexample_2_8(seed=-1)
 
     @pytest.mark.parametrize("k", [1.0, 4.0, 100.0])
     def test_sharpness_values(self, k):

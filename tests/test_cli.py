@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from opcheck.campaign import CHECK_IDS, CampaignSpec, make_instance, run_campaign
 from opcheck.cli import main
-from opcheck.io import matrix_from_json, matrix_to_json
+from opcheck.io import dump_json, matrix_from_json, matrix_to_json
 
 
 def write(path, obj):
@@ -41,6 +42,18 @@ class TestRepro:
     def test_cartesian_cex(self, capsys):
         assert main(["repro", "cartesian-cex", "--trials", "3000"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_cartesian_cex_is_find_cex_at_the_default_seed(self, tmp_path, capsys):
+        outputs = []
+        for args in (["repro", "cartesian-cex"], ["find-cex", "--seed", "2026"]):
+            out = tmp_path / "cex.json"
+            assert main([*args, "--trials", "3000", "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        payload = json.loads(outputs[0][0])
+        assert payload["seed"] == 2026 and payload["dim"] == 2
+        assert matrix_from_json(payload["witnesses"]["plain_norm"]["Z"]).shape == (2, 2)
+        assert outputs[0][1].count(" at trial ") == 3
 
 
 class TestFindCex:
@@ -129,17 +142,29 @@ class TestCheckCommand:
         assert main(["check", "check_two_positive_split", "--in", path, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["pass"] is True
 
-    def test_tolerance_override_keeps_dimension_rank_cutoff(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags, config, expected",
+        [
+            ([], None, (1e-8, 1e-8, 6e-12)),
+            (["--tol", "1e-7"], None, (1e-7, 1e-7, 6e-12)),
+            (["--config", "{c}"], {"rank_cutoff": 1e-10}, (1e-8, 1e-8, 1e-10)),
+            (["--config", "{c}", "--tol", "1e-7"], {"rel": 1e-6}, (1e-7, 1e-6, 6e-12)),
+        ],
+        ids=["none", "tol", "partial-config", "config-and-tol"],
+    )
+    def test_tolerances_default_to_the_campaign_ones(self, tmp_path, flags, config, expected):
+        # the fields no flag gives are the campaign's, whatever the output size (3 here)
         inst = {
             "phi": {"family": "identity", "params": {"dim": 3}},
             "A": matrix_to_json(0.5 * np.eye(3)),
         }
         path = write(tmp_path / "inst.json", inst)
+        cfg = write(tmp_path / "cfg.json", config) if config is not None else None
         out = tmp_path / "cert.json"
-        assert main(["check", "check_russo_dye", "--in", path, "--tol", "1e-8", "--out", str(out)]) == 0
+        flags = [flag.format(c=cfg) for flag in flags]
+        assert main(["check", "check_russo_dye", "--in", path, *flags, "--out", str(out)]) == 0
         tolerances = json.loads(out.read_text())["tolerances"]
-        assert tolerances["abs"] == 1e-8
-        assert tolerances["rank_cutoff"] == pytest.approx(3e-12)
+        assert (tolerances["abs"], tolerances["rel"], tolerances["rank_cutoff"]) == expected
 
     def test_hypothesis_violation_is_an_error(self, tmp_path, capsys):
         inst = {
@@ -198,6 +223,23 @@ def test_malformed_input_exits_with_status_2(tmp_path, capsys, command, files):
         (tmp_path / f"{name}.json").write_text(content if isinstance(content, str) else json.dumps(content))
     assert main([arg.format(**paths) for arg in command]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("seed", [7, 2026])
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_campaign_trials_replay_to_their_certificates(tmp_path, check_id, seed):
+    """``opcheck check`` with no tolerance flag runs at the campaign's
+    tolerances, so each trial's instance replays to the report's
+    certificate, byte for byte."""
+    spec = CampaignSpec(check_id=check_id, trials=10, seed=seed)
+    report = run_campaign(spec)
+    assert report.trials_run == 10 and report.failures == 0
+    inst, cert, expected = (tmp_path / name for name in ("inst.json", "cert.json", "expected.json"))
+    for trial, certificate in enumerate(report.outcomes):
+        write(inst, make_instance(spec, trial).to_json())
+        assert main(["check", check_id, "--in", str(inst), "--out", str(cert)]) == 0
+        dump_json(certificate, str(expected))
+        assert cert.read_bytes() == expected.read_bytes()
 
 
 class TestCampaignCommand:

@@ -1,9 +1,12 @@
 """Decomposition tests: moduli, polar factors, Cartesian parts, projections."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opcheck.checks import check_cartesian_suite
 from opcheck.decompose import (
     cartesian,
     comodulus,
@@ -12,6 +15,7 @@ from opcheck.decompose import (
     svd_square,
 )
 from opcheck.means import weak_log_majorizes
+from opcheck.posmap import IdentityMap
 
 SHIFT = np.array([[0.0, 4.0], [1.0, 0.0]], dtype=complex)
 
@@ -236,6 +240,16 @@ def test_cartesian_rejects_an_overflowing_part():
     half = np.finfo(float).max / 2
     parts = cartesian([[half, half], [-half, half * 1j]])
     assert np.isfinite(parts.re_part).all() and np.isfinite(parts.im_part).all()
+
+
+def test_an_overflowing_part_raises_without_a_warning():
+    # the parts are formed quietly, as a map's image is: only the error tells
+    z = [[1e308, 1e308], [-1e308, 1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (cartesian, lambda x: check_cartesian_suite(IdentityMap(2), x)):
+            with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+                fn(z)
 
 
 def test_empty_matrix_gives_empty_factors():

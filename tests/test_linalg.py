@@ -1084,7 +1084,7 @@ class TestTrialMemo:
         z = np.diag([1.0, 1e-2]).astype(complex)  # sigma^2 = 1e-4 relative to the top
 
         def variants():
-            other_abs = Tolerance.for_dim(2, abs=1e-8)  # the default rank cutoff 2e-12
+            other_abs = Tolerance(abs=1e-8, rank_cutoff=2e-12)  # the default rank cutoff at n = 2
             return svd_square(z), svd_square(z, other_abs), svd_square(z, Tolerance(rank_cutoff=1e-3))
 
         memo: dict = {}

@@ -197,24 +197,24 @@ def child_env(tree: Path) -> dict:
     return env
 
 
+def run_python(tree: Path, args: list, out_dir: Path, name: str) -> None:
+    """``python ARGS`` with ``tree``'s package, in ``out_dir``; stdout, stderr
+    and the exit status go to name.stdout."""
+    proc = subprocess.run([sys.executable, *args], cwd=out_dir, env=child_env(tree), capture_output=True, text=True)
+    (out_dir / f"{name}.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
+
+
 def run_cli(tree: Path, args: list, out_dir: Path, name: str) -> None:
     """``opcheck ARGS --out name.json`` in ``tree``; stdout, stderr and status go to name.stdout."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "opcheck.cli", *args, "--out", str(out_dir / f"{name}.json")],
-        cwd=out_dir, env=child_env(tree), capture_output=True, text=True,
-    )
-    (out_dir / f"{name}.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
+    run_python(tree, ["-m", "opcheck.cli", *args, "--out", str(out_dir / f"{name}.json")], out_dir, name)
 
 
 def run_workload(tree: Path, name: str, ops: int, out_dir: Path) -> None:
     """The outcome digests of ``ops`` ops of workload ``name`` at seed 2026,
     from ``tree``'s ``perfbench/workloads.py``, in workload_<name>.stdout
     with stderr and the exit status."""
-    proc = subprocess.run(
-        [sys.executable, "-c", WORKLOAD_SCRIPT, str(tree / "perfbench"), name, "2026", str(ops)],
-        cwd=out_dir, env=child_env(tree), capture_output=True, text=True,
-    )
-    (out_dir / f"workload_{name}.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
+    run_python(tree, ["-c", WORKLOAD_SCRIPT, str(tree / "perfbench"), name, "2026", str(ops)], out_dir,
+               f"workload_{name}")
 
 
 def run_sweep_counts(tree: Path, out_dir: Path) -> None:
@@ -223,24 +223,16 @@ def run_sweep_counts(tree: Path, out_dir: Path) -> None:
     the first ``SWEEP_GRADED_OPS`` ops of that workload at ``SWEEP_SEED``,
     from ``tree``'s ``perfbench/workloads.py``; stderr and the exit status
     go to sweep_runs.stdout."""
-    proc = subprocess.run(
-        [sys.executable, "-c", SWEEP_SCRIPT, str(out_dir / "sweep_runs.json"), str(SWEEP_TRIALS), str(SWEEP_SEED),
-         str(tree / "perfbench"), str(SWEEP_GRADED_OPS)],
-        cwd=out_dir, env=child_env(tree), capture_output=True, text=True,
-    )
-    (out_dir / "sweep_runs.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
+    run_python(tree, ["-c", SWEEP_SCRIPT, str(out_dir / "sweep_runs.json"), str(SWEEP_TRIALS), str(SWEEP_SEED),
+                      str(tree / "perfbench"), str(SWEEP_GRADED_OPS)], out_dir, "sweep_runs")
 
 
 def run_falsifier(tree: Path, out_dir: Path) -> None:
     """falsifier.json from ``tree``: the falsifier's witnesses per map and
     level, ``FALSIFIER_TRIALS`` trials at ``FALSIFIER_SEED``; stderr and
     the exit status go to falsifier.stdout."""
-    proc = subprocess.run(
-        [sys.executable, "-c", FALSIFIER_SCRIPT, str(out_dir / "falsifier.json"), str(FALSIFIER_TRIALS),
-         str(FALSIFIER_SEED)],
-        cwd=out_dir, env=child_env(tree), capture_output=True, text=True,
-    )
-    (out_dir / "falsifier.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
+    run_python(tree, ["-c", FALSIFIER_SCRIPT, str(out_dir / "falsifier.json"), str(FALSIFIER_TRIALS),
+                      str(FALSIFIER_SEED)], out_dir, "falsifier")
 
 
 def mean_b(lmin: float) -> list:
@@ -261,7 +253,7 @@ def matrix_obj(rows: list) -> dict:
 def check_instance(check_id: str) -> dict:
     """The instance ``opcheck check`` runs under ``check_id``: a Kraus map, or
     for ``check_eigenvalue_gaps`` the Schur multiplier by MEAN_A with a scalar
-    J, so that its Schur grids run. It carries every field a check reads."""
+    J, so that its Schur remarks run. It carries every field a check reads."""
     if check_id == "check_eigenvalue_gaps":
         phi = {"family": "schur_multiplier", "params": {"factor": matrix_obj(MEAN_A)}}
         j = [[float(r == c) for c in range(3)] for r in range(3)]
