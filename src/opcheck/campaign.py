@@ -373,6 +373,8 @@ def run_instance(inst: Instance, tol: Tolerance):
 
 @dataclass
 class CampaignReport:
+    """The outcome of a campaign: it passes when no trial failed."""
+
     spec: CampaignSpec
     outcomes: List[dict]
     trials_run: int
@@ -380,6 +382,10 @@ class CampaignReport:
     near_misses: int
     min_slack: float
     aborted_instance: Optional[dict] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0
 
     def to_json(self) -> dict:
         return {

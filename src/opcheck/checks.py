@@ -35,6 +35,7 @@ from .linalg import (
     _generalized_power,
     _loewner_leq,
     _operator_norm,
+    _operator_norms,
     _spectral_radius,
     _spectral_radius_psd_product,
     _tol,
@@ -566,17 +567,20 @@ def _cartesian_sum(zs: np.ndarray, tol: Optional[Tolerance]) -> List[_CartesianS
 
     The products and the elementwise arithmetic run on the whole stack, and
     act on each matrix by the IEEE operations, in the order, that they
-    apply to it alone; the eigendecompositions and the operator norms run
-    one matrix at a time, and the spectral radii are one LAPACK call per
-    matrix. So each record has the bits of a stack of one. A Cartesian part
-    that overflows raises :func:`_eig`'s ValueError.
+    apply to it alone. The three eigendecompositions (X, Y and K) and the
+    values-only run behind the congruence norms each go through
+    :func:`_eig_stack` once, which gives every matrix the bits of its own
+    :func:`_eig`; each norm keeps its own Hermitian test and Gram product,
+    and the spectral radii are one LAPACK call per matrix. So each record
+    has the bits of a stack of one. A Cartesian part that overflows raises
+    :func:`_eig`'s ValueError.
     """
     parts = _cartesian(zs)
     k = _hermitian_modulus(parts.re_part) + _hermitian_modulus(parts.im_part)
     es = EigenSystem(*_eig_stack(k))  # K's one spectrum: the singular flag and both generalized powers
     inv_half = es.power(-0.5, tol)
     inv = es.power(-1.0, tol)
-    norms = [_operator_norm(c) for c in inv_half @ zs @ inv_half]
+    norms = _operator_norms(inv_half @ zs @ inv_half)
     return list(map(_CartesianSum, k, es.values, inv_half, inv, norms, _spectral_radius(zs @ inv)))
 
 
@@ -843,8 +847,10 @@ def find_counterexamples_remarks(trials: int, seed: int, dim: int = 2) -> CexSea
     Raises SearchExhausted when a target is not found within the trials.
 
     The first ``_STACKED_TRIALS`` trials share one stacked K evaluation
-    (:func:`_cartesian_sum`); each later trial is a stack of one. Both give
-    every trial the same bits, so the report does not depend on the split.
+    (:func:`_cartesian_sum`), whose Jacobi sweeps run as one stack per
+    eigenproblem; each later trial is a stack of one and runs the scalar
+    kernel. Both give every trial the same bits and the same sweep runs,
+    so the report does not depend on the split.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .campaign import CampaignSpec, Instance, run_campaign, run_instance, write_report
+from .campaign import CampaignSpec, Instance, run_campaign, run_instance
 from .checks import (
     find_counterexamples_remarks,
     reproduce_counterexample_2_8,
@@ -59,19 +59,18 @@ def _cmd_check(args) -> int:
 def _cmd_campaign(args) -> int:
     with open(args.spec) as fh:
         spec = CampaignSpec.from_json(json.load(fh))
-    report = run_campaign(spec)
-    out = args.out or spec.output_path
-    if out:
-        write_report(report, out)
-    status = "PASS" if report.failures == 0 else "FAIL"
+    return _report(run_campaign(spec), _print_campaign, args.out or spec.output_path)
+
+
+def _print_campaign(rep: dict) -> None:
+    summary = rep["summary"]
     print(
-        f"campaign {spec.check_id}: {status} "
-        f"({report.trials_run} trials, {report.failures} failures, "
-        f"{report.near_misses} near misses, min slack {report.min_slack:+.3e})"
+        f"campaign {rep['spec']['check_id']}: {'PASS' if summary['failures'] == 0 else 'FAIL'} "
+        f"({summary['trials']} trials, {summary['failures']} failures, "
+        f"{summary['near_misses']} near misses, min slack {summary['min_slack']:+.3e})"
     )
-    if report.aborted_instance is not None:
+    if rep["aborted_instance"] is not None:
         print("first failing instance kept in report for replay")
-    return 0 if report.failures == 0 else 1
 
 
 def _print_example_2_8(rep: dict) -> None:
@@ -116,12 +115,12 @@ def _verdict(rep: dict) -> str:
 
 
 def _report(rep, printer, out: Optional[str]) -> int:
-    """Print the summary of a reproduction or search outcome, write its
-    JSON to ``out`` and exit on whether it passed."""
+    """Write the JSON of a campaign, reproduction or search outcome to
+    ``out``, then print its summary, and exit on whether it passed."""
     payload = rep.to_json()
-    printer(payload)
     if out:
         dump_json(payload, out)
+    printer(payload)
     return 0 if rep.passed else 1
 
 

@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 _MAX_SWEEPS = 100
+# The sweeps stop once the off-diagonal Frobenius mass is at most _STOP
+# times ||A||_F, and a pivot whose modulus is at most _TINY is skipped.
+_STOP = 1e-14
+_TINY = 1e-300
 
 # Largest entry modulus for which H + H* and H - H* cannot overflow.
 _HALF_MAX = float(np.finfo(float).max) / 2
@@ -277,14 +281,140 @@ def _eig(h, vectors: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     return out
 
 
-def _eig_stack(hs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_eig` of each matrix of ``hs`` (..., n, n), one run each: the
-    values (..., n), and the vectors (..., n, n), each matrix laid out in
-    Fortran order as :func:`_eig` returns it, so that a product with it
-    makes the BLAS call the lone matrix makes."""
-    out = [_eig(h) for h in hs.reshape((math.prod(hs.shape[:-2]),) + hs.shape[-2:])]
-    values = np.array([values for values, _ in out]).reshape(hs.shape[:-1])
-    return values, np.array([vectors.T for _, vectors in out]).swapaxes(-1, -2).reshape(hs.shape)
+def _eig_stack(hs: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """:func:`_eig` of each matrix of ``hs`` (..., n, n), bit for bit: the
+    values (..., n), and with ``vectors`` the vectors (..., n, n), each
+    matrix laid out in Fortran order as :func:`_eig` returns it, so that a
+    product with it makes the BLAS call the lone matrix makes.
+
+    Two or more matrices of size n >= 2, each with max|a_ij| in
+    (2^-200, 2^200), run as one stack through :func:`_sweeps_stack`, which
+    reads and fills no trial memo. Any other stack, and so any holding a
+    NaN or an inf, runs :func:`_eig` on each matrix in order, and raises
+    the error of the first matrix that fails.
+    """
+    n = hs.shape[-1]
+    flat = hs.reshape((math.prod(hs.shape[:-2]),) + hs.shape[-2:])
+    if len(flat) > 1 and n > 1 and _in_scaled_range(flat):
+        values, rows = _sweeps_stack(flat, vectors)
+    else:
+        values = np.empty(flat.shape[:-1])
+        rows = np.empty(flat.shape, dtype=complex) if vectors else None
+        for i, h in enumerate(flat):
+            values[i], v = _eig(h, vectors)
+            if vectors:
+                rows[i] = v.T
+    return values.reshape(hs.shape[:-1]), rows.swapaxes(-1, -2).reshape(hs.shape) if vectors else None
+
+
+def _in_scaled_range(hs: np.ndarray) -> bool:
+    """True when every matrix of the stack ``hs`` (k, n, n), n >= 1, has
+    max|a_ij| in (2^-200, 2^200); False for a NaN or an inf."""
+    amax = np.hypot(hs.real, hs.imag).max(axis=(-2, -1))
+    return bool(((2.0**-200 < amax) & (amax < 2.0**200)).all())
+
+
+def _mul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as CPython's _Py_c_prod rounds it, for floats
+    or float64 arrays; a float c times z is _mul(c, 0.0, zr, zi)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _sweeps_stack(a: np.ndarray, vectors: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """:func:`_sweeps` of each matrix of the exactly Hermitian stack ``a``
+    (k, n, n), bit for bit: the descending values (k, n) and, with
+    ``vectors``, each matrix's vectors transposed (k, n, n), their columns
+    as rows.
+
+    Each max|a_ij| must lie in (2^-200, 2^200), where _sweeps neither
+    rescales nor refuses. The rotations run on float64 real and imaginary
+    parts and repeat _sweeps' Python complex operations one by one as
+    CPython computes them: a product as _Py_c_prod, a float times z as
+    complex(float, 0) times z, z / r as _Py_c_quot with divisor (r, 0), and
+    |z| as the C hypot. atan2, cos, sin and the stop rule's hypot come from
+    math, one call per matrix. A matrix leaves the stack at the sweep that
+    finds it converged, and a pivot skips the matrices whose |a_pq| is at
+    most _TINY.
+    """
+    k, n = a.shape[0], a.shape[-1]
+    stop = _STOP * np.array([_frobenius(x) for x in a])
+    # A's rows over V's rows, the matrix index last, so that a pivot entry
+    # of every matrix is one contiguous vector
+    w = np.concatenate((a, np.broadcast_to(np.eye(n, dtype=complex), a.shape)), axis=1) if vectors else a
+    wr = w.real.transpose(1, 2, 0).copy()
+    wi = w.imag.transpose(1, 2, 0).copy()
+    done_r, done_i = np.empty_like(wr), np.empty_like(wi)
+    active = np.arange(k)
+    upper = np.triu_indices(n, 1)  # row-major, as _sweeps lists the moduli
+    for _ in range(_MAX_SWEEPS):
+        moduli = np.hypot(wr[upper], wi[upper]).T.tolist()
+        converged = math.sqrt(2.0) * np.array([math.hypot(*row) for row in moduli]) <= stop
+        if converged.any():
+            done_r[..., active[converged]] = wr[..., converged]
+            done_i[..., active[converged]] = wi[..., converged]
+            keep = ~converged
+            active, stop, wr, wi = active[keep], stop[keep], wr[..., keep], wi[..., keep]
+            if not active.size:
+                break
+        for p, q, _ in _pivots(n):
+            r = np.hypot(wr[p, q], wi[p, q])
+            rotating = r > _TINY
+            if rotating.all():
+                _rotate_stack(wr, wi, p, q, r)
+            elif rotating.any():
+                part_r, part_i = wr[..., rotating], wi[..., rotating]
+                _rotate_stack(part_r, part_i, p, q, r[rotating])
+                wr[..., rotating], wi[..., rotating] = part_r, part_i
+    else:
+        raise NoConvergence(f"Jacobi sweep budget ({_MAX_SWEEPS}) exhausted")
+
+    i = np.arange(n)
+    diagonal = done_r[i, i].T
+    # descending, ties in index order, as _sweeps sorts
+    order = np.argsort(-diagonal, axis=1, kind="stable")
+    values = np.take_along_axis(diagonal, order, axis=1)
+    if not vectors:
+        return values, None
+    # V[i, j] of matrix m is done[n + i, j, m]; row j of the output is V's column order[j]
+    rows = np.empty((k, n, n), dtype=complex)
+    rows.real = np.take_along_axis(done_r[n:].transpose(2, 1, 0), order[:, :, None], axis=1)
+    rows.imag = np.take_along_axis(done_i[n:].transpose(2, 1, 0), order[:, :, None], axis=1)
+    return values, rows
+
+
+def _rotate_stack(wr: np.ndarray, wi: np.ndarray, p: int, q: int, r: np.ndarray) -> None:
+    """One rotation of :func:`_sweeps` at the pivot (p, q), with |a_pq| = r,
+    in place on every matrix of the stack (wr + i wi)[:, :, m], A's rows
+    over V's rows."""
+    n = wr.shape[1]
+    xr, xi = wr[p, q], wi[p, q]
+    # phase = a_pq / r: _Py_c_quot's ratio is 0.0 and its denominator r
+    phase_r = (xr + xi * 0.0) / r
+    phase_i = (xi - xr * 0.0) / r
+    theta = [0.5 * math.atan2(y, x) for y, x in zip((2.0 * r).tolist(), (wr[q, q] - wr[p, p]).tolist())]
+    c = np.array(list(map(math.cos, theta)))
+    s = np.array(list(map(math.sin, theta)))
+    sp_r, sp_i = _mul(s, 0.0, phase_r, phase_i)
+    spc_r, spc_i = _mul(s, 0.0, phase_r, -phase_i)
+    # columns p and q of A and V: c x_p - spc x_q and sp x_p + c x_q
+    col_pr, col_pi, col_qr, col_qi = wr[:, p], wi[:, p], wr[:, q], wi[:, q]
+    cp_r, cp_i = _mul(c, 0.0, col_pr, col_pi)
+    sq_r, sq_i = _mul(spc_r, spc_i, col_qr, col_qi)
+    sp_pr, sp_pi = _mul(sp_r, sp_i, col_pr, col_pi)
+    cq_r, cq_i = _mul(c, 0.0, col_qr, col_qi)
+    new_pr, new_pi = cp_r - sq_r, cp_i - sq_i
+    new_qr, new_qi = sp_pr + cq_r, sp_pi + cq_i
+    # the diagonal (c cpp - sp cqp).real and (spc cpq + c cqq).real, from
+    # rows p and q of the new columns
+    app = (c * new_pr[p] - 0.0 * new_pi[p]) - (sp_r * new_pr[q] - sp_i * new_pi[q])
+    aqq = (spc_r * new_qr[p] - spc_i * new_qi[p]) + (c * new_qr[q] - 0.0 * new_qi[q])
+    wr[:, p], wi[:, p], wr[:, q], wi[:, q] = new_pr, new_pi, new_qr, new_qi
+    # rows p and q of A receive the conjugates, then the (p, q) block is set;
+    # _sweeps stores a float on the diagonal, which CPython widens to
+    # complex(x, 0.0) in every later operation
+    wr[p], wi[p], wr[q], wi[q] = new_pr[:n], -new_pi[:n], new_qr[:n], -new_qi[:n]
+    wr[p, p], wr[q, q] = app, aqq
+    wi[p, p] = wi[q, q] = wr[p, q] = wi[p, q] = wr[q, p] = wi[q, p] = 0.0
 
 
 def _sweeps(a: np.ndarray, vectors: bool) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
@@ -326,8 +456,7 @@ def _sweeps(a: np.ndarray, vectors: bool) -> Optional[Tuple[np.ndarray, Optional
             a = np.ldexp(a.real, shift) + 1j * np.ldexp(a.imag, shift)
             rows = a.tolist()
             scale = _frobenius(a)
-    stop = 1e-14 * scale
-    tiny = 1e-300
+    stop = _STOP * scale
 
     # The rotations run on Python complex scalars held in row lists: at these
     # sizes a numpy call on a length-n slice costs far more than its
@@ -346,7 +475,7 @@ def _sweeps(a: np.ndarray, vectors: bool) -> Optional[Tuple[np.ndarray, Optional
             row_q = rows[q]
             apq = row_p[q]
             r = abs(apq)
-            if r <= tiny:
+            if r <= _TINY:
                 continue
             phase = apq / r
             app = row_p[p]
@@ -528,10 +657,36 @@ def _operator_norm(a: np.ndarray) -> float:
     """:func:`operator_norm` of a finite 2-d complex array."""
     if a.size == 0:
         return 0.0
+    h, hermitian = _norm_operand(a)
+    return _norm_from_values(_eig(h, vectors=False)[0], hermitian)
+
+
+def _operator_norms(cs: np.ndarray) -> list:
+    """``[_operator_norm(c) for c in cs]`` for a stack ``cs`` (k, m, n),
+    bit for bit, from one values-only :func:`_eig_stack` run. Each matrix
+    gets its own Hermitian test and Gram product, the BLAS call it makes
+    alone."""
+    if cs.size == 0:
+        return [0.0] * len(cs)
+    operands = [_norm_operand(c) for c in cs]
+    values = _eig_stack(np.array([h for h, _ in operands]), vectors=False)[0]
+    return [_norm_from_values(v, hermitian) for v, (_, hermitian) in zip(values, operands)]
+
+
+def _norm_operand(a: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """The exactly Hermitian matrix whose spectrum gives ||a||, a nonempty
+    2-d array: a's Hermitian part when ``a`` is Hermitian within
+    1e-12 (1 + max|a_ij|), else a* a's; and whether it is the former."""
     if a.shape[0] == a.shape[1] and hermitian_defect(a) <= 1e-12 * (1.0 + float(np.abs(a).max())):
-        return float(np.abs(_eig(hermitian_part(a), vectors=False)[0]).max())
-    gram = hermitian_part(a.conj().T @ a)
-    return math.sqrt(max(float(_eig(gram, vectors=False)[0][0]), 0.0))
+        return hermitian_part(a), True
+    return hermitian_part(a.conj().T @ a), False
+
+
+def _norm_from_values(values: np.ndarray, hermitian: bool) -> float:
+    """||a|| from the descending spectrum of its :func:`_norm_operand`."""
+    if hermitian:
+        return float(np.abs(values).max())
+    return math.sqrt(max(float(values[0]), 0.0))
 
 
 def spectral_radius_psd_product(a, b, tol: Optional[Tolerance] = None) -> float:

@@ -7,14 +7,22 @@ import opcheck.linalg
 
 @pytest.fixture
 def sweep_runs(monkeypatch):
-    """Counts runs of the Jacobi sweep loop behind eigh and eigvalsh; a hit in
-    a campaign trial's factorization memo runs none."""
+    """Counts runs of the Jacobi sweep loop behind eigh and eigvalsh, one
+    per matrix: a call of _sweeps runs one, and a call of _sweeps_stack
+    runs one for each matrix of its stack. A hit in a campaign trial's
+    factorization memo runs none."""
     calls = []
     original = opcheck.linalg._sweeps
+    original_stack = opcheck.linalg._sweeps_stack
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
+    def counting_stack(a, *args, **kwargs):
+        calls.extend([1] * len(a))
+        return original_stack(a, *args, **kwargs)
+
     monkeypatch.setattr(opcheck.linalg, "_sweeps", counting)
+    monkeypatch.setattr(opcheck.linalg, "_sweeps_stack", counting_stack)
     return calls

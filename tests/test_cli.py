@@ -2,11 +2,13 @@
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
-from opcheck.campaign import CHECK_IDS, CampaignSpec, make_instance, run_campaign
+import opcheck.campaign
+from opcheck.campaign import CHECK_IDS, CampaignSpec, make_instance, run_campaign, write_report
 from opcheck.cli import main
 from opcheck.io import dump_json, matrix_from_json, matrix_to_json
 
@@ -257,6 +259,52 @@ class TestCampaignCommand:
         assert "PASS" in capsys.readouterr().out
         payload = json.loads(out.read_text())
         assert payload["summary"]["failures"] == 0
+
+    @staticmethod
+    def reference_stdout(report):
+        """The summary the campaign command printed from the report's fields
+        before the report printed itself."""
+        status = "PASS" if report.failures == 0 else "FAIL"
+        text = (
+            f"campaign {report.spec.check_id}: {status} "
+            f"({report.trials_run} trials, {report.failures} failures, "
+            f"{report.near_misses} near misses, min slack {report.min_slack:+.3e})\n"
+        )
+        if report.aborted_instance is not None:
+            text += "first failing instance kept in report for replay\n"
+        return text
+
+    @pytest.mark.parametrize("failing_trial", [None, 3])
+    def test_the_report_prints_and_writes_itself(self, tmp_path, capsys, monkeypatch, failing_trial):
+        run = opcheck.campaign.run_instance
+        calls = []
+
+        def failing_run(inst, tol):
+            result = run(inst, tol)
+            calls.append(1)
+            if len(calls) != failing_trial:
+                return result
+            return types.SimpleNamespace(passed=False, slack=-0.25, to_json=lambda: {"pass": False})
+
+        monkeypatch.setattr(opcheck.campaign, "run_instance", failing_run)
+        spec = {"check_id": "check_geometric_domination", "trials": 6, "seed": 4}
+        report = run_campaign(CampaignSpec.from_json(spec))
+        assert report.passed is (failing_trial is None)
+        write_report(report, str(tmp_path / "expected.json"))
+        calls.clear()
+        out = tmp_path / "report.json"
+        assert main(["campaign", "--spec", write(tmp_path / "spec.json", spec), "--out", str(out)]) == (
+            0 if failing_trial is None else 1
+        )
+        assert capsys.readouterr().out == self.reference_stdout(report)
+        assert out.read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+    def test_the_spec_output_path_receives_the_report(self, tmp_path, capsys):
+        out = tmp_path / "from_spec.json"
+        spec = {"check_id": "check_russo_dye", "trials": 3, "seed": 4, "output_path": str(out)}
+        assert main(["campaign", "--spec", write(tmp_path / "spec.json", spec)]) == 0
+        assert json.loads(out.read_text())["summary"]["trials"] == 3
+        assert capsys.readouterr().out.startswith("campaign check_russo_dye: PASS (3 trials, 0 failures, ")
 
     def test_invalid_spec_exit_code(self, tmp_path, capsys):
         path = write(tmp_path / "spec.json", {"check_id": "check_russo_dye", "trials": 0})

@@ -1,0 +1,118 @@
+"""Exact metamorphic relations of the kernels, bit for bit.
+
+Away from overflow and underflow, multiplying by 2^k is exact in IEEE
+arithmetic, and every rule of the Jacobi sweeps and the SVD is relative, so
+f(2^k x) = 2^k f(x) with the same vectors. Conjugating every entry commutes
+with + - * / and the square root, and with each rotation, so f(conj x) is
+the conjugate of f(x), except for the sign of a zero: conjugating turns an
+imaginary part +0.0 into -0.0, where the kernel run on the conjugate
+computes +0.0 again. Neither relation needs a tolerance or a reference.
+
+The geometric mean's scale relation fails today, through the absolute
+floors of its singular-input handling, and is not listed here.
+"""
+
+import numpy as np
+import pytest
+
+from opcheck.decompose import _svd
+from opcheck.linalg import _eig, _eig_stack, hermitian_part
+
+EXPONENTS = [20, -20, 40, -40, 80, -80]
+SIZES = [2, 3, 4, 5, 6]
+
+
+def ginibre(shape, rng):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def scaled(x, k):
+    """2^k x, part by part, which keeps every bit of the mantissas and every zero's sign."""
+    out = np.empty_like(x)
+    out.real = np.ldexp(x.real, k)
+    out.imag = np.ldexp(x.imag, k)
+    return out
+
+
+def unsigned(x):
+    """The bytes of ``x`` with every -0.0 made +0.0 and every other bit kept."""
+    return (x + 0.0).tobytes()
+
+
+def hermitians(n, seed):
+    """A Wishart matrix, a general Hermitian part, a graded D A D and a
+    rank-one matrix, all exactly Hermitian."""
+    rng = np.random.default_rng(seed)
+    g = ginibre((n, n), rng)
+    d = np.logspace(0, -6, n)
+    v = ginibre((n, 1), rng)
+    wishart = hermitian_part(g @ g.conj().T)
+    return [wishart, hermitian_part(ginibre((n, n), rng)), hermitian_part(d[:, None] * wishart * d),
+            hermitian_part(v @ v.conj().T)]
+
+
+def squares(n, seed):
+    """A Ginibre matrix, a rank-deficient one and a graded one."""
+    rng = np.random.default_rng(seed)
+    g = ginibre((n, n), rng)
+    low = ginibre((n, n - 1), rng) @ ginibre((n - 1, n), rng)
+    return [g, low, g * np.logspace(0, -6, n)]
+
+
+@pytest.mark.parametrize("exponent", EXPONENTS)
+@pytest.mark.parametrize("n", SIZES)
+def test_eig_scales_exactly(n, exponent):
+    for h in hermitians(n, n):
+        values, vectors = _eig(h)
+        got_values, got_vectors = _eig(scaled(h, exponent))
+        assert got_values.tobytes() == np.ldexp(values, exponent).tobytes()
+        assert got_vectors.tobytes() == vectors.tobytes()
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_eig_commutes_with_conjugation(n):
+    for h in hermitians(n, n):
+        values, vectors = _eig(h)
+        got_values, got_vectors = _eig(h.conj())
+        assert got_values.tobytes() == values.tobytes()
+        assert unsigned(got_vectors) == unsigned(vectors.conj())
+
+
+@pytest.mark.parametrize("exponent", EXPONENTS)
+@pytest.mark.parametrize("n", SIZES)
+def test_eig_stack_scales_exactly(n, exponent):
+    hs = np.array(hermitians(n, n) + hermitians(n, n + 10))
+    values, vectors = _eig_stack(hs)
+    got_values, got_vectors = _eig_stack(scaled(hs, exponent))
+    assert got_values.tobytes() == np.ldexp(values, exponent).tobytes()
+    assert got_vectors.tobytes() == vectors.tobytes()
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_eig_stack_commutes_with_conjugation(n):
+    hs = np.array(hermitians(n, n) + hermitians(n, n + 10))
+    values, vectors = _eig_stack(hs)
+    got_values, got_vectors = _eig_stack(hs.conj())
+    assert got_values.tobytes() == values.tobytes()
+    assert unsigned(got_vectors) == unsigned(vectors.conj())
+
+
+@pytest.mark.parametrize("exponent", EXPONENTS)
+@pytest.mark.parametrize("n", SIZES)
+def test_svd_scales_exactly(n, exponent):
+    for z in squares(n, n):
+        parts = _svd(z, None)
+        got = _svd(scaled(z, exponent), None)
+        assert got.values.tobytes() == np.ldexp(parts.values, exponent).tobytes()
+        assert got.left.tobytes() == parts.left.tobytes() and got.right.tobytes() == parts.right.tobytes()
+        assert got.rank == parts.rank
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_svd_commutes_with_conjugation(n):
+    for z in squares(n, n):
+        parts = _svd(z, None)
+        got = _svd(z.conj(), None)
+        assert got.values.tobytes() == parts.values.tobytes() and got.rank == parts.rank
+        assert unsigned(got.left) == unsigned(parts.left.conj())
+        assert unsigned(got.right) == unsigned(parts.right.conj())

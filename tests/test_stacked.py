@@ -9,9 +9,19 @@ import numpy as np
 import pytest
 
 import opcheck.checks as C
+import opcheck.linalg
 from opcheck.decompose import _cartesian
 from opcheck.errors import SearchExhausted
-from opcheck.linalg import EigenSystem, _clears, _eig, _operator_norm, _spectral_radius, hermitian_part
+from opcheck.linalg import (
+    EigenSystem,
+    _clears,
+    _eig,
+    _eig_stack,
+    _operator_norm,
+    _operator_norms,
+    _spectral_radius,
+    hermitian_part,
+)
 from opcheck.posmap import (
     Congruence,
     IdentityMap,
@@ -311,3 +321,202 @@ def test_the_search_needs_a_nonnegative_seed(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
         C.find_counterexamples_remarks(10, -3, 2)
+
+
+def reference_eig_stack(hs, vectors=True):
+    """_eig_stack as it was before the stacked kernel: _eig on each matrix,
+    the values stacked and each matrix's vectors kept in Fortran order."""
+    out = [_eig(h, vectors) for h in hs]
+    values = np.array([v for v, _ in out])
+    if not vectors:
+        return values, None
+    return values, np.array([v.T for _, v in out]).swapaxes(-1, -2)
+
+
+def wishart(rng, k, n):
+    g = ginibre((k, n, n), rng)
+    return hermitian_part(g @ g.conj().swapaxes(-1, -2))
+
+
+def graded_stack(rng, k, n):
+    """D A D with D = diag(logspace(0, -8)): eigenvalues from 1 down to about 1e-16."""
+    d = np.logspace(0, -8, n)
+    return hermitian_part(d[:, None] * wishart(rng, k, n) * d)
+
+
+def diagonal_stack(rng, k, n):
+    """Diagonal matrices: every pivot is skipped, no rotation runs."""
+    return np.array([np.diag(rng.standard_normal(n)) for _ in range(k)], dtype=complex)
+
+
+def tied_stack(rng, k, n):
+    """Identity blocks, so repeated eigenvalues, mixed by a unitary in half of them."""
+    out = []
+    for i in range(k):
+        h = np.eye(n, dtype=complex)
+        h[: n // 2, : n // 2] *= 2.0
+        if i % 2:
+            u = np.linalg.qr(ginibre((n, n), rng))[0]
+            h = hermitian_part(u @ h @ u.conj().T)
+        out.append(h)
+    return np.array(out)
+
+
+def product_stack(rng, k, n):
+    """Entrywise products of Hermitian parts with negative diagonals, so
+    the diagonal imaginary parts are -0.0."""
+    a = hermitian_part(ginibre((k, n, n), rng)) - 3.0 * np.eye(n)
+    b = hermitian_part(ginibre((k, n, n), rng)) - 3.0 * np.eye(n)
+    return a * b
+
+
+def signed_zero_stack(rng, k, n):
+    """Exactly Hermitian matrices whose parts are small dyadic numbers or
+    +-0.0: their rotations meet the signed zeros of CPython's complex
+    arithmetic, and some of their pivots are zero."""
+    parts = np.array([-0.0, 0.0, -0.0, 0.0, -1.0, 1.0, 2.0, -0.5])
+    h = np.empty((k, n, n), dtype=complex)
+    h.real = rng.choice(parts, (k, n, n))
+    h.imag = rng.choice(parts, (k, n, n))
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    h = np.where(upper, h, h.conj().swapaxes(-1, -2))
+    i = np.arange(n)
+    h.imag[:, i, i] = rng.choice([-0.0, 0.0], (k, n))
+    h.real[:, i, i] = rng.choice([-1.0, 0.5, 3.0], (k, n))
+    return h
+
+
+def mixed_stack(rng, k, n):
+    """Fast and slow convergers in one stack: diagonal, nearly diagonal,
+    2 x 2-block and full matrices, interleaved."""
+    kinds = [diagonal_stack(rng, k, n), wishart(rng, k, n), tied_stack(rng, k, n)]
+    near = diagonal_stack(rng, k, n) + 1e-9 * hermitian_part(ginibre((k, n, n), rng))
+    blocks = wishart(rng, k, n)
+    blocks[:, 2:, :2] = blocks[:, :2, 2:] = 0.0
+    kinds += [near, blocks]
+    return np.array([kinds[i % len(kinds)][i] for i in range(k)])
+
+
+STACK_KINDS = {
+    "wishart": wishart,
+    "graded": graded_stack,
+    "diagonal": diagonal_stack,
+    "tied": tied_stack,
+    "product": product_stack,
+    "signed_zero": signed_zero_stack,
+    "mixed": mixed_stack,
+}
+
+
+def test_the_stacks_hold_negative_zeros_and_are_exactly_hermitian():
+    rng = np.random.default_rng(0)
+    assert np.signbit(product_stack(rng, 7, 3).imag.diagonal(axis1=1, axis2=2)).any()
+    hs = signed_zero_stack(rng, 7, 3)
+    assert (np.signbit(hs.real) & (hs.real == 0)).any() and (np.signbit(hs.imag) & (hs.imag == 0)).any()
+    for kind in STACK_KINDS.values():
+        hs = kind(rng, 7, 4)
+        assert (hs == hs.conj().swapaxes(-1, -2)).all()
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+@pytest.mark.parametrize("k", [2, 7, 100])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_eig_stack_equals_the_per_matrix_loop(kind, k, n):
+    hs = STACK_KINDS[kind](np.random.default_rng(1000 * n + k), k, n)
+    values, vectors = _eig_stack(hs)
+    ref_values, ref_vectors = reference_eig_stack(hs)
+    assert values.tobytes() == ref_values.tobytes() and values.strides == ref_values.strides
+    assert vectors.tobytes() == ref_vectors.tobytes() and vectors.strides == ref_vectors.strides
+    only, none = _eig_stack(hs, vectors=False)
+    assert none is None and only.tobytes() == ref_values.tobytes() and only.strides == ref_values.strides
+
+
+def test_eig_stack_keeps_the_lead_shape():
+    hs = wishart(np.random.default_rng(2), 12, 3).reshape(3, 4, 3, 3)
+    values, vectors = _eig_stack(hs)
+    ref_values, ref_vectors = reference_eig_stack(hs.reshape(12, 3, 3))
+    assert values.shape == (3, 4, 3) and vectors.shape == (3, 4, 3, 3)
+    assert values.tobytes() == ref_values.tobytes() and vectors.tobytes() == ref_vectors.tobytes()
+    assert vectors[1, 2].strides == ref_vectors[6].strides
+
+
+def test_a_stack_runs_the_stacked_kernel_and_a_lone_matrix_the_scalar_one(monkeypatch):
+    hs = wishart(np.random.default_rng(3), 5, 4)
+    ref_values = reference_eig_stack(hs)[0]
+
+    def refuse(*args):
+        raise AssertionError("the scalar kernel ran")
+
+    monkeypatch.setattr(opcheck.linalg, "_sweeps", refuse)
+    assert _eig_stack(hs)[0].tobytes() == ref_values.tobytes()
+    with pytest.raises(AssertionError, match="the scalar kernel ran"):
+        _eig_stack(hs[:1])
+
+
+def outcome(fn, hs):
+    """fn(hs)'s values and vectors bytes, or its error as (type, message)."""
+    try:
+        values, vectors = fn(hs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return values.tobytes(), vectors.tobytes()
+
+
+@pytest.mark.parametrize("exponent", [210, -210])
+def test_a_matrix_off_the_scaled_range_sends_the_stack_through_the_loop(exponent):
+    hs = wishart(np.random.default_rng(4), 7, 3)
+    hs[4].real *= 2.0**exponent
+    hs[4].imag *= 2.0**exponent
+    assert outcome(_eig_stack, hs) == outcome(reference_eig_stack, hs)
+
+
+def test_a_failing_stack_raises_the_first_error_of_the_loop():
+    hs = wishart(np.random.default_rng(5), 6, 3)
+    hs[2, 0, 0] = 1e308  # its Hermitian part overflows
+    hs[4, 1, 1] = math.nan
+    assert outcome(_eig_stack, hs) == outcome(reference_eig_stack, hs)
+    assert outcome(_eig_stack, hs)[1].startswith("Hermitian part overflows")
+    assert outcome(_eig_stack, hs[::-1]) == outcome(reference_eig_stack, hs[::-1])
+    assert outcome(_eig_stack, hs[::-1])[1] == "matrix contains non-finite entries"
+
+
+def norm_stacks(rng, k, n):
+    """Hermitian, nearly Hermitian, general and mixed stacks, and one with a
+    zero matrix, which sends its values-only run through the loop."""
+    general = ginibre((k, n, n), rng)
+    hermitian = hermitian_part(general)
+    nearly = hermitian + 1e-14 * ginibre((k, n, n), rng)
+    mixed = np.where(np.arange(k)[:, None, None] % 2, hermitian, general)
+    zero = general.copy()
+    zero[k // 2] = 0.0
+    return {"hermitian": hermitian, "nearly": nearly, "general": general, "mixed": mixed, "zero": zero,
+            "wide": ginibre((k, n, n + 1), rng)}
+
+
+@pytest.mark.parametrize("k", [2, 7, 100])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_operator_norms_equal_the_per_matrix_norms(k, n):
+    for name, cs in norm_stacks(np.random.default_rng(10 * n + k), k, n).items():
+        assert [x.hex() for x in _operator_norms(cs)] == [_operator_norm(c).hex() for c in cs], name
+
+
+def test_the_congruence_norms_are_the_per_matrix_norms():
+    zs = ginibre((100, 3, 3), np.random.default_rng(6))
+    sums = C._cartesian_sum(zs, None)
+    inv_half = np.array([s.inv_half for s in sums])
+    assert [s.congruence_norm.hex() for s in sums] == [_operator_norm(c).hex() for c in inv_half @ zs @ inv_half]
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_an_empty_stack_has_empty_spectra(vectors):
+    values, vecs = _eig_stack(np.zeros((0, 3, 3), dtype=complex), vectors)
+    assert values.shape == (0, 3) and values.dtype == float
+    assert vecs is None if not vectors else (vecs.shape == (0, 3, 3) and vecs.dtype == complex)
+    assert _operator_norms(np.zeros((0, 2, 2), dtype=complex)) == []
+    assert C._cartesian_sum(np.zeros((0, 2, 2), dtype=complex), None) == []
+
+
+def test_the_search_does_the_kernel_work_of_the_per_trial_loop(sweep_runs):
+    """A stacked matrix counts as one sweep run, as the per-trial loop ran it."""
+    C.find_counterexamples_remarks(3000, 5, 2)
+    assert len(sweep_runs) == 408

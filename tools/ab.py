@@ -26,7 +26,8 @@ each benchmark workload at seed 2026 through the tree's own
 ``perfbench/workloads.py`` and writes each op's outcome digest, one line per
 op, which shows the first op whose verdict, slack, witness trials or error
 changed. And it writes ``sweep_runs.json``: per check id, the runs of the
-Jacobi sweep loop ``opcheck.linalg._sweeps`` in ``SWEEP_TRIALS`` campaign
+Jacobi sweep loop, one per matrix that ``opcheck.linalg._sweeps`` or
+``_sweeps_stack`` diagonalizes, in ``SWEEP_TRIALS`` campaign
 trials at seed ``SWEEP_SEED``, and under ``graded_mix`` the runs in the
 first ``SWEEP_GRADED_OPS`` ops of that workload at the same seed, through
 the tree's own ``perfbench/workloads.py``, where the rank-deficient SVDs and
@@ -125,6 +126,12 @@ def counting(*args, **kwargs):
     runs.append(1)
     return sweeps(*args, **kwargs)
 opcheck.linalg._sweeps = counting
+sweeps_stack = getattr(opcheck.linalg, "_sweeps_stack", None)  # absent before the stacked kernel
+def counting_stack(a, *args, **kwargs):
+    runs.extend([1] * len(a))
+    return sweeps_stack(a, *args, **kwargs)
+if sweeps_stack is not None:
+    opcheck.linalg._sweeps_stack = counting_stack
 out = {}
 for check_id in CHECK_IDS:
     spec = CampaignSpec(check_id=check_id, seed=int(sys.argv[3]))
@@ -218,7 +225,7 @@ def run_workload(tree: Path, name: str, ops: int, out_dir: Path) -> None:
 
 
 def run_sweep_counts(tree: Path, out_dir: Path) -> None:
-    """sweep_runs.json from ``tree``: the ``_sweeps`` runs per check id in
+    """sweep_runs.json from ``tree``: the sweep runs per check id in
     ``SWEEP_TRIALS`` trials at ``SWEEP_SEED``, and under ``graded_mix`` in
     the first ``SWEEP_GRADED_OPS`` ops of that workload at ``SWEEP_SEED``,
     from ``tree``'s ``perfbench/workloads.py``; stderr and the exit status
