@@ -567,13 +567,14 @@ def _cartesian_sum(zs: np.ndarray, tol: Optional[Tolerance]) -> List[_CartesianS
 
     The products and the elementwise arithmetic run on the whole stack, and
     act on each matrix by the IEEE operations, in the order, that they
-    apply to it alone. The three eigendecompositions (X, Y and K) and the
-    values-only run behind the congruence norms each go through
-    :func:`_eig_stack` once, which gives every matrix the bits of its own
-    :func:`_eig`; each norm keeps its own Hermitian test and Gram product,
-    and the spectral radii are one LAPACK call per matrix. So each record
-    has the bits of a stack of one. A Cartesian part that overflows raises
-    :func:`_eig`'s ValueError.
+    apply to it alone. The three eigendecompositions (X, Y and K) go
+    through :func:`_eig_stack` once each, which gives every matrix the bits
+    of its own :func:`_eig`; the congruence norms come from
+    :func:`_operator_norms`, whose Hermitian test, Gram products and
+    values-only spectra are stacked too, and the spectral radii are one
+    LAPACK call per matrix. So each record has the bits of a stack of one,
+    and a stack of one runs the per-matrix norm. A Cartesian part that
+    overflows raises :func:`_eig`'s ValueError.
     """
     parts = _cartesian(zs)
     k = _hermitian_modulus(parts.re_part) + _hermitian_modulus(parts.im_part)

@@ -103,10 +103,33 @@ def _tol(tol: Optional[Tolerance], n: int) -> Tolerance:
 def _frobenius(x: np.ndarray) -> float:
     """``float(np.linalg.norm(x))`` for a complex ``x``, bit for bit: the same
     two BLAS dot products and correctly rounded square root, without numpy's
-    argument dispatch. Overflow warns as there, in the dot or in the sum."""
+    argument dispatch. Overflow warns as there, in the dot or in the sum.
+    :func:`_frobenius_stack` gives the same bits for each matrix of a stack."""
     x = x.ravel(order="K")
     re, im = x.real, x.imag
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _frobenius_stack(a: np.ndarray) -> np.ndarray:
+    """``[_frobenius(x) for x in a]`` for a complex stack ``a`` (k, m, n), bit
+    for bit, as an array.
+
+    Each matrix is flattened in the order ``ravel(order="K")`` gives it, as a
+    view or as a copy of its complex entries, so that its real and imaginary
+    parts keep the stride of two doubles that a lone matrix's parts have:
+    np.vecdot then makes the ddot call, with incx = 2, that ``re.dot(re)``
+    makes. A contiguous copy of the parts would switch OpenBLAS to its
+    unit-stride kernel, which sums in another order. A stack of C-ordered
+    matrices, as every caller's is, is flattened in one call; any other is
+    flattened matrix by matrix.
+    """
+    shape = (len(a), a.shape[-2] * a.shape[-1])
+    if len(a) and a[0].flags.c_contiguous:
+        flat = a.reshape(shape)
+    else:
+        flat = np.array([x.ravel(order="K") for x in a], dtype=complex).reshape(shape)
+    re, im = flat.real, flat.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 class LoewnerDecision(NamedTuple):
@@ -218,6 +241,16 @@ def _pivots(n: int) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
     return tuple(
         (p, q, tuple(i for i in range(n) if i != p and i != q)) for p in range(n - 1) for q in range(p + 1, n)
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _upper(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, read-only: the strict upper triangle in
+    row-major order, as _sweeps lists the moduli."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def _trial_memo(kind: str, a: np.ndarray, *params) -> Tuple[Optional[dict], tuple]:
@@ -332,12 +365,13 @@ def _sweeps_stack(a: np.ndarray, vectors: bool) -> Tuple[np.ndarray, Optional[np
     CPython computes them: a product as _Py_c_prod, a float times z as
     complex(float, 0) times z, z / r as _Py_c_quot with divisor (r, 0), and
     |z| as the C hypot. atan2, cos, sin and the stop rule's hypot come from
-    math, one call per matrix. A matrix leaves the stack at the sweep that
+    math, one call per matrix; the thresholds ||A||_F come from
+    :func:`_frobenius_stack`. A matrix leaves the stack at the sweep that
     finds it converged, and a pivot skips the matrices whose |a_pq| is at
     most _TINY.
     """
     k, n = a.shape[0], a.shape[-1]
-    stop = _STOP * np.array([_frobenius(x) for x in a])
+    stop = _STOP * _frobenius_stack(a)
     # A's rows over V's rows, the matrix index last, so that a pivot entry
     # of every matrix is one contiguous vector
     w = np.concatenate((a, np.broadcast_to(np.eye(n, dtype=complex), a.shape)), axis=1) if vectors else a
@@ -345,7 +379,7 @@ def _sweeps_stack(a: np.ndarray, vectors: bool) -> Tuple[np.ndarray, Optional[np
     wi = w.imag.transpose(1, 2, 0).copy()
     done_r, done_i = np.empty_like(wr), np.empty_like(wi)
     active = np.arange(k)
-    upper = np.triu_indices(n, 1)  # row-major, as _sweeps lists the moduli
+    upper = _upper(n)
     for _ in range(_MAX_SWEEPS):
         moduli = np.hypot(wr[upper], wi[upper]).T.tolist()
         converged = math.sqrt(2.0) * np.array([math.hypot(*row) for row in moduli]) <= stop
@@ -597,6 +631,57 @@ def _clears(h: np.ndarray, margin: float) -> bool:
     return True
 
 
+def _clears_stack(hs: np.ndarray, margins: np.ndarray) -> np.ndarray:
+    """``[_clears(h, m) for h, m in zip(hs, margins)]`` as a bool array, for a
+    stack ``hs`` (k, n, n) and its ``margins`` (k,), bit for bit.
+
+    A stack of one runs :func:`_clears`, which is several times faster on a
+    lone matrix. A larger stack runs the same tests and the same Cholesky
+    factorization on float64 real and imaginary parts, right-looking: at
+    column j it divides the column by pivot j as _Py_c_quot with divisor
+    (p, 0), subtracts |l_ij|^2 from the later diagonal entries and
+    l_i conj(l_m) from the trailing block, as _Py_c_prod and a complex
+    subtraction. So each entry takes the subtractions of _clears' loop in
+    its order, and a matrix that _clears clears gets the same pivots. A
+    matrix whose pivot fails, which makes _clears return, goes on to the
+    last column quietly on whatever values it holds; its verdict stays False.
+    """
+    margins = np.asarray(margins, dtype=float)
+    if len(hs) == 1:
+        return np.array([_clears(hs[0], float(margins[0]))])
+    n = hs.shape[-1]
+    with np.errstate(all="ignore"):
+        # the == of two complex arrays fails on a NaN part, as the list test does
+        cleared = (hs == hs.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
+        diagonal = hs.real.diagonal(axis1=-2, axis2=-1)
+        top = diagonal.max(axis=-1, initial=0.0)
+        shifted = top + margins
+        cleared &= (1e-12 * n * n * (top + 3.0 * margins) <= 0.5 * margins) & (2.0**-200 < shifted)
+        cleared &= shifted < 2.0**200
+        # the matrix index last, as in _sweeps_stack: an entry of every
+        # matrix is one contiguous vector
+        sr = hs.real.transpose(1, 2, 0).copy()
+        si = hs.imag.transpose(1, 2, 0).copy()
+        # d[j] takes its last subtraction at column j - 1, and is then the
+        # square of pivot j
+        d = diagonal.T + margins
+        for j in range(n - 1):
+            pivot = np.sqrt(d[j])
+            col_r, col_i = sr[j + 1 :, j], si[j + 1 :, j]
+            # _Py_c_quot's ratio is 0.0 and its denominator the pivot
+            lr = (col_r + col_i * 0.0) / pivot
+            li = (col_i - col_r * 0.0) / pivot
+            d[j + 1 :] -= lr * lr + li * li
+            # s_im -= l_ij * conj(l_mj) over the trailing block; only its
+            # strict lower triangle is read again
+            ar, ai = lr[:, None], li[:, None]
+            br, bi = lr[None], -li[None]
+            sr[j + 1 :, j + 1 :] -= ar * br - ai * bi
+            si[j + 1 :, j + 1 :] -= ar * bi + ai * br
+        # a NaN pivot fails too
+        return cleared & (d > 0.0).all(axis=0)
+
+
 def sqrtm_psd(h, tol: Optional[Tolerance] = None) -> np.ndarray:
     """PSD square root H^(1/2) (:meth:`EigenSystem.power`), clamping negative
     eigenvalue dust at zero.
@@ -654,39 +739,50 @@ def operator_norm(m) -> float:
 
 
 def _operator_norm(a: np.ndarray) -> float:
-    """:func:`operator_norm` of a finite 2-d complex array."""
+    """:func:`operator_norm` of a finite 2-d complex array: from the spectrum
+    of a's Hermitian part when ``a`` is Hermitian within
+    1e-12 (1 + max|a_ij|), else from a* a's."""
     if a.size == 0:
         return 0.0
-    h, hermitian = _norm_operand(a)
-    return _norm_from_values(_eig(h, vectors=False)[0], hermitian)
+    if a.shape[0] == a.shape[1] and hermitian_defect(a) <= 1e-12 * (1.0 + float(np.abs(a).max())):
+        return float(np.abs(_eig(hermitian_part(a), vectors=False)[0]).max())
+    gram = hermitian_part(a.conj().T @ a)
+    return math.sqrt(max(float(_eig(gram, vectors=False)[0][0]), 0.0))
 
 
 def _operator_norms(cs: np.ndarray) -> list:
-    """``[_operator_norm(c) for c in cs]`` for a stack ``cs`` (k, m, n),
-    bit for bit, from one values-only :func:`_eig_stack` run. Each matrix
-    gets its own Hermitian test and Gram product, the BLAS call it makes
-    alone."""
+    """``[_operator_norm(c) for c in cs]`` for a C-contiguous stack ``cs``
+    (k, m, n), bit for bit.
+
+    A stack of one runs :func:`_operator_norm`. A larger stack takes each
+    of its steps on the whole stack and chooses per matrix with the
+    Hermitian mask: the abs-max reductions of the Hermitian test and the
+    elementwise Hermitian parts act on each matrix as alone, the Gram
+    products c* c of the non-Hermitian matrices are one zgemm call per
+    matrix with the strides of the lone product, and the spectra come from
+    one values-only :func:`_eig_stack` run.
+    """
+    k = len(cs)
+    if k == 1:
+        return [_operator_norm(cs[0])]
     if cs.size == 0:
-        return [0.0] * len(cs)
-    operands = [_norm_operand(c) for c in cs]
-    values = _eig_stack(np.array([h for h, _ in operands]), vectors=False)[0]
-    return [_norm_from_values(v, hermitian) for v, (_, hermitian) in zip(values, operands)]
-
-
-def _norm_operand(a: np.ndarray) -> Tuple[np.ndarray, bool]:
-    """The exactly Hermitian matrix whose spectrum gives ||a||, a nonempty
-    2-d array: a's Hermitian part when ``a`` is Hermitian within
-    1e-12 (1 + max|a_ij|), else a* a's; and whether it is the former."""
-    if a.shape[0] == a.shape[1] and hermitian_defect(a) <= 1e-12 * (1.0 + float(np.abs(a).max())):
-        return hermitian_part(a), True
-    return hermitian_part(a.conj().T @ a), False
-
-
-def _norm_from_values(values: np.ndarray, hermitian: bool) -> float:
-    """||a|| from the descending spectrum of its :func:`_norm_operand`."""
-    if hermitian:
-        return float(np.abs(values).max())
-    return math.sqrt(max(float(values[0]), 0.0))
+        return [0.0] * k
+    m, n = cs.shape[-2:]
+    operands = np.empty((k, n, n), dtype=complex)
+    if m == n:
+        scale = np.abs(cs).max(axis=(-2, -1))
+        defect = np.abs(cs - cs.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        hermitian = defect <= 1e-12 * (1.0 + scale)
+        operands[hermitian] = hermitian_part(cs[hermitian])
+    else:
+        hermitian = np.zeros(k, dtype=bool)
+    general = cs[~hermitian]
+    operands[~hermitian] = hermitian_part(general.conj().swapaxes(-1, -2) @ general)
+    values = _eig_stack(operands, vectors=False)[0]
+    # max(x, 0.0) keeps x unless 0.0 > x
+    largest = values[:, 0]
+    roots = np.sqrt(np.where(0.0 > largest, 0.0, largest))
+    return np.where(hermitian, np.abs(values).max(axis=-1), roots).tolist()
 
 
 def spectral_radius_psd_product(a, b, tol: Optional[Tolerance] = None) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveSemidefinite
 from .io import _json_object, _json_value, matrix_from_json, matrix_to_json
-from .linalg import _clears, _eig, as_matrix, hermitian_part, require_hermitian
+from .linalg import _clears, _clears_stack, _eig, as_matrix, hermitian_part, require_hermitian
 
 __all__ = [
     "POSITIVE",
@@ -340,9 +340,11 @@ def sample_positivity_falsifier(
     rank-one and full-rank PSD draws; deterministic in the seed.
 
     The trials run in blocks of up to ``_BLOCK``: a block's inputs are drawn
-    in trial order and mapped as one stack, then its trials are screened in
-    order, so every trial's image, verdict and witness is the one a trial
-    run alone gives.
+    in trial order and mapped as one stack, and its images go through one
+    stacked Cholesky screen (:func:`_clears_stack`); the trials the screen
+    does not clear are then tested in trial order. So every trial's image,
+    verdict and witness is the one a trial run alone gives, and an image
+    that overflows raises where the trial-by-trial loop raises.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -357,15 +359,14 @@ def sample_positivity_falsifier(
             ws = _psd_draws(rng, d, min(_BLOCK, trials - start))
             hs = hermitian_part(_amplified_apply(phi, ws, level))
             # the initial 0 is the abs-max of a 0 x 0 image and changes no other
-            tops = np.abs(hs).max(axis=(-2, -1), initial=0.0).tolist()
-            for i, (h, top) in enumerate(zip(hs, tops)):
-                # a pass leaves lambda_min >= -0.75e-7 (1 + max|h_ij|), and
-                # max|lambda| >= max|h_ij|: the witness test below cannot fire
-                if _clears(h, 0.5e-7 * (1.0 + top)):
-                    continue
-                if not math.isfinite(top):
+            tops = np.abs(hs).max(axis=(-2, -1), initial=0.0)
+            # a pass leaves lambda_min >= -0.75e-7 (1 + max|h_ij|), and
+            # max|lambda| >= max|h_ij|: the witness test below cannot fire
+            cleared = _clears_stack(hs, 0.5e-7 * (1.0 + tops))
+            for i in np.flatnonzero(~cleared).tolist():
+                if not math.isfinite(tops[i]):
                     raise ValueError("map output overflows")
-                lam = _eig(h, vectors=False)[0]
+                lam = _eig(hs[i], vectors=False)[0]
                 lam_min = float(lam[-1])
                 scale = float(np.abs(lam).max()) if lam.size else 0.0
                 if lam_min < -1e-7 * (1.0 + scale):

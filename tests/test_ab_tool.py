@@ -139,9 +139,10 @@ def test_search_seeds_are_the_small_search_searches(tmp_path):
 
 
 def test_falsifier_witnesses_are_recorded(tmp_path):
-    """falsifier.json holds, per map and level, the witness the falsifier
-    returns: the pinned ones of tests/test_posmap.py at level 2, none at
-    level 1 and none for the Kraus maps."""
+    """falsifier.json holds, per map, level and trial count, the witness the
+    falsifier returns: the pinned ones of tests/test_posmap.py at level 2,
+    found at trial 0 so at every count, none at level 1 and none for the
+    Kraus maps."""
     ab.run_falsifier(ab.ROOT, tmp_path)
     assert (tmp_path / "falsifier.stdout").read_text() == "exit 0\n"
     got = json.loads((tmp_path / "falsifier.json").read_text())
@@ -151,11 +152,15 @@ def test_falsifier_witnesses_are_recorded(tmp_path):
         "transpose_plus_identity_2": "-0x1.3fe297776d8bbp+2",
         "transpose_plus_identity_3": "-0x1.581474b43351bp+3",
     }
-    assert sorted(got) == sorted(f"{name}_level_{level}" for name in [*pinned, "kraus_0", "kraus_1", "kraus_2"]
-                                 for level in (1, 2))
-    for name, value in pinned.items():
-        assert got[f"{name}_level_1"] is None
-        assert (got[f"{name}_level_2"]["trial"], got[f"{name}_level_2"]["min_output_eigenvalue"]) == (0, value)
-    w = sample_positivity_falsifier(TransposeMap(3), 2, ab.FALSIFIER_TRIALS, ab.FALSIFIER_SEED)
-    assert got["transpose_3_level_2"]["input_sha256"] == hashlib.sha256(w.input_matrix.tobytes()).hexdigest()
-    assert all(got[f"kraus_{i}_level_{level}"] is None for i in range(3) for level in (1, 2))
+    assert ab.FALSIFIER_TRIALS == (200, 1, 137)
+    assert sorted(got) == sorted(f"{name}_level_{level}_trials_{trials}" for trials in ab.FALSIFIER_TRIALS
+                                 for name in [*pinned, "kraus_0", "kraus_1", "kraus_2"] for level in (1, 2))
+    for trials in ab.FALSIFIER_TRIALS:
+        for name, value in pinned.items():
+            assert got[f"{name}_level_1_trials_{trials}"] is None
+            witness = got[f"{name}_level_2_trials_{trials}"]
+            assert (witness["trial"], witness["min_output_eigenvalue"]) == (0, value)
+        assert all(got[f"kraus_{i}_level_{level}_trials_{trials}"] is None for i in range(3) for level in (1, 2))
+        w = sample_positivity_falsifier(TransposeMap(3), 2, trials, ab.FALSIFIER_SEED)
+        assert got[f"transpose_3_level_2_trials_{trials}"]["input_sha256"] == hashlib.sha256(
+            w.input_matrix.tobytes()).hexdigest()

@@ -8,6 +8,18 @@ the conjugate of f(x), except for the sign of a zero: conjugating turns an
 imaginary part +0.0 into -0.0, where the kernel run on the conjugate
 computes +0.0 again. Neither relation needs a tolerance or a reference.
 
+    kernel          scaling x -> 2^k x               conjugation x -> conj x
+    _eig            values 2^k times, same vectors   same values, conj vectors
+    _eig_stack      as _eig, per matrix              as _eig, per matrix
+    _svd            values 2^k times, same factors   same values, conj factors
+    _clears         same verdict, h and margin 4^j   same verdict
+    _clears_stack   as _clears, per matrix           as _clears, per matrix
+
+The Cholesky screen scales by 4^j, an even power of two, so that its square
+roots, the pivots, scale exactly too; every test it makes compares
+quantities that scale alike, while top + margin stays inside its range
+(2^-200, 2^200). Conjugation conjugates the factor and leaves the pivots.
+
 The geometric mean's scale relation fails today, through the absolute
 floors of its singular-input handling, and is not listed here.
 """
@@ -16,7 +28,7 @@ import numpy as np
 import pytest
 
 from opcheck.decompose import _svd
-from opcheck.linalg import _eig, _eig_stack, hermitian_part
+from opcheck.linalg import _clears, _clears_stack, _eig, _eig_stack, hermitian_part
 
 EXPONENTS = [20, -20, 40, -40, 80, -80]
 SIZES = [2, 3, 4, 5, 6]
@@ -116,3 +128,42 @@ def test_svd_commutes_with_conjugation(n):
         assert got.values.tobytes() == parts.values.tobytes() and got.rank == parts.rank
         assert unsigned(got.left) == unsigned(parts.left.conj())
         assert unsigned(got.right) == unsigned(parts.right.conj())
+
+
+def screen_inputs(n, seed):
+    """Hermitian matrices with their margins: lambda_min on both sides of
+    -margin, and h = G G* - margin I with G of rank n - 1, whose last pivot
+    is rounding dust of either sign."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in (0.25, 0.9, 1.01, 1.5, 3.0):
+        for h in hermitians(n, seed + int(100 * k)):
+            margin = 1e-7 * float(np.abs(h).max())
+            cases.append((h - (k * margin + np.linalg.eigvalsh(h)[0]) * np.eye(n), margin))
+    for _ in range(10):
+        g = ginibre((n, n - 1), rng)
+        gram = hermitian_part(g @ g.conj().T)
+        margin = 1e-7 * float(np.abs(gram).max())
+        cases.append((gram - margin * np.eye(n), margin))
+    return np.array([h for h, _ in cases]), np.array([margin for _, margin in cases])
+
+
+@pytest.mark.parametrize("j", [10, -10, 40, -40, 80, -80])
+@pytest.mark.parametrize("n", SIZES)
+def test_the_screen_verdict_scales_exactly(n, j):
+    hs, margins = screen_inputs(n, n)
+    verdicts = [_clears(h, margin) for h, margin in zip(hs, margins.tolist())]
+    assert set(verdicts) == {True, False}
+    big, big_margins = scaled(hs, 2 * j), np.ldexp(margins, 2 * j)
+    assert [_clears(h, margin) for h, margin in zip(big, big_margins.tolist())] == verdicts
+    assert _clears_stack(hs, margins).tolist() == verdicts
+    assert _clears_stack(big, big_margins).tolist() == verdicts
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_the_screen_verdict_commutes_with_conjugation(n):
+    hs, margins = screen_inputs(n, n + 10)
+    verdicts = [_clears(h, margin) for h, margin in zip(hs, margins.tolist())]
+    assert set(verdicts) == {True, False}
+    assert [_clears(h.conj(), margin) for h, margin in zip(hs, margins.tolist())] == verdicts
+    assert _clears_stack(hs.conj(), margins).tolist() == verdicts

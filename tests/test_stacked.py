@@ -4,6 +4,7 @@ the positivity falsifier and the counterexample search against copies of
 their one-trial-at-a-time loops."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from opcheck.errors import SearchExhausted
 from opcheck.linalg import (
     EigenSystem,
     _clears,
+    _clears_stack,
     _eig,
     _eig_stack,
+    _frobenius,
+    _frobenius_stack,
     _operator_norm,
     _operator_norms,
     _spectral_radius,
@@ -151,7 +155,7 @@ def falsifier_maps(n):
     return {"transpose": TransposeMap(n), "kraus": kraus, "leaky": leaky_identity(n, 2.2e-7)}
 
 
-@pytest.mark.parametrize("trials", [1, 25, 99, 100, 101, 3000])
+@pytest.mark.parametrize("trials", [1, 2, 25, 37, 99, 100, 101, 137, 250, 3000])
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("level", [1, 2])
 def test_falsifier_equals_the_per_trial_loop(trials, n, level):
@@ -493,7 +497,7 @@ def norm_stacks(rng, k, n):
             "wide": ginibre((k, n, n + 1), rng)}
 
 
-@pytest.mark.parametrize("k", [2, 7, 100])
+@pytest.mark.parametrize("k", [1, 2, 7, 100])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stacked_operator_norms_equal_the_per_matrix_norms(k, n):
     for name, cs in norm_stacks(np.random.default_rng(10 * n + k), k, n).items():
@@ -520,3 +524,157 @@ def test_the_search_does_the_kernel_work_of_the_per_trial_loop(sweep_runs):
     """A stacked matrix counts as one sweep run, as the per-trial loop ran it."""
     C.find_counterexamples_remarks(3000, 5, 2)
     assert len(sweep_runs) == 408
+
+
+def with_entry(value, n):
+    """The n x n identity with ``value`` at (0, 1) and (1, 0)."""
+    m = np.eye(n, dtype=complex)
+    m[0, 1] = m[1, 0] = value
+    return m
+
+
+def with_lambda_min(rng, n, target, scale):
+    """Q diag(0, scale u_1, ...) Q* + target I: its smallest eigenvalue is
+    ``target`` up to rounding."""
+    q = np.linalg.qr(ginibre((n, n), rng))[0]
+    values = scale * rng.uniform(0.0, 1.0, n)
+    values[0] = 0.0
+    return hermitian_part((q * values) @ q.conj().T) + target * np.eye(n)
+
+
+def screen_cases(n):
+    """(h, margin) pairs of size n for the Cholesky screen, after the tables
+    of tests/test_linalg.py's TestCholeskyScreen: lambda_min on both sides
+    of -margin at several scales, PSD, zero and rank-one inputs, inputs
+    whose last pivot is rounding dust, NaN, zero, negative and infinite
+    margins, scales at 2^+-200, non-Hermitian input, NaN and inf entries,
+    extreme magnitudes and large off-diagonal entries."""
+    rng = np.random.default_rng(70 + n)
+    zero = np.zeros((n, n), dtype=complex)
+    if n == 0:
+        return [(zero, 1e-7), (zero, 1.0), (zero, 0.0), (zero, math.nan), (zero, -1.0)]
+    cases = []
+    for exponent in (-6, 0, 6):
+        scale = 10.0**exponent
+        for k in (0.25, 0.9, 1.01, 1.5, 3.0):
+            cases.append((with_lambda_min(rng, n, -k * 1e-7 * scale, scale), 1e-7 * scale))
+    wishart = psd(n, rng)
+    v = ginibre((n, 1), rng)
+    rank_one = hermitian_part(v @ v.conj().T)
+    top = float(np.abs(wishart).max())
+    cases += [(wishart, 0.5e-9 * top), (rank_one, 0.5e-9 * float(np.abs(rank_one).max())), (zero, 1e-7)]
+    # h + margin I = G G* has rank n - 1: the last pivot is rounding dust of
+    # either sign, and it depends on every subtraction before it
+    for _ in range(12):
+        g = ginibre((n, max(n - 1, 1)), rng)
+        gram = hermitian_part(g @ g.conj().T)
+        margin = 1e-7 * float(np.abs(gram).max())
+        cases.append((gram - margin * np.eye(n), margin))
+    cases += [(wishart, margin) for margin in (math.nan, 0.0, -0.0, -top, math.inf)]
+    for exponent in (200, -200):
+        big = 2.0**exponent
+        cases += [(big * np.eye(n), 1e-7 * big), (0.99 * big * np.eye(n), 1e-9 * big), (zero, big), (zero, 2.0 * big)]
+    for value in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0), complex(-math.inf, 0.0),
+                  complex(1.0, 1e-300)):
+        diagonal = np.eye(n, dtype=complex)
+        diagonal[-1, -1] = value
+        cases.append((diagonal, 1.0))
+    for magnitude in (1e-300, 1e300, 8.9e307, 1.5e308):
+        for margin in (1e-7 * magnitude, 1.0, 1e-7):
+            for h in (magnitude * np.eye(n, dtype=complex), np.full((n, n), magnitude, dtype=complex),
+                      magnitude / 4 * hermitian_part(ginibre((n, n), rng))):
+                cases.append((h, margin))
+    if n >= 2:
+        triangular = np.eye(n, dtype=complex)
+        triangular[0, 1] = 1.0
+        symmetric = with_entry(0.5j, n)
+        symmetric[1, 0] = 0.5j
+        cases += [(triangular, 1.0), (symmetric, 1.0)]
+        for value in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0), complex(0.0, -math.inf),
+                      1e150, 1e199, 1e-300, 1e300, 1e300j, 8.9e307, 1.5e308):
+            cases += [(with_entry(value, n), 1.0), (with_entry(value, n), 1e-7)]
+    return cases
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_the_screen_table_decides_both_ways(n):
+    verdicts = {_clears(h, margin) for h, margin in screen_cases(n)}
+    assert verdicts == {True, False}
+
+
+def screen_stacks(n, k):
+    """The cases of screen_cases(n) in stacks of k: every case once, the
+    last stack filled up from the start of the table."""
+    cases = screen_cases(n)
+    if k == 0:
+        return [(np.zeros((0, n, n), dtype=complex), np.zeros(0))]
+    stacks = []
+    for start in range(0, len(cases), k):
+        chosen = [cases[(start + i) % len(cases)] for i in range(k)]
+        stacks.append((np.array([h for h, _ in chosen]), np.array([margin for _, margin in chosen])))
+    return stacks
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 25, 100])
+@pytest.mark.parametrize("n", range(7))
+def test_stacked_screen_equals_the_per_matrix_screen(n, k):
+    for hs, margins in screen_stacks(n, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _clears_stack(hs, margins)
+        assert got.dtype == bool and got.shape == (k,)
+        assert got.tolist() == [_clears(h, float(margin)) for h, margin in zip(hs, margins)]
+
+
+def test_the_stacked_screen_is_quiet_on_failing_pivots():
+    """Zero, negative and NaN pivots, and a NaN margin, in one block: the
+    stack runs on past each failing pivot without a warning."""
+    blocks = [
+        (np.diag([-1.0, 1.0, 1.0]).astype(complex), 1.0),  # pivot 0 is zero
+        (np.diag([1.0, -3.0, 1.0]).astype(complex), 1.0),  # pivot 1 is negative
+        (with_entry(1e199, 3), 1.0),  # |l_10|^2 overflows: pivot 1 is -inf
+        (with_entry(complex(math.inf, 0.0), 3), 1.0),  # l_10 = (inf, nan): pivot 1 is NaN
+        (np.eye(3, dtype=complex), math.nan),
+        (np.eye(3, dtype=complex), 1.0),
+    ]
+    hs = np.array([h for h, _ in blocks])
+    margins = np.array([margin for _, margin in blocks])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _clears_stack(hs, margins)
+    assert got.tolist() == [False, False, False, False, False, True]
+
+
+def test_a_stacked_screen_runs_the_stack_and_a_lone_matrix_the_scalar_screen(monkeypatch):
+    hs = wishart(np.random.default_rng(7), 3, 3)
+    margins = np.full(3, 1e-7)
+
+    def refuse(*args):
+        raise AssertionError("the scalar screen ran")
+
+    monkeypatch.setattr(opcheck.linalg, "_clears", refuse)
+    assert _clears_stack(hs, margins).tolist() == [True] * 3
+    with pytest.raises(AssertionError, match="the scalar screen ran"):
+        _clears_stack(hs[:1], margins[:1])
+
+
+def layouts(rng, k, n):
+    """Stacks in several layouts: C-ordered, F-ordered as a whole, each
+    matrix F-ordered, every other matrix of a larger stack, strided entries
+    of a larger one, reversed rows, and transposed strided columns."""
+    a = ginibre((k, n, n), rng)
+    big = ginibre((2 * k, 2 * n, 2 * n), rng)
+    per_matrix_f = np.empty((k, n, n), dtype=complex, order="C").swapaxes(-1, -2)
+    per_matrix_f[...] = a
+    return {"c": a, "f": np.asfortranarray(a), "matrix_f": per_matrix_f, "every_other": big[::2, :n, :n],
+            "strided": big[:k, ::2, ::2], "reversed": a[:, ::-1, :],
+            "transposed": big[:k, :n, 1 : 2 * n : 2].swapaxes(-1, -2)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 100])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_stacked_frobenius_norms_equal_the_per_matrix_norms(k, n):
+    for name, a in layouts(np.random.default_rng(20 * n + k), k, n).items():
+        got = _frobenius_stack(a)
+        assert got.tobytes() == np.array([_frobenius(x) for x in a]).tobytes(), name
+    assert _frobenius_stack(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)

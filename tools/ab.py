@@ -33,11 +33,12 @@ first ``SWEEP_GRADED_OPS`` ops of that workload at the same seed, through
 the tree's own ``perfbench/workloads.py``, where the rank-deficient SVDs and
 the singular-mean limits run; it names any change in factorization work that
 the byte comparison cannot see. And it writes ``falsifier.json``: per map and
-level, the witness of ``sample_positivity_falsifier`` (its trial, the
-``hex`` of its eigenvalue and the sha256 of its input) or null, for the
-transpose and transpose-plus-identity maps at n = 2, 3 and for the three
-Kraus maps of ``FALSIFIER_SCRIPT``, at levels 1 and 2 with
-``FALSIFIER_TRIALS`` trials at seed ``FALSIFIER_SEED``; the workload
+level and trial count, the witness of ``sample_positivity_falsifier`` (its
+trial, the ``hex`` of its eigenvalue and the sha256 of its input) or null,
+for the transpose and transpose-plus-identity maps at n = 2, 3 and for the
+three Kraus maps of ``FALSIFIER_SCRIPT``, at levels 1 and 2 with each of
+``FALSIFIER_TRIALS`` trials at seed ``FALSIFIER_SEED``: 200, a stack of one
+and 137, whose second block is partial. The workload
 digests see only whether a falsifier op found a witness. Each command's ``--out`` file and
 its stdout and stderr plus exit status are compared byte for byte. It exits
 0 when every file is equal. Otherwise it names every file that differs and
@@ -147,9 +148,9 @@ out["graded_mix"] = len(runs) - start
 with open(sys.argv[1], "w") as f:
     json.dump(out, f, indent=2, sort_keys=True)
 """
-FALSIFIER_TRIALS = 200
+FALSIFIER_TRIALS = (200, 1, 137)
 FALSIFIER_SEED = 3
-# run in a tree as: python -c FALSIFIER_SCRIPT <out.json> <trials> <seed>
+# run in a tree as: python -c FALSIFIER_SCRIPT <out.json> <seed> <trials> [<trials> ...]
 FALSIFIER_SCRIPT = """
 import hashlib, json, sys
 import numpy as np
@@ -163,14 +164,16 @@ for i, (m, n, count) in enumerate(((2, 2, 1), (3, 2, 2), (2, 3, 3))):
     ops = tuple(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)) for _ in range(count))
     maps[f"kraus_{i}"] = KrausSum(kraus=ops)
 out = {}
-for name, phi in maps.items():
-    for level in (1, 2):
-        w = sample_positivity_falsifier(phi, level, int(sys.argv[2]), int(sys.argv[3]))
-        out[f"{name}_level_{level}"] = None if w is None else {
-            "trial": w.trial_index,
-            "min_output_eigenvalue": w.min_output_eigenvalue.hex(),
-            "input_sha256": hashlib.sha256(w.input_matrix.tobytes()).hexdigest(),
-        }
+seed = int(sys.argv[2])
+for trials in map(int, sys.argv[3:]):
+    for name, phi in maps.items():
+        for level in (1, 2):
+            w = sample_positivity_falsifier(phi, level, trials, seed)
+            out[f"{name}_level_{level}_trials_{trials}"] = None if w is None else {
+                "trial": w.trial_index,
+                "min_output_eigenvalue": w.min_output_eigenvalue.hex(),
+                "input_sha256": hashlib.sha256(w.input_matrix.tobytes()).hexdigest(),
+            }
 with open(sys.argv[1], "w") as f:
     json.dump(out, f, indent=2, sort_keys=True)
 """
@@ -235,11 +238,11 @@ def run_sweep_counts(tree: Path, out_dir: Path) -> None:
 
 
 def run_falsifier(tree: Path, out_dir: Path) -> None:
-    """falsifier.json from ``tree``: the falsifier's witnesses per map and
-    level, ``FALSIFIER_TRIALS`` trials at ``FALSIFIER_SEED``; stderr and
-    the exit status go to falsifier.stdout."""
-    run_python(tree, ["-c", FALSIFIER_SCRIPT, str(out_dir / "falsifier.json"), str(FALSIFIER_TRIALS),
-                      str(FALSIFIER_SEED)], out_dir, "falsifier")
+    """falsifier.json from ``tree``: the falsifier's witnesses per map,
+    level and each of ``FALSIFIER_TRIALS`` trials at ``FALSIFIER_SEED``;
+    stderr and the exit status go to falsifier.stdout."""
+    run_python(tree, ["-c", FALSIFIER_SCRIPT, str(out_dir / "falsifier.json"), str(FALSIFIER_SEED),
+                      *map(str, FALSIFIER_TRIALS)], out_dir, "falsifier")
 
 
 def mean_b(lmin: float) -> list:
