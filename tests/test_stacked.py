@@ -1,7 +1,9 @@
 """Stacked evaluation gives every matrix and every trial the bits it has
-alone: maps on the last two axes, the amplified map on the block view, and
-the positivity falsifier and the counterexample search against copies of
-their one-trial-at-a-time loops."""
+alone: maps on the last two axes, the amplified map on the block view, the
+Jacobi sweeps, the operator norms, the Cholesky screen's verdicts and the
+Frobenius norms against the per-matrix kernels, and the positivity
+falsifier and the counterexample search against copies of their
+one-trial-at-a-time loops."""
 
 import math
 import warnings
