@@ -353,6 +353,12 @@ def _mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _quot(xr, xi, r):
+    """(xr + i xi) / r for a real r as CPython's _Py_c_quot rounds it with
+    the divisor (r, 0): its ratio is 0.0 and its denominator r."""
+    return (xr + xi * 0.0) / r, (xi - xr * 0.0) / r
+
+
 def _sweeps_stack(a: np.ndarray, vectors: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """:func:`_sweeps` of each matrix of the exactly Hermitian stack ``a``
     (k, n, n), bit for bit: the descending values (k, n) and, with
@@ -422,9 +428,7 @@ def _rotate_stack(wr: np.ndarray, wi: np.ndarray, p: int, q: int, r: np.ndarray)
     over V's rows."""
     n = wr.shape[1]
     xr, xi = wr[p, q], wi[p, q]
-    # phase = a_pq / r: _Py_c_quot's ratio is 0.0 and its denominator r
-    phase_r = (xr + xi * 0.0) / r
-    phase_i = (xi - xr * 0.0) / r
+    phase_r, phase_i = _quot(xr, xi, r)
     theta = [0.5 * math.atan2(y, x) for y, x in zip((2.0 * r).tolist(), (wr[q, q] - wr[p, p]).tolist())]
     c = np.array(list(map(math.cos, theta)))
     s = np.array(list(map(math.sin, theta)))
@@ -635,11 +639,10 @@ def _clears_stack(hs: np.ndarray, margins: np.ndarray) -> np.ndarray:
     """``[_clears(h, m) for h, m in zip(hs, margins)]`` as a bool array, for a
     stack ``hs`` (k, n, n) and its ``margins`` (k,), bit for bit.
 
-    A stack of one runs :func:`_clears`, which is several times faster on a
-    lone matrix. A larger stack runs the same tests and the same Cholesky
-    factorization on float64 real and imaginary parts, right-looking: at
-    column j it divides the column by pivot j as _Py_c_quot with divisor
-    (p, 0), subtracts |l_ij|^2 from the later diagonal entries and
+    It runs the same tests and the same Cholesky factorization on float64
+    real and imaginary parts, right-looking: at column j it divides the
+    column by pivot j as _Py_c_quot with divisor (p, 0) (:func:`_quot`),
+    subtracts |l_ij|^2 from the later diagonal entries and
     l_i conj(l_m) from the trailing block, as _Py_c_prod and a complex
     subtraction. So each entry takes the subtractions of _clears' loop in
     its order, and a matrix that _clears clears gets the same pivots. A
@@ -647,8 +650,6 @@ def _clears_stack(hs: np.ndarray, margins: np.ndarray) -> np.ndarray:
     last column quietly on whatever values it holds; its verdict stays False.
     """
     margins = np.asarray(margins, dtype=float)
-    if len(hs) == 1:
-        return np.array([_clears(hs[0], float(margins[0]))])
     n = hs.shape[-1]
     with np.errstate(all="ignore"):
         # the == of two complex arrays fails on a NaN part, as the list test does
@@ -668,16 +669,13 @@ def _clears_stack(hs: np.ndarray, margins: np.ndarray) -> np.ndarray:
         for j in range(n - 1):
             pivot = np.sqrt(d[j])
             col_r, col_i = sr[j + 1 :, j], si[j + 1 :, j]
-            # _Py_c_quot's ratio is 0.0 and its denominator the pivot
-            lr = (col_r + col_i * 0.0) / pivot
-            li = (col_i - col_r * 0.0) / pivot
+            lr, li = _quot(col_r, col_i, pivot)
             d[j + 1 :] -= lr * lr + li * li
             # s_im -= l_ij * conj(l_mj) over the trailing block; only its
             # strict lower triangle is read again
-            ar, ai = lr[:, None], li[:, None]
-            br, bi = lr[None], -li[None]
-            sr[j + 1 :, j + 1 :] -= ar * br - ai * bi
-            si[j + 1 :, j + 1 :] -= ar * bi + ai * br
+            pr, pi = _mul(lr[:, None], li[:, None], lr[None], -li[None])
+            sr[j + 1 :, j + 1 :] -= pr
+            si[j + 1 :, j + 1 :] -= pi
         # a NaN pivot fails too
         return cleared & (d > 0.0).all(axis=0)
 

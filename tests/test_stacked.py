@@ -647,19 +647,6 @@ def test_the_stacked_screen_is_quiet_on_failing_pivots():
     assert got.tolist() == [False, False, False, False, False, True]
 
 
-def test_a_stacked_screen_runs_the_stack_and_a_lone_matrix_the_scalar_screen(monkeypatch):
-    hs = wishart(np.random.default_rng(7), 3, 3)
-    margins = np.full(3, 1e-7)
-
-    def refuse(*args):
-        raise AssertionError("the scalar screen ran")
-
-    monkeypatch.setattr(opcheck.linalg, "_clears", refuse)
-    assert _clears_stack(hs, margins).tolist() == [True] * 3
-    with pytest.raises(AssertionError, match="the scalar screen ran"):
-        _clears_stack(hs[:1], margins[:1])
-
-
 def layouts(rng, k, n):
     """Stacks in several layouts: C-ordered, F-ordered as a whole, each
     matrix F-ordered, every other matrix of a larger stack, strided entries
