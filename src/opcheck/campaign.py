@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import checks as C
 from .checks import FunPair
-from .decompose import _svd
+from .decompose import SvdParts, _svd
 from .ensembles import generate_with_rng
 from .errors import InstanceGenerationFailure, InvalidSpec
 from .io import (
@@ -29,7 +29,7 @@ from .io import (
     tolerance_from_json,
     tolerance_to_json,
 )
-from .linalg import Tolerance, _with_memo, hermitian_part
+from .linalg import Tolerance, _tol, hermitian_part
 from .posmap import (
     Congruence,
     IdentityMap,
@@ -58,7 +58,8 @@ __all__ = [
 
 # check id -> the Instance fields its function in opcheck.checks takes after
 # phi. The function is looked up by its id on each call, never stored, so a
-# wrapper installed on the checks module sees every call.
+# wrapper installed on the checks module sees every call. A check that takes
+# J runs as its private core, "_" + check id, which also takes Z's SVD.
 _CHECK_ARGS = {
     "check_russo_dye": ("contraction",),
     "check_arithmetic_domination": ("z", "j", "funpair"),
@@ -191,9 +192,10 @@ class Instance:
     funpair: Optional[FunPair] = None
     contraction: Optional[np.ndarray] = None
     split_exponent: Optional[float] = None
-    # the factorizations make_instance ran, which run_instance lets the check
-    # reuse; not instance data, so it is left out of the JSON and of equality
-    memo: Optional[dict] = field(default=None, compare=False, repr=False)
+    # (z, rank cutoff, SVD): the read-only SVD of z that make_instance drew J
+    # from, which run_instance hands to the check while ``z`` is that very
+    # array; not instance data, so it is left out of the JSON, repr and equality
+    z_svd: Optional[Tuple[np.ndarray, float, SvdParts]] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         out = {"check_id": self.check_id, "phi": map_to_json(self.phi)}
@@ -274,12 +276,11 @@ def _random_z(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _funpair_and_j(
-    kind: str, z: np.ndarray, tol: Tolerance, rng: np.random.Generator
+    kind: str, parts: SvdParts, rng: np.random.Generator
 ) -> Optional[tuple]:
     """Build (funpair, J, f(|Z|), g(|Z*|)) with the images meant to lie below J,
-    sharing one SVD of Z across the modulus data. None means resample Z."""
-    n = z.shape[0]
-    parts = _svd(z, tol)
+    from the one SVD ``parts`` of Z. None means resample Z."""
+    n = parts.values.size
     sig = parts.values
     if parts.rank == 0:
         return None
@@ -312,15 +313,10 @@ def make_instance(spec: CampaignSpec, trial: int) -> Instance:
     """Deterministically generate trial inputs satisfying the check's
     hypotheses; resamples (bounded) when a random draw violates them.
 
-    The instance carries a fresh memo of the Jacobi and SVD factorizations
-    run here, which :func:`run_instance` hands on to the check: each matrix
-    is factored once per trial, and never across trials.
+    An instance whose check takes J keeps the SVD of Z that J was drawn from
+    in ``z_svd``, with Z and the factors made read-only, for
+    :func:`run_instance` to hand to the check: Z is factored once per trial.
     """
-    memo: dict = {}
-    return _with_memo(memo, _draw_instance, spec, trial, memo)
-
-
-def _draw_instance(spec: CampaignSpec, trial: int, memo: dict) -> Instance:
     rng = np.random.default_rng([spec.seed, trial])
     families = spec.map_families
     if spec.check_id == "check_two_positive_split":
@@ -335,7 +331,7 @@ def _draw_instance(spec: CampaignSpec, trial: int, memo: dict) -> Instance:
         phi = _random_map(family, n, spec.m_dims, rng)
         if spec.check_id == "check_russo_dye":
             a = generate_with_rng("random_contraction", n, rng)
-            return Instance(check_id=spec.check_id, phi=phi, contraction=a, memo=memo)
+            return Instance(check_id=spec.check_id, phi=phi, contraction=a)
         z = _random_z(rng, n)
         if spec.check_id == "check_two_positive_split":
             p = (
@@ -343,24 +339,31 @@ def _draw_instance(spec: CampaignSpec, trial: int, memo: dict) -> Instance:
                 if spec.split_exponent is not None
                 else _SPLIT_EXPONENTS[trial % len(_SPLIT_EXPONENTS)]
             )
-            return Instance(check_id=spec.check_id, phi=phi, z=z, split_exponent=float(p), memo=memo)
+            return Instance(check_id=spec.check_id, phi=phi, z=z, split_exponent=float(p))
         if spec.check_id == "check_cartesian_suite":
-            return Instance(check_id=spec.check_id, phi=phi, z=z, memo=memo)
-        built = _funpair_and_j(str(_choice(rng, spec.funpair_kinds)), z, spec.tolerances, rng)
+            return Instance(check_id=spec.check_id, phi=phi, z=z)
+        parts = _svd(z, spec.tolerances)
+        built = _funpair_and_j(str(_choice(rng, spec.funpair_kinds)), parts, rng)
         if built is None:
             continue
         fp, j, f_mod, g_comod = built
         if C._images_dominated(j, f_mod, g_comod, spec.tolerances):
-            return Instance(check_id=spec.check_id, phi=phi, z=z, j=j, funpair=fp, memo=memo)
+            for x in (z, parts.left, parts.values, parts.right):
+                x.setflags(write=False)
+            z_svd = (z, spec.tolerances.rank_cutoff, parts)
+            return Instance(check_id=spec.check_id, phi=phi, z=z, j=j, funpair=fp, z_svd=z_svd)
     raise InstanceGenerationFailure(
         f"could not satisfy hypotheses for {spec.check_id} at trial {trial}"
     )
 
 
 def run_instance(inst: Instance, tol: Tolerance):
-    """Run one generated instance through its check, with the instance's
-    factorization memo, if it has one. The outcome reports ``passed``, a
-    signed ``slack`` and its JSON form ``to_json()``."""
+    """Run one generated instance through its check. The outcome reports
+    ``passed``, a signed ``slack`` and its JSON form ``to_json()``.
+
+    A check that takes J gets the SVD in ``inst.z_svd`` when that is the SVD
+    of this very ``inst.z`` at the rank cutoff of ``tol``, and factors Z
+    itself otherwise, as after a ``replace`` of ``z`` or a replay from JSON."""
     if inst.check_id not in _CHECK_ARGS:
         raise InvalidSpec(f"unknown check_id {inst.check_id!r}")
     names = _CHECK_ARGS[inst.check_id]
@@ -368,7 +371,12 @@ def run_instance(inst: Instance, tol: Tolerance):
     missing = [name for name, arg in zip(names, args) if arg is None]
     if missing:
         raise InvalidSpec(f"{inst.check_id} instance lacks {', '.join(missing)}")
-    return _with_memo(inst.memo, getattr(C, inst.check_id), inst.phi, *args, tol)
+    if "j" not in names:
+        return getattr(C, inst.check_id)(inst.phi, *args, tol)
+    z, rank_cutoff, parts = inst.z_svd or (None, None, None)
+    if z is not inst.z or rank_cutoff != _tol(tol, inst.z.shape[0]).rank_cutoff:
+        parts = None
+    return getattr(C, "_" + inst.check_id)(inst.phi, *args, tol, parts)
 
 
 @dataclass

@@ -46,14 +46,17 @@ from .linalg import (
 )
 from .means import (
     MajorizationReport,
+    _clamped,
     _clamped_spectrum,
     _geometric_mean,
+    _geometric_mean_es,
     _prefix_ratios,
     _weak_log_majorizes,
 )
 from .posmap import (
     COMPLETELY_POSITIVE,
     TWO_POSITIVE,
+    IdentityMap,
     PosMap,
     SchurMultiplier,
     _apply,
@@ -246,24 +249,31 @@ def _moduli_radius(parts: SvdParts) -> float:
 
 def domination_holds(z, j, fp: FunPair, tol: Optional[Tolerance] = None) -> bool:
     """f(|Z|) <= J and g(|Z*|) <= J, both in the Loewner order."""
+    return _images_dominated(require_hermitian(j, tol), *moduli_images(z, fp, tol), tol)
+
+
+def _dominated_inputs(phi: PosMap, z, j, fp: FunPair, tol, z_parts) -> Tuple[np.ndarray, np.ndarray, SvdParts]:
+    """Z and J as complex arrays and the SVD of phi(Z) for a check's private
+    core ``_check_*``, once Z and J are validated as :func:`domination_holds`
+    validates them and f(|Z|) <= J and g(|Z*|) <= J hold; HypothesisViolated
+    otherwise. ``z_parts``, if not None, is Z's SVD at the rank cutoff of
+    ``tol``. An IdentityMap image is a copy of Z, bit for bit, and shares
+    Z's SVD; it is formed all the same, to check Z's shape and its entries."""
     jm = require_hermitian(j, tol)
-    f_mod, g_comod = moduli_images(z, fp, tol)
-    if f_mod.shape != jm.shape:
-        raise DimensionMismatch(f"shapes {f_mod.shape} and {jm.shape} differ")
-    return _images_dominated(jm, f_mod, g_comod, tol)
-
-
-def _dominated_inputs(z, j, fp: FunPair, tol: Optional[Tolerance]) -> Tuple[np.ndarray, np.ndarray]:
-    """Z and J as complex arrays, once :func:`domination_holds` has validated
-    them and found f(|Z|) <= J and g(|Z*|) <= J; HypothesisViolated otherwise."""
-    if not domination_holds(z, j, fp, tol):
+    zm = require_square(z)
+    parts = z_parts if z_parts is not None else _svd(zm, tol)
+    if not _images_dominated(jm, *moduli_from_svd(parts, fp), tol):
         raise HypothesisViolated("f(|Z|) <= J and g(|Z*|) <= J required")
-    return np.asarray(z, dtype=complex), np.asarray(j, dtype=complex)
+    image = _apply(phi, zm)
+    return zm, np.asarray(j, dtype=complex), parts if isinstance(phi, IdentityMap) else _svd(image, tol)
 
 
 def _images_dominated(jm, f_mod, g_comod, tol: Optional[Tolerance]) -> bool:
     """f_mod <= J and g_comod <= J for a Hermitian J, both in the Loewner
-    order of :func:`loewner_leq`, which decides what the screen leaves open."""
+    order of :func:`loewner_leq`, which decides what the screen leaves open;
+    DimensionMismatch for images of another shape than J's."""
+    if f_mod.shape != jm.shape:
+        raise DimensionMismatch(f"shapes {f_mod.shape} and {jm.shape} differ")
     if jm.size == 0:
         return True
     # loewner_leq holds at slack >= -abs (1 + ||J||). A screen pass leaves
@@ -290,7 +300,8 @@ def check_russo_dye(phi: PosMap, a, tol: Optional[Tolerance] = None) -> Certific
     norm_a = _operator_norm(am)
     if norm_a > 1.0 + t.abs:
         raise NotContraction(f"operator norm {norm_a:.6g} exceeds 1")
-    lhs = np.array([[_operator_norm(image)]], dtype=complex)
+    # an IdentityMap image is a copy of A, bit for bit, and so has A's norm
+    lhs = np.array([[norm_a if isinstance(phi, IdentityMap) else _operator_norm(image)]], dtype=complex)
     rhs = np.array([[_operator_norm(_apply(phi, np.eye(phi.in_dim, dtype=complex)))]], dtype=complex)
     inputs = {"phi": map_to_json(phi), "A": matrix_to_json(am)}
     return _certificate("check_russo_dye", inputs, lhs, rhs, None, tol)
@@ -300,8 +311,12 @@ def check_arithmetic_domination(
     phi: PosMap, z, j, fp: FunPair, tol: Optional[Tolerance] = None
 ) -> Certificate:
     """|phi(Z)| against the arithmetic mean of phi(J) and its witness conjugate."""
-    zm, jm = _dominated_inputs(z, j, fp, tol)
-    v, lhs = _polar_witness_and_modulus(_svd(_apply(phi, zm), tol))
+    return _check_arithmetic_domination(phi, z, j, fp, tol, None)
+
+
+def _check_arithmetic_domination(phi, z, j, fp, tol, z_parts) -> Certificate:
+    zm, jm, w_parts = _dominated_inputs(phi, z, j, fp, tol, z_parts)
+    v, lhs = _polar_witness_and_modulus(w_parts)
     phj = hermitian_part(_apply(phi, jm))
     rhs = hermitian_part(0.5 * (phj + v @ phj @ v.conj().T))
     inputs = _std_inputs(phi, zm, jm, fp)
@@ -318,8 +333,12 @@ def check_geometric_domination(
     Also asserts the sharpening itself: the geometric right-hand side must not
     exceed the arithmetic one.
     """
-    zm, jm = _dominated_inputs(z, j, fp, tol)
-    v, lhs = _polar_witness_and_modulus(_svd(_apply(phi, zm), tol))
+    return _check_geometric_domination(phi, z, j, fp, tol, None)
+
+
+def _check_geometric_domination(phi, z, j, fp, tol, z_parts) -> Certificate:
+    zm, jm, w_parts = _dominated_inputs(phi, z, j, fp, tol, z_parts)
+    v, lhs = _polar_witness_and_modulus(w_parts)
     phj = hermitian_part(_apply(phi, jm))
     conj = hermitian_part(v @ phj @ v.conj().T)
     rhs, used_limit = _geometric_mean(phj, conj, tol)
@@ -353,8 +372,11 @@ def check_two_positive_split(
             f"map declared {phi.declared_class!r}; the split bound needs 2-positivity"
         )
     zm = as_matrix(z)
-    v, lhs = _polar_witness_and_modulus(_svd(_apply(phi, zm), tol))
-    f_mod, g_comod = moduli_from_svd(_svd(zm, tol), FunPair.power(p))
+    w_parts = _svd(_apply(phi, zm), tol)
+    v, lhs = _polar_witness_and_modulus(w_parts)
+    # an IdentityMap image is a copy of Z, bit for bit, and so has Z's SVD
+    z_parts = w_parts if isinstance(phi, IdentityMap) else _svd(zm, tol)
+    f_mod, g_comod = moduli_from_svd(z_parts, FunPair.power(p))
     left = hermitian_part(_apply(phi, f_mod))
     right = hermitian_part(v @ _apply(phi, g_comod) @ v.conj().T)
     rhs, used_limit = _geometric_mean(left, right, tol)
@@ -375,9 +397,13 @@ def check_log_majorization(
     phi: PosMap, z, j, fp: FunPair, tol: Optional[Tolerance] = None
 ) -> MajorizationReport:
     """|phi(Z)| weakly log-majorized by phi(J) under the domination hypothesis."""
-    zm, jm = _dominated_inputs(z, j, fp, tol)
+    return _check_log_majorization(phi, z, j, fp, tol, None)
+
+
+def _check_log_majorization(phi, z, j, fp, tol, z_parts) -> MajorizationReport:
+    zm, jm, w_parts = _dominated_inputs(phi, z, j, fp, tol, z_parts)
     rhs_vals = _clamped_spectrum(hermitian_part(_apply(phi, jm)), tol)
-    return _weak_log_majorizes(_svd(_apply(phi, zm), tol).values, rhs_vals, tol)
+    return _weak_log_majorizes(w_parts.values, rhs_vals, tol)
 
 
 @dataclass(frozen=True)
@@ -414,9 +440,13 @@ def check_eigenvalue_gaps(
     diagonal-entry bounds for the expansive factor against its inverse and the
     contractive factor against itself are folded in.
     """
-    zm, jm = _dominated_inputs(z, j, fp, tol)
+    return _check_eigenvalue_gaps(phi, z, j, fp, tol, None)
+
+
+def _check_eigenvalue_gaps(phi, z, j, fp, tol, z_parts) -> GapReport:
+    zm, jm, w_parts = _dominated_inputs(phi, z, j, fp, tol, z_parts)
     t = _tol(tol, phi.out_dim)
-    lhs_vals = _svd(_apply(phi, zm), tol).values
+    lhs_vals = w_parts.values
     # clamped at 0 but not cut at the rank rule: each bound is sqrt(lam_j lam_k),
     # so a kept lam_k below rank_cutoff * lam_0 still bounds by up to sqrt(rank_cutoff) * lam_0
     rhs_vals = np.maximum(_eig(hermitian_part(_apply(phi, jm)), vectors=False)[0], 0.0)
@@ -471,9 +501,13 @@ def check_reverse_product(
 ) -> ReverseProductReport:
     """Products of the k smallest eigenvalues of |phi(Z)|, squared, bounded by
     the mixed smallest-times-largest products of phi(J)."""
-    zm, jm = _dominated_inputs(z, j, fp, tol)
+    return _check_reverse_product(phi, z, j, fp, tol, None)
+
+
+def _check_reverse_product(phi, z, j, fp, tol, z_parts) -> ReverseProductReport:
+    zm, jm, w_parts = _dominated_inputs(phi, z, j, fp, tol, z_parts)
     t = _tol(tol, phi.out_dim)
-    lhs_vals = _svd(_apply(phi, zm), tol).values
+    lhs_vals = w_parts.values
     rhs_vals = _clamped_spectrum(hermitian_part(_apply(phi, jm)), tol)
     lhs_sq = np.cumprod(lhs_vals[::-1]) ** 2
     mixed = np.cumprod(rhs_vals[::-1] * rhs_vals)
@@ -529,14 +563,16 @@ def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> Ca
     w_parts = _svd(_apply(phi, zm), tol)
     v, lhs = _polar_witness_and_modulus(w_parts)
     phk = hermitian_part(_apply(phi, k_sum.matrix))
+    # one eigensystem of phi(K) serves the mean and the majorization: K's, for an IdentityMap
+    es_phk = EigenSystem(k_sum.values, k_sum.vectors) if isinstance(phi, IdentityMap) else EigenSystem(*_eig(phk))
     conj = hermitian_part(v @ phk @ v.conj().T)
-    rhs, used_limit = _geometric_mean(phk, conj, tol)
+    rhs, used_limit = _geometric_mean_es(es_phk, conj, tol)
     inputs = _std_inputs(phi, zm, k_sum.matrix)
     cert = _certificate(
         "check_cartesian_suite", inputs, lhs, rhs, v, tol, used_limit=used_limit,
         notes="J = |X| + |Y| from the Cartesian decomposition",
     )
-    major = _weak_log_majorizes(w_parts.values, _clamped_spectrum(phk, tol), tol)
+    major = _weak_log_majorizes(w_parts.values, _clamped(es_phk.values, tol), tol)
 
     bound = 1.0 + t.abs * (1.0 + lmax) + 1e-6
     passed = bool(cert.passed and major.passed and k_sum.congruence_norm <= bound and k_sum.rho <= bound)
@@ -551,11 +587,12 @@ def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> Ca
 
 
 class _CartesianSum(NamedTuple):
-    """K = |X| + |Y| for Z = X + iY, K's eigenvalues, K^-1/2, K^-1, and the
+    """K = |X| + |Y| for Z = X + iY, K's eigensystem, K^-1/2, K^-1, and the
     two bounds that hold for every Z: ||K^-1/2 Z K^-1/2|| and rho(Z K^-1)."""
 
     matrix: np.ndarray
     values: np.ndarray
+    vectors: np.ndarray
     inv_half: np.ndarray
     inv: np.ndarray
     congruence_norm: float
@@ -582,7 +619,7 @@ def _cartesian_sum(zs: np.ndarray, tol: Optional[Tolerance]) -> List[_CartesianS
     inv_half = es.power(-0.5, tol)
     inv = es.power(-1.0, tol)
     norms = _operator_norms(inv_half @ zs @ inv_half)
-    return list(map(_CartesianSum, k, es.values, inv_half, inv, norms, _spectral_radius(zs @ inv)))
+    return list(map(_CartesianSum, k, es.values, es.vectors, inv_half, inv, norms, _spectral_radius(zs @ inv)))
 
 
 def _hermitian_modulus(hs: np.ndarray) -> np.ndarray:
@@ -662,7 +699,7 @@ def reproduce_counterexample_2_8(seed: int = 2026) -> Example28Report:
     100 random unitary conjugation pairs, with phi(X) = X + X^T and Z the
     (4,1)-shift."""
     from .ensembles import generate_with_rng
-    from .posmap import IdentityMap, MapSum, TransposeMap
+    from .posmap import MapSum, TransposeMap
 
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

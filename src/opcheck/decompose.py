@@ -17,9 +17,7 @@ from .linalg import (
     Tolerance,
     _eig,
     _frobenius,
-    _remember,
     _tol,
-    _trial_memo,
     as_matrix,
     hermitian_part,
     require_square,
@@ -104,24 +102,15 @@ def _complete_columns(cols: list, n: int) -> list:
 
 
 def svd_square(z, tol: Optional[Tolerance] = None) -> SvdParts:
-    """The SVD of a square Z; memoized inside a campaign trial, like :func:`eigh`."""
+    """The SVD of a square Z, from one Jacobi eigendecomposition of Z*Z."""
     return _svd(require_square(z), tol)
 
 
 def _svd(zm: np.ndarray, tol: Optional[Tolerance]) -> SvdParts:
-    """:func:`svd_square` of a square complex array, which it trusts. The
-    memo key holds the rank cutoff, the one tolerance field the SVD reads."""
-    t = _tol(tol, zm.shape[0])
-    memo, key = _trial_memo("svd_square", zm, t.rank_cutoff)
-    parts = memo.get(key) if memo is not None else None
-    if parts is None:
-        parts = _svd_square(zm, t)
-        _remember(memo, key, parts, (parts.left, parts.values, parts.right))
-    return parts
-
-
-def _svd_square(zm: np.ndarray, t: Tolerance) -> SvdParts:
+    """:func:`svd_square` of a square complex array, which it trusts. Of the
+    tolerance it reads the rank cutoff only."""
     n = zm.shape[0]
+    t = _tol(tol, n)
     values, right = _eig(hermitian_part(zm.conj().T @ zm))
     lam = np.maximum(values, 0.0)
     sigma = np.sqrt(lam)

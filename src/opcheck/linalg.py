@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -51,11 +50,6 @@ _TINY = 1e-300
 
 # Largest entry modulus for which H + H* and H - H* cannot overflow.
 _HALF_MAX = float(np.finfo(float).max) / 2
-
-# The factorization memo of the campaign trial being run, or None. Only
-# opcheck.campaign sets it, for one trial at a time; every other caller sees
-# None and nothing is kept. See _trial_memo.
-_MEMO: ContextVar[Optional[dict]] = ContextVar("opcheck_trial_memo", default=None)
 
 
 def _is_finite(number) -> bool:
@@ -253,38 +247,6 @@ def _upper(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _trial_memo(kind: str, a: np.ndarray, *params) -> Tuple[Optional[dict], tuple]:
-    """The active trial memo and the key of ``kind`` of ``a`` and ``params``
-    in it, or (None, ()) when no campaign trial is running.
-
-    The key holds the shape and the full bytes of ``a``, so an entry answers
-    only for the very matrix it was computed from.
-    """
-    memo = _MEMO.get()
-    if memo is None:
-        return None, ()
-    return memo, (kind, a.shape, a.tobytes(), *params)
-
-
-def _remember(memo: Optional[dict], key: tuple, value, arrays) -> None:
-    """Store ``value`` under ``key`` with its ``arrays`` made read-only, so
-    that no caller can change what a later hit returns."""
-    if memo is not None:
-        for x in arrays:
-            if x is not None:
-                x.setflags(write=False)
-        memo[key] = value
-
-
-def _with_memo(memo: Optional[dict], fn, *args):
-    """``fn(*args)`` with ``memo`` as the trial memo (None: no memo)."""
-    token = _MEMO.set(memo)
-    try:
-        return fn(*args)
-    finally:
-        _MEMO.reset(token)
-
-
 def _eig(h, vectors: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The kernel behind :func:`eigh` and :func:`eigvalsh`: descending
     eigenvalues, and the eigenvector columns when ``vectors`` is set.
@@ -297,20 +259,13 @@ def _eig(h, vectors: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     imaginary part above half the largest double, where its Hermitian part
     would overflow, require_hermitian is run on ``h`` and raises the error
     the validating entry points raise. No tolerance enters: the spectrum of
-    an exactly Hermitian matrix depends on nothing else.
-
-    Inside a campaign trial the result is memoized; a values-only request is
-    also answered by an entry with vectors, whose values are the same bits.
+    an exactly Hermitian matrix depends on nothing else. The values are the
+    same bits with or without ``vectors``.
     """
     a = np.asarray(h, dtype=complex)
-    memo, key = _trial_memo("jacobi", a)
-    hit = memo.get(key) if memo is not None else None
-    if hit is not None and (hit[1] is not None or not vectors):
-        return hit
     out = _sweeps(a, vectors)
     if out is None:  # require_hermitian rejects what _sweeps refuses
         out = _sweeps(require_hermitian(a), vectors)
-    _remember(memo, key, out, out)
     return out
 
 
@@ -321,10 +276,10 @@ def _eig_stack(hs: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Option
     product with it makes the BLAS call the lone matrix makes.
 
     Two or more matrices of size n >= 2, each with max|a_ij| in
-    (2^-200, 2^200), run as one stack through :func:`_sweeps_stack`, which
-    reads and fills no trial memo. Any other stack, and so any holding a
-    NaN or an inf, runs :func:`_eig` on each matrix in order, and raises
-    the error of the first matrix that fails.
+    (2^-200, 2^200), run as one stack through :func:`_sweeps_stack`. Any
+    other stack, and so any holding a NaN or an inf, runs :func:`_eig` on
+    each matrix in order, and raises the error of the first matrix that
+    fails.
     """
     n = hs.shape[-1]
     flat = hs.reshape((math.prod(hs.shape[:-2]),) + hs.shape[-2:])

@@ -96,13 +96,18 @@ def geometric_mean_ex(a, b, tol: Optional[Tolerance] = None) -> Tuple[np.ndarray
 
 def _geometric_mean(a, b, tol: Optional[Tolerance]) -> Tuple[np.ndarray, bool]:
     """:func:`geometric_mean_ex` of two exactly Hermitian matrices of one shape."""
-    es_a = EigenSystem(*_eig(a))
-    eye = np.eye(a.shape[0])
+    return _geometric_mean_es(EigenSystem(*_eig(a)), b, tol)
+
+
+def _geometric_mean_es(es_a: EigenSystem, b, tol: Optional[Tolerance]) -> Tuple[np.ndarray, bool]:
+    """:func:`_geometric_mean` of A and B, given A's eigensystem ``es_a``."""
+    n = b.shape[0]
+    eye = np.eye(n)
     if _is_definite(es_a.values, tol):
         # a screen pass leaves lambda_min(B) >= 3 tau - 1.5 tau, in eigvalsh's
         # values too: above _is_definite's 1e-10 max(1, lambda_max), since
         # lambda_max <= n max|b_ij|
-        tau = 1e-10 * max(1.0, a.shape[0] * float(np.abs(b).max()))
+        tau = 1e-10 * max(1.0, n * float(np.abs(b).max()))
         if _clears(b - 3.0 * tau * eye, tau) or _is_definite(_eig(b, vectors=False)[0], tol):
             return _definite_mean(es_a, b), False
     # A + eps I = V (Lambda + eps) V*: every iterate shares A's one eigensystem
@@ -121,7 +126,12 @@ def geometric_mean(a, b, tol: Optional[Tolerance] = None) -> np.ndarray:
 
 def _clamped_spectrum(h: np.ndarray, tol: Optional[Tolerance]) -> np.ndarray:
     """Descending eigenvalues of a PSD matrix, zero off the support."""
-    lam = np.maximum(_eig(h, vectors=False)[0], 0.0)
+    return _clamped(_eig(h, vectors=False)[0], tol)
+
+
+def _clamped(values: np.ndarray, tol: Optional[Tolerance]) -> np.ndarray:
+    """A copy of the descending spectrum ``values`` of a PSD matrix, zero off the support."""
+    lam = np.maximum(values, 0.0)
     lam[~_tol(tol, lam.size).support(lam)] = 0.0
     return lam
 

@@ -9,8 +9,8 @@ import opcheck.linalg
 def sweep_runs(monkeypatch):
     """Counts runs of the Jacobi sweep loop behind eigh and eigvalsh, one
     per matrix: a call of _sweeps runs one, and a call of _sweeps_stack
-    runs one for each matrix of its stack. A hit in a campaign trial's
-    factorization memo runs none."""
+    runs one for each matrix of its stack. A factorization handed on runs
+    none, such as the SVD of Z that an instance keeps from make_instance."""
     calls = []
     original = opcheck.linalg._sweeps
     original_stack = opcheck.linalg._sweeps_stack

@@ -99,14 +99,16 @@ def test_check_instances_meet_the_hypotheses_and_pass(check_id):
 
 def test_sweep_runs_are_counted_per_check_id(tmp_path, sweep_runs, monkeypatch):
     """sweep_runs.json holds what the conftest counter sees in the same
-    trials, and under graded_mix in the same ops of perfbench/workloads.py."""
+    trials, and under graded_mix and theorem_mix in the same ops of
+    perfbench/workloads.py."""
     monkeypatch.setattr(ab, "SWEEP_TRIALS", 3)
     monkeypatch.setattr(ab, "SWEEP_SEED", 7)
     monkeypatch.setattr(ab, "SWEEP_GRADED_OPS", 4)
+    monkeypatch.setattr(ab, "SWEEP_THEOREM_OPS", 5)
     ab.run_sweep_counts(ab.ROOT, tmp_path)
     assert (tmp_path / "sweep_runs.stdout").read_text() == "exit 0\n"
     counts = json.loads((tmp_path / "sweep_runs.json").read_text())
-    assert list(counts) == sorted([*CHECK_IDS, "graded_mix"])
+    assert list(counts) == sorted([*CHECK_IDS, "graded_mix", "theorem_mix"])
     for check_id in CHECK_IDS:
         spec = CampaignSpec(check_id=check_id, seed=7)
         before = len(sweep_runs)
@@ -119,11 +121,12 @@ def test_sweep_runs_are_counted_per_check_id(tmp_path, sweep_runs, monkeypatch):
     monkeypatch.setitem(sys.modules, "workloads", workloads)
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec.loader.exec_module(workloads)
-    graded = workloads.WORKLOADS["graded_mix"](7)
-    before = len(sweep_runs)
-    for i in range(4):
-        workloads.run_op(graded, i, time.perf_counter)
-    assert counts["graded_mix"] == len(sweep_runs) - before > 0
+    for name, ops in (("graded_mix", 4), ("theorem_mix", 5)):
+        workload = workloads.WORKLOADS[name](7)
+        before = len(sweep_runs)
+        for i in range(ops):
+            workloads.run_op(workload, i, time.perf_counter)
+        assert counts[name] == len(sweep_runs) - before > 0
 
 
 def test_search_seeds_are_the_small_search_searches(tmp_path):

@@ -17,6 +17,7 @@ from opcheck.campaign import (
     write_report,
 )
 from opcheck.checks import domination_holds
+from opcheck.decompose import svd_square
 from opcheck.errors import InvalidSpec
 from opcheck.linalg import Tolerance
 
@@ -272,14 +273,18 @@ def test_every_written_object_loads_back(tmp_path):
 
 
 class TestFactorizationMemo:
-    """make_instance memoizes its Jacobi and SVD factorizations for the one
-    trial, and run_instance lets the check reuse them."""
+    """An instance of a check that takes J keeps the SVD of Z that
+    make_instance drew J from, and run_instance hands it to the check; the
+    checks share the factorizations of an identity map's images with those
+    of its arguments."""
 
-    # Jacobi sweep runs in 100 trials at seed 2026; without the memo they
-    # were 1272, 872, 1140, 514, 972, 1028, 972 and 639, and without the
-    # Cholesky screen of yes/no PSD questions 957, 561, 1026, 503, 661, 717,
-    # 661 and 621; cartesian, log, gaps and reverse made 915, 447, 503 and 447
-    # while they eigendecomposed the moduli their SVDs formed
+    # Jacobi sweep runs in 100 trials at seed 2026. In the order of the
+    # parameters below, they are 758, 458, 926, 500, 458, 514, 458 and 526
+    # when nothing is handed on; before the trial factors were handed on,
+    # 1272, 872, 1140, 514, 972, 1028, 972 and 639, and without the Cholesky
+    # screen of yes/no PSD questions 957, 561, 1026, 503, 661, 717, 661 and
+    # 621; cartesian, log, gaps and reverse made 915, 447, 503 and 447 while
+    # they eigendecomposed the moduli their SVDs formed
     @pytest.mark.parametrize(
         "check_id, runs",
         [
@@ -318,21 +323,90 @@ class TestFactorizationMemo:
         for trial in range(3):
             inst = make_instance(spec, trial)
             replayed = Instance.from_json(json.loads(json.dumps(inst.to_json())))
-            assert inst.memo is not None and replayed.memo is None
+            assert (inst.z_svd is None) == (inst.j is None) and replayed.z_svd is None
             assert (run_instance(replayed, spec.tolerances).to_json()
                     == run_instance(inst, spec.tolerances).to_json())
 
-    def test_memo_is_not_instance_data(self):
-        inst = make_instance(CampaignSpec(check_id="check_geometric_domination", seed=1), 0)
-        assert inst.memo and "memo" not in repr(inst) and "memo" not in inst.to_json()
+    @staticmethod
+    def outcome(inst, tol, check=None, parts=None):
+        """run_instance's JSON, or the check's private core's with ``parts``
+        when ``check`` is given; the error type and message when it raises."""
+        try:
+            if check is None:
+                return run_instance(inst, tol).to_json()
+            return getattr(opcheck.checks, "_" + check)(inst.phi, inst.z, inst.j, inst.funpair, tol, parts).to_json()
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
 
-    def test_a_replaced_matrix_is_not_answered_by_the_memo(self):
-        spec = CampaignSpec(check_id="check_two_positive_split", n_dims=(4,), seed=2026)
-        rng = np.random.default_rng(5)
-        z = (rng.standard_normal((4, 4)) * np.logspace(0, -9, 4)) @ rng.standard_normal((4, 4))
-        inst = make_instance(spec, 0)
-        run_instance(inst, spec.tolerances)  # fills the memo with the drawn Z's factors
-        swapped = replace(inst, z=z)
-        assert swapped.memo is inst.memo
-        assert (run_instance(swapped, spec.tolerances).to_json()
-                == run_instance(replace(inst, z=z, memo=None), spec.tolerances).to_json())
+    # on the identity map phi(Z) shares Z's SVD, so a stale SVD shows in every output
+    SPEC = CampaignSpec(check_id="check_geometric_domination", seed=2026, map_families=("identity",))
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_a_replaced_z_is_factored_afresh(self, trial):
+        inst = make_instance(self.SPEC, trial)
+        swapped = replace(inst, z=0.5 * inst.z)  # still dominated by J
+        fresh = self.outcome(Instance.from_json(swapped.to_json()), self.SPEC.tolerances)
+        assert swapped.z_svd is inst.z_svd and self.outcome(swapped, self.SPEC.tolerances) == fresh
+        stale = self.outcome(swapped, self.SPEC.tolerances, self.SPEC.check_id, inst.z_svd[2])
+        assert stale != fresh
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_another_rank_cutoff_is_factored_afresh(self, trial):
+        inst = make_instance(self.SPEC, trial)
+        coarse = replace(self.SPEC.tolerances, rank_cutoff=0.5)
+        fresh = self.outcome(Instance.from_json(inst.to_json()), coarse)
+        assert self.outcome(inst, coarse) == fresh
+        assert self.outcome(inst, coarse, self.SPEC.check_id, inst.z_svd[2]) != fresh
+
+    def test_the_kept_factors_are_the_read_only_svd_of_z(self):
+        inst = make_instance(self.SPEC, 0)
+        z, rank_cutoff, parts = inst.z_svd
+        fresh = svd_square(inst.z, self.SPEC.tolerances)
+        assert z is inst.z and rank_cutoff == self.SPEC.tolerances.rank_cutoff and parts.rank == fresh.rank
+        for kept, new in ((z, inst.z), (parts.left, fresh.left), (parts.values, fresh.values), (parts.right, fresh.right)):
+            assert kept.tobytes() == new.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0.0
+
+    def test_factors_are_not_instance_data(self):
+        inst = make_instance(self.SPEC, 0)
+        bare = replace(inst, z_svd=None)
+        assert inst.z_svd is not None and inst == bare and repr(inst) == repr(bare)
+        assert inst.to_json() == bare.to_json() == Instance.from_json(inst.to_json()).to_json()
+
+    def test_a_rerun_gives_the_same_outcome(self):
+        inst = make_instance(self.SPEC, 1)
+        fresh = self.outcome(Instance.from_json(inst.to_json()), self.SPEC.tolerances)
+        assert self.outcome(inst, self.SPEC.tolerances) == self.outcome(inst, self.SPEC.tolerances) == fresh
+
+    def test_the_kept_svd_saves_one_sweep_run(self, sweep_runs):
+        inst = make_instance(self.SPEC, 1)
+        start = len(sweep_runs)
+        run_instance(inst, self.SPEC.tolerances)
+        kept = len(sweep_runs) - start
+        run_instance(replace(inst, z_svd=None), self.SPEC.tolerances)
+        assert len(sweep_runs) - start - kept == kept + 1
+
+    def test_outside_campaigns_every_call_factors_afresh(self, sweep_runs):
+        inst = make_instance(self.SPEC, 1)
+        args = (inst.phi, inst.z, inst.j, inst.funpair, self.SPEC.tolerances)
+        start = len(sweep_runs)
+        first = opcheck.checks.check_geometric_domination(*args)
+        once = len(sweep_runs) - start
+        assert opcheck.checks.check_geometric_domination(*args).to_json() == first.to_json()
+        assert len(sweep_runs) - start == 2 * once
+        first.lhs[0, 0] = first.witness_v[0, 0] = 0.0  # writable
+        parts, again = svd_square(inst.z), svd_square(inst.z)
+        assert parts is not again and len(sweep_runs) - start == 2 * once + 2
+        for array in (parts.left, parts.values, parts.right):
+            array[0] = 0.0  # writable
+
+    @pytest.mark.parametrize("check_id", CHECK_IDS)
+    def test_identity_images_share_the_bits_of_a_fresh_factorization(self, check_id, monkeypatch):
+        spec = CampaignSpec(check_id=check_id, seed=2026, map_families=("identity",))
+        instances = [make_instance(spec, trial) for trial in range(4)]
+        shared = [run_instance(inst, spec.tolerances).to_json() for inst in instances]
+        # no map is an IdentityMap to the checks now, so each image is factored
+        monkeypatch.setattr(opcheck.checks, "IdentityMap", type("NoMap", (), {}))
+        fresh = [run_instance(replace(inst, z_svd=None), spec.tolerances).to_json() for inst in instances]
+        assert shared == fresh

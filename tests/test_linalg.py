@@ -17,12 +17,10 @@ from hypothesis import given, settings, strategies as st
 import opcheck.checks
 import opcheck.linalg
 from opcheck.checks import _images_dominated
-from opcheck.decompose import svd_square
 from opcheck.errors import DimensionMismatch, DomainError, NoConvergence, NonHermitian
 from opcheck.linalg import (
     Tolerance,
     _clears,
-    _with_memo,
     eigh,
     eigvalsh,
     generalized_inverse,
@@ -1032,89 +1030,3 @@ class TestEmptyMatrix:
         assert spectral_radius_psd_product(self.EMPTY, self.EMPTY) == 0.0
         assert spectral_radius(self.EMPTY) == 0.0
         assert Tolerance().support(np.zeros(0)).shape == (0,)
-
-
-class TestTrialMemo:
-    """Inside a campaign trial (``_with_memo``) each matrix is factored once;
-    outside one nothing is kept."""
-
-    H = random_hermitian(np.random.default_rng(300), 4)
-    Z = np.random.default_rng(301).standard_normal((4, 4)) + 0j
-
-    def test_outside_a_trial_every_call_sweeps(self, sweep_runs):
-        first, second = eigh(self.H), eigh(self.H)
-        assert len(sweep_runs) == 2 and first.values is not second.values
-        svd_square(self.Z)
-        svd_square(self.Z)
-        assert len(sweep_runs) == 4
-        first.values[0] = 0.0  # arrays stay writable outside a trial
-
-    def test_a_repeat_in_a_trial_sweeps_once(self, sweep_runs):
-        def twice():
-            return eigh(self.H), eigh(self.H.copy()), svd_square(self.Z), svd_square(self.Z)
-
-        es1, es2, svd1, svd2 = _with_memo({}, twice)
-        assert es1.values is es2.values and es1.vectors is es2.vectors and svd1 is svd2
-        assert len(sweep_runs) == 2  # H once, Z*Z once
-        assert es1.values.tobytes() == eigh(self.H).values.tobytes()
-        assert es1.vectors.tobytes() == eigh(self.H).vectors.tobytes()
-
-    def test_values_only_requests_reuse_an_eigh_entry(self, sweep_runs):
-        memo: dict = {}
-        values = _with_memo(memo, lambda: (eigh(self.H), eigvalsh(self.H))[1])
-        assert len(sweep_runs) == 1 and values.tobytes() == eigvalsh(self.H).tobytes()
-        # an eigvalsh entry has no vectors, so eigh must sweep
-        _with_memo({}, lambda: (eigvalsh(self.H), eigh(self.H)))
-        assert len(sweep_runs) == 4
-
-    def test_the_key_is_the_full_input(self, sweep_runs):
-        bumped = self.H.copy()
-        bumped[0, 0] = np.nextafter(bumped[0, 0].real, np.inf)
-
-        def variants():
-            eigvalsh(self.H)
-            eigvalsh(bumped)
-            eigvalsh(self.H, Tolerance(abs=1e-8))  # no tolerance enters the spectrum: a hit
-            eigvalsh(self.H[:2, :2])
-
-        _with_memo({}, variants)
-        assert len(sweep_runs) == 3
-
-    def test_svd_entries_are_keyed_by_the_rank_cutoff(self):
-        z = np.diag([1.0, 1e-2]).astype(complex)  # sigma^2 = 1e-4 relative to the top
-
-        def variants():
-            other_abs = Tolerance(abs=1e-8, rank_cutoff=2e-12)  # the default rank cutoff at n = 2
-            return svd_square(z), svd_square(z, other_abs), svd_square(z, Tolerance(rank_cutoff=1e-3))
-
-        memo: dict = {}
-        default, same_cutoff, coarse = _with_memo(memo, variants)
-        assert same_cutoff is default and (default.rank, coarse.rank) == (2, 1)
-        assert sorted(key[-1] for key in memo if key[0] == "svd_square") == [2e-12, 1e-3]
-
-    def test_equal_tolerances_share_an_entry(self, sweep_runs):
-        _with_memo({}, lambda: (eigvalsh(self.H, Tolerance(abs=1e-8)), eigvalsh(self.H, Tolerance(abs=1e-8))))
-        assert len(sweep_runs) == 1
-
-    def test_cached_arrays_are_read_only(self):
-        def factor():
-            return eigh(self.H), svd_square(self.Z)
-
-        es, parts = _with_memo({}, factor)
-        for array in (es.values, es.vectors, parts.left, parts.values, parts.right):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
-
-    def test_errors_are_not_cached(self, sweep_runs, monkeypatch):
-        memo: dict = {}
-        monkeypatch.setattr(opcheck.linalg, "_MAX_SWEEPS", 0)
-
-        def fails_twice():
-            for _ in range(2):
-                with pytest.raises(NonHermitian):
-                    eigh([[0, 1], [0, 0]])
-                with pytest.raises(NoConvergence):
-                    eigh(self.H)
-
-        _with_memo(memo, fails_twice)
-        assert memo == {} and len(sweep_runs) == 2

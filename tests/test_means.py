@@ -167,10 +167,13 @@ class TestSingularLimit:
             geometric_mean_ex(self.A, self.B)
         assert len(sweep_runs) == 6
 
-    def test_a_trial_memo_leaves_the_limit_unchanged(self):
-        # inside a trial A's eigensystem is read-only, so the shift forms new arrays
-        a, b = np.diag([1.0, 0.0]), np.diag([2.0, 0.0])
-        mean, used_limit = opcheck.linalg._with_memo({}, geometric_mean_ex, a, b)
+    def test_the_limit_leaves_a_given_eigensystem_unchanged(self):
+        # the Cartesian check hands K's eigensystem to the mean: the shift forms new arrays
+        a, b = np.diag([1.0, 0.0]) + 0j, np.diag([2.0, 0.0]) + 0j
+        es = opcheck.linalg.EigenSystem(*opcheck.linalg._eig(a))
+        for array in (es.values, es.vectors):
+            array.setflags(write=False)
+        mean, used_limit = opcheck.means._geometric_mean_es(es, b, None)
         assert used_limit and mean.tobytes() == geometric_mean_ex(a, b)[0].tobytes()
 
 

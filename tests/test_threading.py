@@ -3,11 +3,10 @@ concurrent calls must agree bit-for-bit with serial ones."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 
-from opcheck.campaign import CampaignSpec, make_instance, run_instance
+from opcheck.campaign import CampaignSpec, Instance, make_instance, run_instance
 from opcheck.linalg import eigh, hermitian_part
 
 
@@ -39,13 +38,13 @@ def test_check_trials_thread_consistency():
 
 def test_fresh_trials_thread_consistency():
     """Threads make their own instances, so the kernel runs in every thread,
-    and run freshly made instances three at a time, so threads fill one
-    trial's factorization memo concurrently; every outcome must equal the
-    memo-free run of the same trial."""
+    and run freshly made instances three at a time, so threads read one
+    instance's kept factors concurrently; every outcome must equal the run
+    of the same trial replayed from its JSON, which factors afresh."""
     for check_id in ("check_geometric_domination", "check_cartesian_suite"):
         spec = CampaignSpec(check_id=check_id, trials=8, seed=22)
         expected = [
-            run_instance(replace(make_instance(spec, t), memo=None), spec.tolerances).to_json()
+            run_instance(Instance.from_json(make_instance(spec, t).to_json()), spec.tolerances).to_json()
             for t in range(spec.trials)
         ]
         shared = [make_instance(spec, t) for t in range(spec.trials)]

@@ -28,11 +28,14 @@ op, which shows the first op whose verdict, slack, witness trials or error
 changed. And it writes ``sweep_runs.json``: per check id, the runs of the
 Jacobi sweep loop, one per matrix that ``opcheck.linalg._sweeps`` or
 ``_sweeps_stack`` diagonalizes, in ``SWEEP_TRIALS`` campaign
-trials at seed ``SWEEP_SEED``, and under ``graded_mix`` the runs in the
-first ``SWEEP_GRADED_OPS`` ops of that workload at the same seed, through
-the tree's own ``perfbench/workloads.py``, where the rank-deficient SVDs and
-the singular-mean limits run; it names any change in factorization work that
-the byte comparison cannot see. And it writes ``falsifier.json``: per map and
+trials at seed ``SWEEP_SEED``; under ``theorem_mix`` the runs in the first
+``SWEEP_THEOREM_OPS`` ops of that workload at the same seed, which cycles
+the map families and so shows most plainly a factorization lost on the
+identity map; and under ``graded_mix`` the runs in the first
+``SWEEP_GRADED_OPS`` ops of that workload at the same seed, where the
+rank-deficient SVDs and the singular-mean limits run. Both workloads come
+from the tree's own ``perfbench/workloads.py``. It names any change in
+factorization work that the byte comparison cannot see. And it writes ``falsifier.json``: per map and
 level and trial count, the witness of ``sample_positivity_falsifier`` (its
 trial, the ``hex`` of its eigenvalue and the sha256 of its input) or null,
 for the transpose and transpose-plus-identity maps at n = 2, 3 and for the
@@ -114,7 +117,10 @@ SWEEP_SEED = 2026
 # graded_mix ops whose sweep runs are counted, at SWEEP_SEED: campaign trials
 # hold no rank-deficient SVD and no singular-mean limit, and these ops do
 SWEEP_GRADED_OPS = 400
-# run in a tree as: python -c SWEEP_SCRIPT <out.json> <trials> <seed> <tree>/perfbench <graded ops>
+# theorem_mix ops whose sweep runs are counted, at SWEEP_SEED: ten cycles
+SWEEP_THEOREM_OPS = 700
+# run in a tree as:
+# python -c SWEEP_SCRIPT <out.json> <trials> <seed> <tree>/perfbench <graded ops> <theorem ops>
 SWEEP_SCRIPT = """
 import json, sys, time
 sys.path.insert(0, sys.argv[4])
@@ -140,11 +146,12 @@ for check_id in CHECK_IDS:
     for trial in range(int(sys.argv[2])):
         run_instance(make_instance(spec, trial), spec.tolerances)
     out[check_id] = len(runs) - start
-graded = workloads.WORKLOADS["graded_mix"](int(sys.argv[3]))
-start = len(runs)
-for i in range(int(sys.argv[5])):
-    workloads.run_op(graded, i, time.perf_counter)
-out["graded_mix"] = len(runs) - start
+for name, ops in (("graded_mix", sys.argv[5]), ("theorem_mix", sys.argv[6])):
+    workload = workloads.WORKLOADS[name](int(sys.argv[3]))
+    start = len(runs)
+    for i in range(int(ops)):
+        workloads.run_op(workload, i, time.perf_counter)
+    out[name] = len(runs) - start
 with open(sys.argv[1], "w") as f:
     json.dump(out, f, indent=2, sort_keys=True)
 """
@@ -229,12 +236,13 @@ def run_workload(tree: Path, name: str, ops: int, out_dir: Path) -> None:
 
 def run_sweep_counts(tree: Path, out_dir: Path) -> None:
     """sweep_runs.json from ``tree``: the sweep runs per check id in
-    ``SWEEP_TRIALS`` trials at ``SWEEP_SEED``, and under ``graded_mix`` in
-    the first ``SWEEP_GRADED_OPS`` ops of that workload at ``SWEEP_SEED``,
-    from ``tree``'s ``perfbench/workloads.py``; stderr and the exit status
-    go to sweep_runs.stdout."""
+    ``SWEEP_TRIALS`` trials at ``SWEEP_SEED``, and under ``graded_mix`` and
+    ``theorem_mix`` in the first ``SWEEP_GRADED_OPS`` and
+    ``SWEEP_THEOREM_OPS`` ops of those workloads at ``SWEEP_SEED``, from
+    ``tree``'s ``perfbench/workloads.py``; stderr and the exit status go to
+    sweep_runs.stdout."""
     run_python(tree, ["-c", SWEEP_SCRIPT, str(out_dir / "sweep_runs.json"), str(SWEEP_TRIALS), str(SWEEP_SEED),
-                      str(tree / "perfbench"), str(SWEEP_GRADED_OPS)], out_dir, "sweep_runs")
+                      str(tree / "perfbench"), str(SWEEP_GRADED_OPS), str(SWEEP_THEOREM_OPS)], out_dir, "sweep_runs")
 
 
 def run_falsifier(tree: Path, out_dir: Path) -> None:
