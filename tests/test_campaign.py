@@ -3,7 +3,6 @@
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import opcheck.checks
