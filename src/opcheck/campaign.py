@@ -172,7 +172,7 @@ class CampaignSpec:
                 seed=field("seed", int, cls.seed),
                 map_families=items("map_families", str, cls.map_families),
                 funpair_kinds=items("funpair_kinds", str, cls.funpair_kinds),
-                tolerances=tolerance_from_json({**tolerance_to_json(cls.tolerances), **tolerances}),
+                tolerances=tolerance_from_json(tolerances, cls.tolerances),
                 output_path=field("output_path", str, nullable=True),
                 split_exponent=field("split_exponent", float, nullable=True),
             )

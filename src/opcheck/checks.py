@@ -59,6 +59,7 @@ from .posmap import (
     IdentityMap,
     PosMap,
     SchurMultiplier,
+    _BLOCK,
     _apply,
     map_to_json,
 )
@@ -866,8 +867,8 @@ class CexSearchReport:
 
 
 # the search runs at least this many trials (all, if it has fewer), so
-# they are drawn and their K = |X| + |Y| formed as one stack
-_STACKED_TRIALS = 100
+# worst_rho and worst_congruence_norm always cover that many samples
+_MIN_TRIALS = 100
 
 
 def _ginibre_stack(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -877,6 +878,20 @@ def _ginibre_stack(rng: np.random.Generator, count: int, dim: int) -> np.ndarray
     return (g[:, 0] + 1j * g[:, 1]) / math.sqrt(2)
 
 
+def _cartesian_trials(rng: np.random.Generator, trials: int, dim: int):
+    """(Z, its :class:`_CartesianSum`) per trial, in trial order, drawn and
+    formed in blocks of the falsifier's ``_BLOCK``, one :func:`_cartesian_sum`
+    call each; a block is drawn when the walk reaches it."""
+    for start in range(0, trials, _BLOCK):
+        zs = _ginibre_stack(rng, min(_BLOCK, trials - start), dim)
+        try:
+            sums = _cartesian_sum(zs, None)
+        except (ValueError, OpcheckError):
+            # one K at a time, so the first trial that fails raises after the targets of those before it
+            sums = (_cartesian_sum(zm[None], None)[0] for zm in zs)
+        yield from zip(zs, sums)
+
+
 def find_counterexamples_remarks(trials: int, seed: int, dim: int = 2) -> CexSearchReport:
     """Random search for the three expected failures on K = |X| + |Y|:
     |Z| <= K in the Loewner order, contractivity of |Z|^1/2 K^-1/2, and
@@ -884,11 +899,10 @@ def find_counterexamples_remarks(trials: int, seed: int, dim: int = 2) -> CexSea
     the two statements that do hold (congruence norm and spectral radius).
     Raises SearchExhausted when a target is not found within the trials.
 
-    The first ``_STACKED_TRIALS`` trials share one stacked K evaluation
-    (:func:`_cartesian_sum`), whose Jacobi sweeps run as one stack per
-    eigenproblem; each later trial is a stack of one and runs the scalar
-    kernel. Both give every trial the same bits and the same sweep runs,
-    so the report does not depend on the split.
+    It runs at least ``_MIN_TRIALS`` trials (all, if it has fewer). The
+    trials are walked in blocks (:func:`_cartesian_trials`), each block's K
+    evaluation stacked; a stack gives every trial the bits and the sweep
+    runs it has alone, so the report does not depend on the block size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -907,20 +921,7 @@ def find_counterexamples_remarks(trials: int, seed: int, dim: int = 2) -> CexSea
     worst_rho = 0.0
     worst_norm = 0.0
     margin = 1e-6
-    stack = _ginibre_stack(rng, min(trials, _STACKED_TRIALS), dim)
-    try:
-        sums = _cartesian_sum(stack, None)
-    except (ValueError, OpcheckError):
-        # evaluated one trial at a time below, which raises the error of
-        # the first trial that fails, after the targets of those before it
-        sums = [None] * len(stack)
-    for trial in range(trials):
-        if trial < len(stack):
-            zm, k_sum = stack[trial], sums[trial]
-        else:
-            zm, k_sum = _ginibre_stack(rng, 1, dim)[0], None
-        if k_sum is None:
-            k_sum = _cartesian_sum(zm[None], None)[0]
+    for trial, (zm, k_sum) in enumerate(_cartesian_trials(rng, trials, dim)):
         # |Z| serves targets a and b only
         parts = _svd(zm, None) if found_a is None or found_b is None else None
         if found_a is None:
@@ -939,7 +940,7 @@ def find_counterexamples_remarks(trials: int, seed: int, dim: int = 2) -> CexSea
         worst_norm = max(worst_norm, k_sum.congruence_norm)
         if k_sum.congruence_norm > 1.0 + margin or k_sum.rho > 1.0 + margin:
             consistency_ok = False
-        if found_a is not None and found_b is not None and found_c is not None and trial >= _STACKED_TRIALS - 1:
+        if found_a is not None and found_b is not None and found_c is not None and trial >= _MIN_TRIALS - 1:
             break
     report = CexSearchReport(
         trials=trials,

@@ -23,7 +23,7 @@ from .checks import (
 )
 from .decompose import polar
 from .errors import OpcheckError
-from .io import _json_value, dump_json, matrix_from_json, matrix_to_json, tolerance_from_json, tolerance_to_json
+from .io import _json_value, dump_json, matrix_from_json, matrix_to_json, tolerance_from_json
 from .linalg import Tolerance
 from .means import geometric_mean_ex
 
@@ -39,7 +39,7 @@ def _load_tolerance(args, default: Tolerance) -> Tolerance:
     if args.tol is not None:
         cfg["abs"] = args.tol
         cfg.setdefault("rel", args.tol)
-    return tolerance_from_json({**tolerance_to_json(default), **cfg})
+    return tolerance_from_json(cfg, default)
 
 
 def _cmd_check(args) -> int:

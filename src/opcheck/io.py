@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import reprlib
-from typing import Optional
 
 import numpy as np
 
@@ -97,13 +96,12 @@ def tolerance_to_json(tol: Tolerance) -> dict:
     return {"abs": tol.abs, "rel": tol.rel, "rank_cutoff": tol.rank_cutoff}
 
 
-def tolerance_from_json(obj: Optional[dict], dim: int = 1) -> Tolerance:
-    if obj is None:
-        return Tolerance.for_dim(dim)
-    fields = tolerance_to_json(Tolerance.for_dim(dim))
+def tolerance_from_json(obj: dict, default: Tolerance) -> Tolerance:
+    """``default`` with the fields that ``obj`` gives replaced."""
+    fields = tolerance_to_json(default)
     _json_object(obj, "tolerances", fields)
-    for key, default in fields.items():
-        fields[key] = float(_json_value(obj.get(key, default), float, f"tolerance {key}"))
+    for key, value in fields.items():
+        fields[key] = float(_json_value(obj.get(key, value), float, f"tolerance {key}"))
     return Tolerance(**fields)
 
 

@@ -308,8 +308,8 @@ def _amplified_apply(phi: PosMap, w: np.ndarray, level: int) -> np.ndarray:
     return blocks.swapaxes(-3, -2).reshape(lead + (level * m, level * m))
 
 
-# trials whose inputs are drawn, and whose images are formed, as one stack;
-# even, so that every block starts at an even trial
+# trials drawn and evaluated as one stack, here and by the search in checks;
+# even, because _psd_draws pairs the trials, so every block starts at an even one
 _BLOCK = 100
 
 

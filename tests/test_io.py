@@ -54,18 +54,22 @@ class TestMatrixJson:
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
 
 
+# a default no field of which is Tolerance's own default
+DEFAULT = Tolerance(abs=2e-9, rel=3e-9, rank_cutoff=4e-12)
+
+
 class TestToleranceJson:
     def test_round_trip(self):
         t = Tolerance(abs=1e-8, rel=2e-8, rank_cutoff=3e-12)
-        assert tolerance_from_json(tolerance_to_json(t)) == t
+        assert tolerance_from_json(tolerance_to_json(t), DEFAULT) == t
 
-    def test_defaults_fill_missing_fields(self):
-        t = tolerance_from_json({"abs": 1e-7}, dim=4)
-        assert t.abs == 1e-7
-        assert t.rank_cutoff == pytest.approx(4e-12)
+    def test_the_default_fills_missing_fields(self):
+        assert tolerance_from_json({"abs": 1e-7}, DEFAULT) == Tolerance(abs=1e-7, rel=3e-9, rank_cutoff=4e-12)
+        assert tolerance_from_json({"rel": 1e-7, "rank_cutoff": 1e-11}, DEFAULT) == Tolerance(
+            abs=2e-9, rel=1e-7, rank_cutoff=1e-11)
 
-    def test_none_gives_dimension_default(self):
-        assert tolerance_from_json(None, dim=5) == Tolerance.for_dim(5)
+    def test_an_empty_object_gives_the_default(self):
+        assert tolerance_from_json({}, DEFAULT) == DEFAULT
 
 
 class TestDumpJson:
@@ -107,15 +111,15 @@ class TestJsonTypes:
     @pytest.mark.parametrize("payload", [[1e-8], {"abs": None}, {"rel": True}, {"rank_cutoff": "1e-12"}])
     def test_malformed_tolerance_rejected(self, payload):
         with pytest.raises(ValueError):
-            tolerance_from_json(payload, dim=2)
+            tolerance_from_json(payload, DEFAULT)
 
 
 def test_readers_reject_unknown_keys():
     with pytest.raises(ValueError, match=r"unknown tolerances keys \['rank_cuttoff'\]"):
-        tolerance_from_json({"abs": 1e-7, "rank_cuttoff": 1.0}, 2)
+        tolerance_from_json({"abs": 1e-7, "rank_cuttoff": 1.0}, DEFAULT)
     with pytest.raises(ValueError, match=r"unknown matrix keys \['row'\]"):
         matrix_from_json({"rows": 1, "cols": 1, "row": 1, "data": [[1.0, 0.0]]})
-    assert tolerance_from_json(tolerance_to_json(Tolerance(abs=1e-7)), 2) == Tolerance(abs=1e-7)
+    assert tolerance_from_json(tolerance_to_json(Tolerance(abs=1e-7)), DEFAULT) == Tolerance(abs=1e-7)
 
 
 # what Python's json reads from NaN, Infinity, -Infinity and 1e400, and an
@@ -133,7 +137,7 @@ class TestNonFiniteNumbers:
     def test_tolerance_fields(self, value):
         for key in ("abs", "rel", "rank_cutoff"):
             with pytest.raises(ValueError, match=f"^tolerance {key} must be a finite number, got "):
-                tolerance_from_json({key: value}, dim=2)
+                tolerance_from_json({key: value}, DEFAULT)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge-int"])
     def test_tolerance_constructor(self, value):
@@ -169,6 +173,6 @@ class TestNonFiniteNumbers:
 
     def test_the_largest_numbers_pass(self):
         big = float(np.finfo(float).max)
-        assert tolerance_from_json({"abs": big}, dim=2).abs == big
+        assert tolerance_from_json({"abs": big}, DEFAULT).abs == big
         assert FunPair.from_json({"kind": "power", "p": -big}).p == -big
         assert matrix_from_json({"rows": 1, "cols": 1, "data": [[big, -big]]})[0, 0] == complex(big, -big)

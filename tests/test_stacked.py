@@ -13,6 +13,7 @@ import pytest
 
 import opcheck.checks as C
 import opcheck.linalg
+import opcheck.posmap
 from opcheck.decompose import _cartesian
 from opcheck.errors import SearchExhausted
 from opcheck.linalg import (
@@ -178,6 +179,23 @@ def test_falsifier_witnesses_in_later_blocks():
     assert min(later) < 200 and max(later) >= 1000
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("level", [1, 2])
+def test_falsifier_witnesses_do_not_depend_on_the_block_size(monkeypatch, n, level):
+    """Any even block gives every witness: _psd_draws pairs the trials, so a
+    block must start at an even trial, and an odd one moves the witnesses."""
+    maps = {**falsifier_maps(n), "transpose_plus_identity": MapSum(terms=(IdentityMap(n), TransposeMap(n)))}
+    for trials in (1, 137, 3000):
+        for name, phi in maps.items():
+            expected = reference_falsifier(phi, level, trials, 3)
+            for block in (2, 8, 1000):
+                monkeypatch.setattr(opcheck.posmap, "_BLOCK", block)
+                assert falsifier_outcome(phi, level, trials, 3) == expected, (name, trials, block)
+    if level == 2:
+        monkeypatch.setattr(opcheck.posmap, "_BLOCK", 7)
+        assert falsifier_outcome(maps["leaky"], level, 3000, 3) != reference_falsifier(maps["leaky"], level, 3000, 3)
+
+
 def reference_cartesian_sum(zm):
     """K, K^-1/2, K^-1, ||K^-1/2 Z K^-1/2|| and rho(Z K^-1) of one Z, as
     computed before stacking."""
@@ -283,6 +301,20 @@ def test_search_whose_targets_fire_past_the_stack(monkeypatch, dim):
     assert got == reference_search(3000, 5, dim)
     found = got[0]
     assert min(trial for trial, _, _ in found.values()) >= 150
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("hermitian_first", [False, True], ids=["ginibre", "hermitian_first"])
+def test_the_search_does_not_depend_on_the_block_size(monkeypatch, block, dim, hermitian_first):
+    """The search runs at least 100 trials whatever its block size, and every
+    trial it walks has the bits of the per-trial loop; under HermitianFirst
+    draws the targets fire past the first block."""
+    if hermitian_first:
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: HermitianFirst(seed, dim))
+    expected = {trials: reference_search(trials, 5, dim) for trials in (1, 99, 100, 101, 3000)}
+    monkeypatch.setattr(C, "_BLOCK", block)
+    assert {trials: search_outcome(trials, 5, dim) for trials in expected} == expected
 
 
 @pytest.mark.parametrize("failing_svd", [None, 11, 60], ids=["none", "before", "after"])

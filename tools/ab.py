@@ -56,12 +56,10 @@ workloads and its ``run_seconds`` per run. The revision goes first in even
 pairs and the working tree in odd ones, so slow drift of the host does not
 favour one side. It writes a JSON file with both SHAs, the seed, the per-run
 metrics, and per metric the medians, the quartiles and the pairs each side
-won, a win judged by the metric's ``better`` direction in ``BENCHMARK.json``.
-The working tree's ``BENCHMARK.json`` is used for both trees. Each tree also
-gets one ``--trace 1 --seconds 0`` run per workload, whose ``*.calls_per_op``
-metrics are stored next to the pairs; call counts repeat exactly, so one run
-tells them. After the pairs it prints a verdict table: one row per workload
-and end-to-end metric with both medians, their ratio, the spread between the
+won, a win judged by the metric's ``better`` direction in
+``BENCHMARK.json``. The working tree's ``BENCHMARK.json`` is used for both
+trees. After the pairs it prints a verdict table: one row per workload and
+end-to-end metric with both medians, their ratio, the spread between the
 revision's quartiles and the pairs each side won, marked ``WORSE`` where the
 working tree's median is worse than the revision's by more than the metric's
 ``bound`` in ``BENCHMARK.json``, taken relative to the revision's median.
@@ -99,9 +97,11 @@ REPRO_COMMANDS = {
     **{f"find_cex_{seed}": ["find-cex", "--trials", "10000", "--seed", str(seed)] for seed in SEARCH_SEEDS},
 }
 # ops per benchmark workload for the outcome digests, whole cycles of each
-# (70, 40 and 5 ops), past the most ops a benchmark run of BENCH_14.json
-# reached (13,370, 8,160 and 1,965), so every op a run can reach is compared
-WORKLOAD_OPS = {"theorem_mix": 13_440, "graded_mix": 8_200, "small_search": 2_000}
+# (70, 40 and 5 ops), past the most ops a benchmark run of BENCH_21.json
+# reached (16,940, 13,760 and 13,450) and past the 17,420 small_search ops
+# that a 30 s run at seed 1 reached on a 2-core host, so every op a run can
+# reach is compared
+WORKLOAD_OPS = {"theorem_mix": 17_010, "graded_mix": 13_800, "small_search": 17_500}
 # run in a tree as: python -c WORKLOAD_SCRIPT <tree>/perfbench <workload> <seed> <ops>
 WORKLOAD_SCRIPT = """
 import sys, time
@@ -391,9 +391,9 @@ def explain_text(name: str, text_a: str, text_b: str) -> list:
     return [f"{name} differs in line endings only"]
 
 
-def bench_run(tree: Path, command: list, workload: str, seed: int, seconds, trace: int = 0) -> dict:
+def bench_run(tree: Path, command: list, workload: str, seed: int, seconds) -> dict:
     proc = subprocess.run(
-        [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, env=child_env(tree), check=True, capture_output=True, text=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -403,12 +403,6 @@ def bench_run(tree: Path, command: list, workload: str, seed: int, seconds, trac
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
-
-
-def call_counts(tree: Path, command: list, workload: str, seed: int) -> dict:
-    """The ``*.calls_per_op`` metrics of one traced run."""
-    metrics = bench_run(tree, command, workload, seed, 0, trace=1)["metrics"]
-    return {name: value for name, value in metrics.items() if name.endswith(".calls_per_op")}
 
 
 def quartiles(values: list) -> list:
@@ -475,14 +469,7 @@ def bench(base: Path, rev_sha: str, args) -> int:
             pairs.append(pair)
             print(f"{workload} pair {i}: ops_per_s {pair['base']['metrics']['ops_per_s']:.1f} -> "
                   f"{pair['work']['metrics']['ops_per_s']:.1f}", flush=True)
-        doc["workloads"][workload] = {
-            "runs": pairs,
-            "summary": summarize(pairs, better),
-            "calls_per_op": {
-                side: call_counts(tree, spec["command"], workload, args.seed)
-                for side, tree in (("base", base), ("work", ROOT))
-            },
-        }
+        doc["workloads"][workload] = {"runs": pairs, "summary": summarize(pairs, better)}
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(verdict_table(doc["workloads"], spec["end_to_end"]))
     return 0
