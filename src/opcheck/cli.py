@@ -126,7 +126,7 @@ def _report(rep, printer, out: Optional[str]) -> int:
 
 def _cmd_repro(args) -> int:
     if args.name == "example-2.8":
-        return _report(reproduce_counterexample_2_8(seed=_DEFAULT_SEED), _print_example_2_8, args.out)
+        return _report(reproduce_counterexample_2_8(), _print_example_2_8, args.out)
     if args.name == "sharpness":
         return _report(reproduce_sharpness_cor2_5(args.k), _print_sharpness, args.out)
     # cartesian-cex is find-cex at the default seed and n = 2

@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotPositiveSemidefinite
+from .errors import DimensionMismatch, DomainError, NoConvergence, NotPositiveSemidefinite
 from .linalg import (
     EigenSystem,
     Tolerance,
@@ -111,6 +111,9 @@ def _geometric_mean_es(es_a: EigenSystem, b, tol: Optional[Tolerance]) -> Tuple[
         if _clears(b - 3.0 * tau * eye, tau) or _is_definite(_eig(b, vectors=False)[0], tol):
             return _definite_mean(es_a, b), False
     # A + eps I = V (Lambda + eps) V*: every iterate shares A's one eigensystem
+    lmin, eps = float(es_a.values.min(initial=0.0)), min(_EPS_LADDER)
+    if not lmin + eps > 0.0:  # the iterate's A^-1/2 would divide by zero
+        raise DomainError(f"mean argument has eigenvalue {lmin:.3e}, not positive after the shift {eps:.0e}")
     iterates = [_definite_mean(EigenSystem(es_a.values + e, es_a.vectors), b + e * eye) for e in _EPS_LADDER]
     gap = _operator_norm(iterates[-1] - iterates[-2])
     if gap > _LIMIT_AGREE * (1.0 + _operator_norm(iterates[-1])):

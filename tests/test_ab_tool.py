@@ -1,10 +1,13 @@
 """The report explanations, the ``opcheck mean``, ``polar`` and ``check``
-inputs, the benchmark traffic, the sweep-run counts and the falsifier
-witnesses of ``tools/ab.py --reports``."""
+inputs, the digest sample, the digest run's lines, sweep-run counts and
+falsifier witnesses, and the wrong-output gate of ``tools/ab.py --reports``;
+the failed runs of ``tools/ab.py --bench``."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -97,58 +100,98 @@ def test_check_instances_meet_the_hypotheses_and_pass(check_id):
         assert outcome.notes == "schur factor variants included"
 
 
-def test_sweep_runs_are_counted_per_check_id(tmp_path, sweep_runs, monkeypatch):
-    """sweep_runs.json holds what the conftest counter sees in the same
-    trials, and under graded_mix and theorem_mix in the same ops of
-    perfbench/workloads.py."""
-    monkeypatch.setattr(ab, "SWEEP_TRIALS", 3)
-    monkeypatch.setattr(ab, "SWEEP_SEED", 7)
-    monkeypatch.setattr(ab, "SWEEP_GRADED_OPS", 4)
-    monkeypatch.setattr(ab, "SWEEP_THEOREM_OPS", 5)
-    ab.run_sweep_counts(ab.ROOT, tmp_path)
-    assert (tmp_path / "sweep_runs.stdout").read_text() == "exit 0\n"
-    counts = json.loads((tmp_path / "sweep_runs.json").read_text())
+# a few ops of each workload, past the first cycle too, at seeds 2026 and 7
+SAMPLE = [["small_search", 2026, [0, 1, 2, 3, 4, 5]], ["theorem_mix", 7, [0, 1, 13, 14, 30_001]],
+          ["graded_mix", 2026, [0, 1, 2, 3, 17_501]]]
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    """The files of one digest run of this checkout over SAMPLE, with 3
+    campaign trials per check id."""
+    out = tmp_path_factory.mktemp("digests")
+    ab.run_digests(ab.ROOT, out, SAMPLE, sweep_trials=3)
+    return out
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """This checkout's perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("workloads", ab.ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up; it puts the checkout's src first on the path
+    monkeypatch.setitem(sys.modules, "workloads", module)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec.loader.exec_module(module)
+    return module
+
+
+def digest_lines(out) -> dict:
+    """(workload, seed, op) -> the rest of its digest line."""
+    lines = (out / "digests.txt").read_text().splitlines()
+    return {(w, int(seed), int(op)): rest for w, seed, op, rest in (line.split(" ", 3) for line in lines)}
+
+
+def test_the_digest_sample_is_fixed_and_spans_seeds_and_late_ops(workloads):
+    sample = ab.digest_sample()
+    assert sample == ab.digest_sample()
+    seeds = [seed for _, seed, _ in sample]
+    assert len(set(seeds)) >= 64 and {2026, *ab.BENCH_SEEDS} <= set(seeds)
+    assert sorted((name, seed) for name, seed, _ in sample) == sorted(
+        (name, seed) for name in workloads.WORKLOADS for seed in set(seeds))
+    assert sum(len(ops) for _, _, ops in sample) <= 49_410
+    for name, seed, ops in sample:
+        cycle = workloads.WORKLOADS[name].cycle
+        assert ab.WORKLOAD_CYCLES[name] == cycle and ops[:cycle] == list(range(cycle))
+        assert all(x < y for x, y in zip(ops, ops[1:])) and ops[-1] < 40_000
+        # one op from each of 200 equal strata of [cycle, 40,000)
+        assert len(ops) == cycle + 200 and sum(op > 17_500 for op in ops) >= 100
+    assert max(max(ops) for _, _, ops in sample) > 39_000
+
+
+def test_sweep_runs_are_counted_per_check_id_and_per_op(digests, sweep_runs, workloads):
+    """sweep_runs.json and the digest lines hold what the conftest counter
+    sees in the same trials and ops of perfbench/workloads.py."""
+    assert (digests / "digests.stdout").read_text() == "exit 0\n"
+    counts = json.loads((digests / "sweep_runs.json").read_text())
     assert list(counts) == sorted([*CHECK_IDS, "graded_mix", "theorem_mix"])
     for check_id in CHECK_IDS:
-        spec = CampaignSpec(check_id=check_id, seed=7)
+        spec = CampaignSpec(check_id=check_id, seed=ab.SWEEP_SEED)
         before = len(sweep_runs)
         for trial in range(3):
             run_instance(make_instance(spec, trial), spec.tolerances)
         assert counts[check_id] == len(sweep_runs) - before > 0
-    spec = importlib.util.spec_from_file_location("workloads", ab.ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up; it puts the checkout's src first on the path
-    monkeypatch.setitem(sys.modules, "workloads", workloads)
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec.loader.exec_module(workloads)
-    for name, ops in (("graded_mix", 4), ("theorem_mix", 5)):
-        workload = workloads.WORKLOADS[name](7)
-        before = len(sweep_runs)
-        for i in range(ops):
-            workloads.run_op(workload, i, time.perf_counter)
-        assert counts[name] == len(sweep_runs) - before > 0
+    lines = digest_lines(digests)
+    assert list(lines) == [(name, seed, op) for name, seed, ops in SAMPLE for op in ops]
+    totals = dict.fromkeys(counts, 0)
+    for name, seed, ops in SAMPLE:
+        workload = workloads.WORKLOADS[name](seed)
+        for i in ops:
+            before = len(sweep_runs)
+            _, outcome = workloads.run_op(workload, i, time.perf_counter)
+            runs = len(sweep_runs) - before
+            assert lines[name, seed, i] == f"{outcome.ok} {outcome.passed} {runs} {outcome.digest}"
+            totals[name] = totals.get(name, 0) + runs
+    assert counts["graded_mix"] == totals["graded_mix"] > 0
+    assert counts["theorem_mix"] == totals["theorem_mix"] > 0
 
 
-def test_search_seeds_are_the_small_search_searches(tmp_path):
-    """The find-cex seeds are the searches of small_search ops 0 and 5, whose
-    outcome digests the workload script writes from perfbench/workloads.py."""
-    ab.run_workload(ab.ROOT, "small_search", 6, tmp_path)
-    lines = (tmp_path / "workload_small_search.stdout").read_text().splitlines()
-    assert len(lines) == 7 and lines[-1] == "exit 0"
+def test_search_seeds_are_the_small_search_searches(digests):
+    """The find-cex seeds are the searches of small_search ops 0 and 5 at
+    seed 2026, whose outcome digests the digest run writes."""
+    lines = digest_lines(digests)
     for op, seed in zip((0, 5), ab.SEARCH_SEEDS):
         rep = find_counterexamples_remarks(trials=10_000, seed=seed, dim=2)
         trials = [w.trial_index for w in rep.witnesses.values()]
-        assert lines[op] == f"{op} True True True:{trials}:{rep.worst_rho!r}"
+        assert lines["small_search", 2026, op].endswith(f" True:{trials}:{rep.worst_rho!r}")
 
 
-def test_falsifier_witnesses_are_recorded(tmp_path):
+def test_falsifier_witnesses_are_recorded(digests):
     """falsifier.json holds, per map, level and trial count, the witness the
     falsifier returns: the pinned ones of tests/test_posmap.py at level 2,
     found at trial 0 so at every count, none at level 1 and none for the
     Kraus maps."""
-    ab.run_falsifier(ab.ROOT, tmp_path)
-    assert (tmp_path / "falsifier.stdout").read_text() == "exit 0\n"
-    got = json.loads((tmp_path / "falsifier.json").read_text())
+    got = json.loads((digests / "falsifier.json").read_text())
     pinned = {
         "transpose_2": "-0x1.52d2272117c3fp+2",
         "transpose_3": "-0x1.60bb46f504afbp+3",
@@ -167,3 +210,82 @@ def test_falsifier_witnesses_are_recorded(tmp_path):
         w = sample_positivity_falsifier(TransposeMap(3), 2, trials, ab.FALSIFIER_SEED)
         assert got[f"transpose_3_level_2_trials_{trials}"]["input_sha256"] == hashlib.sha256(
             w.input_matrix.tobytes()).hexdigest()
+
+
+# a perfbench/workloads.py whose theorem_mix op 1 raises a ValueError and op 2 is a wrong output
+STUB_WORKLOADS = '''
+import collections
+Outcome = collections.namedtuple("Outcome", "ok passed digest")
+class Stub:
+    def __init__(self, seed):
+        self.seed = seed
+WORKLOADS = {"theorem_mix": Stub}
+def run_op(workload, i, clock):
+    if i == 1:
+        raise ValueError("matrix contains non-finite entries")
+    return 0.0, Outcome(ok=i != 2, passed=i != 2, digest=f"{i != 2}:0.5")
+'''
+
+
+def test_a_raising_op_is_recorded_and_every_wrong_output_fails_the_gate(tmp_path, monkeypatch, capsys):
+    tree, out = tmp_path / "tree", tmp_path / "out"
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "workloads.py").write_text(STUB_WORKLOADS)
+    (tree / "src").symlink_to(ab.ROOT / "src")
+    out.mkdir()
+    ab.run_digests(tree, out, [["theorem_mix", 31, [0, 1, 2, 3]]], sweep_trials=0)
+    assert (out / "digests.stdout").read_text() == "exit 0\n"
+    wrong = ["theorem_mix 31 1 False False 0 ValueError('matrix contains non-finite entries')",
+             "theorem_mix 31 2 False False 0 False:0.5"]
+    assert (out / "digests.txt").read_text().splitlines() == [
+        "theorem_mix 31 0 True True 0 True:0.5", *wrong, "theorem_mix 31 3 True True 0 True:0.5"]
+    assert ab.wrong_outputs(out) == wrong
+
+    # both trees agree, and the gate still fails
+    monkeypatch.setattr(ab, "write_reports", lambda tree, dest: shutil.copytree(out, dest))
+    assert ab.compare_reports(tree, tree) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"{side}: wrong output: {line}" for side in ("base", "work") for line in wrong),
+        "4 wrong outputs in the digest sample", "all 5 files identical"]
+
+    (out / "digests.stdout").write_text("Traceback (most recent call last):\nexit 1\n")
+    assert ab.wrong_outputs(out) == [*wrong, "digest run ended with 'exit 1'"]
+
+
+# a benchmark command that prints the next of its tree's values.json as
+# ops_per_s, or for null fails with 50 lines of stdout and one of stderr
+STUB_BENCH = '''
+import json, pathlib, sys
+path = pathlib.Path("values.json")
+values = json.loads(path.read_text())
+path.write_text(json.dumps(values[1:]))
+if values[0] is None:
+    print("\\n".join(f"line {i}" for i in range(50)))
+    sys.exit("worker exited with status 1")
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {"ops_per_s": {"value": values[0]}}}))
+'''
+
+
+def test_a_failing_bench_run_is_kept_and_the_medians_take_the_finished_runs(tmp_path, monkeypatch, capsys):
+    base, work = tmp_path / "base", tmp_path / "work"
+    for tree, values in ((base, [100, 100, 100]), (work, [None, 120, 130])):
+        tree.mkdir()
+        (tree / "stub.py").write_text(STUB_BENCH)
+        (tree / "values.json").write_text(json.dumps(values))
+    (work / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "stub.py"], "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}], "per_layer": []}))
+    monkeypatch.setattr(ab, "ROOT", work)
+    monkeypatch.setattr(ab, "git", lambda *args: "")
+    args = argparse.Namespace(rev="r", bench=3, seed=5, out=str(tmp_path / "BENCH.json"))
+    assert ab.bench(base, "abc", args) == 1
+    doc = json.loads((tmp_path / "BENCH.json").read_text())["workloads"]["w"]
+    assert [run["failed"] for run in doc["runs"]] == [["work"], [], []]
+    assert doc["runs"][0]["work"] == {"exit": 1, "stdout_tail": [f"line {i}" for i in range(10, 50)],
+                                      "stderr_tail": ["worker exited with status 1"]}
+    summary = doc["summary"]["ops_per_s"]
+    assert (summary["base_median"], summary["work_median"]) == (100, 125)
+    assert (summary["work_wins"], summary["base_wins"]) == (2, 0)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "w pair 0: ops_per_s 100.0 -> exit 1"
+    assert "w             work: 1 of 3 runs failed" in lines

@@ -35,7 +35,7 @@ def _announce(name: str, ok: bool, detail: str = "") -> None:
 
 def test_example_2_8_reproduction():
     t0 = time.perf_counter()
-    rep = reproduce_counterexample_2_8(seed=SEED)
+    rep = reproduce_counterexample_2_8()
     elapsed = time.perf_counter() - t0
     ok = (
         rep.passed

@@ -533,19 +533,11 @@ class TestSpecializationConsistency:
 
 class TestReproductions:
     def test_example_2_8_exact_determinants(self):
-        rep = reproduce_counterexample_2_8(seed=3)
+        rep = reproduce_counterexample_2_8()
         assert rep.passed
         assert rep.det_lhs == pytest.approx(25.0, rel=1e-12)
         assert rep.det_rhs_min == pytest.approx(16.0, rel=1e-9)
         assert rep.det_rhs_max == pytest.approx(16.0, rel=1e-9)
-
-    def test_example_2_8_needs_a_nonnegative_seed(self, monkeypatch):
-        def no_draws(seed):
-            raise AssertionError("a generator was made")
-
-        monkeypatch.setattr(np.random, "default_rng", no_draws)
-        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
-            reproduce_counterexample_2_8(seed=-1)
 
     @pytest.mark.parametrize("k", [1.0, 4.0, 100.0])
     def test_sharpness_values(self, k):

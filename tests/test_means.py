@@ -176,6 +176,20 @@ class TestSingularLimit:
         mean, used_limit = opcheck.means._geometric_mean_es(es, b, None)
         assert used_limit and mean.tobytes() == geometric_mean_ex(a, b)[0].tobytes()
 
+    def test_an_eigenvalue_the_shift_leaves_nonpositive_raises_a_domain_error(self, sweep_runs):
+        # -1.5e-8 passes the PSD test at abs = 1e-8 but not the shift to
+        # eps = 1e-8, whose iterate would take the inverse root of zero
+        tol = opcheck.linalg.Tolerance(abs=1e-8, rel=1e-8, rank_cutoff=6e-12)
+        a = np.diag([1.0, -1.5e-8]) + 0j
+        message = r"^mean argument has eigenvalue -1\.500e-08, not positive after the shift 1e-08$"
+        with pytest.raises(opcheck.errors.DomainError, match=message):
+            geometric_mean_ex(a, np.eye(2), tol)
+        # A's decomposition only: no iterate is formed
+        assert len(sweep_runs) == 1
+        # -0.5e-8 stays positive under both shifts, so the limit's iterates run
+        with pytest.raises(NoConvergence, match="^singular-mean limit not Cauchy"):
+            geometric_mean_ex(np.diag([1.0, -0.5e-8]) + 0j, np.eye(2), tol)
+
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("n", [2, 3, 5])

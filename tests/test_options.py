@@ -37,7 +37,7 @@ PUBLIC_PARAMETERS = {
     "modulus": ("z", "tol"),
     "operator_norm": ("m",),
     "polar": ("z", "tol"),
-    "reproduce_counterexample_2_8": ("seed",),
+    "reproduce_counterexample_2_8": (),
     "reproduce_sharpness_cor2_5": ("k",),
     "run_campaign": ("spec",),
     "run_instance": ("inst", "tol"),

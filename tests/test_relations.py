@@ -14,6 +14,11 @@ computes +0.0 again. Neither relation needs a tolerance or a reference.
     _svd            values 2^k times, same factors   same values, conj factors
     _clears         same verdict, h and margin 4^j   same verdict
     _clears_stack   as _clears, per matrix           as _clears, per matrix
+    _hermitian_modulus  |H| 2^k times, per matrix    conj |H|, per matrix
+    _cartesian_sum  K and values 2^k, K^-1/2 2^-k/2, none: Y of conj Z is -conj Y
+                    K^-1 2^-k, same vectors,         and |-H| need not have the
+                    congruence norm and rho          bits of |H|
+    _spectral_radius                                 same radius, per matrix
 
 The Cholesky screen scales by 4^j, an even power of two, so that its square
 roots, the pivots, scale exactly too; every test it makes compares
@@ -27,8 +32,9 @@ floors of its singular-input handling, and is not listed here.
 import numpy as np
 import pytest
 
+from opcheck.checks import _cartesian_sum, _hermitian_modulus
 from opcheck.decompose import _svd
-from opcheck.linalg import _clears, _clears_stack, _eig, _eig_stack, hermitian_part
+from opcheck.linalg import _clears, _clears_stack, _eig, _eig_stack, _spectral_radius, hermitian_part
 
 EXPONENTS = [20, -20, 40, -40, 80, -80]
 SIZES = [2, 3, 4, 5, 6]
@@ -167,3 +173,55 @@ def test_the_screen_verdict_commutes_with_conjugation(n):
     assert set(verdicts) == {True, False}
     assert [_clears(h.conj(), margin) for h, margin in zip(hs, margins.tolist())] == verdicts
     assert _clears_stack(hs.conj(), margins).tolist() == verdicts
+
+
+# the search's stacked kernels, on stacks of one and of seven
+STACKS = [1, 7]
+
+
+def hermitian_stack(n, size):
+    return np.array(hermitians(n, n) + hermitians(n, n + 10))[:size]
+
+
+def square_stack(n, size):
+    return np.array(squares(n, n) + squares(n, n + 10) + squares(n, n + 20))[:size]
+
+
+@pytest.mark.parametrize("exponent", [20, -20, 40, -40])
+@pytest.mark.parametrize("size", STACKS)
+@pytest.mark.parametrize("n", SIZES)
+def test_hermitian_modulus_scales_exactly(n, size, exponent):
+    hs = hermitian_stack(n, size)
+    assert _hermitian_modulus(scaled(hs, exponent)).tobytes() == scaled(_hermitian_modulus(hs), exponent).tobytes()
+
+
+@pytest.mark.parametrize("size", STACKS)
+@pytest.mark.parametrize("n", SIZES)
+def test_hermitian_modulus_commutes_with_conjugation(n, size):
+    hs = hermitian_stack(n, size)
+    assert unsigned(_hermitian_modulus(hs.conj())) == unsigned(_hermitian_modulus(hs).conj())
+
+
+@pytest.mark.parametrize("exponent", [20, -20, 40, -40])
+@pytest.mark.parametrize("size", STACKS)
+@pytest.mark.parametrize("n", SIZES)
+def test_cartesian_sum_scales_exactly(n, size, exponent):
+    """K, its values and 2^k Z's K^-1/2 and K^-1 scale by 2^k, 2^k, 2^-k/2
+    and 2^-k; K's vectors, the congruence norm and rho stay. Conjugation is
+    no relation here: Y of conj Z is -conj Y, and |-H| need not have the bits
+    of |H|, since the Jacobi angle is not odd under H -> -H."""
+    zs = square_stack(n, size)
+    for got, want in zip(_cartesian_sum(scaled(zs, exponent), None), _cartesian_sum(zs, None)):
+        assert got.matrix.tobytes() == scaled(want.matrix, exponent).tobytes()
+        assert got.values.tobytes() == np.ldexp(want.values, exponent).tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert got.inv_half.tobytes() == scaled(want.inv_half, -exponent // 2).tobytes()
+        assert got.inv.tobytes() == scaled(want.inv, -exponent).tobytes()
+        assert (got.congruence_norm, got.rho) == (want.congruence_norm, want.rho)
+
+
+@pytest.mark.parametrize("size", STACKS)
+@pytest.mark.parametrize("n", SIZES)
+def test_spectral_radius_commutes_with_conjugation(n, size):
+    zs = square_stack(n, size)
+    assert _spectral_radius(zs.conj()) == _spectral_radius(zs)

@@ -9,77 +9,72 @@ only; BLAS and OpenMP are pinned to one thread in every child process.
 
 ``--reports`` writes the outputs of every CLI subcommand from both trees:
 ``opcheck campaign`` for every check id at seeds 7 and 2026 with 50 trials,
-``repro example-2.8``, ``repro sharpness``,
-``repro cartesian-cex --trials 3000``, ``find-cex --trials 3000 --seed 5``,
-``find-cex --trials 5000 --seed 6 --n 3``, ``find-cex --trials 10000`` at
-the two ``SEARCH_SEEDS``, which are the seeds of the first two searches of
-the benchmark's ``small_search`` workload at seed 2026, ``opcheck mean`` on
-the fixed (A, B) pairs of ``MEAN_PAIRS``,
-``opcheck polar`` on the rank-one ``POLAR_Z``, and ``opcheck check`` for
-every check id on the fixed instance of ``check_instance``. The tool writes
-those matrices and instances itself. In the mean pairs B's smallest
-eigenvalue is 0.5, 1, 2 and 4 times 1e-10, on both sides of the mean's
-definiteness threshold and of its Cholesky screen; the first pair ends in
-the singular-mean limit's ``NoConvergence``. The polar factor of ``POLAR_Z``
-needs two completed columns. It also runs the first ``WORKLOAD_OPS`` ops of
-each benchmark workload at seed 2026 through the tree's own
-``perfbench/workloads.py`` and writes each op's outcome digest, one line per
-op, which shows the first op whose verdict, slack, witness trials or error
-changed. And it writes ``sweep_runs.json``: per check id, the runs of the
-Jacobi sweep loop, one per matrix that ``opcheck.linalg._sweeps`` or
-``_sweeps_stack`` diagonalizes, in ``SWEEP_TRIALS`` campaign
-trials at seed ``SWEEP_SEED``; under ``theorem_mix`` the runs in the first
-``SWEEP_THEOREM_OPS`` ops of that workload at the same seed, which cycles
-the map families and so shows most plainly a factorization lost on the
-identity map; and under ``graded_mix`` the runs in the first
-``SWEEP_GRADED_OPS`` ops of that workload at the same seed, where the
-rank-deficient SVDs and the singular-mean limits run. Both workloads come
-from the tree's own ``perfbench/workloads.py``. It names any change in
-factorization work that the byte comparison cannot see. And it writes ``falsifier.json``: per map and
-level and trial count, the witness of ``sample_positivity_falsifier`` (its
-trial, the ``hex`` of its eigenvalue and the sha256 of its input) or null,
-for the transpose and transpose-plus-identity maps at n = 2, 3 and for the
-three Kraus maps of ``FALSIFIER_SCRIPT``, at levels 1 and 2 with each of
-``FALSIFIER_TRIALS`` trials at seed ``FALSIFIER_SEED``: 200, a stack of one
-and 137, whose second block is partial. The workload
-digests see only whether a falsifier op found a witness. Each command's ``--out`` file and
-its stdout and stderr plus exit status are compared byte for byte. It exits
-0 when every file is equal. Otherwise it names every file that differs and
-exits 1: for a JSON file it prints each differing key path (list indices
-folded into ``[*]``) with the number of values and their largest relative
-difference, and whether a ``pass``, ``failures`` or ``witness*`` field
-changed; for a stdout file it prints the first differing line of each side.
+the ``REPRO_COMMANDS``, among them ``find-cex --trials 10000`` at the two
+``SEARCH_SEEDS`` of the first two searches of the benchmark's
+``small_search`` workload at seed 2026, ``opcheck mean`` on the (A, B) pairs
+of ``MEAN_PAIRS``, in which B's smallest eigenvalue straddles the mean's
+definiteness threshold and its Cholesky screen, ``opcheck polar`` on the
+rank-one ``POLAR_Z``, and ``opcheck check`` for every check id on the
+instance of ``check_instance``. The tool writes those inputs itself.
 
-``--bench PAIRS`` runs the benchmark command of ``BENCHMARK.json`` with
-``--trace 0`` in the two trees alternately, PAIRS pairs for each of its
-workloads and its ``run_seconds`` per run. The revision goes first in even
-pairs and the working tree in odd ones, so slow drift of the host does not
-favour one side. It writes a JSON file with both SHAs, the seed, the per-run
-metrics, and per metric the medians, the quartiles and the pairs each side
-won, a win judged by the metric's ``better`` direction in
-``BENCHMARK.json``. The working tree's ``BENCHMARK.json`` is used for both
-trees. After the pairs it prints a verdict table: one row per workload and
-end-to-end metric with both medians, their ratio, the spread between the
-revision's quartiles and the pairs each side won, marked ``WORSE`` where the
-working tree's median is worse than the revision's by more than the metric's
-``bound`` in ``BENCHMARK.json``, taken relative to the revision's median.
+One more child process per tree runs ``write_digests`` on the tree's
+package and ``perfbench/workloads.py``. Its ``digests.txt`` has a line
+``workload seed op ok passed runs digest`` per op of ``digest_sample()``:
+each workload's first cycle and ``SAMPLE_EXTRA_OPS`` ops, one from each of
+as many equal strata of [cycle, ``SAMPLE_OP_LIMIT``), at ``SAMPLE_SEEDS``
+seeds. ``runs`` counts the matrices that ``opcheck.linalg._sweeps`` or
+``_sweeps_stack`` diagonalize, and an op that raises anything but an
+``OpcheckError`` gets ``False False`` and the exception's ``repr``. Its
+``sweep_runs.json`` holds those runs per check id in ``SWEEP_TRIALS``
+campaign trials at ``SWEEP_SEED``, and under ``theorem_mix`` and
+``graded_mix`` over their sampled ops. Its ``falsifier.json`` holds per map,
+level and trial count the witness of ``sample_positivity_falsifier`` (its
+trial, the ``hex`` of its eigenvalue, the sha256 of its input) or null, for
+the transpose and transpose-plus-identity maps at n = 2, 3 and three Kraus
+maps, at levels 1 and 2 and each of ``FALSIFIER_TRIALS`` at ``FALSIFIER_SEED``.
+
+Each command's ``--out`` file and its stdout and stderr plus exit status are
+compared byte for byte. For each file that differs it prints, for JSON, each
+differing key path (list indices folded into ``[*]``) with the number of
+values and their largest relative difference, and whether a ``pass``,
+``failures`` or ``witness*`` field changed; for text, the first differing
+line of each side. It also names each sampled op that the benchmark counts
+as a wrong output on either tree (``ok`` false, or raised), even where both
+trees agree, and a digest run that did not exit 0. It exits 0 when every
+file is equal and no sampled op is wrong, and 1 otherwise.
+
+``--bench PAIRS`` runs the working tree's ``BENCHMARK.json`` command with
+``--trace 0`` in the two trees alternately, the revision first in even pairs
+so that drift of the host favours neither, PAIRS pairs per workload. It
+writes both SHAs, the seed, each run's metrics, or for a run that exits
+non-zero its exit status and the last ``TAIL_LINES`` lines of its stdout and
+stderr (its pair lists it under ``failed``), and per metric the medians and
+quartiles of each side's finished runs and the wins of each side (by the
+metric's ``better``) among pairs that both finished. Its verdict table has
+"k of N runs failed" per side and workload, and per workload and end-to-end
+metric both medians, their ratio, the revision's interquartile spread and
+the wins, marked ``WORSE`` past the metric's ``bound`` relative to the
+revision's median. It exits 1 when a run failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import hashlib
 import io
 import itertools
 import json
 import math
 import os
+import random
 import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,94 +91,20 @@ REPRO_COMMANDS = {
     "find_cex_n3": ["find-cex", "--trials", "5000", "--seed", "6", "--n", "3"],
     **{f"find_cex_{seed}": ["find-cex", "--trials", "10000", "--seed", str(seed)] for seed in SEARCH_SEEDS},
 }
-# ops per benchmark workload for the outcome digests, whole cycles of each
-# (70, 40 and 5 ops), past the most ops a benchmark run of BENCH_21.json
-# reached (16,940, 13,760 and 13,450) and past the 17,420 small_search ops
-# that a 30 s run at seed 1 reached on a 2-core host, so every op a run can
-# reach is compared
-WORKLOAD_OPS = {"theorem_mix": 17_010, "graded_mix": 13_800, "small_search": 17_500}
-# run in a tree as: python -c WORKLOAD_SCRIPT <tree>/perfbench <workload> <seed> <ops>
-WORKLOAD_SCRIPT = """
-import sys, time
-sys.path.insert(0, sys.argv[1])
-import workloads
-workload = workloads.WORKLOADS[sys.argv[2]](int(sys.argv[3]))
-for i in range(int(sys.argv[4])):
-    _, outcome = workloads.run_op(workload, i, time.perf_counter)
-    print(i, outcome.ok, outcome.passed, outcome.digest)
-"""
+# the digest sample, 45,760 ops: each workload's first cycle, which every benchmark run reaches and replays the
+# start of, and ops up to SAMPLE_OP_LIMIT, past the 17,420 small_search ops a 30 s run reached on a 2-core host,
+# at SAMPLE_SEEDS seeds: 2026, the BENCH file seeds and more drawn from SAMPLE_RANDOM_SEED
+WORKLOAD_CYCLES = {"theorem_mix": 70, "graded_mix": 40, "small_search": 5}
+BENCH_SEEDS = (17, 29, 31, 47, 53, 67, 73, 89, 97, 6161)
+SAMPLE_SEEDS = 64
+SAMPLE_EXTRA_OPS = 200
+SAMPLE_OP_LIMIT = 40_000
+SAMPLE_RANDOM_SEED = 27
 SWEEP_TRIALS = 100
 SWEEP_SEED = 2026
-# graded_mix ops whose sweep runs are counted, at SWEEP_SEED: campaign trials
-# hold no rank-deficient SVD and no singular-mean limit, and these ops do
-SWEEP_GRADED_OPS = 400
-# theorem_mix ops whose sweep runs are counted, at SWEEP_SEED: ten cycles
-SWEEP_THEOREM_OPS = 700
-# run in a tree as:
-# python -c SWEEP_SCRIPT <out.json> <trials> <seed> <tree>/perfbench <graded ops> <theorem ops>
-SWEEP_SCRIPT = """
-import json, sys, time
-sys.path.insert(0, sys.argv[4])
-import opcheck.linalg
-import workloads
-from opcheck.campaign import CHECK_IDS, CampaignSpec, make_instance, run_instance
-sweeps = opcheck.linalg._sweeps
-runs = []
-def counting(*args, **kwargs):
-    runs.append(1)
-    return sweeps(*args, **kwargs)
-opcheck.linalg._sweeps = counting
-sweeps_stack = getattr(opcheck.linalg, "_sweeps_stack", None)  # absent before the stacked kernel
-def counting_stack(a, *args, **kwargs):
-    runs.extend([1] * len(a))
-    return sweeps_stack(a, *args, **kwargs)
-if sweeps_stack is not None:
-    opcheck.linalg._sweeps_stack = counting_stack
-out = {}
-for check_id in CHECK_IDS:
-    spec = CampaignSpec(check_id=check_id, seed=int(sys.argv[3]))
-    start = len(runs)
-    for trial in range(int(sys.argv[2])):
-        run_instance(make_instance(spec, trial), spec.tolerances)
-    out[check_id] = len(runs) - start
-for name, ops in (("graded_mix", sys.argv[5]), ("theorem_mix", sys.argv[6])):
-    workload = workloads.WORKLOADS[name](int(sys.argv[3]))
-    start = len(runs)
-    for i in range(int(ops)):
-        workloads.run_op(workload, i, time.perf_counter)
-    out[name] = len(runs) - start
-with open(sys.argv[1], "w") as f:
-    json.dump(out, f, indent=2, sort_keys=True)
-"""
 FALSIFIER_TRIALS = (200, 1, 137)
 FALSIFIER_SEED = 3
-# run in a tree as: python -c FALSIFIER_SCRIPT <out.json> <seed> <trials> [<trials> ...]
-FALSIFIER_SCRIPT = """
-import hashlib, json, sys
-import numpy as np
-from opcheck.posmap import IdentityMap, KrausSum, MapSum, TransposeMap, sample_positivity_falsifier
-maps = {}
-for n in (2, 3):
-    maps[f"transpose_{n}"] = TransposeMap(n)
-    maps[f"transpose_plus_identity_{n}"] = MapSum(terms=(IdentityMap(n), TransposeMap(n)))
-rng = np.random.default_rng(2027)
-for i, (m, n, count) in enumerate(((2, 2, 1), (3, 2, 2), (2, 3, 3))):
-    ops = tuple(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)) for _ in range(count))
-    maps[f"kraus_{i}"] = KrausSum(kraus=ops)
-out = {}
-seed = int(sys.argv[2])
-for trials in map(int, sys.argv[3:]):
-    for name, phi in maps.items():
-        for level in (1, 2):
-            w = sample_positivity_falsifier(phi, level, trials, seed)
-            out[f"{name}_level_{level}_trials_{trials}"] = None if w is None else {
-                "trial": w.trial_index,
-                "min_output_eigenvalue": w.min_output_eigenvalue.hex(),
-                "input_sha256": hashlib.sha256(w.input_matrix.tobytes()).hexdigest(),
-            }
-with open(sys.argv[1], "w") as f:
-    json.dump(out, f, indent=2, sort_keys=True)
-"""
+TAIL_LINES = 40
 # B's smallest eigenvalue in each ``opcheck mean`` pair, by file label
 MEAN_PAIRS = {"lmin_5e-11": 5e-11, "lmin_1e-10": 1e-10, "lmin_2e-10": 2e-10, "lmin_4e-10": 4e-10}
 # A = [[2, i, 0], [-i, 2, 1], [0, 1, 2]], with eigenvalues 2 - sqrt(2), 2 and 2 + sqrt(2)
@@ -226,31 +147,101 @@ def run_cli(tree: Path, args: list, out_dir: Path, name: str) -> None:
     run_python(tree, ["-m", "opcheck.cli", *args, "--out", str(out_dir / f"{name}.json")], out_dir, name)
 
 
-def run_workload(tree: Path, name: str, ops: int, out_dir: Path) -> None:
-    """The outcome digests of ``ops`` ops of workload ``name`` at seed 2026,
-    from ``tree``'s ``perfbench/workloads.py``, in workload_<name>.stdout
-    with stderr and the exit status."""
-    run_python(tree, ["-c", WORKLOAD_SCRIPT, str(tree / "perfbench"), name, "2026", str(ops)], out_dir,
-               f"workload_{name}")
+def digest_sample() -> list:
+    """[workload, seed, ops] for each workload and seed of the digest sample."""
+    rng = random.Random(SAMPLE_RANDOM_SEED)
+    seeds = [2026, *BENCH_SEEDS]
+    while len(seeds) < SAMPLE_SEEDS:
+        seed = rng.randrange(1, 10_000)
+        seeds += [seed] if seed not in seeds else []
+    sample = []
+    for name, cycle in WORKLOAD_CYCLES.items():
+        bounds = [cycle + k * (SAMPLE_OP_LIMIT - cycle) // SAMPLE_EXTRA_OPS for k in range(SAMPLE_EXTRA_OPS + 1)]
+        for seed in seeds:
+            extra = [rng.randrange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            sample.append([name, seed, [*range(cycle), *extra]])
+    return sample
 
 
-def run_sweep_counts(tree: Path, out_dir: Path) -> None:
-    """sweep_runs.json from ``tree``: the sweep runs per check id in
-    ``SWEEP_TRIALS`` trials at ``SWEEP_SEED``, and under ``graded_mix`` and
-    ``theorem_mix`` in the first ``SWEEP_GRADED_OPS`` and
-    ``SWEEP_THEOREM_OPS`` ops of those workloads at ``SWEEP_SEED``, from
-    ``tree``'s ``perfbench/workloads.py``; stderr and the exit status go to
-    sweep_runs.stdout."""
-    run_python(tree, ["-c", SWEEP_SCRIPT, str(out_dir / "sweep_runs.json"), str(SWEEP_TRIALS), str(SWEEP_SEED),
-                      str(tree / "perfbench"), str(SWEEP_GRADED_OPS), str(SWEEP_THEOREM_OPS)], out_dir, "sweep_runs")
+def run_digests(tree: Path, out_dir: Path, sample: list, sweep_trials: int = SWEEP_TRIALS) -> None:
+    """digests.txt, sweep_runs.json and falsifier.json from ``tree``, written
+    by ``write_digests`` in one child process; the job goes to digests.in,
+    stdout, stderr and the exit status to digests.stdout."""
+    (out_dir / "digests.in").write_text(json.dumps({"sample": sample, "sweep_trials": sweep_trials}))
+    bootstrap = "import sys; sys.path.insert(0, sys.argv[1]); import ab; ab.write_digests(sys.argv[2], 'digests.in')"
+    run_python(tree, ["-c", bootstrap, str(ROOT / "tools"), str(tree / "perfbench")], out_dir, "digests")
 
 
-def run_falsifier(tree: Path, out_dir: Path) -> None:
-    """falsifier.json from ``tree``: the falsifier's witnesses per map,
-    level and each of ``FALSIFIER_TRIALS`` trials at ``FALSIFIER_SEED``;
-    stderr and the exit status go to falsifier.stdout."""
-    run_python(tree, ["-c", FALSIFIER_SCRIPT, str(out_dir / "falsifier.json"), str(FALSIFIER_SEED),
-                      *map(str, FALSIFIER_TRIALS)], out_dir, "falsifier")
+def write_digests(perfbench: str, job_path: str) -> None:
+    """The files of ``run_digests``, in the working directory; run in a child
+    process whose ``opcheck`` is the tree's, next to ``perfbench``."""
+    sys.path.insert(0, perfbench)
+    import numpy as np
+    import opcheck.linalg
+    import workloads
+    from opcheck.campaign import CHECK_IDS, CampaignSpec, make_instance, run_instance
+    from opcheck.posmap import IdentityMap, KrausSum, MapSum, TransposeMap, sample_positivity_falsifier
+
+    maps = {f"transpose_{n}": TransposeMap(n) for n in (2, 3)}
+    maps |= {f"transpose_plus_identity_{n}": MapSum(terms=(IdentityMap(n), TransposeMap(n))) for n in (2, 3)}
+    rng = np.random.default_rng(2027)
+    for i, (m, n, count) in enumerate(((2, 2, 1), (3, 2, 2), (2, 3, 3))):
+        ops = tuple(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)) for _ in range(count))
+        maps[f"kraus_{i}"] = KrausSum(kraus=ops)
+    witnesses = {}
+    for trials in FALSIFIER_TRIALS:
+        for name, phi in maps.items():
+            for level in (1, 2):
+                w = sample_positivity_falsifier(phi, level, trials, FALSIFIER_SEED)
+                witnesses[f"{name}_level_{level}_trials_{trials}"] = None if w is None else {
+                    "trial": w.trial_index, "min_output_eigenvalue": w.min_output_eigenvalue.hex(),
+                    "input_sha256": hashlib.sha256(w.input_matrix.tobytes()).hexdigest()}
+    Path("falsifier.json").write_text(json.dumps(witnesses, indent=2, sort_keys=True))
+
+    runs = 0
+
+    def counted(kernel, size):
+        def counting(*args, **kwargs):
+            nonlocal runs
+            runs += size(args[0])
+            return kernel(*args, **kwargs)
+        return counting
+
+    opcheck.linalg._sweeps = counted(opcheck.linalg._sweeps, lambda a: 1)
+    if hasattr(opcheck.linalg, "_sweeps_stack"):  # absent before the stacked kernel
+        opcheck.linalg._sweeps_stack = counted(opcheck.linalg._sweeps_stack, len)
+    job = json.loads(Path(job_path).read_text())
+    totals = {"graded_mix": 0, "theorem_mix": 0}
+    for check_id in CHECK_IDS:
+        spec = CampaignSpec(check_id=check_id, seed=SWEEP_SEED)
+        start = runs
+        for trial in range(job["sweep_trials"]):
+            run_instance(make_instance(spec, trial), spec.tolerances)
+        totals[check_id] = runs - start
+    with open("digests.txt", "w") as out:
+        for name, seed, ops in job["sample"]:
+            workload = workloads.WORKLOADS[name](seed)
+            for i in ops:
+                start = runs
+                try:
+                    _, outcome = workloads.run_op(workload, i, time.perf_counter)
+                    fields = (outcome.ok, outcome.passed, runs - start, outcome.digest)
+                except Exception as exc:  # an error that ends a benchmark run
+                    fields = (False, False, runs - start, repr(exc))
+                out.write(" ".join(map(str, (name, seed, i, *fields))) + "\n")
+                if name in totals:
+                    totals[name] += runs - start
+    Path("sweep_runs.json").write_text(json.dumps(totals, indent=2, sort_keys=True))
+
+
+def wrong_outputs(out_dir: Path) -> list:
+    """The digest lines of sampled ops that the benchmark counts as wrong
+    outputs, and the digest run's last line if it did not exit 0."""
+    digests = out_dir / "digests.txt"
+    lines = digests.read_text().splitlines() if digests.exists() else []
+    wrong = [line for line in lines if line.split(" ")[3] != "True"]
+    status = (out_dir / "digests.stdout").read_text().splitlines()[-1]
+    return wrong + ([f"digest run ended with {status!r}"] if status != "exit 0" else [])
 
 
 def mean_b(lmin: float) -> list:
@@ -306,10 +297,7 @@ def write_reports(tree: Path, out_dir: Path) -> None:
         run_cli(tree, ["mean", "--a", f"{name}.a", "--b", f"{name}.b"], out_dir, name)
     (out_dir / "polar.in").write_text(json.dumps(matrix_obj(POLAR_Z)))
     run_cli(tree, ["polar", "--in", "polar.in"], out_dir, "polar")
-    for name, ops in WORKLOAD_OPS.items():
-        run_workload(tree, name, ops, out_dir)
-    run_sweep_counts(tree, out_dir)
-    run_falsifier(tree, out_dir)
+    run_digests(tree, out_dir, digest_sample())
 
 
 def compare_reports(base: Path, work: Path) -> int:
@@ -317,6 +305,11 @@ def compare_reports(base: Path, work: Path) -> int:
         a, b = Path(tmp) / "a", Path(tmp) / "b"
         write_reports(base, a)
         write_reports(work, b)
+        wrong = [f"{side}: wrong output: {line}" for side, out in (("base", a), ("work", b))
+                 for line in wrong_outputs(out)]
+        if wrong:
+            print("\n".join(wrong))
+            print(f"{len(wrong)} wrong outputs in the digest sample")
         names_a = sorted(p.name for p in a.iterdir())
         names_b = sorted(p.name for p in b.iterdir())
         if names_a != names_b:
@@ -326,11 +319,9 @@ def compare_reports(base: Path, work: Path) -> int:
         for name in differing:
             explain = explain_json if name.endswith(".json") else explain_text
             print("\n".join(explain(name, (a / name).read_text(), (b / name).read_text())))
-        if differing:
-            print(f"{len(differing)} of {len(names_a)} files differ")
-            return 1
-        print(f"all {len(names_a)} files identical")
-        return 0
+        print(f"{len(differing)} of {len(names_a)} files differ"
+              if differing else f"all {len(names_a)} files identical")
+        return 1 if differing or wrong else 0
 
 
 _MISSING = object()
@@ -394,8 +385,11 @@ def explain_text(name: str, text_a: str, text_b: str) -> list:
 def bench_run(tree: Path, command: list, workload: str, seed: int, seconds) -> dict:
     proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, env=child_env(tree), check=True, capture_output=True, text=True,
+        cwd=tree, env=child_env(tree), capture_output=True, text=True,
     )
+    if proc.returncode != 0:
+        return {"exit": proc.returncode, "stdout_tail": proc.stdout.splitlines()[-TAIL_LINES:],
+                "stderr_tail": proc.stderr.splitlines()[-TAIL_LINES:]}
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {
         "correct": result["correct"],
@@ -410,18 +404,19 @@ def quartiles(values: list) -> list:
 
 
 def summarize(pairs: list, better: dict) -> dict:
+    """Per metric, the medians and quartiles of each side's finished runs and the pairs each
+    side won of those whose runs both finished; empty when a side has no finished run."""
+    runs = {side: [p[side]["metrics"] for p in pairs if side not in p["failed"]] for side in ("base", "work")}
+    both = [(p["base"]["metrics"], p["work"]["metrics"]) for p in pairs if not p["failed"]]
     out = {}
-    for metric in pairs[0]["base"]["metrics"]:
-        base = [p["base"]["metrics"][metric] for p in pairs]
-        work = [p["work"]["metrics"][metric] for p in pairs]
+    for metric in runs["base"][0] if runs["base"] and runs["work"] else {}:
         sign = {"higher": 1.0, "lower": -1.0}[better[metric]]
+        base, work = ([m[metric] for m in runs[side]] for side in ("base", "work"))
         out[metric] = {
-            "base_median": statistics.median(base),
-            "work_median": statistics.median(work),
-            "base_quartiles": quartiles(base),
-            "work_quartiles": quartiles(work),
-            "work_wins": sum(sign * (w - b) > 0 for b, w in zip(base, work)),
-            "base_wins": sum(sign * (b - w) > 0 for b, w in zip(base, work)),
+            "base_median": statistics.median(base), "work_median": statistics.median(work),
+            "base_quartiles": quartiles(base), "work_quartiles": quartiles(work),
+            "work_wins": sum(sign * (w[metric] - b[metric]) > 0 for b, w in both),
+            "base_wins": sum(sign * (b[metric] - w[metric]) > 0 for b, w in both),
         }
     return out
 
@@ -431,7 +426,9 @@ def verdict_table(workloads: dict, end_to_end: list) -> str:
     lines = [f"{'workload':<13} {'metric':<12} {'base':>10} {'work':>10} {'ratio':>7} {'base IQR':>9} "
              f"{'wins w/b':>8}"]
     for name, entry in workloads.items():
-        for metric in end_to_end:
+        lines += [f"{name:<13} {side}: {k} of {len(entry['runs'])} runs failed" for side in ("base", "work")
+                  if (k := sum(side in p["failed"] for p in entry["runs"]))]
+        for metric in end_to_end if entry["summary"] else []:
             s = entry["summary"][metric["name"]]
             base, work = s["base_median"], s["work_median"]
             sign = {"higher": 1.0, "lower": -1.0}[metric["better"]]
@@ -466,13 +463,15 @@ def bench(base: Path, rev_sha: str, args) -> int:
             pair = {"first": order[0][0]}
             for side, tree in order:
                 pair[side] = bench_run(tree, spec["command"], workload, args.seed, spec["run_seconds"])
+            pair["failed"] = [side for side in ("base", "work") if "exit" in pair[side]]
             pairs.append(pair)
-            print(f"{workload} pair {i}: ops_per_s {pair['base']['metrics']['ops_per_s']:.1f} -> "
-                  f"{pair['work']['metrics']['ops_per_s']:.1f}", flush=True)
+            ops = [f"{pair[side]['metrics']['ops_per_s']:.1f}" if side not in pair["failed"]
+                   else f"exit {pair[side]['exit']}" for side in ("base", "work")]
+            print(f"{workload} pair {i}: ops_per_s {ops[0]} -> {ops[1]}", flush=True)
         doc["workloads"][workload] = {"runs": pairs, "summary": summarize(pairs, better)}
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(verdict_table(doc["workloads"], spec["end_to_end"]))
-    return 0
+    return 1 if any(p["failed"] for w in doc["workloads"].values() for p in w["runs"]) else 0
 
 
 def main(argv=None) -> int:
