@@ -212,7 +212,8 @@ def test_falsifier_witnesses_are_recorded(digests):
             w.input_matrix.tobytes()).hexdigest()
 
 
-# a perfbench/workloads.py whose theorem_mix op 1 raises a ValueError and op 2 is a wrong output
+# a perfbench/workloads.py whose theorem_mix op 1 raises a ValueError, op 2 is a wrong output and op 3
+# a FAIL verdict that is right, as graded_mix records them
 STUB_WORKLOADS = '''
 import collections
 Outcome = collections.namedtuple("Outcome", "ok passed digest")
@@ -223,7 +224,7 @@ WORKLOADS = {"theorem_mix": Stub}
 def run_op(workload, i, clock):
     if i == 1:
         raise ValueError("matrix contains non-finite entries")
-    return 0.0, Outcome(ok=i != 2, passed=i != 2, digest=f"{i != 2}:0.5")
+    return 0.0, Outcome(ok=i != 2, passed=i not in (2, 3), digest=f"{i not in (2, 3)}:0.5")
 '''
 
 
@@ -238,7 +239,7 @@ def test_a_raising_op_is_recorded_and_every_wrong_output_fails_the_gate(tmp_path
     wrong = ["theorem_mix 31 1 False False 0 ValueError('matrix contains non-finite entries')",
              "theorem_mix 31 2 False False 0 False:0.5"]
     assert (out / "digests.txt").read_text().splitlines() == [
-        "theorem_mix 31 0 True True 0 True:0.5", *wrong, "theorem_mix 31 3 True True 0 True:0.5"]
+        "theorem_mix 31 0 True True 0 True:0.5", *wrong, "theorem_mix 31 3 True False 0 False:0.5"]
     assert ab.wrong_outputs(out) == wrong
 
     # both trees agree, and the gate still fails
