@@ -159,8 +159,8 @@ class FunPair:
         _json_object(obj, "funpair", ("kind", "p", "rho"))
         return cls(
             kind=_json_value(obj["kind"], str, "funpair kind"),
-            p=float(_json_value(obj.get("p", 0.0), float, "funpair p")),
-            rho=float(_json_value(obj.get("rho", 1.0), float, "funpair rho")),
+            p=_json_value(obj.get("p", 0.0), float, "funpair p"),
+            rho=_json_value(obj.get("rho", 1.0), float, "funpair rho"),
         )
 
 
@@ -169,7 +169,6 @@ class Certificate:
     """Outcome of one inequality check: both sides, witness, signed slack."""
 
     check_id: str
-    inputs_digest: str
     lhs: np.ndarray
     rhs: np.ndarray
     witness_v: Optional[np.ndarray]
@@ -188,14 +187,10 @@ class Certificate:
             "witness_V": matrix_to_json(self.witness_v) if self.witness_v is not None else None,
             "used_singular_mean_limit": bool(self.used_singular_mean_limit),
             "inputs": self.inputs,
-            "inputs_digest": self.inputs_digest,
+            "inputs_digest": hashlib.sha256(json.dumps(self.inputs, sort_keys=True).encode()).hexdigest(),
             "tolerances": tolerance_to_json(self.tolerances),
             "notes": self.notes,
         }
-
-
-def _digest(inputs: dict) -> str:
-    return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
 
 
 def _certificate(
@@ -213,7 +208,6 @@ def _certificate(
     t = _tol(tol, lhs.shape[0])
     return Certificate(
         check_id=check_id,
-        inputs_digest=_digest(inputs),
         lhs=lhs,
         rhs=rhs,
         witness_v=witness_v,

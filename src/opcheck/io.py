@@ -37,15 +37,16 @@ def _is_kind(value, kind: type) -> bool:
 
 
 def _json_value(value, kind: type, what: str, nullable: bool = False):
-    """``value`` unchanged if it is a JSON ``kind`` (int, float, str, list or
-    dict), or null when ``nullable``, and a finite number when ``kind`` is
-    float; otherwise ValueError naming ``what``."""
+    """``value`` if it is a JSON ``kind`` (int, float, str, list or dict), or
+    null when ``nullable``; a number of kind float must be finite and comes
+    back as a float, so an integer exponent reads as the float it means.
+    Otherwise ValueError naming ``what``."""
     if not (_is_kind(value, kind) or (nullable and value is None)):
         null = " or null" if nullable else ""
         raise ValueError(f"{what} must be {_KIND_NAMES[kind]}{null}, got {reprlib.repr(value)}")
     if kind is float and value is not None and not _is_finite(value):
         raise ValueError(f"{what} must be a finite number, got {reprlib.repr(value)}")
-    return value
+    return float(value) if kind is float and value is not None else value
 
 
 def _json_object(value, what: str, keys) -> dict:
@@ -101,7 +102,7 @@ def tolerance_from_json(obj: dict, default: Tolerance) -> Tolerance:
     fields = tolerance_to_json(default)
     _json_object(obj, "tolerances", fields)
     for key, value in fields.items():
-        fields[key] = float(_json_value(obj.get(key, value), float, f"tolerance {key}"))
+        fields[key] = _json_value(obj.get(key, value), float, f"tolerance {key}")
     return Tolerance(**fields)
 
 

@@ -535,6 +535,12 @@ def eigvalsh(h, tol: Optional[Tolerance] = None) -> np.ndarray:
     return _eig(require_hermitian(h, tol), vectors=False)[0]
 
 
+def _screen_admits(n: int, top, margin):
+    """The Cholesky screen's a-priori bound and scale range, on floats or float64 arrays; a NaN fails."""
+    shifted = top + margin
+    return (1e-12 * n * n * (top + 3.0 * margin) <= 0.5 * margin) & (2.0**-200 < shifted) & (shifted < 2.0**200)
+
+
 def _clears(h: np.ndarray, margin: float) -> bool:
     """True only when lambda_min(h) >= -margin is certain, up to an allowance
     of margin / 2. False decides nothing.
@@ -568,7 +574,7 @@ def _clears(h: np.ndarray, margin: float) -> bool:
         return False
     n = len(rows)
     top = max([0.0] + [row[i].real for i, row in enumerate(rows)])
-    if not (1e-12 * n * n * (top + 3.0 * margin) <= 0.5 * margin and 2.0**-200 < top + margin < 2.0**200):
+    if not _screen_admits(n, top, margin):
         return False
     # the conjugated strict rows of the lower factor L, and its diagonal
     conj_rows: list = []
@@ -591,48 +597,26 @@ def _clears(h: np.ndarray, margin: float) -> bool:
 
 
 def _clears_stack(hs: np.ndarray, margins: np.ndarray) -> np.ndarray:
-    """``[_clears(h, m) for h, m in zip(hs, margins)]`` as a bool array, for a
-    stack ``hs`` (k, n, n) and its ``margins`` (k,), bit for bit.
-
-    It runs the same tests and the same Cholesky factorization on float64
-    real and imaginary parts, right-looking: at column j it divides the
-    column by pivot j as _Py_c_quot with divisor (p, 0) (:func:`_quot`),
-    subtracts |l_ij|^2 from the later diagonal entries and
-    l_i conj(l_m) from the trailing block, as _Py_c_prod and a complex
-    subtraction. So each entry takes the subtractions of _clears' loop in
-    its order, and a matrix that _clears clears gets the same pivots. A
-    matrix whose pivot fails, which makes _clears return, goes on to the
-    last column quietly on whatever values it holds; its verdict stays False.
-    """
-    margins = np.asarray(margins, dtype=float)
-    n = hs.shape[-1]
+    """:func:`_clears`' screen of each matrix of a stack ``hs`` (k, n, n) at its
+    margin of ``margins`` (k,), by LAPACK's Cholesky, whose backward error has
+    the same bound: each True keeps _clears' guarantee, though at a pivot of
+    rounding dust the verdict can differ from _clears' and by host. OpenBLAS
+    returns a NaN pivot's non-finite factor without an error, so the entries
+    and the factor must be finite."""
     with np.errstate(all="ignore"):
-        # the == of two complex arrays fails on a NaN part, as the list test does
-        cleared = (hs == hs.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
-        diagonal = hs.real.diagonal(axis1=-2, axis2=-1)
-        top = diagonal.max(axis=-1, initial=0.0)
-        shifted = top + margins
-        cleared &= (1e-12 * n * n * (top + 3.0 * margins) <= 0.5 * margins) & (2.0**-200 < shifted)
-        cleared &= shifted < 2.0**200
-        # the matrix index last, as in _sweeps_stack: an entry of every
-        # matrix is one contiguous vector
-        sr = hs.real.transpose(1, 2, 0).copy()
-        si = hs.imag.transpose(1, 2, 0).copy()
-        # d[j] takes its last subtraction at column j - 1, and is then the
-        # square of pivot j
-        d = diagonal.T + margins
-        for j in range(n - 1):
-            pivot = np.sqrt(d[j])
-            col_r, col_i = sr[j + 1 :, j], si[j + 1 :, j]
-            lr, li = _quot(col_r, col_i, pivot)
-            d[j + 1 :] -= lr * lr + li * li
-            # s_im -= l_ij * conj(l_mj) over the trailing block; only its
-            # strict lower triangle is read again
-            pr, pi = _mul(lr[:, None], li[:, None], lr[None], -li[None])
-            sr[j + 1 :, j + 1 :] -= pr
-            si[j + 1 :, j + 1 :] -= pi
-        # a NaN pivot fails too
-        return cleared & (d > 0.0).all(axis=0)
+        top = hs.real.diagonal(axis1=-2, axis2=-1).max(axis=-1, initial=0.0)
+        cleared = (hs == hs.conj().swapaxes(-1, -2)).all(axis=(-2, -1)) & np.isfinite(hs).all(axis=(-2, -1))
+        cleared &= _screen_admits(hs.shape[-1], top, margins)
+        shifted = hs[cleared] + margins[cleared, None, None] * np.eye(hs.shape[-1])
+        try:
+            cleared[cleared] = np.isfinite(np.linalg.cholesky(shifted)).all(axis=(-2, -1))
+        except np.linalg.LinAlgError:  # a failing pivot stops the stack: factor each matrix alone
+            for i, h in zip(np.flatnonzero(cleared).tolist(), shifted):
+                try:
+                    cleared[i] = np.isfinite(np.linalg.cholesky(h)).all()
+                except np.linalg.LinAlgError:
+                    cleared[i] = False
+    return cleared
 
 
 def sqrtm_psd(h, tol: Optional[Tolerance] = None) -> np.ndarray:

@@ -190,7 +190,9 @@ def test_falsifier_witnesses_are_recorded(digests):
     """falsifier.json holds, per map, level and trial count, the witness the
     falsifier returns: the pinned ones of tests/test_posmap.py at level 2,
     found at trial 0 so at every count, none at level 1 and none for the
-    Kraus maps."""
+    Kraus maps. The mixed map at t = 3e-7 has its level-2 witness at trial
+    20, past trials the screen clears, so a trial count of 1 misses it; the
+    one at t = 2e-7 has none."""
     got = json.loads((digests / "falsifier.json").read_text())
     pinned = {
         "transpose_2": "-0x1.52d2272117c3fp+2",
@@ -198,15 +200,21 @@ def test_falsifier_witnesses_are_recorded(digests):
         "transpose_plus_identity_2": "-0x1.3fe297776d8bbp+2",
         "transpose_plus_identity_3": "-0x1.581474b43351bp+3",
     }
-    assert ab.FALSIFIER_TRIALS == (200, 1, 137)
+    mixed = ["mixed_transpose_3e-07", "mixed_transpose_2e-07"]
+    assert ab.FALSIFIER_TRIALS == (200, 1, 137) and ab.MIXED_TRANSPOSE == (3e-7, 2e-7)
     assert sorted(got) == sorted(f"{name}_level_{level}_trials_{trials}" for trials in ab.FALSIFIER_TRIALS
-                                 for name in [*pinned, "kraus_0", "kraus_1", "kraus_2"] for level in (1, 2))
+                                 for name in [*pinned, "kraus_0", "kraus_1", "kraus_2", *mixed] for level in (1, 2))
     for trials in ab.FALSIFIER_TRIALS:
         for name, value in pinned.items():
             assert got[f"{name}_level_1_trials_{trials}"] is None
             witness = got[f"{name}_level_2_trials_{trials}"]
             assert (witness["trial"], witness["min_output_eigenvalue"]) == (0, value)
         assert all(got[f"kraus_{i}_level_{level}_trials_{trials}"] is None for i in range(3) for level in (1, 2))
+        assert all(got[f"{name}_level_{level}_trials_{trials}"] is None for name in mixed for level in (1, 2)
+                   if (name, level, trials) not in {(mixed[0], 2, 200), (mixed[0], 2, 137)})
+    for trials in (200, 137):
+        witness = got[f"{mixed[0]}_level_2_trials_{trials}"]
+        assert (witness["trial"], witness["min_output_eigenvalue"]) == (20, "-0x1.453c8fa68d0c0p-20")
         w = sample_positivity_falsifier(TransposeMap(3), 2, trials, ab.FALSIFIER_SEED)
         assert got[f"transpose_3_level_2_trials_{trials}"]["input_sha256"] == hashlib.sha256(
             w.input_matrix.tobytes()).hexdigest()

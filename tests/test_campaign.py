@@ -121,6 +121,19 @@ class TestInstances:
         spec = CampaignSpec(check_id="check_two_positive_split", trials=5, seed=1, split_exponent=0.5)
         assert all(make_instance(spec, t).split_exponent == 0.5 for t in range(5))
 
+    def test_an_integer_split_exponent_loads_as_a_float(self):
+        """"p": 1 in an instance and "split_exponent": 1 in a spec load as
+        1.0: the certificate, its inputs_digest and the spec's JSON are the
+        bytes of the float exponent's."""
+        spec = CampaignSpec(check_id="check_two_positive_split", trials=1, seed=1, split_exponent=1.0)
+        payload = make_instance(spec, 0).to_json()
+        assert json.dumps(payload["p"]) == "1.0"
+        certificates = [json.dumps(run_instance(Instance.from_json({**payload, "p": p}), spec.tolerances).to_json())
+                        for p in (1, 1.0)]
+        assert certificates[0] == certificates[1]
+        loaded = CampaignSpec.from_json({"check_id": "check_two_positive_split", "split_exponent": 1})
+        assert json.dumps(loaded.to_json()) == json.dumps(replace(spec, trials=loaded.trials, seed=loaded.seed).to_json())
+
     def test_russo_instances_are_contractions(self):
         from opcheck.linalg import operator_norm
 

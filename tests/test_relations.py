@@ -13,7 +13,7 @@ computes +0.0 again. Neither relation needs a tolerance or a reference.
     _eig_stack      as _eig, per matrix              as _eig, per matrix
     _svd            values 2^k times, same factors   same values, conj factors
     _clears         same verdict, h and margin 4^j   same verdict
-    _clears_stack   as _clears, per matrix           as _clears, per matrix
+    _clears_stack   same verdict, per matrix         same verdict, per matrix
     _hermitian_modulus  |H| 2^k times, per matrix    conj |H|, per matrix
     _cartesian_sum  K and values 2^k, K^-1/2 2^-k/2, none: Y of conj Z is -conj Y
                     K^-1 2^-k, same vectors,         and |-H| need not have the
@@ -24,6 +24,9 @@ The Cholesky screen scales by 4^j, an even power of two, so that its square
 roots, the pivots, scale exactly too; every test it makes compares
 quantities that scale alike, while top + margin stays inside its range
 (2^-200, 2^200). Conjugation conjugates the factor and leaves the pivots.
+_clears_stack runs LAPACK's Cholesky, whose verdict can differ from
+_clears' at a pivot of rounding dust, so its relations compare it with
+itself.
 
 The geometric mean's scale relation fails today, through the absolute
 floors of its singular-input handling, and is not listed here.
@@ -162,8 +165,9 @@ def test_the_screen_verdict_scales_exactly(n, j):
     assert set(verdicts) == {True, False}
     big, big_margins = scaled(hs, 2 * j), np.ldexp(margins, 2 * j)
     assert [_clears(h, margin) for h, margin in zip(big, big_margins.tolist())] == verdicts
-    assert _clears_stack(hs, margins).tolist() == verdicts
-    assert _clears_stack(big, big_margins).tolist() == verdicts
+    stacked = _clears_stack(hs, margins).tolist()
+    assert set(stacked) == {True, False}
+    assert _clears_stack(big, big_margins).tolist() == stacked
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -172,7 +176,7 @@ def test_the_screen_verdict_commutes_with_conjugation(n):
     verdicts = [_clears(h, margin) for h, margin in zip(hs, margins.tolist())]
     assert set(verdicts) == {True, False}
     assert [_clears(h.conj(), margin) for h, margin in zip(hs, margins.tolist())] == verdicts
-    assert _clears_stack(hs.conj(), margins).tolist() == verdicts
+    assert _clears_stack(hs.conj(), margins).tolist() == _clears_stack(hs, margins).tolist()
 
 
 # the search's stacked kernels, on stacks of one and of seven

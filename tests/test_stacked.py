@@ -1,9 +1,10 @@
 """Stacked evaluation gives every matrix and every trial the bits it has
 alone: maps on the last two axes, the amplified map on the block view, the
-Jacobi sweeps, the operator norms, the Cholesky screen's verdicts and the
-Frobenius norms against the per-matrix kernels, and the positivity
-falsifier and the counterexample search against copies of their
-one-trial-at-a-time loops."""
+Jacobi sweeps, the operator norms and the Frobenius norms against the
+per-matrix kernels, and the positivity falsifier and the counterexample
+search against copies of their one-trial-at-a-time loops. The stacked
+Cholesky screen runs LAPACK, so it is held to the per-matrix screen's
+guarantee, and to its verdicts away from a pivot of rounding dust."""
 
 import math
 import warnings
@@ -649,25 +650,95 @@ def screen_stacks(n, k):
     return stacks
 
 
+def boundary_stacks(n, k):
+    """Stacks of k matrices of size n >= 1 at margin 1e-7 scale, scale 10^-6
+    to 10^6, whose lambda_min is uniform in [-3 margin, margin]: about 200
+    matrices in all."""
+    rng = np.random.default_rng([n, k])
+    stacks = []
+    for _ in range(-(-200 // k)):
+        scales = 10.0 ** rng.integers(-6, 7, k)
+        margins = 1e-7 * scales
+        hs = [with_lambda_min(rng, n, rng.uniform(-3.0, 1.0) * m, s) for s, m in zip(scales, margins)]
+        stacks.append((np.array(hs), margins))
+    return stacks
+
+
+def all_screen_stacks(n, k):
+    return screen_stacks(n, k) + (boundary_stacks(n, k) if n and k else [])
+
+
+def mp_lambda_min(h) -> float:
+    """The smallest eigenvalue of the Hermitian ``h``, from 50-digit mpmath.eighe."""
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    if h.shape[0] == 1:
+        return float(h[0, 0].real)
+    return float(min(ctx.eighe(ctx.matrix(h.tolist()), eigvals_only=True)))
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 25, 100])
 @pytest.mark.parametrize("n", range(7))
-def test_stacked_screen_equals_the_per_matrix_screen(n, k):
-    for hs, margins in screen_stacks(n, k):
+def test_every_stacked_clear_keeps_the_guarantee(n, k):
+    """Every True of the stacked screen, on the table and on stacks whose
+    lambda_min lies near -margin, has _eig's lambda_min >= -1.5 margin; the
+    three nearest that bound have a 50-digit lambda_min above it too."""
+    cleared = []
+    for hs, margins in all_screen_stacks(n, k):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _clears_stack(hs, margins)
         assert got.dtype == bool and got.shape == (k,)
-        assert got.tolist() == [_clears(h, float(margin)) for h, margin in zip(hs, margins)]
+        for h, margin in zip(hs[got], margins[got].tolist()):
+            if n:
+                lam = float(_eig(h, vectors=False)[0][-1])
+                assert lam >= -1.5 * margin
+                cleared.append(((lam + 1.5 * margin) / margin, h, margin))
+    for _, h, margin in sorted(cleared, key=lambda case: case[0])[:3]:
+        assert mp_lambda_min(h) >= -1.5 * margin
+
+
+def on_the_edge(h, margin):
+    """True for a finite, exactly Hermitian ``h`` and a positive margin where
+    LAPACK's lambda_min(h) lies within 1e-6 margin of -margin: there the
+    last pivot is rounding dust, and LAPACK's Cholesky and _clears' can
+    round it to either sign."""
+    if not (h.size and np.isfinite(h).all() and (h == h.conj().T).all() and margin > 0.0):
+        return False
+    with np.errstate(all="ignore"):
+        lam = float(np.linalg.eigvalsh(h)[0])
+    return abs(lam + margin) <= 1e-6 * margin
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 25, 100])
+@pytest.mark.parametrize("n", range(7))
+def test_the_stacked_screen_agrees_with_the_per_matrix_screen_off_the_edge(n, k):
+    verdicts = set()
+    for hs, margins in all_screen_stacks(n, k):
+        for h, margin, verdict in zip(hs, margins.tolist(), _clears_stack(hs, margins).tolist()):
+            if not on_the_edge(h, margin):
+                assert verdict == _clears(h, margin)
+                verdicts.add(verdict)
+    assert verdicts == ({True, False} if k else set())
 
 
 def test_the_stacked_screen_is_quiet_on_failing_pivots():
-    """Zero, negative and NaN pivots, and a NaN margin, in one block: the
-    stack runs on past each failing pivot without a warning."""
+    """Zero, negative, -inf and NaN pivots and a NaN margin, in one block:
+    each gives False without a warning, and the identity still clears.
+    OpenBLAS returns a factor with a NaN pivot and raises no error, from an
+    infinite entry or from finite ones, so a stack whose other pivots all
+    hold is tested too."""
+    # finite, and inside the a-priori bound at margin 2e5
+    nan_pivot = np.diag([1.0, 1e16, 1.0]).astype(complex)
+    nan_pivot[1, 0], nan_pivot[2, 0] = 1e10 + 1e10j, 1e304 + 1e304j
+    nan_pivot += np.tril(nan_pivot, -1).conj().T
     blocks = [
         (np.diag([-1.0, 1.0, 1.0]).astype(complex), 1.0),  # pivot 0 is zero
         (np.diag([1.0, -3.0, 1.0]).astype(complex), 1.0),  # pivot 1 is negative
         (with_entry(1e199, 3), 1.0),  # |l_10|^2 overflows: pivot 1 is -inf
         (with_entry(complex(math.inf, 0.0), 3), 1.0),  # l_10 = (inf, nan): pivot 1 is NaN
+        (nan_pivot, 2e5),  # l_20 conj(l_10) is (inf, inf - inf): pivot 2 is NaN
         (np.eye(3, dtype=complex), math.nan),
         (np.eye(3, dtype=complex), 1.0),
     ]
@@ -675,8 +746,8 @@ def test_the_stacked_screen_is_quiet_on_failing_pivots():
     margins = np.array([margin for _, margin in blocks])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _clears_stack(hs, margins)
-    assert got.tolist() == [False, False, False, False, False, True]
+        assert _clears_stack(hs, margins).tolist() == [False] * 6 + [True]
+        assert _clears_stack(hs[3:], margins[3:]).tolist() == [False, False, False, True]
 
 
 def layouts(rng, k, n):

@@ -30,8 +30,12 @@ campaign trials at ``SWEEP_SEED``, and under ``theorem_mix`` and
 ``graded_mix`` over their sampled ops. Its ``falsifier.json`` holds per map,
 level and trial count the witness of ``sample_positivity_falsifier`` (its
 trial, the ``hex`` of its eigenvalue, the sha256 of its input) or null, for
-the transpose and transpose-plus-identity maps at n = 2, 3 and three Kraus
-maps, at levels 1 and 2 and each of ``FALSIFIER_TRIALS`` at ``FALSIFIER_SEED``.
+the transpose and transpose-plus-identity maps at n = 2, 3, three Kraus
+maps and (1 - t) id + t T at n = 2 for each t of ``MIXED_TRANSPOSE``, at
+levels 1 and 2 and each of ``FALSIFIER_TRIALS`` at ``FALSIFIER_SEED``. The
+mixed maps are positive, and at level 2 the falsifier's Cholesky screen
+clears most of their trials: at 200 trials, t = 3e-7 has its witness at
+trial 20 after 11 exact tests, and t = 2e-7 none after 76.
 
 Each command's ``--out`` file and its stdout and stderr plus exit status are
 compared byte for byte. For each file that differs it prints, for JSON, each
@@ -104,6 +108,7 @@ SWEEP_TRIALS = 100
 SWEEP_SEED = 2026
 FALSIFIER_TRIALS = (200, 1, 137)
 FALSIFIER_SEED = 3
+MIXED_TRANSPOSE = (3e-7, 2e-7)
 TAIL_LINES = 40
 # B's smallest eigenvalue in each ``opcheck mean`` pair, by file label
 MEAN_PAIRS = {"lmin_5e-11": 5e-11, "lmin_1e-10": 1e-10, "lmin_2e-10": 2e-10, "lmin_4e-10": 4e-10}
@@ -180,7 +185,7 @@ def write_digests(perfbench: str, job_path: str) -> None:
     import opcheck.linalg
     import workloads
     from opcheck.campaign import CHECK_IDS, CampaignSpec, make_instance, run_instance
-    from opcheck.posmap import IdentityMap, KrausSum, MapSum, TransposeMap, sample_positivity_falsifier
+    from opcheck.posmap import IdentityMap, KrausSum, MapCompose, MapSum, TransposeMap, sample_positivity_falsifier
 
     maps = {f"transpose_{n}": TransposeMap(n) for n in (2, 3)}
     maps |= {f"transpose_plus_identity_{n}": MapSum(terms=(IdentityMap(n), TransposeMap(n))) for n in (2, 3)}
@@ -188,6 +193,9 @@ def write_digests(perfbench: str, job_path: str) -> None:
     for i, (m, n, count) in enumerate(((2, 2, 1), (3, 2, 2), (2, 3, 3))):
         ops = tuple(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)) for _ in range(count))
         maps[f"kraus_{i}"] = KrausSum(kraus=ops)
+    for t in MIXED_TRANSPOSE:
+        scaled = [KrausSum(kraus=(math.sqrt(c) * np.eye(2),)) for c in (1 - t, t)]
+        maps[f"mixed_transpose_{t:g}"] = MapSum(terms=(scaled[0], MapCompose(outer=scaled[1], inner=TransposeMap(2))))
     witnesses = {}
     for trials in FALSIFIER_TRIALS:
         for name, phi in maps.items():
