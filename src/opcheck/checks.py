@@ -599,17 +599,23 @@ def _cartesian_sum(zs: np.ndarray, tol: Optional[Tolerance]) -> List[_CartesianS
 
     The products and the elementwise arithmetic run on the whole stack, and
     act on each matrix by the IEEE operations, in the order, that they
-    apply to it alone. The three eigendecompositions (X, Y and K) go
-    through :func:`_eig_stack` once each, which gives every matrix the bits
-    of its own :func:`_eig`; the congruence norms come from
-    :func:`_operator_norms`, whose Hermitian test, Gram products and
-    values-only spectra are stacked too, and the spectral radii are one
-    LAPACK call per matrix. So each record has the bits of a stack of one,
-    and a stack of one runs the per-matrix norm. A Cartesian part that
-    overflows raises :func:`_eig`'s ValueError.
+    apply to it alone. The eigendecompositions go through :func:`_eig_stack`,
+    which gives every matrix the bits of its own :func:`_eig`: one call on
+    the 2k stack [X; Y] of the Cartesian parts, then one on K. A stack of
+    one decomposes its X and Y in two calls instead, so that each runs the
+    scalar kernel, which costs a fraction of a stack of two. The congruence
+    norms come from :func:`_operator_norms`, whose Hermitian test, Gram
+    products and values-only spectra are stacked too, and the spectral
+    radii are one LAPACK call per matrix. So each record has the bits of a
+    stack of one, and a stack of one runs the per-matrix norm. A Cartesian
+    part that overflows raises :func:`_eig`'s ValueError.
     """
     parts = _cartesian(zs)
-    k = _hermitian_modulus(parts.re_part) + _hermitian_modulus(parts.im_part)
+    if len(zs) == 1:
+        k = _hermitian_modulus(parts.re_part) + _hermitian_modulus(parts.im_part)
+    else:
+        moduli = _hermitian_modulus(np.concatenate((parts.re_part, parts.im_part)))
+        k = moduli[: len(zs)] + moduli[len(zs) :]
     es = EigenSystem(*_eig_stack(k))  # K's one spectrum: the singular flag and both generalized powers
     inv_half = es.power(-0.5, tol)
     inv = es.power(-1.0, tol)

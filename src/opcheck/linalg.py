@@ -302,16 +302,23 @@ def _in_scaled_range(hs: np.ndarray) -> bool:
     return bool(((2.0**-200 < amax) & (amax < 2.0**200)).all())
 
 
-def _mul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) as CPython's _Py_c_prod rounds it, for floats
-    or float64 arrays; a float c times z is _mul(c, 0.0, zr, zi)."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _quot(xr, xi, r):
-    """(xr + i xi) / r for a real r as CPython's _Py_c_quot rounds it with
-    the divisor (r, 0): its ratio is 0.0 and its denominator r."""
-    return (xr + xi * 0.0) / r, (xi - xr * 0.0) / r
+# CPython's complex arithmetic on float64 arrays whose first axis holds the
+# real and imaginary parts. A product (ar + i ai)(br + i bi) is rounded as
+# (ar br - ai bi, ar bi + ai br), which is ar b + (-ai, ai) b[::-1]: in IEEE
+# arithmetic x - y is x + (-y) and (-a) b is -(a b), signed zeros included.
+# _CROSS turns ai into (-ai, ai); a float c enters as complex(c, 0.0), whose
+# (-ai, ai) is _FLOAT_CROSS.
+_CROSS = np.array([-1.0, 1.0])[:, None, None, None]
+_FLOAT_CROSS = np.array([-0.0, 0.0])[:, None, None]
+# z / r with the divisor (r, 0), as _Py_c_quot rounds it: its ratio is 0.0
+# and its denominator r, so z / r is (zr + zi 0.0, zi - zr 0.0) / r, or
+# (z + (0.0, -0.0) z[::-1]) / r
+_QUOT_ZEROS = np.array([0.0, -0.0])[:, None]
+# a phase's conjugate and the phase, side by side on the second axis
+_CONJ_PAIR = np.array([[1.0, 1.0], [-1.0, 1.0]])[:, :, None]
+# the conjugate, where the parts' axis is followed by three others: a
+# product with -1.0 negates exactly, as numpy's negative does
+_CONJ = np.array([1.0, -1.0])[:, None, None, None]
 
 
 def _sweeps_stack(a: np.ndarray, vectors: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -321,93 +328,104 @@ def _sweeps_stack(a: np.ndarray, vectors: bool) -> Tuple[np.ndarray, Optional[np
     as rows.
 
     Each max|a_ij| must lie in (2^-200, 2^200), where _sweeps neither
-    rescales nor refuses. The rotations run on float64 real and imaginary
-    parts and repeat _sweeps' Python complex operations one by one as
-    CPython computes them: a product as _Py_c_prod, a float times z as
-    complex(float, 0) times z, z / r as _Py_c_quot with divisor (r, 0), and
-    |z| as the C hypot. atan2, cos, sin and the stop rule's hypot come from
-    math, one call per matrix; the thresholds ||A||_F come from
-    :func:`_frobenius_stack`. A matrix leaves the stack at the sweep that
-    finds it converged, and a pivot skips the matrices whose |a_pq| is at
-    most _TINY.
+    rescales nor refuses. The stack is held as one float64 array of real
+    and imaginary parts, and :func:`_rotate_stack` repeats each of _sweeps'
+    Python complex operations as CPython rounds it, in a few ufunc calls
+    per pivot for the whole stack; |z| is the C hypot. atan2, cos, sin and
+    the stop rule's hypot come from math, one call per matrix, and the
+    thresholds ||A||_F from :func:`_frobenius_stack`. A matrix leaves the
+    stack at the sweep that finds it converged, and a pivot skips the
+    matrices whose |a_pq| is at most _TINY. When every matrix converges at
+    the same sweep, the working array is the result, uncopied.
     """
     k, n = a.shape[0], a.shape[-1]
     stop = _STOP * _frobenius_stack(a)
-    # A's rows over V's rows, the matrix index last, so that a pivot entry
-    # of every matrix is one contiguous vector
-    w = np.concatenate((a, np.broadcast_to(np.eye(n, dtype=complex), a.shape)), axis=1) if vectors else a
-    wr = w.real.transpose(1, 2, 0).copy()
-    wi = w.imag.transpose(1, 2, 0).copy()
-    done_r, done_i = np.empty_like(wr), np.empty_like(wi)
+    # the real and imaginary parts of A's rows over V's rows, the matrix
+    # index last, so that a pivot entry of every matrix is one contiguous vector
+    w = np.zeros((2, 2 * n if vectors else n, n, k))
+    w[0, :n] = a.real.transpose(1, 2, 0)
+    w[1, :n] = a.imag.transpose(1, 2, 0)
+    i = np.arange(n)
+    if vectors:
+        w[0, n + i, i] = 1.0
+    done = np.empty_like(w)
     active = np.arange(k)
-    upper = _upper(n)
+    upper = (slice(None),) + _upper(n)
     for _ in range(_MAX_SWEEPS):
-        moduli = np.hypot(wr[upper], wi[upper]).T.tolist()
-        converged = math.sqrt(2.0) * np.array([math.hypot(*row) for row in moduli]) <= stop
+        moduli = np.hypot(*w[upper])
+        # math.hypot of the one modulus of a 2 x 2 matrix is that modulus
+        off = moduli[0] if n == 2 else np.fromiter(map(math.hypot, *moduli.tolist()), float, active.size)
+        converged = math.sqrt(2.0) * off <= stop
         if converged.any():
-            done_r[..., active[converged]] = wr[..., converged]
-            done_i[..., active[converged]] = wi[..., converged]
+            if converged.all() and active.size == k:
+                done = w  # every matrix converged at this sweep, none before it
+                break
+            done[..., active[converged]] = w[..., converged]
             keep = ~converged
-            active, stop, wr, wi = active[keep], stop[keep], wr[..., keep], wi[..., keep]
+            active, stop, w = active[keep], stop[keep], w[..., keep]
             if not active.size:
                 break
         for p, q, _ in _pivots(n):
-            r = np.hypot(wr[p, q], wi[p, q])
+            r = np.hypot(*w[:, p, q])
             rotating = r > _TINY
             if rotating.all():
-                _rotate_stack(wr, wi, p, q, r)
+                _rotate_stack(w, p, q, r)
             elif rotating.any():
-                part_r, part_i = wr[..., rotating], wi[..., rotating]
-                _rotate_stack(part_r, part_i, p, q, r[rotating])
-                wr[..., rotating], wi[..., rotating] = part_r, part_i
+                part = w[..., rotating]
+                _rotate_stack(part, p, q, r[rotating])
+                w[..., rotating] = part
     else:
         raise NoConvergence(f"Jacobi sweep budget ({_MAX_SWEEPS}) exhausted")
 
-    i = np.arange(n)
-    diagonal = done_r[i, i].T
+    diagonal = done[0, :n].diagonal()
     # descending, ties in index order, as _sweeps sorts
     order = np.argsort(-diagonal, axis=1, kind="stable")
-    values = np.take_along_axis(diagonal, order, axis=1)
+    lead = np.arange(k)[:, None]
+    values = diagonal[lead, order]
     if not vectors:
         return values, None
-    # V[i, j] of matrix m is done[n + i, j, m]; row j of the output is V's column order[j]
+    # V[i, j] of matrix m is done[:, n + i, j, m]; row j of the output is V's column order[m, j]
     rows = np.empty((k, n, n), dtype=complex)
-    rows.real = np.take_along_axis(done_r[n:].transpose(2, 1, 0), order[:, :, None], axis=1)
-    rows.imag = np.take_along_axis(done_i[n:].transpose(2, 1, 0), order[:, :, None], axis=1)
+    rows.real, rows.imag = done[:, n:].transpose(0, 3, 2, 1)[:, lead, order]
     return values, rows
 
 
-def _rotate_stack(wr: np.ndarray, wi: np.ndarray, p: int, q: int, r: np.ndarray) -> None:
+def _rotate_stack(w: np.ndarray, p: int, q: int, r: np.ndarray) -> None:
     """One rotation of :func:`_sweeps` at the pivot (p, q), with |a_pq| = r,
-    in place on every matrix of the stack (wr + i wi)[:, :, m], A's rows
-    over V's rows."""
-    n = wr.shape[1]
-    xr, xi = wr[p, q], wi[p, q]
-    phase_r, phase_i = _quot(xr, xi, r)
-    theta = [0.5 * math.atan2(y, x) for y, x in zip((2.0 * r).tolist(), (wr[q, q] - wr[p, p]).tolist())]
-    c = np.array(list(map(math.cos, theta)))
-    s = np.array(list(map(math.sin, theta)))
-    sp_r, sp_i = _mul(s, 0.0, phase_r, phase_i)
-    spc_r, spc_i = _mul(s, 0.0, phase_r, -phase_i)
-    # columns p and q of A and V: c x_p - spc x_q and sp x_p + c x_q
-    col_pr, col_pi, col_qr, col_qi = wr[:, p], wi[:, p], wr[:, q], wi[:, q]
-    cp_r, cp_i = _mul(c, 0.0, col_pr, col_pi)
-    sq_r, sq_i = _mul(spc_r, spc_i, col_qr, col_qi)
-    sp_pr, sp_pi = _mul(sp_r, sp_i, col_pr, col_pi)
-    cq_r, cq_i = _mul(c, 0.0, col_qr, col_qi)
-    new_pr, new_pi = cp_r - sq_r, cp_i - sq_i
-    new_qr, new_qi = sp_pr + cq_r, sp_pi + cq_i
+    in place on every matrix of the stack w[0] + i w[1] (2, rows, n, k), A's
+    rows over V's rows, the matrix index last."""
+    n = w.shape[2]
+    x = w[:, p, q]
+    phase = (x + _QUOT_ZEROS * x[::-1]) / r
+    theta = [0.5 * t for t in map(math.atan2, (2.0 * r).tolist(), (w[0, q, q] - w[0, p, p]).tolist())]
+    c = np.fromiter(map(math.cos, theta), float, len(theta))
+    s = np.fromiter(map(math.sin, theta), float, len(theta))
+    # coef[:, j, l] multiplies column l (p or q) for new column j:
+    # [[c, spc], [sp, c]], with sp = s phase and spc = s conj(phase)
+    coef = np.zeros((2, 4, len(theta)))
+    coef[0, ::3] = c
+    pair = phase[:, None] * _CONJ_PAIR
+    coef[:, 1:3] = s * pair + _FLOAT_CROSS * pair[::-1]
+    coef = coef.reshape(2, 2, 2, -1)
+    cross = _CROSS * coef[1]
+    # columns p and q of A and V: c x_p - spc x_q and sp x_p + c x_q;
+    # the slice pq picks indices p and q as a view
+    pq = slice(p, q + 1, q - p)
+    cols = w[:, :, None, pq]
+    prod = coef[0] * cols + cross[:, None] * cols[::-1]
+    np.subtract(prod[:, :, 0, 0], prod[:, :, 0, 1], out=w[:, :, p])
+    np.add(prod[:, :, 1, 0], prod[:, :, 1, 1], out=w[:, :, q])
     # the diagonal (c cpp - sp cqp).real and (spc cpq + c cqq).real, from
     # rows p and q of the new columns
-    app = (c * new_pr[p] - 0.0 * new_pi[p]) - (sp_r * new_pr[q] - sp_i * new_pi[q])
-    aqq = (spc_r * new_qr[p] - spc_i * new_qi[p]) + (c * new_qr[q] - 0.0 * new_qi[q])
-    wr[:, p], wi[:, p], wr[:, q], wi[:, q] = new_pr, new_pi, new_qr, new_qi
+    block = w[:, pq, pq]
+    real = coef[0] * block[0] + cross[0] * block[1]
     # rows p and q of A receive the conjugates, then the (p, q) block is set;
     # _sweeps stores a float on the diagonal, which CPython widens to
     # complex(x, 0.0) in every later operation
-    wr[p], wi[p], wr[q], wi[q] = new_pr[:n], -new_pi[:n], new_qr[:n], -new_qi[:n]
-    wr[p, p], wr[q, q] = app, aqq
-    wi[p, p] = wi[q, q] = wr[p, q] = wi[p, q] = wr[q, p] = wi[q, p] = 0.0
+    w[:, pq] = w[:, :n, pq].swapaxes(1, 2) * _CONJ
+    block[...] = 0.0
+    np.subtract(real[0, 0], real[1, 0], out=w[0, p, p])
+    np.add(real[0, 1], real[1, 1], out=w[0, q, q])
 
 
 def _sweeps(a: np.ndarray, vectors: bool) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:

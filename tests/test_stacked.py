@@ -8,6 +8,7 @@ guarantee, and to its verdicts away from a pivot of rounding dust."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ import pytest
 import opcheck.checks as C
 import opcheck.linalg
 import opcheck.posmap
+from opcheck.campaign import CHECK_IDS, CampaignSpec, make_instance, run_instance
 from opcheck.decompose import _cartesian
-from opcheck.errors import SearchExhausted
+from opcheck.errors import OpcheckError, SearchExhausted
 from opcheck.linalg import (
     EigenSystem,
     _clears,
@@ -544,6 +546,81 @@ def test_the_congruence_norms_are_the_per_matrix_norms():
     sums = C._cartesian_sum(zs, None)
     inv_half = np.array([s.inv_half for s in sums])
     assert [s.congruence_norm.hex() for s in sums] == [_operator_norm(c).hex() for c in inv_half @ zs @ inv_half]
+
+
+def record_bits(record):
+    """A _CartesianSum's arrays as bytes and its two bounds as hex."""
+    return [x.tobytes() for x in record[:5]] + [record.congruence_norm.hex(), record.rho.hex()]
+
+
+def stack_sizes(monkeypatch):
+    """The size of each stack _sweeps_stack is called on, in call order."""
+    sizes = []
+    original = opcheck.linalg._sweeps_stack
+
+    def recording(a, *args):
+        sizes.append(len(a))
+        return original(a, *args)
+
+    monkeypatch.setattr(opcheck.linalg, "_sweeps_stack", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("mix", ["ginibre", "hermitian", "skew", "both"])
+@pytest.mark.parametrize("k", [2, 7, 100])
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_block_forms_x_and_y_in_one_stack(monkeypatch, sweep_runs, mix, k, n):
+    """A block's |X| and |Y| come from one stack [X; Y] of 2k matrices. A
+    Hermitian Z has Y = 0 and a skew-Hermitian Z has X = 0, outside the
+    stacked kernel's range, so either sends the whole 2k stack through the
+    per-matrix loop. Each record has the bits, and the block the sweep
+    runs, of its Z as a stack of one."""
+    zs = ginibre((k, n, n), np.random.default_rng(100 * n + k))
+    if mix in ("hermitian", "both"):
+        zs[0] = hermitian_part(zs[0])
+    if mix in ("skew", "both"):
+        zs[-1] = 1j * hermitian_part(zs[-1])
+    parts = _cartesian(zs)
+    assert (parts.im_part[0] == 0).all() == (mix in ("hermitian", "both"))
+    assert (parts.re_part[-1] == 0).all() == (mix in ("skew", "both"))
+    sizes = stack_sizes(monkeypatch)
+    got = C._cartesian_sum(zs, None)
+    assert sizes == ([2 * k, k, k] if mix == "ginibre" else [k, k])
+    runs = len(sweep_runs)
+    sweep_runs.clear()
+    alone = [C._cartesian_sum(zm[None], None)[0] for zm in zs]
+    assert len(sweep_runs) == runs == 4 * k
+    assert sizes == ([2 * k, k, k] if mix == "ginibre" else [k, k])  # none of a stack of one
+    for i, (record, expected) in enumerate(zip(got, alone)):
+        assert record_bits(record) == record_bits(expected), i
+
+
+def haar(n, rng):
+    q, r = np.linalg.qr(ginibre((n, n), rng))
+    return q * (r.diagonal() / np.abs(r.diagonal()))
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_a_campaign_trial_never_runs_the_stacked_kernel(monkeypatch, check_id, n):
+    """A campaign checks one instance at a time, so each stack it forms is
+    a stack of one, which runs the scalar kernel: at these sizes a stack of
+    two costs several times two scalar runs. The split and Cartesian checks
+    also run on graded Z, with singular values logspace(0, -d)."""
+    sizes = stack_sizes(monkeypatch)
+    spec = CampaignSpec(check_id=check_id, n_dims=(n,), seed=2026)
+    instances = [make_instance(spec, trial) for trial in range(3)]
+    if check_id in ("check_two_positive_split", "check_cartesian_suite"):
+        rng = np.random.default_rng(n)
+        for d in (3, 6, 9, 12):
+            z = (haar(n, rng) * np.logspace(0, -d, n)) @ haar(n, rng).conj().T
+            instances.append(replace(instances[d % 3], z=z))
+    for inst in instances:
+        try:
+            run_instance(inst, spec.tolerances)
+        except OpcheckError:
+            pass  # a graded Z may fail a check; the kernel it ran is what counts here
+    assert sizes == []
 
 
 @pytest.mark.parametrize("vectors", [True, False])
