@@ -551,18 +551,19 @@ def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> Ca
     """
     zm = require_square(z)  # _cartesian_sum raises for a part that overflows
     t = _tol(tol, zm.shape[0])
-    k_sum = _cartesian_sum(zm[None], tol)[0]
-    lmax = float(k_sum.values[0]) if k_sum.values.size else 0.0
-    singular = not t.support(np.maximum(k_sum.values, 0.0)).all()
+    # index 0 of each field of a stack of one's record
+    k, values, vectors, _, _, norm_value, rho_value = (field[0] for field in _cartesian_sum(zm[None], tol))
+    lmax = float(values[0]) if values.size else 0.0
+    singular = not t.support(np.maximum(values, 0.0)).all()
 
     w_parts = _svd(_apply(phi, zm), tol)
     v, lhs = _polar_witness_and_modulus(w_parts)
-    phk = hermitian_part(_apply(phi, k_sum.matrix))
+    phk = hermitian_part(_apply(phi, k))
     # one eigensystem of phi(K) serves the mean and the majorization: K's, for an IdentityMap
-    es_phk = EigenSystem(k_sum.values, k_sum.vectors) if isinstance(phi, IdentityMap) else EigenSystem(*_eig(phk))
+    es_phk = EigenSystem(values, vectors) if isinstance(phi, IdentityMap) else EigenSystem(*_eig(phk))
     conj = hermitian_part(v @ phk @ v.conj().T)
     rhs, used_limit = _geometric_mean_es(es_phk, conj, tol)
-    inputs = _std_inputs(phi, zm, k_sum.matrix)
+    inputs = _std_inputs(phi, zm, k)
     cert = _certificate(
         "check_cartesian_suite", inputs, lhs, rhs, v, tol, used_limit=used_limit,
         notes="J = |X| + |Y| from the Cartesian decomposition",
@@ -570,32 +571,35 @@ def check_cartesian_suite(phi: PosMap, z, tol: Optional[Tolerance] = None) -> Ca
     major = _weak_log_majorizes(w_parts.values, _clamped(es_phk.values, tol), tol)
 
     bound = 1.0 + t.abs * (1.0 + lmax) + 1e-6
-    passed = bool(cert.passed and major.passed and k_sum.congruence_norm <= bound and k_sum.rho <= bound)
+    passed = bool(cert.passed and major.passed and norm_value <= bound and rho_value <= bound)
     return CartesianReport(
         passed=passed,
         mean_certificate=cert,
         majorization=major,
-        norm_value=k_sum.congruence_norm,
-        rho_value=k_sum.rho,
+        norm_value=norm_value,
+        rho_value=rho_value,
         singular_cartesian_sum=singular,
     )
 
 
 class _CartesianSum(NamedTuple):
-    """K = |X| + |Y| for Z = X + iY, K's eigensystem, K^-1/2, K^-1, and the
-    two bounds that hold for every Z: ||K^-1/2 Z K^-1/2|| and rho(Z K^-1)."""
+    """K = |X| + |Y| for each Z = X + iY of a stack, as stacks: K, its
+    eigensystem, K^-1/2 and K^-1, and the lists of the two bounds that hold
+    for every Z, ||K^-1/2 Z K^-1/2|| and rho(Z K^-1). Trial i reads index i
+    of each field."""
 
     matrix: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
     inv_half: np.ndarray
     inv: np.ndarray
-    congruence_norm: float
-    rho: float
+    congruence_norms: List[float]
+    rhos: List[float]
 
 
-def _cartesian_sum(zs: np.ndarray, tol: Optional[Tolerance]) -> List[_CartesianSum]:
-    """The :class:`_CartesianSum` of each Z of the stack ``zs`` (k, n, n).
+def _cartesian_sum(zs: np.ndarray, tol: Optional[Tolerance]) -> _CartesianSum:
+    """The :class:`_CartesianSum` of the stack ``zs`` (k, n, n), one record
+    for the block.
 
     The products and the elementwise arithmetic run on the whole stack, and
     act on each matrix by the IEEE operations, in the order, that they
@@ -606,9 +610,9 @@ def _cartesian_sum(zs: np.ndarray, tol: Optional[Tolerance]) -> List[_CartesianS
     scalar kernel, which costs a fraction of a stack of two. The congruence
     norms come from :func:`_operator_norms`, whose Hermitian test, Gram
     products and values-only spectra are stacked too, and the spectral
-    radii are one LAPACK call per matrix. So each record has the bits of a
-    stack of one, and a stack of one runs the per-matrix norm. A Cartesian
-    part that overflows raises :func:`_eig`'s ValueError.
+    radii are one LAPACK call per matrix. So index i of each field has the
+    bits of Z_i as a stack of one, and a stack of one runs the per-matrix
+    norm. A Cartesian part that overflows raises :func:`_eig`'s ValueError.
     """
     parts = _cartesian(zs)
     if len(zs) == 1:
@@ -620,7 +624,7 @@ def _cartesian_sum(zs: np.ndarray, tol: Optional[Tolerance]) -> List[_CartesianS
     inv_half = es.power(-0.5, tol)
     inv = es.power(-1.0, tol)
     norms = _operator_norms(inv_half @ zs @ inv_half)
-    return list(map(_CartesianSum, k, es.values, es.vectors, inv_half, inv, norms, _spectral_radius(zs @ inv)))
+    return _CartesianSum(k, es.values, es.vectors, inv_half, inv, norms, _spectral_radius(zs @ inv))
 
 
 def _hermitian_modulus(hs: np.ndarray) -> np.ndarray:
@@ -875,20 +879,6 @@ def _ginibre_stack(rng: np.random.Generator, count: int, dim: int) -> np.ndarray
     return (g[:, 0] + 1j * g[:, 1]) / math.sqrt(2)
 
 
-def _cartesian_trials(rng: np.random.Generator, trials: int, dim: int):
-    """(Z, its :class:`_CartesianSum`) per trial, in trial order, drawn and
-    formed in blocks of the falsifier's ``_BLOCK``, one :func:`_cartesian_sum`
-    call each; a block is drawn when the walk reaches it."""
-    for start in range(0, trials, _BLOCK):
-        zs = _ginibre_stack(rng, min(_BLOCK, trials - start), dim)
-        try:
-            sums = _cartesian_sum(zs, None)
-        except (ValueError, OpcheckError):
-            # one K at a time, so the first trial that fails raises after the targets of those before it
-            sums = (_cartesian_sum(zm[None], None)[0] for zm in zs)
-        yield from zip(zs, sums)
-
-
 def find_counterexamples_remarks(trials: int, seed: int, dim: int = 2) -> CexSearchReport:
     """Random search for the three expected failures on K = |X| + |Y|:
     |Z| <= K in the Loewner order, contractivity of |Z|^1/2 K^-1/2, and
@@ -897,9 +887,15 @@ def find_counterexamples_remarks(trials: int, seed: int, dim: int = 2) -> CexSea
     Raises SearchExhausted when a target is not found within the trials.
 
     It runs at least ``_MIN_TRIALS`` trials (all, if it has fewer). The
-    trials are walked in blocks (:func:`_cartesian_trials`), each block's K
-    evaluation stacked; a stack gives every trial the bits and the sweep
+    trials are drawn in blocks of the falsifier's ``_BLOCK``, and each
+    block's K evaluation is one :func:`_cartesian_sum` record, which trial
+    i reads at index i; a stack gives every trial the bits and the sweep
     runs it has alone, so the report does not depend on the block size.
+    When the block that finds the last witness holds the trials up to the
+    floor, those left only raise the two worst bounds, and are folded in
+    with one max each. A block whose stack raises is formed one trial at a
+    time, so the first trial that fails raises after the targets of those
+    before it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -914,30 +910,45 @@ def find_counterexamples_remarks(trials: int, seed: int, dim: int = 2) -> CexSea
     found_a: Optional[CexWitness] = None
     found_b: Optional[CexWitness] = None
     found_c: Optional[CexWitness] = None
-    consistency_ok = True
     worst_rho = 0.0
     worst_norm = 0.0
     margin = 1e-6
-    for trial, (zm, k_sum) in enumerate(_cartesian_trials(rng, trials, dim)):
-        # |Z| serves targets a and b only
-        parts = _svd(zm, None) if found_a is None or found_b is None else None
-        if found_a is None:
-            dec = _loewner_leq(parts.modulus(), k_sum.matrix, None)
-            if dec.slack < -margin:
-                found_a = CexWitness(trial_index=trial, matrix=zm, margin=-dec.slack)
-        if found_b is None:
-            half_norm = _operator_norm(parts.modulus(np.sqrt(parts.values)) @ k_sum.inv_half)
-            if half_norm > 1.0 + margin:
-                found_b = CexWitness(trial_index=trial, matrix=zm, margin=half_norm - 1.0)
-        if found_c is None:
-            plain_norm = _operator_norm(zm @ k_sum.inv)
-            if plain_norm > 1.0 + margin:
-                found_c = CexWitness(trial_index=trial, matrix=zm, margin=plain_norm - 1.0)
-        worst_rho = max(worst_rho, k_sum.rho)
-        worst_norm = max(worst_norm, k_sum.congruence_norm)
-        if k_sum.congruence_norm > 1.0 + margin or k_sum.rho > 1.0 + margin:
-            consistency_ok = False
-        if found_a is not None and found_b is not None and found_c is not None and trial >= _MIN_TRIALS - 1:
+    done = False
+    for start in range(0, trials, _BLOCK):
+        zs = _ginibre_stack(rng, min(_BLOCK, trials - start), dim)
+        try:
+            block = _cartesian_sum(zs, None)
+        except (ValueError, OpcheckError):
+            block = None
+        for i, zm in enumerate(zs):
+            trial = start + i
+            k_sum, j = (block, i) if block is not None else (_cartesian_sum(zm[None], None), 0)
+            # |Z| serves targets a and b only
+            parts = _svd(zm, None) if found_a is None or found_b is None else None
+            if found_a is None:
+                dec = _loewner_leq(parts.modulus(), k_sum.matrix[j], None)
+                if dec.slack < -margin:
+                    found_a = CexWitness(trial_index=trial, matrix=zm, margin=-dec.slack)
+            if found_b is None:
+                half_norm = _operator_norm(parts.modulus(np.sqrt(parts.values)) @ k_sum.inv_half[j])
+                if half_norm > 1.0 + margin:
+                    found_b = CexWitness(trial_index=trial, matrix=zm, margin=half_norm - 1.0)
+            if found_c is None:
+                plain_norm = _operator_norm(zm @ k_sum.inv[j])
+                if plain_norm > 1.0 + margin:
+                    found_c = CexWitness(trial_index=trial, matrix=zm, margin=plain_norm - 1.0)
+            worst_rho = max(worst_rho, k_sum.rhos[j])
+            worst_norm = max(worst_norm, k_sum.congruence_norms[j])
+            if found_a is not None and found_b is not None and found_c is not None:
+                # the block index of the first trial past the floor; 0 once the floor is reached
+                end = max(_MIN_TRIALS - start, 0)
+                if trial >= _MIN_TRIALS - 1 or (block is not None and end <= len(zs)):
+                    # the block's trials left below the floor, none once it is reached
+                    worst_rho = max([worst_rho] + k_sum.rhos[j + 1 : end])
+                    worst_norm = max([worst_norm] + k_sum.congruence_norms[j + 1 : end])
+                    done = True
+                    break
+        if done:
             break
     report = CexSearchReport(
         trials=trials,
@@ -946,7 +957,8 @@ def find_counterexamples_remarks(trials: int, seed: int, dim: int = 2) -> CexSea
         loewner_witness=found_a,
         half_power_witness=found_b,
         plain_norm_witness=found_c,
-        consistency_ok=consistency_ok,
+        # a bound past 1 + margin on any trial is past it in the worst one
+        consistency_ok=worst_rho <= 1.0 + margin and worst_norm <= 1.0 + margin,
         worst_rho=worst_rho,
         worst_congruence_norm=worst_norm,
     )

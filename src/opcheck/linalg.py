@@ -275,16 +275,17 @@ def _eig_stack(hs: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Option
     matrix laid out in Fortran order as :func:`_eig` returns it, so that a
     product with it makes the BLAS call the lone matrix makes.
 
-    Two or more matrices of size n >= 2, each with max|a_ij| in
-    (2^-200, 2^200), run as one stack through :func:`_sweeps_stack`. Any
-    other stack, and so any holding a NaN or an inf, runs :func:`_eig` on
-    each matrix in order, and raises the error of the first matrix that
-    fails.
+    Two or more matrices of size n >= 2 run as one stack through
+    :func:`_sweeps_stack`, unless it refuses the stack for a ||A||_F
+    outside its range. Any other stack, and so any holding a NaN or an
+    inf, runs :func:`_eig` on each matrix in order, and raises the error
+    of the first matrix that fails.
     """
     n = hs.shape[-1]
     flat = hs.reshape((math.prod(hs.shape[:-2]),) + hs.shape[-2:])
-    if len(flat) > 1 and n > 1 and _in_scaled_range(flat):
-        values, rows = _sweeps_stack(flat, vectors)
+    out = _sweeps_stack(flat, vectors) if len(flat) > 1 and n > 1 else None
+    if out is not None:
+        values, rows = out
     else:
         values = np.empty(flat.shape[:-1])
         rows = np.empty(flat.shape, dtype=complex) if vectors else None
@@ -293,13 +294,6 @@ def _eig_stack(hs: np.ndarray, vectors: bool = True) -> Tuple[np.ndarray, Option
             if vectors:
                 rows[i] = v.T
     return values.reshape(hs.shape[:-1]), rows.swapaxes(-1, -2).reshape(hs.shape) if vectors else None
-
-
-def _in_scaled_range(hs: np.ndarray) -> bool:
-    """True when every matrix of the stack ``hs`` (k, n, n), n >= 1, has
-    max|a_ij| in (2^-200, 2^200); False for a NaN or an inf."""
-    amax = np.hypot(hs.real, hs.imag).max(axis=(-2, -1))
-    return bool(((2.0**-200 < amax) & (amax < 2.0**200)).all())
 
 
 # CPython's complex arithmetic on float64 arrays whose first axis holds the
@@ -321,25 +315,31 @@ _CONJ_PAIR = np.array([[1.0, 1.0], [-1.0, 1.0]])[:, :, None]
 _CONJ = np.array([1.0, -1.0])[:, None, None, None]
 
 
-def _sweeps_stack(a: np.ndarray, vectors: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+def _sweeps_stack(a: np.ndarray, vectors: bool) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
     """:func:`_sweeps` of each matrix of the exactly Hermitian stack ``a``
     (k, n, n), bit for bit: the descending values (k, n) and, with
     ``vectors``, each matrix's vectors transposed (k, n, n), their columns
-    as rows.
+    as rows. None, before any sweep, unless every ||A||_F lies in
+    (n 2^-199, 2^199), which a NaN or an inf fails.
 
-    Each max|a_ij| must lie in (2^-200, 2^200), where _sweeps neither
+    The thresholds ||A||_F come from :func:`_frobenius_stack`, and their
+    range puts each max|a_ij| in (2^-200, 2^200), where _sweeps neither
     rescales nor refuses. The stack is held as one float64 array of real
     and imaginary parts, and :func:`_rotate_stack` repeats each of _sweeps'
     Python complex operations as CPython rounds it, in a few ufunc calls
-    per pivot for the whole stack; |z| is the C hypot. atan2, cos, sin and
-    the stop rule's hypot come from math, one call per matrix, and the
-    thresholds ||A||_F from :func:`_frobenius_stack`. A matrix leaves the
-    stack at the sweep that finds it converged, and a pivot skips the
-    matrices whose |a_pq| is at most _TINY. When every matrix converges at
-    the same sweep, the working array is the result, uncopied.
+    per pivot for the whole stack; |z| is the C hypot, and a sweep's first
+    pivot (0, 1) takes its modulus from the stop rule's. atan2, cos, sin
+    and the stop rule's hypot come from math, one call per matrix. A matrix
+    leaves the stack at the sweep that finds it converged, and a pivot
+    skips the matrices whose |a_pq| is at most _TINY. When every matrix
+    converges at the same sweep, the working array is the result, uncopied.
     """
     k, n = a.shape[0], a.shape[-1]
-    stop = _STOP * _frobenius_stack(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = _frobenius_stack(a)
+    if not ((n * 2.0**-199 < scale) & (scale < 2.0**199)).all():
+        return None
+    stop = _STOP * scale
     # the real and imaginary parts of A's rows over V's rows, the matrix
     # index last, so that a pivot entry of every matrix is one contiguous vector
     w = np.zeros((2, 2 * n if vectors else n, n, k))
@@ -348,25 +348,27 @@ def _sweeps_stack(a: np.ndarray, vectors: bool) -> Tuple[np.ndarray, Optional[np
     i = np.arange(n)
     if vectors:
         w[0, n + i, i] = 1.0
-    done = np.empty_like(w)
     active = np.arange(k)
     upper = (slice(None),) + _upper(n)
     for _ in range(_MAX_SWEEPS):
         moduli = np.hypot(*w[upper])
+        first = moduli[0]  # |a_01|, which no rotation of this sweep has touched yet
         # math.hypot of the one modulus of a 2 x 2 matrix is that modulus
-        off = moduli[0] if n == 2 else np.fromiter(map(math.hypot, *moduli.tolist()), float, active.size)
+        off = first if n == 2 else np.fromiter(map(math.hypot, *moduli.tolist()), float, active.size)
         converged = math.sqrt(2.0) * off <= stop
         if converged.any():
-            if converged.all() and active.size == k:
-                done = w  # every matrix converged at this sweep, none before it
-                break
+            if active.size == k:  # the first matrices to converge
+                if converged.all():
+                    done = w  # every matrix converged at this sweep, none before it
+                    break
+                done = np.empty_like(w)
             done[..., active[converged]] = w[..., converged]
             keep = ~converged
-            active, stop, w = active[keep], stop[keep], w[..., keep]
+            active, stop, first, w = active[keep], stop[keep], first[keep], w[..., keep]
             if not active.size:
                 break
-        for p, q, _ in _pivots(n):
-            r = np.hypot(*w[:, p, q])
+        for index, (p, q, _) in enumerate(_pivots(n)):
+            r = np.hypot(*w[:, p, q]) if index else first
             rotating = r > _TINY
             if rotating.all():
                 _rotate_stack(w, p, q, r)
@@ -713,9 +715,10 @@ def _operator_norms(cs: np.ndarray) -> list:
     of its steps on the whole stack and chooses per matrix with the
     Hermitian mask: the abs-max reductions of the Hermitian test and the
     elementwise Hermitian parts act on each matrix as alone, the Gram
-    products c* c of the non-Hermitian matrices are one zgemm call per
-    matrix with the strides of the lone product, and the spectra come from
-    one values-only :func:`_eig_stack` run.
+    products c* c are one zgemm call per matrix with the strides of the
+    lone product, formed for the whole stack and replaced by the Hermitian
+    parts where the mask is set, and the spectra come from one values-only
+    :func:`_eig_stack` run.
     """
     k = len(cs)
     if k == 1:
@@ -723,7 +726,8 @@ def _operator_norms(cs: np.ndarray) -> list:
     if cs.size == 0:
         return [0.0] * k
     m, n = cs.shape[-2:]
-    operands = np.empty((k, n, n), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # a Hermitian c's product is replaced below
+        operands = hermitian_part(cs.conj().swapaxes(-1, -2) @ cs)
     if m == n:
         scale = np.abs(cs).max(axis=(-2, -1))
         defect = np.abs(cs - cs.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
@@ -731,8 +735,6 @@ def _operator_norms(cs: np.ndarray) -> list:
         operands[hermitian] = hermitian_part(cs[hermitian])
     else:
         hermitian = np.zeros(k, dtype=bool)
-    general = cs[~hermitian]
-    operands[~hermitian] = hermitian_part(general.conj().swapaxes(-1, -2) @ general)
     values = _eig_stack(operands, vectors=False)[0]
     # max(x, 0.0) keeps x unless 0.0 > x
     largest = values[:, 0]

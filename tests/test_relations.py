@@ -209,13 +209,15 @@ def test_hermitian_modulus_commutes_with_conjugation(n, size):
 @pytest.mark.parametrize("exponent", [20, -20, 40, -40])
 @pytest.mark.parametrize("size", STACKS)
 @pytest.mark.parametrize("n", SIZES)
-def test_cartesian_sum_scales_exactly(n, size, exponent):
+def test_cartesian_sum_scales_exactly(split_block, n, size, exponent):
     """K, its values and 2^k Z's K^-1/2 and K^-1 scale by 2^k, 2^k, 2^-k/2
     and 2^-k; K's vectors, the congruence norm and rho stay. Conjugation is
     no relation here: Y of conj Z is -conj Y, and |-H| need not have the bits
     of |H|, since the Jacobi angle is not odd under H -> -H."""
     zs = square_stack(n, size)
-    for got, want in zip(_cartesian_sum(scaled(zs, exponent), None), _cartesian_sum(zs, None)):
+    got_trials, want_trials = split_block(_cartesian_sum(scaled(zs, exponent), None)), split_block(_cartesian_sum(zs, None))
+    assert len(got_trials) == len(want_trials) == size
+    for got, want in zip(got_trials, want_trials):
         assert got.matrix.tobytes() == scaled(want.matrix, exponent).tobytes()
         assert got.values.tobytes() == np.ldexp(want.values, exponent).tobytes()
         assert got.vectors.tobytes() == want.vectors.tobytes()

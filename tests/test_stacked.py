@@ -345,6 +345,58 @@ def test_a_failing_stack_raises_the_first_error_in_trial_order(monkeypatch, fail
         assert expected == (ValueError, "matrix contains non-finite entries")
 
 
+def patch_radii(monkeypatch, zs, patched):
+    """Makes rho(Z_t K_t^-1) patched[t] for each trial t in ``patched``, Z_t
+    of ``zs``, in the search's stacks and in the per-trial loop alike: the
+    products are matched by their bits, which a stack gives them too."""
+    radii = {(zs[t] @ reference_cartesian_sum(zs[t])[2]).tobytes(): rho for t, rho in patched.items()}
+    radius = _spectral_radius
+
+    def patched_radius(a):
+        rho = radius(a)
+        if a.ndim == 2:
+            return radii.get(a.tobytes(), rho)
+        return [radii.get(x.tobytes(), r) for x, r in zip(a, rho)]
+
+    monkeypatch.setattr(C, "_spectral_radius", patched_radius)
+    monkeypatch.setitem(globals(), "_spectral_radius", patched_radius)
+
+
+@pytest.mark.parametrize("block", [100, 1000])
+def test_the_bounds_past_the_last_witness_are_folded_in_up_to_the_floor(monkeypatch, block):
+    """The witnesses come early, so the search folds the spectral radii of
+    the block's trials from the last witness up to trial 99 into worst_rho
+    and consistency_ok at once. The radii patched here put one bound past
+    1 + 1e-6 and then the largest at trial 99, both after the last witness,
+    and a larger one at trial 150, past the floor, in the same block when
+    it holds 1000 trials: the search must fold in the first two, and not
+    the third, as the per-trial loop does."""
+    seed, dim = 5, 2
+    last = max(trial for trial, _, _ in reference_search(3000, seed, dim)[0].values())
+    assert last < 90
+    patch_radii(monkeypatch, C._ginibre_stack(np.random.default_rng(seed), 200, dim),
+                {last + 2: 1.0 + 2e-6, 99: 1.5, 150: 4.0})
+    monkeypatch.setattr(C, "_BLOCK", block)
+    expected = reference_search(3000, seed, dim)
+    assert expected[1:3] == (False, repr(1.5))
+    assert search_outcome(3000, seed, dim) == expected
+
+
+def test_a_search_that_ends_past_the_floor_folds_no_later_trial(monkeypatch):
+    """Under HermitianFirst draws with 105 Hermitian trials no target fires
+    before trial 105, and at seed 1 all three fire there, at the first
+    trial of a block of 7. The search ends at that trial, so the radius 4.0
+    patched in at trial 106, in the same block, must not enter worst_rho."""
+    seed, dim = 1, 2
+    monkeypatch.setattr(np.random, "default_rng", lambda s: HermitianFirst(s, dim, hermitian=105))
+    monkeypatch.setattr(C, "_BLOCK", 7)
+    assert max(trial for trial, _, _ in reference_search(3000, seed, dim)[0].values()) == 105
+    patch_radii(monkeypatch, C._ginibre_stack(np.random.default_rng(seed), 110, dim), {106: 4.0})
+    expected = reference_search(3000, seed, dim)
+    assert expected[2] != repr(4.0)
+    assert search_outcome(3000, seed, dim) == expected
+
+
 @pytest.mark.parametrize("dim", [1, 0, -1])
 def test_the_search_needs_dimension_two(monkeypatch, dim):
     def no_draws(seed):
@@ -503,11 +555,23 @@ def outcome(fn, hs):
     return values.tobytes(), vectors.tobytes()
 
 
-@pytest.mark.parametrize("exponent", [210, -210])
+@pytest.mark.parametrize("exponent", [210, -210, 199, -199, None])
 def test_a_matrix_off_the_scaled_range_sends_the_stack_through_the_loop(exponent):
+    """_sweeps_stack runs a stack only when every ||A||_F lies in
+    (n 2^-199, 2^199); else _eig_stack runs the per-matrix loop. Matrix 4
+    has max|a_ij| = 1.62 and ||A||_F = 3.007. Scaled by 2^+-210 it lies
+    outside both ranges. Scaled by 2^+-199 its max|a_ij| lies just inside
+    (2^-200, 2^200), where _sweeps runs unscaled: its ||A||_F is past 2^199
+    at 2^199, and just above 3 2^-199 at 2^-199, so that stack runs. The
+    exponent None puts in the matrix of 2^199 entries, whose max|a_ij| is
+    in range and whose ||A||_F = 3 2^199 is not."""
     hs = wishart(np.random.default_rng(4), 7, 3)
-    hs[4].real *= 2.0**exponent
-    hs[4].imag *= 2.0**exponent
+    if exponent is None:
+        hs[4] = 2.0**199
+    else:
+        hs[4].real *= 2.0**exponent
+        hs[4].imag *= 2.0**exponent
+    assert (opcheck.linalg._sweeps_stack(hs, True) is None) == (exponent != -199)
     assert outcome(_eig_stack, hs) == outcome(reference_eig_stack, hs)
 
 
@@ -522,8 +586,9 @@ def test_a_failing_stack_raises_the_first_error_of_the_loop():
 
 
 def norm_stacks(rng, k, n):
-    """Hermitian, nearly Hermitian, general and mixed stacks, and one with a
-    zero matrix, which sends its values-only run through the loop."""
+    """Hermitian, nearly Hermitian, general and mixed stacks, one with a
+    zero matrix, which sends its values-only run through the loop, and a
+    Hermitian one at 2^600, whose Gram products c* c overflow."""
     general = ginibre((k, n, n), rng)
     hermitian = hermitian_part(general)
     nearly = hermitian + 1e-14 * ginibre((k, n, n), rng)
@@ -531,7 +596,7 @@ def norm_stacks(rng, k, n):
     zero = general.copy()
     zero[k // 2] = 0.0
     return {"hermitian": hermitian, "nearly": nearly, "general": general, "mixed": mixed, "zero": zero,
-            "wide": ginibre((k, n, n + 1), rng)}
+            "wide": ginibre((k, n, n + 1), rng), "huge": 2.0**600 * hermitian}
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 100])
@@ -541,26 +606,28 @@ def test_stacked_operator_norms_equal_the_per_matrix_norms(k, n):
         assert [x.hex() for x in _operator_norms(cs)] == [_operator_norm(c).hex() for c in cs], name
 
 
-def test_the_congruence_norms_are_the_per_matrix_norms():
+def test_the_congruence_norms_are_the_per_matrix_norms(split_block):
     zs = ginibre((100, 3, 3), np.random.default_rng(6))
-    sums = C._cartesian_sum(zs, None)
+    sums = split_block(C._cartesian_sum(zs, None))
     inv_half = np.array([s.inv_half for s in sums])
     assert [s.congruence_norm.hex() for s in sums] == [_operator_norm(c).hex() for c in inv_half @ zs @ inv_half]
 
 
 def record_bits(record):
-    """A _CartesianSum's arrays as bytes and its two bounds as hex."""
+    """A trial's arrays as bytes and its two bounds as hex."""
     return [x.tobytes() for x in record[:5]] + [record.congruence_norm.hex(), record.rho.hex()]
 
 
 def stack_sizes(monkeypatch):
-    """The size of each stack _sweeps_stack is called on, in call order."""
+    """The size of each stack _sweeps_stack is called on, in call order,
+    and whether it ran the stack or refused it for the per-matrix loop."""
     sizes = []
     original = opcheck.linalg._sweeps_stack
 
     def recording(a, *args):
-        sizes.append(len(a))
-        return original(a, *args)
+        out = original(a, *args)
+        sizes.append((len(a), out is not None))
+        return out
 
     monkeypatch.setattr(opcheck.linalg, "_sweeps_stack", recording)
     return sizes
@@ -569,12 +636,12 @@ def stack_sizes(monkeypatch):
 @pytest.mark.parametrize("mix", ["ginibre", "hermitian", "skew", "both"])
 @pytest.mark.parametrize("k", [2, 7, 100])
 @pytest.mark.parametrize("n", [2, 3])
-def test_a_block_forms_x_and_y_in_one_stack(monkeypatch, sweep_runs, mix, k, n):
+def test_a_block_forms_x_and_y_in_one_stack(monkeypatch, sweep_runs, split_block, mix, k, n):
     """A block's |X| and |Y| come from one stack [X; Y] of 2k matrices. A
     Hermitian Z has Y = 0 and a skew-Hermitian Z has X = 0, outside the
-    stacked kernel's range, so either sends the whole 2k stack through the
-    per-matrix loop. Each record has the bits, and the block the sweep
-    runs, of its Z as a stack of one."""
+    stacked kernel's range, so that either makes _sweeps_stack refuse the
+    whole 2k stack for the per-matrix loop. Each trial has the bits, and
+    the block the sweep runs, of its Z as a stack of one."""
     zs = ginibre((k, n, n), np.random.default_rng(100 * n + k))
     if mix in ("hermitian", "both"):
         zs[0] = hermitian_part(zs[0])
@@ -584,13 +651,15 @@ def test_a_block_forms_x_and_y_in_one_stack(monkeypatch, sweep_runs, mix, k, n):
     assert (parts.im_part[0] == 0).all() == (mix in ("hermitian", "both"))
     assert (parts.re_part[-1] == 0).all() == (mix in ("skew", "both"))
     sizes = stack_sizes(monkeypatch)
-    got = C._cartesian_sum(zs, None)
-    assert sizes == ([2 * k, k, k] if mix == "ginibre" else [k, k])
+    got = split_block(C._cartesian_sum(zs, None))
+    assert len(got) == k
+    expected_sizes = [(2 * k, mix == "ginibre"), (k, True), (k, True)]
+    assert sizes == expected_sizes
     runs = len(sweep_runs)
     sweep_runs.clear()
-    alone = [C._cartesian_sum(zm[None], None)[0] for zm in zs]
+    alone = [split_block(C._cartesian_sum(zm[None], None))[0] for zm in zs]
     assert len(sweep_runs) == runs == 4 * k
-    assert sizes == ([2 * k, k, k] if mix == "ginibre" else [k, k])  # none of a stack of one
+    assert sizes == expected_sizes  # none of a stack of one
     for i, (record, expected) in enumerate(zip(got, alone)):
         assert record_bits(record) == record_bits(expected), i
 
@@ -624,12 +693,12 @@ def test_a_campaign_trial_never_runs_the_stacked_kernel(monkeypatch, check_id, n
 
 
 @pytest.mark.parametrize("vectors", [True, False])
-def test_an_empty_stack_has_empty_spectra(vectors):
+def test_an_empty_stack_has_empty_spectra(split_block, vectors):
     values, vecs = _eig_stack(np.zeros((0, 3, 3), dtype=complex), vectors)
     assert values.shape == (0, 3) and values.dtype == float
     assert vecs is None if not vectors else (vecs.shape == (0, 3, 3) and vecs.dtype == complex)
     assert _operator_norms(np.zeros((0, 2, 2), dtype=complex)) == []
-    assert C._cartesian_sum(np.zeros((0, 2, 2), dtype=complex), None) == []
+    assert split_block(C._cartesian_sum(np.zeros((0, 2, 2), dtype=complex), None)) == []
 
 
 def test_the_search_does_the_kernel_work_of_the_per_trial_loop(sweep_runs):

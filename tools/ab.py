@@ -208,16 +208,19 @@ def write_digests(perfbench: str, job_path: str) -> None:
 
     runs = 0
 
-    def counted(kernel, size):
+    def counted(kernel, size, refusable=False):
         def counting(*args, **kwargs):
             nonlocal runs
             runs += size(args[0])
-            return kernel(*args, **kwargs)
+            out = kernel(*args, **kwargs)
+            if refusable and out is None:
+                runs -= size(args[0])  # refused before any sweep: _eig_stack runs each matrix through _sweeps
+            return out
         return counting
 
     opcheck.linalg._sweeps = counted(opcheck.linalg._sweeps, lambda a: 1)
     if hasattr(opcheck.linalg, "_sweeps_stack"):  # absent before the stacked kernel
-        opcheck.linalg._sweeps_stack = counted(opcheck.linalg._sweeps_stack, len)
+        opcheck.linalg._sweeps_stack = counted(opcheck.linalg._sweeps_stack, len, refusable=True)
     job = json.loads(Path(job_path).read_text())
     totals = {"graded_mix": 0, "theorem_mix": 0}
     for check_id in CHECK_IDS:
