@@ -71,9 +71,12 @@ class PosMap:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The map on the last two axes: ``x`` of shape (..., in_dim, in_dim)
-        goes to (..., out_dim, out_dim), each matrix of a stack by the same
-        IEEE operations, in the same order, as it alone. Validates nothing;
-        :func:`apply` is the checked entry point."""
+        goes to (..., out_dim, out_dim), each matrix of a stack to the bits it
+        has alone. Most families get there by the same IEEE operations, in
+        the same order, as the lone matrix; a Kraus sum batches its BLAS
+        products, so for it the bits hold on the BLAS kernels the tests pin
+        them on, not by construction. Validates nothing; :func:`apply` is the
+        checked entry point."""
         raise NotImplementedError
 
     def __call__(self, x) -> np.ndarray:
@@ -122,16 +125,37 @@ class KrausSum(PosMap):
             if k.shape != (rows, cols):
                 raise DimensionMismatch("Kraus operators must share one shape")
         object.__setattr__(self, "kraus", ops)
+        # not fields, so JSON, == and repr see the operators only: the stack
+        # S = [K_1; ...; K_r] and each K_i* as the transposed view it always was
+        object.__setattr__(self, "_stacked", np.concatenate(ops))
+        object.__setattr__(self, "_adjoints", tuple(k.conj().T for k in ops))
 
     @property
     def dims(self) -> Tuple[int, int]:
         return self.kraus[0].shape[1], self.kraus[0].shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(x.shape[:-2] + (self.out_dim, self.out_dim), dtype=complex)
-        for k in self.kraus:
-            out += k @ x @ k.conj().T
-        return out
+        """sum_i (K_i x) K_i*, added onto zeros in operator order. A stack of
+        B matrices takes B + r BLAS calls, not 2 r B: S x = [K_1 x; ...; K_r x]
+        for each matrix, then per operator one product over the whole stack,
+        [K_i x_1; ...; K_i x_B] K_i*. A lone matrix and a 1-row operator take
+        two products per operator and matrix, as before stacking."""
+        rows, cols = self.kraus[0].shape
+        lead = x.shape[:-2]
+        if not lead or rows == 1:
+            # a lone matrix costs no more so, and keeps its bits on every BLAS
+            # kernel; numpy makes a product with a 1-row operator a gemv or dot
+            # call, not zgemm, which batched gives other bits than each alone
+            out = np.zeros(lead + (rows, rows), dtype=complex)
+            for k, adjoint in zip(self.kraus, self._adjoints):
+                out += k @ x @ adjoint
+            return out
+        count, r = math.prod(lead), len(self.kraus)
+        ys = (self._stacked @ x).reshape(count, r, rows, cols).swapaxes(0, 1).reshape(r, count * rows, cols)
+        out = np.zeros((count * rows, rows), dtype=complex)
+        for y, adjoint in zip(ys, self._adjoints):
+            out += y @ adjoint
+        return out.reshape(lead + (rows, rows))
 
 
 @dataclass(frozen=True)
@@ -342,9 +366,11 @@ def sample_positivity_falsifier(
     The trials run in blocks of up to ``_BLOCK``: a block's inputs are drawn
     in trial order and mapped as one stack, and its images go through one
     stacked Cholesky screen (:func:`_clears_stack`); the trials the screen
-    does not clear are then tested in trial order. So every trial's image,
-    verdict and witness is the one a trial run alone gives, and an image
-    that overflows raises where the trial-by-trial loop raises.
+    does not clear are then tested in trial order. So every trial's
+    verdict and witness is the one a trial run alone gives, as far as its
+    image is (:meth:`PosMap.apply`: by construction, or for a Kraus sum on
+    the BLAS kernels the tests pin), and an image that overflows raises
+    where the trial-by-trial loop raises.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

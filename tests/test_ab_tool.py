@@ -1,7 +1,7 @@
 """The report explanations, the ``opcheck mean``, ``polar`` and ``check``
 inputs, the digest sample, the digest run's lines, sweep-run counts and
 falsifier witnesses, and the wrong-output gate of ``tools/ab.py --reports``;
-the failed runs of ``tools/ab.py --bench``."""
+the failed runs of ``tools/ab.py --bench``; the children's bytecode cache."""
 
 import argparse
 import hashlib
@@ -298,3 +298,19 @@ def test_a_failing_bench_run_is_kept_and_the_medians_take_the_finished_runs(tmp_
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "w pair 0: ops_per_s 100.0 -> exit 1"
     assert "w             work: 1 of 3 runs failed" in lines
+
+
+def test_a_child_compiles_into_a_fresh_cache_outside_both_trees(tmp_path):
+    base = tmp_path / "base"
+    (base / "src").mkdir(parents=True)
+    (base / "src" / "probe.py").write_text("")
+    script = "import json, sys, probe; print(json.dumps([sys.pycache_prefix, probe.__cached__]))"
+    proc = ab.run_child(base, [sys.executable, "-c", script])
+    assert proc.returncode == 0, proc.stderr
+    prefix, cached = map(Path, json.loads(proc.stdout))
+    for tree in (base, ab.ROOT):
+        assert not prefix.resolve().is_relative_to(tree.resolve())
+    # the tree's bytecode went to the cache, which is gone with the child
+    assert cached.is_relative_to(prefix) and not (base / "src" / "__pycache__").exists()
+    assert not prefix.exists()
+    assert "PYTHONDONTWRITEBYTECODE" not in ab.child_env(base, str(prefix))

@@ -2,6 +2,7 @@
 positivity falsification."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -431,6 +432,14 @@ class TestJson:
         assert payload["params"]["inner"]["params"] == {"block_dim": 2}
         assert payload["in_dim"] == 4 and payload["out_dim"] == 2
         assert payload["class"] == COMPLETELY_POSITIVE
+
+    def test_a_kraus_sum_shows_only_its_operators(self):
+        # the stacked operators and adjoints that apply uses are not fields,
+        # so neither JSON nor repr nor == reads them
+        phi = KrausSum(kraus=(np.eye(2), np.array([[0, 1j], [2, 0]])))
+        assert [f.name for f in fields(phi)] == ["kraus"]
+        assert list(map_to_json(phi)["params"]) == ["kraus"]
+        assert repr(phi) == f"KrausSum(kraus={phi.kraus!r})"
 
 
 @pytest.mark.parametrize(

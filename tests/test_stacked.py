@@ -1,6 +1,7 @@
 """Stacked evaluation gives every matrix and every trial the bits it has
-alone: maps on the last two axes, the amplified map on the block view, the
-Jacobi sweeps, the operator norms and the Frobenius norms against the
+alone: maps on the last two axes, a Kraus sum's batched products against
+its per-operator loop, the amplified map on the block view, the Jacobi
+sweeps, the operator norms and the Frobenius norms against the
 per-matrix kernels, and the positivity falsifier and the counterexample
 search against copies of their one-trial-at-a-time loops. The stacked
 Cholesky screen runs LAPACK, so it is held to the per-matrix screen's
@@ -55,9 +56,16 @@ def psd(n, rng):
     return g @ g.conj().T
 
 
+def kraus_maps(rng):
+    """The falsifier's Kraus shapes, (n, m) in {2, 3}^2 with r = 1..3
+    operators, and maps onto 1 x 1 and 0 x 0 matrices."""
+    shapes = [(n, m, r) for n in (2, 3) for m in (2, 3) for r in (1, 2, 3)] + [(3, 1, 2), (2, 0, 1)]
+    return [KrausSum(kraus=tuple(ginibre((m, n), rng) for _ in range(r))) for n, m, r in shapes]
+
+
 def families(rng):
     """Every family, Kraus and congruence maps between unequal dimensions,
-    and sums and compositions nested in each other."""
+    sums and compositions nested in each other, and the Kraus shapes."""
     transpose_plus = MapSum(terms=(IdentityMap(3), TransposeMap(3)))
     twisted = MapCompose(outer=Congruence(ginibre((3, 3), rng)), inner=TransposeMap(3))
     return [
@@ -73,10 +81,12 @@ def families(rng):
         MapSum(terms=(twisted, MapSum(terms=(transpose_plus, KrausSum(kraus=(ginibre((3, 3), rng),)))))),
         MapCompose(outer=MapSum(terms=(IdentityMap(2), TransposeMap(2))),
                    inner=MapCompose(outer=PartialTrace2x2(block_dim=2), inner=Congruence(ginibre((4, 3), rng)))),
+        *kraus_maps(rng),
     ]
 
 
 FAMILIES = families(np.random.default_rng(41))
+KRAUS_MAPS = [phi for phi in FAMILIES if isinstance(phi, KrausSum)]
 
 
 @pytest.mark.parametrize("phi", FAMILIES, ids=lambda phi: phi.family)
@@ -89,6 +99,37 @@ def test_a_stack_maps_each_matrix_as_alone(phi, lead):
     for index in np.ndindex(*lead):
         alone = phi.apply(x[index].copy())
         assert out[index].tobytes() == alone.tobytes()
+
+
+def reference_kraus_apply(phi, x):
+    """KrausSum.apply as it was before stacking: (K_i x) K_i* per operator,
+    one product per matrix each, added onto zeros in operator order."""
+    out = np.zeros(x.shape[:-2] + (phi.out_dim, phi.out_dim), dtype=complex)
+    for k in phi.kraus:
+        out += k @ x @ k.conj().T
+    return out
+
+
+def kraus_id(phi):
+    (m, n), r = phi.kraus[0].shape, len(phi.kraus)
+    return f"n{n}_m{m}_r{r}"
+
+
+@pytest.mark.parametrize("phi", KRAUS_MAPS, ids=kraus_id)
+def test_a_kraus_sum_has_the_bits_of_the_per_operator_loop(phi):
+    """On the BLAS kernel the tests run on, the batched products (S x per
+    matrix, then one product per operator over the whole stack) give the
+    bits of two products per operator and matrix, on a lone matrix and on
+    the falsifier's (25, 2, 2, n, n) block view."""
+    rng = np.random.default_rng(47)
+    n = phi.in_dim
+    lone = psd(n, rng)
+    assert phi.apply(lone).tobytes() == reference_kraus_apply(phi, lone).tobytes()
+    ws = np.array([psd(2 * n, rng) for _ in range(25)])
+    view = ws.reshape(25, 2, n, 2, n).swapaxes(-3, -2)
+    out = phi.apply(view)
+    assert out.shape == (25, 2, 2, phi.out_dim, phi.out_dim)
+    assert out.tobytes() == reference_kraus_apply(phi, view).tobytes()
 
 
 def reference_amplified_apply(phi, w, level):

@@ -5,7 +5,8 @@
 
 The revision REV is exported with ``git archive`` into a temporary directory
 and compared with the working tree this script lives in. Standard library
-only; BLAS and OpenMP are pinned to one thread in every child process.
+only; BLAS and OpenMP are pinned to one thread in every child process, and
+each child compiles the package into an empty bytecode cache of its own.
 
 ``--reports`` writes the outputs of every CLI subcommand from both trees:
 ``opcheck campaign`` for every check id at seeds 7 and 2026 with 50 trials,
@@ -134,16 +135,27 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def child_env(tree: Path) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env.update(PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+def child_env(tree: Path, pycache: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
+    env.update(PYTHONPATH=str(tree / "src"), PYTHONPYCACHEPREFIX=pycache, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1")
     return env
+
+
+def run_child(tree: Path, args: list, cwd=None) -> subprocess.CompletedProcess:
+    """``args`` with ``tree``'s package, output captured as text. Its bytecode
+    cache is a fresh, empty directory outside both trees, so no tree's
+    ``__pycache__`` is read: the child compiles what it imports and writes it
+    there, and the workers of a benchmark run load what its first process
+    compiled, in both trees alike."""
+    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as pycache:
+        return subprocess.run(args, cwd=cwd, env=child_env(tree, pycache), capture_output=True, text=True)
 
 
 def run_python(tree: Path, args: list, out_dir: Path, name: str) -> None:
     """``python ARGS`` with ``tree``'s package, in ``out_dir``; stdout, stderr
     and the exit status go to name.stdout."""
-    proc = subprocess.run([sys.executable, *args], cwd=out_dir, env=child_env(tree), capture_output=True, text=True)
+    proc = run_child(tree, [sys.executable, *args], out_dir)
     (out_dir / f"{name}.stdout").write_text(f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n")
 
 
@@ -286,10 +298,9 @@ def check_instance(check_id: str) -> dict:
 
 def write_reports(tree: Path, out_dir: Path) -> None:
     out_dir.mkdir()
-    ids = subprocess.run(
-        [sys.executable, "-c", "from opcheck.campaign import CHECK_IDS; print(*CHECK_IDS)"],
-        env=child_env(tree), check=True, capture_output=True, text=True,
-    ).stdout.split()
+    proc = run_child(tree, [sys.executable, "-c", "from opcheck.campaign import CHECK_IDS; print(*CHECK_IDS)"])
+    proc.check_returncode()
+    ids = proc.stdout.split()
     for check_id in ids:
         for seed in SEEDS:
             name = f"campaign_{check_id}_{seed}"
@@ -394,9 +405,8 @@ def explain_text(name: str, text_a: str, text_b: str) -> list:
 
 
 def bench_run(tree: Path, command: list, workload: str, seed: int, seconds) -> dict:
-    proc = subprocess.run(
-        [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, env=child_env(tree), capture_output=True, text=True,
+    proc = run_child(
+        tree, [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"], tree
     )
     if proc.returncode != 0:
         return {"exit": proc.returncode, "stdout_tail": proc.stdout.splitlines()[-TAIL_LINES:],
